@@ -78,12 +78,14 @@ from .states import (
     bound_2x4,
     bound_2x4_basis,
     density_matrix,
+    horodecki_2x4,
     isotropic,
     parse_state,
     product,
     random_density,
     random_separable,
     serialize_state,
+    tiles,
     werner_2x2,
 )
 

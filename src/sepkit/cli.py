@@ -89,7 +89,8 @@ def _search_row(report) -> dict | None:
     if report is None:
         return None
     return {"best_residual": float(report.best_residual), "k": int(report.k),
-            "restarts": int(report.restarts_used)}
+            "restarts": int(report.restarts_used),
+            "iterations": int(report.iterations_used)}
 
 
 def _certificate_row(cert) -> dict | None:
@@ -154,7 +155,8 @@ def _cmd_classify(args, out, err) -> int:
                      f"lambdas = {lam}")
     if report.search is not None:
         human.append(f"search: best residual {report.search.best_residual:.6g} "
-                     f"(k={report.search.k}, restarts={report.search.restarts_used})")
+                     f"(k={report.search.k}, restarts={report.search.restarts_used}, "
+                     f"iterations={report.search.iterations_used})")
     if report.certificate is not None:
         human.append(f"certificate: {report.certificate.weights.shape[0]} product terms")
     _emit(args, payload, human, out)

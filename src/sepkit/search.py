@@ -11,6 +11,13 @@ is minimized by projected gradient descent on the orthonormal-column
 manifold.  F(u) = 0 makes every member a candidate product state; the
 certificate extractor factors the members and is the only step that
 declares success.  A failed search is never evidence of entanglement.
+
+Each trial point costs one batched product wt = conj(u) @ taus, which
+gives F and its gradient together; an accepted trial's gradient is
+carried into the next iteration.  A step M = u - alpha t is retracted to
+its positive-diagonal QR factor by Cholesky QR: for a tangent t the Gram
+matrix M^H M = I + alpha^2 t^H t >= I, so its Cholesky factor L always
+exists with singular values >= 1, and M L^-H is that factor (R = L^H).
 """
 
 from dataclasses import dataclass
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criterion import ScaledEigvecs, scaled_eigvecs, tau_matrix
-from .linalg import random_orthonormal_columns, reorthonormalize
+from .linalg import random_orthonormal_columns, reorthonormalize  # noqa: F401 (traced by perfbench)
 from .pairs import PairIndex, pair_operators
 from .states import DensityMatrix, format_float
 
@@ -61,7 +68,6 @@ class SearchConfig:
     step_min: float = 1e-14
     grad_tol: float = 1e-12
     product_tol: float = 1e-6
-    boundary_tol: float = 1e-9
     rank_tol: float = 1e-10
 
 
@@ -104,14 +110,6 @@ class SearchReport:
     certificate: SeparableCertificate | None
 
 
-def _member_diagonals(w: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """Rows of residuals: out[r, i] = (w tau_r w.T)_ii for w = conj(u)."""
-    out = np.empty((taus.shape[0], w.shape[0]), dtype=complex)
-    for r in range(taus.shape[0]):
-        out[r] = ((w @ taus[r]) * w).sum(axis=1)
-    return out
-
-
 def _stack_taus(taus) -> np.ndarray:
     arr = np.asarray(taus, dtype=complex)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
@@ -132,12 +130,18 @@ def _check_u(u, l: int, orth_tol: float) -> np.ndarray:
     return u
 
 
+def _objective_and_gradient(u: np.ndarray, taus: np.ndarray) -> tuple[float, np.ndarray]:
+    """F(u) and its Euclidean gradient from one batched product."""
+    w = u.conj()
+    wt = w @ taus
+    d = np.einsum("ril,il->ri", wt, w)
+    return float(np.vdot(d, d).real), 4.0 * np.einsum("ri,ril->il", d.conj(), wt)
+
+
 def joint_residual(u, taus, orth_tol: float = 1e-3) -> float:
     """F(u) = sum over pairs and members of |<z_i| B^r |conj(z_i)>|^2."""
     taus = _stack_taus(taus)
-    u = _check_u(u, taus.shape[1], orth_tol)
-    d = _member_diagonals(u.conj(), taus)
-    return float(np.sum(np.abs(d) ** 2))
+    return _objective_and_gradient(_check_u(u, taus.shape[1], orth_tol), taus)[0]
 
 
 def residual_gradient(u, taus, orth_tol: float = 1e-3) -> np.ndarray:
@@ -148,13 +152,7 @@ def residual_gradient(u, taus, orth_tol: float = 1e-3) -> np.ndarray:
     differences.
     """
     taus = _stack_taus(taus)
-    u = _check_u(u, taus.shape[1], orth_tol)
-    w = u.conj()
-    grad = np.zeros_like(u)
-    for r in range(taus.shape[0]):
-        diag = ((w @ taus[r]) * w).sum(axis=1)
-        grad += 4.0 * np.conj(diag)[:, None] * (w @ taus[r])
-    return grad
+    return _objective_and_gradient(_check_u(u, taus.shape[1], orth_tol), taus)[1]
 
 
 def _tangent_project(u: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -162,36 +160,40 @@ def _tangent_project(u: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g - u @ ((utg + utg.conj().T) / 2.0)
 
 
+def _retract(m: np.ndarray) -> np.ndarray:
+    """Cholesky QR; its eps ||m||^2 orthonormality error makes a long step take two passes."""
+    gram = m.conj().T @ m
+    q = np.linalg.solve(np.linalg.cholesky(gram), m.conj().T).conj().T
+    return _retract(q) if np.vdot(m, m).real > 2 * m.shape[1] else q
+
+
 def _descend(u0: np.ndarray, taus: np.ndarray, cfg: SearchConfig) -> tuple[np.ndarray, float, int]:
     """Monotone projected gradient descent with backtracking line search."""
     u = u0
-    f = joint_residual(u, taus, orth_tol=None)
+    f, g = _objective_and_gradient(u, taus)
     step = cfg.step_init
     iters = 0
     for iters in range(1, cfg.max_iters + 1):
         if f <= cfg.tol_residual * 0.01:
             break
-        g = residual_gradient(u, taus, orth_tol=None)
         t = _tangent_project(u, g)
-        tnorm2 = float(np.sum(np.abs(t) ** 2))
+        tnorm2 = float(np.vdot(t, t).real)
         if tnorm2 <= cfg.grad_tol ** 2:
             break
-        accepted = False
         alpha = min(step / cfg.shrink, cfg.step_init)
         while alpha >= cfg.step_min:
             try:
-                u_try = reorthonormalize(u - alpha * t)
-            except ValueError:
+                u_try = _retract(u - alpha * t)
+            except np.linalg.LinAlgError:
                 alpha *= cfg.shrink
                 continue
-            f_try = joint_residual(u_try, taus, orth_tol=None)
+            f_try, g_try = _objective_and_gradient(u_try, taus)
             if f_try <= f - cfg.armijo_c * alpha * tnorm2:
-                u, f = u_try, f_try
+                u, f, g = u_try, f_try, g_try
                 step = alpha
-                accepted = True
                 break
             alpha *= cfg.shrink
-        if not accepted:
+        else:  # no trial step was accepted
             break
     return u, f, iters
 
@@ -204,7 +206,7 @@ def _polish(u: np.ndarray, taus: np.ndarray, cfg: SearchConfig) -> tuple[np.ndar
     Barzilai-Borwein trial step (Armijo still decides) converges the
     last few orders of magnitude quickly.
     """
-    f = joint_residual(u, taus, orth_tol=None)
+    f, g = _objective_and_gradient(u, taus)
     step = cfg.step_init
     prev_u = None
     prev_t = None
@@ -212,9 +214,8 @@ def _polish(u: np.ndarray, taus: np.ndarray, cfg: SearchConfig) -> tuple[np.ndar
     for iters in range(1, cfg.max_iters + 1):
         if f <= 1e-28:
             break
-        g = residual_gradient(u, taus, orth_tol=None)
         t = _tangent_project(u, g)
-        tnorm2 = float(np.sum(np.abs(t) ** 2))
+        tnorm2 = float(np.vdot(t, t).real)
         if tnorm2 <= (1e-16) ** 2:
             break
         if prev_u is not None:
@@ -224,22 +225,20 @@ def _polish(u: np.ndarray, taus: np.ndarray, cfg: SearchConfig) -> tuple[np.ndar
             if denom > 0.0:
                 step = float(np.real(np.vdot(s, s))) / denom
             step = min(max(step, 1e-10), 1e6)
-        accepted = False
         alpha = step
         while alpha >= cfg.step_min:
             try:
-                u_try = reorthonormalize(u - alpha * t)
-            except ValueError:
+                u_try = _retract(u - alpha * t)
+            except np.linalg.LinAlgError:
                 alpha *= cfg.shrink
                 continue
-            f_try = joint_residual(u_try, taus, orth_tol=None)
+            f_try, g_try = _objective_and_gradient(u_try, taus)
             if f_try < f:
                 prev_u, prev_t = u, t
-                u, f = u_try, f_try
-                accepted = True
+                u, f, g = u_try, f_try, g_try
                 break
             alpha *= cfg.shrink
-        if not accepted:
+        else:  # no trial step was accepted
             break
     return u, f, iters
 

@@ -16,6 +16,8 @@ __all__ = [
     "density_matrix",
     "bound_2x4",
     "bound_2x4_basis",
+    "horodecki_2x4",
+    "tiles",
     "werner_2x2",
     "bell",
     "product",
@@ -109,6 +111,43 @@ def bound_2x4_basis() -> np.ndarray:
     x[4, 2] = s
     x[4, 7] = s
     return x.astype(complex)
+
+
+def horodecki_2x4(b: float) -> DensityMatrix:
+    """Horodecki's 2x4 family rho_b, with positive partial transpose for 0 <= b <= 1.
+
+    Entangled for 0 < b < 1, yet every pair a-value is <= 0 and the
+    partial transpose is positive, so neither entanglement test detects it
+    (bound entanglement; P. Horodecki, Phys. Lett. A 232, 333 (1997)).
+    rho_0 is a pure product state and rho_1 is bound_2x4, entry for entry.
+    """
+    if not 0.0 <= b <= 1.0:
+        raise ValueError(f"b must lie in [0, 1], got {b}")
+    mat = np.zeros((8, 8))
+    for i in range(3):
+        mat[i, i] = mat[i, i + 5] = mat[i + 5, i] = mat[i + 5, i + 5] = b
+    mat[3, 3] = b
+    mat[4, 4] = mat[7, 7] = (1.0 + b) / 2.0
+    mat[4, 7] = mat[7, 4] = np.sqrt(1.0 - b * b) / 2.0
+    return DensityMatrix(m=2, n=4, matrix=mat.astype(complex) / (7.0 * b + 1.0))
+
+
+def tiles() -> DensityMatrix:
+    """Bound-entangled 3x3 state from the Tiles unextendible product basis.
+
+    The five product vectors |0>(|0>-|1>), (|0>-|1>)|2>, |2>(|1>-|2>),
+    (|1>-|2>)|0> and (|0>+|1>+|2>)(|0>+|1>+|2>), normalized, have no
+    product vector orthogonal to them all (Bennett et al., PRL 82, 5385
+    (1999)), so the normalized rank-4 projector onto their orthogonal
+    complement is entangled although its partial transpose is positive.
+    """
+    e = np.eye(3)
+    minus = [(e[0] - e[1]) / np.sqrt(2.0), (e[1] - e[2]) / np.sqrt(2.0)]
+    plus = e.sum(axis=0) / np.sqrt(3.0)
+    upb = np.array([np.kron(e[0], minus[0]), np.kron(minus[0], e[2]),
+                    np.kron(e[2], minus[1]), np.kron(minus[1], e[0]),
+                    np.kron(plus, plus)])
+    return DensityMatrix(m=3, n=3, matrix=(np.eye(9) - upb.T @ upb).astype(complex) / 4.0)
 
 
 def bell() -> DensityMatrix:

@@ -86,6 +86,8 @@ def test_classify_json_payload(tmp_path):
     assert len(data["pairs"][0]["lambdas"]) == 5
     assert data["search"]["best_residual"] < 1e-20
     assert data["search"]["restarts"] == 1
+    searched = json.loads(run(["search", path, "--json"])[1])
+    assert data["search"]["iterations"] == searched["iterations"] > 0
 
     again = run(["classify", path, "--json"])[1]
     assert again == out  # byte-identical across runs

@@ -5,6 +5,7 @@ import pytest
 
 import sepkit as sk
 from sepkit.criterion import (
+    ClassifyConfig,
     Verdict,
     a_value,
     pair_reports,
@@ -14,6 +15,7 @@ from sepkit.criterion import (
 )
 from sepkit.linalg import singular_values
 from sepkit.pairs import pair_operators
+from sepkit.search import SearchConfig
 
 # Nonzero entries (1-based) of the three tau matrices of the built-in 2x4
 # state in its reference eigenbasis, together with the resulting spectra.
@@ -216,3 +218,19 @@ def test_classify_certifies_bound_2x4():
     assert report.search.best_residual < 1e-20
     err = np.linalg.norm(report.certificate.density() - sk.bound_2x4().matrix)
     assert err < 1e-8
+
+
+@pytest.mark.parametrize("rho", [
+    sk.horodecki_2x4(0.2), sk.horodecki_2x4(0.5), sk.horodecki_2x4(0.8), sk.tiles(),
+], ids=["horodecki_b0.2", "horodecki_b0.5", "horodecki_b0.8", "tiles"])
+def test_classify_never_certifies_bound_entangled_states(rho):
+    """PPT-entangled states pass both entanglement tests, so the search
+    runs; it must end Inconclusive, never SeparableCertified."""
+    cfg = ClassifyConfig(search=SearchConfig(restarts=1, max_iters=200))
+    assert sk.ppt_min_eigenvalue(rho) >= -1e-12
+    x = scaled_eigvecs(rho)
+    assert all(rep.a_value <= cfg.boundary_tol for rep in pair_reports(x, rho.m, rho.n))
+    report = sk.classify(rho, cfg)
+    assert report.verdict is Verdict.INCONCLUSIVE
+    assert report.certificate is None
+    assert report.search is not None and report.search.certificate is None

@@ -5,10 +5,12 @@ import pytest
 
 import sepkit as sk
 from sepkit.criterion import scaled_eigvecs, tau_matrix
-from sepkit.linalg import random_orthonormal_columns
+from sepkit.linalg import random_orthonormal_columns, reorthonormalize
 from sepkit.pairs import pair_operators, pair_residual
 from sepkit.search import (
     CertificateError,
+    _retract,
+    _tangent_project,
     SearchConfig,
     certificate_from_members,
     check_certificate,
@@ -47,7 +49,8 @@ def test_joint_residual_at_identity_on_reference_basis():
 
 def test_joint_residual_matches_member_residuals():
     """F(u) is the summed squared pair residuals of the members
-    z_i = sum_j u_ij x_j, for any orthonormal u."""
+    z_i = sum_j u_ij x_j, for any orthonormal u, and its gradient is
+    4 sum_r conj(d_r) conj(u) tau_r over the same residuals d_r, pair by pair."""
     for m, n, seed in [(2, 2, 0), (2, 3, 1), (3, 3, 2)]:
         rho = sk.random_density(m, n, seed=seed)
         x, taus = _taus(rho)
@@ -58,6 +61,9 @@ def test_joint_residual_matches_member_residuals():
             brute = sum(abs(pair_residual(b, z)) ** 2
                         for b in ops for z in members)
             assert joint_residual(u, taus) == pytest.approx(brute, rel=1e-12)
+            grad = sum(4.0 * np.conj([pair_residual(b, z) for z in members])[:, None]
+                       * (u.conj() @ tau) for b, tau in zip(ops, taus))
+            np.testing.assert_allclose(residual_gradient(u, taus), grad, rtol=0, atol=1e-14)
 
 
 def test_joint_residual_checks_orthonormality():
@@ -75,10 +81,10 @@ def test_joint_residual_checks_orthonormality():
 
 def test_residual_gradient_matches_finite_differences():
     """Central differences along random complex directions reproduce
-    Re<d, grad> to six digits."""
+    Re<d, grad> to six digits, with one to four pairs on the batched axis."""
     eps = 1e-7
     rng = np.random.default_rng(42)
-    for m, n, seed in [(2, 2, 3), (2, 3, 4)]:
+    for m, n, seed in [(2, 2, 3), (2, 3, 4), (2, 4, 5), (3, 3, 6)]:
         rho = sk.random_density(m, n, seed=seed)
         x, taus = _taus(rho)
         u = random_orthonormal_columns(x.count + 1, x.count, seed=9)
@@ -89,6 +95,21 @@ def test_residual_gradient_matches_finite_differences():
             fd = (joint_residual(u + eps * d, taus, orth_tol=None)
                   - joint_residual(u - eps * d, taus, orth_tol=None)) / (2 * eps)
             assert fd == pytest.approx(float(np.vdot(d, g).real), abs=5e-7)
+
+
+def test_retract_is_the_positive_diagonal_qr_factor():
+    """Along a tangent step, Cholesky QR gives the Householder factor of
+    reorthonormalize, for square and tall u and steps from tiny to huge.
+    The square cases at a = 1e6 need the second pass: one pass leaves
+    errors of 2e-12 and 7e-11 there."""
+    for m, n, extra, seed in [(2, 3, 0, 3), (3, 3, 0, 1), (2, 3, 24, 0), (3, 3, 31, 0)]:
+        x, taus = _taus(sk.random_density(m, n, seed=4))
+        u = random_orthonormal_columns(x.count + extra, x.count, seed=seed)
+        t = _tangent_project(u, residual_gradient(u, taus))
+        for a in (1e-10, 1.0, 1e6):
+            q = _retract(u - a * t)
+            np.testing.assert_allclose(q, reorthonormalize(u - a * t), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(q.conj().T @ q, np.eye(x.count), rtol=0, atol=1e-12)
 
 
 def test_minimize_certifies_werner_noise():

@@ -55,6 +55,36 @@ def test_bound_2x4_basis_is_scaled_eigenbasis():
     np.testing.assert_allclose(recon, rho.matrix, atol=1e-14)
 
 
+def test_horodecki_2x4_family():
+    """rho_1 is bound_2x4 entry for entry, rho_0 is the pure product
+    |1>(|0> + |3>)/sqrt(2), and every member is a PPT state."""
+    np.testing.assert_array_equal(sk.horodecki_2x4(1.0).matrix, sk.bound_2x4().matrix)
+    psi = np.kron([0, 1], [1, 0, 0, 1]) / np.sqrt(2)
+    np.testing.assert_allclose(sk.horodecki_2x4(0.0).matrix, np.outer(psi, psi), atol=1e-15)
+    for b in (0.0, 0.2, 0.5, 0.8, 1.0):
+        rho = sk.horodecki_2x4(b)
+        _assert_valid_density(rho, 2, 4)
+        assert sk.ppt_min_eigenvalue(rho) >= -1e-12
+    with pytest.raises(ValueError):
+        sk.horodecki_2x4(1.5)
+
+
+def test_tiles_is_the_projector_orthogonal_to_its_upb():
+    """Spectrum {1/4 x4, 0 x5}; the five Tiles product vectors span the
+    kernel, and the partial transpose stays positive."""
+    rho = sk.tiles()
+    _assert_valid_density(rho, 3, 3)
+    np.testing.assert_allclose(np.linalg.eigvalsh(rho.matrix)[::-1],
+                               [0.25] * 4 + [0.0] * 5, atol=1e-15)
+    e = np.eye(3)
+    upb = [np.kron(e[0], e[0] - e[1]), np.kron(e[0] - e[1], e[2]),
+           np.kron(e[2], e[1] - e[2]), np.kron(e[1] - e[2], e[0]),
+           np.kron(e.sum(0), e.sum(0))]
+    for v in upb:
+        assert np.linalg.norm(rho.matrix @ v) < 1e-15
+    assert sk.ppt_min_eigenvalue(rho) >= -1e-12
+
+
 def test_bell_state():
     rho = sk.bell()
     _assert_valid_density(rho, 2, 2)
