@@ -15,6 +15,7 @@ from .criterion import (
     classify,
     pair_concurrence_2x2,
     pair_reports,
+    pair_taus,
     pair_spectrum,
     partial_transpose,
     ppt_min_eigenvalue,

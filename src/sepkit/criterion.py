@@ -7,8 +7,10 @@ for the singular values of tau, separability requires
 
     a = lambda_1 - (lambda_2 + ... + lambda_l')  <=  0
 
-for every pair, where l' counts the nonzero lambdas.  The partial
-transpose test runs alongside as an independent witness.
+for every pair, where l' counts the nonzero lambdas.  B has four
+nonzero entries, so tau has rank <= 4 and its nonzero lambdas are those
+of a 4 x 4 core (see pair_reports).  The partial transpose test runs
+alongside as an independent witness.
 """
 
 import enum
@@ -28,6 +30,7 @@ __all__ = [
     "ClassificationReport",
     "scaled_eigvecs",
     "tau_matrix",
+    "pair_taus",
     "pair_spectrum",
     "a_value",
     "pair_reports",
@@ -101,6 +104,59 @@ def tau_matrix(x: ScaledEigvecs, b: PairOperator) -> np.ndarray:
     return (tau + tau.T) / 2.0
 
 
+# Complex entries per scratch block of _stacked_taus (256 KiB): small next
+# to the (P, l, l) stack it fills, large enough to batch the pairs.
+_TAU_BLOCK = 1 << 14
+
+
+def _pair_layout(x: ScaledEigvecs, ops: list[PairOperator]):
+    """conj(X) by columns, and every operator's entries as (P, 4) arrays.
+
+    Row i of the first array is column i of conj(X); the entries come as
+    0-based rows, 0-based columns and values.
+    """
+    dim = ops[0].m * ops[0].n
+    if x.vectors.shape[1] != dim:
+        raise ValueError(f"vectors have dimension {x.vectors.shape[1]}, operator needs {dim}")
+    ent = np.array([b.entries for b in ops])
+    rows, cols = (ent[:, :, k].astype(np.intp) - 1 for k in (0, 1))
+    return np.ascontiguousarray(x.vectors.conj().T), rows, cols, ent[:, :, 2]
+
+
+def _stacked_taus(xt: np.ndarray, rows, cols, vals) -> np.ndarray:
+    """tau_matrix of every operator at once, accumulated in its order.
+
+    The signed outer products (val conj(x)_row) conj(x)_col^T are added to
+    a zeroed stack one entry at a time, then the stack is symmetrized, so
+    each tau equals tau_matrix's bit for bit.  Pairs go in blocks through
+    one small scratch buffer instead of full-size temporaries.
+    """
+    count, l = rows.shape[0], xt.shape[1]
+    taus = np.zeros((count, l, l), dtype=complex)
+    step = max(1, _TAU_BLOCK // (l * l))
+    scratch = np.empty((min(step, count), l, l), dtype=complex)
+    for start in range(0, count, step):
+        blk = slice(start, start + step)
+        left = vals[blk, :, None] * xt[rows[blk]]
+        right = xt[cols[blk]]
+        tau = taus[blk]
+        term = scratch[:tau.shape[0]]
+        for e in range(rows.shape[1]):
+            np.multiply(left[:, e, :, None], right[:, e, None, :], out=term)
+            tau += term
+        np.add(tau, tau.swapaxes(1, 2), out=term)
+        np.divide(term, 2.0, out=tau)
+    return taus
+
+
+def pair_taus(x: ScaledEigvecs, m: int, n: int) -> np.ndarray:
+    """The (P, l, l) stack of every pair's tau, in enumeration order.
+
+    Bit for bit equal to stacking tau_matrix over pair_operators(m, n).
+    """
+    return _stacked_taus(*_pair_layout(x, pair_operators(m, n)))
+
+
 def pair_spectrum(tau, rank_tol: float = 1e-10) -> tuple[np.ndarray, int]:
     """Descending singular values of tau and the count above rank_tol.
 
@@ -136,14 +192,26 @@ class SpectralReport:
 
 def pair_reports(x: ScaledEigvecs, m: int, n: int,
                  rank_tol: float = 1e-10) -> list[SpectralReport]:
-    """Spectral reports for every pair, in enumeration order."""
-    reports = []
-    for b in pair_operators(m, n):
-        tau = tau_matrix(x, b)
-        lambdas, l_prime = pair_spectrum(tau, rank_tol)
-        reports.append(SpectralReport(pair=b.pair, tau=tau, lambdas=lambdas,
-                                      l_prime=l_prime, a_value=a_value(lambdas, l_prime)))
-    return reports
+    """Spectral reports for every pair, in enumeration order.
+
+    tau_r = V S V^T, where V holds the four columns of conj(X) that B_r
+    touches and S is its 4 x 4 sign block.  With the thin QR V = Q R,
+    tau_r = Q (R S R^T) Q^T, so its nonzero singular values are those of
+    the core R S R^T: one batched QR and one batched SVD give every
+    pair's lambdas, padded with exact zeros to length l.
+    """
+    ops = pair_operators(m, n)
+    xt, rows, cols, vals = _pair_layout(x, ops)
+    # V = conj(X)[:, rows]; S[e, f] = val_e where entry e's column is entry f's row.
+    sign = np.where(cols[:, :, None] == rows[:, None, :], vals[:, :, None], 0.0)
+    r = np.linalg.qr(xt[rows].swapaxes(1, 2), mode="r")
+    lambdas = np.zeros((len(ops), x.count))
+    lambdas[:, :r.shape[1]] = np.linalg.svd(r @ sign @ r.swapaxes(1, 2), compute_uv=False)
+    l_primes = np.count_nonzero(lambdas > rank_tol, axis=1).tolist()
+    taus = _stacked_taus(xt, rows, cols, vals)
+    return [SpectralReport(pair=b.pair, tau=tau, lambdas=lam, l_prime=lp,
+                           a_value=a_value(lam, lp))
+            for b, tau, lam, lp in zip(ops, taus, lambdas, l_primes)]
 
 
 def partial_transpose(rho: DensityMatrix, subsystem: int = 2) -> np.ndarray:
@@ -224,18 +292,27 @@ def classify(rho: DensityMatrix, config: ClassifyConfig | None = None,
              basis_override=None) -> ClassificationReport:
     """Run the pipeline: spectra, pair criterion, partial transpose, then search.
 
-    Any pair with a > boundary_tol or a partial-transpose eigenvalue below
-    -boundary_tol proves entanglement.  Otherwise a separable decomposition
-    is attempted; success yields a verified certificate, failure is reported
-    as inconclusive (never as entangled).
+    A 1 x n or m x 1 state is a product and is certified from its
+    eigen-ensemble.  Any pair with a > boundary_tol or a partial-transpose
+    eigenvalue below -boundary_tol proves entanglement.  Otherwise a
+    separable decomposition is attempted; success yields a verified
+    certificate, failure is reported as inconclusive (never as entangled).
     """
     from . import search as _search
 
     cfg = config or ClassifyConfig()
     scfg = cfg.search or _search.SearchConfig()
     x = scaled_eigvecs(rho, cfg.rank_tol, basis_override)
-    reports = pair_reports(x, rho.m, rho.n, cfg.rank_tol)
     ppt_min = ppt_min_eigenvalue(rho)
+    if min(rho.m, rho.n) == 1:
+        # No pairs exist and every vector is a product, so the eigen-ensemble
+        # itself is the certificate.
+        cert = _search.certificate_from_members(x.vectors, rho.m, rho.n, cfg.product_tol)
+        _search.check_certificate(cert, rho.matrix, cfg.cert_recon_tol)
+        return ClassificationReport(
+            verdict=Verdict.SEPARABLE_CERTIFIED,
+            ppt_min_eigenvalue=ppt_min, pairs=[], certificate=cert)
+    reports = pair_reports(x, rho.m, rho.n, cfg.rank_tol)
 
     for r, rep in enumerate(reports, start=1):
         if rep.a_value > cfg.boundary_tol:

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import ScaledEigvecs, scaled_eigvecs, tau_matrix
+from .criterion import ScaledEigvecs, pair_taus, scaled_eigvecs
+from .criterion import tau_matrix  # noqa: F401 (traced by perfbench)
 from .linalg import random_orthonormal_columns, reorthonormalize  # noqa: F401 (traced by perfbench)
 from .pairs import PairIndex, pair_operators
 from .states import DensityMatrix, format_float
@@ -270,8 +271,7 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
     x = scaled_eigvecs(rho, cfg.rank_tol)
     l = x.count
     cap = (rho.dim) ** 2
-    ops = pair_operators(rho.m, rho.n)
-    taus = _stack_taus([tau_matrix(x, b) for b in ops])
+    taus = pair_taus(x, rho.m, rho.n)
 
     best_f = np.inf
     best_u = None
@@ -381,8 +381,7 @@ class ConstraintSystem:
 def emit_constraints(x: ScaledEigvecs, m: int, n: int) -> ConstraintSystem:
     """Constraint system over the rows of u: w_jj' = (2 - delta_jj') tau_jj'."""
     systems = []
-    for b in pair_operators(m, n):
-        tau = tau_matrix(x, b)
+    for b, tau in zip(pair_operators(m, n), pair_taus(x, m, n)):
         cutoff = 1e-12 * max(1.0, float(np.max(np.abs(tau))))
         terms = []
         for j in range(x.count):

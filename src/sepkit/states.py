@@ -246,6 +246,22 @@ def _parse_entry(token: str, lineno: int) -> complex:
     return complex(re, im)
 
 
+def _parse_row(tokens: list[str], lineno: int) -> np.ndarray:
+    """One matrix row, converted by numpy in one call when every token is well formed.
+
+    Any malformed token sends the row through _parse_entry, which raises
+    the error naming it.
+    """
+    if all(token.count(",") == 1 for token in tokens):
+        try:
+            parts = np.array(",".join(tokens).split(","), dtype=float)
+        except ValueError:
+            parts = None
+        if parts is not None and np.isfinite(parts).all():
+            return parts.view(complex)
+    return np.array([_parse_entry(token, lineno) for token in tokens])
+
+
 def parse_state(text: str) -> DensityMatrix:
     """Parse the text format; errors carry 1-based line numbers.
 
@@ -275,8 +291,7 @@ def parse_state(text: str) -> DensityMatrix:
         tokens = lines[1 + i].split()
         if len(tokens) != d:
             raise StateFormatError(f"line {lineno}: expected {d} entries, got {len(tokens)}")
-        for j, token in enumerate(tokens):
-            mat[i, j] = _parse_entry(token, lineno)
+        mat[i] = _parse_row(tokens, lineno)
     try:
         return density_matrix(m, n, mat)
     except ValueError as exc:

@@ -65,6 +65,18 @@ def test_classify_exit_codes(tmp_path):
     assert out.splitlines()[0] == "verdict: Inconclusive"
 
 
+def test_classify_certifies_one_factor_states(tmp_path):
+    path = gen(tmp_path, "random", "--m", "1", "--n", "3", "--seed", "2")
+    code, out, _ = run(["classify", path])
+    assert code == 0
+    assert out.splitlines()[0] == "verdict: SeparableCertified"
+    code, out, _ = run(["classify", path, "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["pairs"] == [] and payload["search"] is None
+    assert payload["certificate"]["terms"] == 3
+
+
 def test_classify_bound_2x4_finds_certificate(tmp_path):
     path = gen(tmp_path, "bound_2x4")
     code, out, _ = run(["classify", path])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sepkit as sk
 from sepkit.criterion import (
@@ -10,6 +12,7 @@ from sepkit.criterion import (
     a_value,
     pair_reports,
     pair_spectrum,
+    pair_taus,
     scaled_eigvecs,
     tau_matrix,
 )
@@ -94,6 +97,49 @@ def test_pair_spectrum_matches_singular_values():
         lam, l_prime = pair_spectrum(tau)
         np.testing.assert_allclose(lam, singular_values(tau), atol=1e-12)
         assert l_prime == np.sum(lam > 1e-10)
+
+
+def assert_reports_match_per_pair_spectra(rho):
+    """pair_reports against the dense route: pair_spectrum(tau_matrix(x, b)) per pair."""
+    x = scaled_eigvecs(rho)
+    reports = pair_reports(x, rho.m, rho.n)
+    ops = pair_operators(rho.m, rho.n)
+    assert [rep.pair for rep in reports] == [b.pair for b in ops]
+    for b, rep in zip(ops, reports):
+        tau = tau_matrix(x, b)
+        lam, l_prime = pair_spectrum(tau)
+        np.testing.assert_array_equal(rep.tau, tau)
+        assert rep.lambdas.shape == (x.count,)
+        np.testing.assert_allclose(rep.lambdas, lam, rtol=0, atol=1e-13)
+        assert rep.l_prime == l_prime
+        assert abs(rep.a_value - a_value(lam, l_prime)) <= 1e-13
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(2, 6) for n in range(m, 6)])
+@pytest.mark.parametrize("rank", [1, 2, 3, None], ids=["rank1", "rank2", "rank3", "full"])
+def test_pair_reports_match_per_pair_spectra(m, n, rank):
+    """The 4 x 4 cores give the dense spectra, also when l < 4 makes R l x 4."""
+    assert_reports_match_per_pair_spectra(sk.random_density(m, n, rank=rank, seed=m * n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(2, 5), st.data(), st.integers(0, 2**32 - 1))
+def test_pair_reports_match_per_pair_spectra_property(m, n, data, seed):
+    rank = data.draw(st.integers(1, m * n), label="rank")
+    assert_reports_match_per_pair_spectra(sk.random_density(m, n, rank=rank, seed=seed))
+
+
+def test_pair_taus_is_the_stacked_tau_matrix():
+    """Bit for bit, in enumeration order, across block boundaries (8x8 takes several)."""
+    cases = [sk.bound_2x4(), sk.tiles(), sk.bell(), sk.random_density(3, 4, rank=2, seed=3),
+             sk.random_density(8, 8, seed=5)]
+    for rho in cases:
+        x = scaled_eigvecs(rho)
+        stacked = np.array([tau_matrix(x, b) for b in pair_operators(rho.m, rho.n)])
+        np.testing.assert_array_equal(pair_taus(x, rho.m, rho.n), stacked)
+    x = scaled_eigvecs(sk.bound_2x4(), basis_override=sk.bound_2x4_basis())
+    with pytest.raises(ValueError, match="operator needs 9"):
+        pair_taus(x, 3, 3)
 
 
 def test_a_value_cases():
@@ -200,6 +246,18 @@ def test_classify_certifies_separable_states():
     assert report.verdict is Verdict.SEPARABLE_CERTIFIED
     assert len(report.certificate.weights) == 1
     assert report.search is None
+
+
+@pytest.mark.parametrize("m,n,rank", [(1, 3, 2), (1, 4, 4), (3, 1, 3), (1, 1, 1)])
+def test_classify_certifies_one_factor_systems(m, n, rank):
+    """With a one-dimensional factor every vector is a product: no pairs, and
+    the eigen-ensemble is the checked certificate."""
+    rho = sk.random_density(m, n, rank=rank, seed=4)
+    report = sk.classify(rho)
+    assert report.verdict is Verdict.SEPARABLE_CERTIFIED
+    assert report.pairs == [] and report.entangling_pair is None and report.search is None
+    assert len(report.certificate.weights) == rank
+    sk.check_certificate(report.certificate, rho.matrix, recon_tol=1e-12)
 
 
 def test_classify_maximally_mixed_2x2():

@@ -193,6 +193,24 @@ def test_parse_reports_positions():
                        "0,0 0,0 0,0 0,0\n")
 
 
+def test_parse_names_malformed_and_non_finite_tokens():
+    """A row with any bad token is re-parsed token by token, so the error
+    names the token and its line whether the row is otherwise fine or not."""
+    rows = ["1,0 0,0 0,0 0,0", "0,0 0,0 0,0 0,0", "0,0 0,0 0,0 0,0", "0,0 0,0 0,0 0,0"]
+
+    def with_token(lineno, token):
+        body = list(rows)
+        body[lineno - 2] = body[lineno - 2].replace("0,0", token, 1)
+        return "dims 2 2\n" + "\n".join(body) + "\n"
+
+    for token in ("0", "0,0,0"):
+        with pytest.raises(sk.StateFormatError, match=f"line 3: expected 're,im', got '{token}'"):
+            sk.parse_state(with_token(3, token))
+    for token in ("nan,0", "0,inf", "-inf,nan"):
+        with pytest.raises(sk.StateFormatError, match=f"line 4: non-finite entry '{token}'"):
+            sk.parse_state(with_token(4, token))
+
+
 def test_parse_validates_the_matrix():
     good = sk.serialize_state(sk.bell())
     bad_trace = good.replace("0.49999999999999989", "0.4", 1)
