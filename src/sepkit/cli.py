@@ -90,7 +90,8 @@ def _search_row(report) -> dict | None:
         return None
     return {"best_residual": float(report.best_residual), "k": int(report.k),
             "restarts": int(report.restarts_used),
-            "iterations": int(report.iterations_used)}
+            "iterations": int(report.iterations_used),
+            "rejected_extractions": int(report.rejected_extractions)}
 
 
 def _certificate_row(cert) -> dict | None:
@@ -104,6 +105,10 @@ def _cmd_gen(args, out, err) -> int:
     name = args.state
     if name == "bound_2x4":
         rho = states.bound_2x4()
+    elif name == "horodecki":
+        rho = states.horodecki_2x4(args.b)
+    elif name == "tiles":
+        rho = states.tiles()
     elif name == "bell":
         rho = states.bell()
     elif name == "werner":
@@ -156,7 +161,8 @@ def _cmd_classify(args, out, err) -> int:
     if report.search is not None:
         human.append(f"search: best residual {report.search.best_residual:.6g} "
                      f"(k={report.search.k}, restarts={report.search.restarts_used}, "
-                     f"iterations={report.search.iterations_used})")
+                     f"iterations={report.search.iterations_used}, "
+                     f"rejected extractions={report.search.rejected_extractions})")
     if report.certificate is not None:
         human.append(f"certificate: {report.certificate.weights.shape[0]} product terms")
     _emit(args, payload, human, out)
@@ -179,7 +185,7 @@ def _cmd_spectrum(args, out, err) -> int:
         lam = " ".join(f"{v:.12g}" for v in rep.lambdas)
         human.append(f"{i:<5d} {rep.pair.p:<2d} {rep.pair.q:<2d} {rep.a_value:<14.6g} {lam}")
     _emit(args, payload, human, out)
-    tol = 1e-9
+    tol = criterion.ClassifyConfig().boundary_tol
     return EXIT_ENTANGLED if any(rep.a_value > tol for rep in reports) else EXIT_INCONCLUSIVE
 
 
@@ -188,7 +194,8 @@ def _cmd_ppt(args, out, err) -> int:
     value = criterion.ppt_min_eigenvalue(rho)
     _emit(args, {"ppt_min_eigenvalue": value},
           [f"ppt min eigenvalue: {value:.12g}"], out)
-    return EXIT_ENTANGLED if value < -1e-9 else EXIT_INCONCLUSIVE
+    tol = criterion.ClassifyConfig().boundary_tol
+    return EXIT_ENTANGLED if value < -tol else EXIT_INCONCLUSIVE
 
 
 def _cmd_pairs(args, out, err) -> int:
@@ -238,16 +245,11 @@ def _cmd_decompose(args, out, err) -> int:
 def _cmd_search(args, out, err) -> int:
     rho = _read_state(args.file)
     report = search.minimize(rho, _search_config(args))
-    payload = {
-        "best_residual": float(report.best_residual),
-        "k": int(report.k),
-        "restarts": int(report.restarts_used),
-        "iterations": int(report.iterations_used),
-        "certificate": _certificate_row(report.certificate),
-    }
+    payload = {**_search_row(report), "certificate": _certificate_row(report.certificate)}
     human = [
         f"best residual: {report.best_residual:.6g}",
-        f"k: {report.k}  restarts: {report.restarts_used}  iterations: {report.iterations_used}",
+        f"k: {report.k}  restarts: {report.restarts_used}  iterations: {report.iterations_used}"
+        f"  rejected extractions: {report.rejected_extractions}",
         ("certificate: " + (f"{report.certificate.weights.shape[0]} product terms"
                             if report.certificate else "none")),
     ]
@@ -299,6 +301,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write a built-in state in the text format")
     gen_sub = p.add_subparsers(dest="state", required=True)
     g = gen_sub.add_parser("bound_2x4", help="rank-5 PPT 2x4 state (separable; see states.bound_2x4)")
+    g.add_argument("--out", default=None)
+    g = gen_sub.add_parser("horodecki", help="Horodecki 2x4 state rho_b (PPT; entangled "
+                                             "for 0 < b < 1, bound_2x4 at b = 1)")
+    g.add_argument("--b", type=float, required=True)
+    g.add_argument("--out", default=None)
+    g = gen_sub.add_parser("tiles", help="3x3 bound-entangled state of the Tiles UPB")
     g.add_argument("--out", default=None)
     g = gen_sub.add_parser("bell", help="maximally entangled 2x2 state")
     g.add_argument("--out", default=None)

@@ -198,8 +198,11 @@ def pair_reports(x: ScaledEigvecs, m: int, n: int,
     touches and S is its 4 x 4 sign block.  With the thin QR V = Q R,
     tau_r = Q (R S R^T) Q^T, so its nonzero singular values are those of
     the core R S R^T: one batched QR and one batched SVD give every
-    pair's lambdas, padded with exact zeros to length l.
+    pair's lambdas, padded with exact zeros to length l.  A 1 x n or
+    m x 1 system has no pairs.
     """
+    if min(m, n) == 1:
+        return []
     ops = pair_operators(m, n)
     xt, rows, cols, vals = _pair_layout(x, ops)
     # V = conj(X)[:, rows]; S[e, f] = val_e where entry e's column is entry f's row.

@@ -12,6 +12,10 @@ manifold.  F(u) = 0 makes every member a candidate product state; the
 certificate extractor factors the members and is the only step that
 declares success.  A failed search is never evidence of entanglement.
 
+One loop runs each restart, for at most max_iters iterations: a
+Barzilai-Borwein step with a nonmonotone (Zhang-Hager) backtracking
+test, which takes about one trial point per iteration and converges
+down to F ~ 1e-28, so no separate polish phase precedes extraction.
 Each trial point costs one batched product wt = conj(u) @ taus, which
 gives F and its gradient together; an accepted trial's gradient is
 carried into the next iteration.  A step M = u - alpha t is retracted to
@@ -55,7 +59,8 @@ class SearchConfig:
 
     k = None walks the schedule l, 2l, 4l, ... capped at (mn)^2; an
     explicit k runs that single ensemble size.  Each size runs `restarts`
-    descents from random orthonormal starts seeded seed + restart index.
+    descents from random orthonormal starts seeded seed + restart index,
+    each of at most max_iters iterations.
     """
 
     k: int | None = None
@@ -67,7 +72,6 @@ class SearchConfig:
     shrink: float = 0.5
     step_init: float = 1.0
     step_min: float = 1e-14
-    grad_tol: float = 1e-12
     product_tol: float = 1e-6
     rank_tol: float = 1e-10
 
@@ -101,7 +105,11 @@ class CertificateError(ValueError):
 
 @dataclass(frozen=True)
 class SearchReport:
-    """Best point found, its residual, the budget used, and the certificate if any."""
+    """Best point found, its residual, the budget used, and the certificate if any.
+
+    rejected_extractions counts the restarts that reached tol_residual
+    but whose members failed the product test or the re-check.
+    """
 
     best_residual: float
     best_u: np.ndarray
@@ -109,6 +117,7 @@ class SearchReport:
     restarts_used: int
     iterations_used: int
     certificate: SeparableCertificate | None
+    rejected_extractions: int
 
 
 def _stack_taus(taus) -> np.ndarray:
@@ -131,12 +140,13 @@ def _check_u(u, l: int, orth_tol: float) -> np.ndarray:
     return u
 
 
-def _objective_and_gradient(u: np.ndarray, taus: np.ndarray) -> tuple[float, np.ndarray]:
-    """F(u) and its Euclidean gradient from one batched product."""
+def _objective_and_gradient(u: np.ndarray,
+                            taus: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """F(u), its Euclidean gradient and conj(u), from one batched product."""
     w = u.conj()
     wt = w @ taus
     d = np.einsum("ril,il->ri", wt, w)
-    return float(np.vdot(d, d).real), 4.0 * np.einsum("ri,ril->il", d.conj(), wt)
+    return float(np.vdot(d, d).real), 4.0 * np.einsum("ri,ril->il", d.conj(), wt), w
 
 
 def joint_residual(u, taus, orth_tol: float = 1e-3) -> float:
@@ -156,87 +166,65 @@ def residual_gradient(u, taus, orth_tol: float = 1e-3) -> np.ndarray:
     return _objective_and_gradient(_check_u(u, taus.shape[1], orth_tol), taus)[1]
 
 
-def _tangent_project(u: np.ndarray, g: np.ndarray) -> np.ndarray:
-    utg = u.conj().T @ g
+def _tangent_project(u: np.ndarray, g: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """Project g onto the tangent space at u; w, if given, is conj(u)."""
+    utg = (u.conj() if w is None else w).T @ g
     return g - u @ ((utg + utg.conj().T) / 2.0)
 
 
 def _retract(m: np.ndarray) -> np.ndarray:
     """Cholesky QR; its eps ||m||^2 orthonormality error makes a long step take two passes."""
-    gram = m.conj().T @ m
-    q = np.linalg.solve(np.linalg.cholesky(gram), m.conj().T).conj().T
+    mh = m.conj().T
+    q = np.linalg.solve(np.linalg.cholesky(mh @ m), mh).conj().T
     return _retract(q) if np.vdot(m, m).real > 2 * m.shape[1] else q
 
 
-def _descend(u0: np.ndarray, taus: np.ndarray, cfg: SearchConfig) -> tuple[np.ndarray, float, int]:
-    """Monotone projected gradient descent with backtracking line search."""
-    u = u0
-    f, g = _objective_and_gradient(u, taus)
-    step = cfg.step_init
-    iters = 0
-    for iters in range(1, cfg.max_iters + 1):
-        if f <= cfg.tol_residual * 0.01:
-            break
-        t = _tangent_project(u, g)
-        tnorm2 = float(np.vdot(t, t).real)
-        if tnorm2 <= cfg.grad_tol ** 2:
-            break
-        alpha = min(step / cfg.shrink, cfg.step_init)
-        while alpha >= cfg.step_min:
-            try:
-                u_try = _retract(u - alpha * t)
-            except np.linalg.LinAlgError:
-                alpha *= cfg.shrink
-                continue
-            f_try, g_try = _objective_and_gradient(u_try, taus)
-            if f_try <= f - cfg.armijo_c * alpha * tnorm2:
-                u, f, g = u_try, f_try, g_try
-                step = alpha
-                break
-            alpha *= cfg.shrink
-        else:  # no trial step was accepted
-            break
-    return u, f, iters
+# Weight of the past in the Zhang-Hager reference value of the line search.
+_NONMONOTONE_ETA = 0.85
 
 
-def _polish(u: np.ndarray, taus: np.ndarray, cfg: SearchConfig) -> tuple[np.ndarray, float, int]:
-    """Sharpen a near-minimum before certificate extraction.
+def _descend(u: np.ndarray, taus: np.ndarray, cfg: SearchConfig) -> tuple[np.ndarray, float, int]:
+    """Projected gradient descent with Barzilai-Borwein steps.
 
-    Plain descent crawls in the flat basin around a residual zero, which
-    leaves the members too impure for the certificate tolerances.  A
-    Barzilai-Borwein trial step (Armijo still decides) converges the
-    last few orders of magnitude quickly.
+    From the second iteration the trial step is BB2, s.y / y.y with
+    s = -alpha_prev t_prev and y = t - t_prev, clamped to [1e-10, 1e6].
+    Backtracking accepts it against the Zhang-Hager average C of past
+    residuals rather than the last one, so the short BB steps survive
+    the occasional rise in F.  Stops at F <= 1e-28, |t| <= 1e-16, when
+    no step is acceptable, or after max_iters iterations.
     """
-    f, g = _objective_and_gradient(u, taus)
-    step = cfg.step_init
-    prev_u = None
-    prev_t = None
+    f, g, w = _objective_and_gradient(u, taus)
+    c, q = f, 1.0
+    alpha = cfg.step_init
+    t_prev = None
     iters = 0
     for iters in range(1, cfg.max_iters + 1):
         if f <= 1e-28:
             break
-        t = _tangent_project(u, g)
+        t = _tangent_project(u, g, w)
         tnorm2 = float(np.vdot(t, t).real)
-        if tnorm2 <= (1e-16) ** 2:
+        if tnorm2 <= 1e-32:
             break
-        if prev_u is not None:
-            s = u - prev_u
-            y = t - prev_t
-            denom = float(np.real(np.vdot(s, y)))
-            if denom > 0.0:
-                step = float(np.real(np.vdot(s, s))) / denom
-            step = min(max(step, 1e-10), 1e6)
-        alpha = step
+        if t_prev is not None:
+            # With s = -alpha t_prev and y = t - t_prev, only Re<t_prev, t> is new.
+            cross = float(np.vdot(t_prev, t).real)
+            sy = alpha * (prev_norm2 - cross)
+            yy = tnorm2 - 2.0 * cross + prev_norm2
+            if sy > 0.0 and yy > 0.0:
+                alpha = min(max(sy / yy, 1e-10), 1e6)
         while alpha >= cfg.step_min:
             try:
                 u_try = _retract(u - alpha * t)
             except np.linalg.LinAlgError:
                 alpha *= cfg.shrink
                 continue
-            f_try, g_try = _objective_and_gradient(u_try, taus)
-            if f_try < f:
-                prev_u, prev_t = u, t
-                u, f, g = u_try, f_try, g_try
+            f_try, g_try, w_try = _objective_and_gradient(u_try, taus)
+            if f_try <= c - cfg.armijo_c * alpha * tnorm2:
+                u, f, g, w = u_try, f_try, g_try, w_try
+                t_prev, prev_norm2 = t, tnorm2
+                q_next = _NONMONOTONE_ETA * q + 1.0
+                c = (_NONMONOTONE_ETA * q * c + f) / q_next
+                q = q_next
                 break
             alpha *= cfg.shrink
         else:  # no trial step was accepted
@@ -263,13 +251,22 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
     """Search for an annihilating u; deterministic for fixed (rho, config).
 
     Runs the k schedule; per size, one descent per seeded random restart.
-    Results merge by minimum residual, first-come on ties.  A restart
-    reaching tol_residual is polished and certificate extraction is
-    attempted; the first start that yields a certificate ends the search.
+    Results merge by minimum residual, first-come on ties.  Certificate
+    extraction is attempted on every restart that ends at F <=
+    tol_residual, and the first one that yields a checked certificate
+    ends the search; the others are counted as rejected extractions.  A
+    1 x n or m x 1 state has no pairs, and its eigen-ensemble (u = I) is
+    the certificate.
     """
     cfg = config or SearchConfig()
     x = scaled_eigvecs(rho, cfg.rank_tol)
     l = x.count
+    if min(rho.m, rho.n) == 1:
+        certificate = certificate_from_members(x.vectors, rho.m, rho.n, cfg.product_tol)
+        check_certificate(certificate, rho.matrix)
+        return SearchReport(best_residual=0.0, best_u=np.eye(l, dtype=complex), k=l,
+                            restarts_used=0, iterations_used=0,
+                            certificate=certificate, rejected_extractions=0)
     cap = (rho.dim) ** 2
     taus = pair_taus(x, rho.m, rho.n)
 
@@ -278,7 +275,7 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
     best_k = 0
     restarts_used = 0
     iterations_used = 0
-    certificate = None
+    rejected = 0
 
     for k in _k_schedule(cfg, l, cap):
         for i in range(cfg.restarts):
@@ -286,11 +283,6 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
             u, f, iters = _descend(u0, taus, cfg)
             restarts_used += 1
             iterations_used += iters
-            if f <= 1e4 * cfg.tol_residual:
-                # Plain descent crawls near a zero; polish decides whether
-                # the basin bottoms out at one before extraction is tried.
-                u, f, polish_iters = _polish(u, taus, cfg)
-                iterations_used += polish_iters
             if f < best_f:
                 best_f, best_u, best_k = f, u, k
             if f <= cfg.tol_residual:
@@ -299,15 +291,17 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
                                                       cfg.product_tol)
                     check_certificate(certificate, rho.matrix)
                 except CertificateError:
-                    certificate = None
+                    rejected += 1
                     continue
                 return SearchReport(best_residual=best_f, best_u=best_u,
                                     k=best_k, restarts_used=restarts_used,
                                     iterations_used=iterations_used,
-                                    certificate=certificate)
+                                    certificate=certificate,
+                                    rejected_extractions=rejected)
     return SearchReport(best_residual=best_f, best_u=best_u, k=best_k,
                         restarts_used=restarts_used,
-                        iterations_used=iterations_used, certificate=None)
+                        iterations_used=iterations_used, certificate=None,
+                        rejected_extractions=rejected)
 
 
 def certificate_from_members(members: np.ndarray, m: int, n: int,
@@ -379,7 +373,12 @@ class ConstraintSystem:
 
 
 def emit_constraints(x: ScaledEigvecs, m: int, n: int) -> ConstraintSystem:
-    """Constraint system over the rows of u: w_jj' = (2 - delta_jj') tau_jj'."""
+    """Constraint system over the rows of u: w_jj' = (2 - delta_jj') tau_jj'.
+
+    A 1 x n or m x 1 system has no pairs and so no constraints.
+    """
+    if min(m, n) == 1:
+        return ConstraintSystem(m=m, n=n, count=x.count, pairs=())
     systems = []
     for b, tau in zip(pair_operators(m, n), pair_taus(x, m, n)):
         cutoff = 1e-12 * max(1.0, float(np.max(np.abs(tau))))
@@ -415,4 +414,4 @@ def render_constraints(cs: ConstraintSystem) -> str:
         for j, jp, w in pc.terms:
             wn = w / scale
             lines.append(f"{j} {jp} {format_float(wn.real)} {format_float(wn.imag)}")
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in lines)

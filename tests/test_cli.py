@@ -190,3 +190,52 @@ def test_bad_inputs(tmp_path):
     assert "line 3: expected 4 matrix rows" in err
 
     assert run(["nonsense"])[0] == 64
+
+
+def test_one_factor_states_have_no_pairs(tmp_path):
+    """spectrum and emit-constraints report zero pairs on a 1 x 3 state, and
+    search returns its eigen-ensemble certificate."""
+    path = gen(tmp_path, "random", "--m", "1", "--n", "3", "--seed", "2")
+    code, out, _ = run(["spectrum", path, "--json"])
+    assert code == 2
+    assert json.loads(out)["pairs"] == []
+    code, out, _ = run(["emit-constraints", path])
+    assert (code, out) == (0, "")
+    code, out, _ = run(["emit-constraints", path, "--json"])
+    assert code == 0
+    assert json.loads(out) == {"count": 3, "pairs": []}
+    code, out, _ = run(["search", path, "--json"])
+    assert code == 0
+    data = json.loads(out)
+    assert (data["k"], data["iterations"], data["best_residual"]) == (3, 0, 0.0)
+    assert data["certificate"]["terms"] == 3
+
+
+def test_search_reports_rejected_extractions(tmp_path):
+    """Both payloads and both human summaries carry the rejected count."""
+    path = gen(tmp_path, "separable", "--m", "2", "--n", "3", "--terms", "10", "--seed", "2")
+    flags = ["--restarts", "5"]
+    searched = json.loads(run(["search", path, "--json", *flags])[1])
+    classified = json.loads(run(["classify", path, "--json", *flags])[1])
+    assert searched["certificate"] is not None
+    assert searched["rejected_extractions"] == classified["search"]["rejected_extractions"]
+    assert 1 <= searched["rejected_extractions"] < searched["restarts"]
+    count = searched["rejected_extractions"]
+    assert f"rejected extractions: {count}" in run(["search", path, *flags])[1]
+    assert f"rejected extractions={count})" in run(["classify", path, *flags])[1]
+
+
+def test_gen_bound_entangled_states(tmp_path):
+    """The PPT-entangled Horodecki rho_0.5 and Tiles states are written
+    exactly, and a small search budget leaves both Inconclusive."""
+    path = gen(tmp_path, "horodecki", "--b", "0.5")
+    np.testing.assert_array_equal(sk.parse_state(path.read_text()).matrix,
+                                  sk.horodecki_2x4(0.5).matrix)
+    tiles = gen(tmp_path, "tiles")
+    np.testing.assert_array_equal(sk.parse_state(tiles.read_text()).matrix, sk.tiles().matrix)
+    for state in (path, tiles):
+        code, out, _ = run(["classify", state, "--restarts", "1", "--max-iters", "200"])
+        assert code == 2
+        assert out.splitlines()[0] == "verdict: Inconclusive"
+        assert run(["ppt", state])[0] == 2
+        assert run(["spectrum", state])[0] == 2

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import sepkit as sk
-from sepkit.criterion import scaled_eigvecs, tau_matrix
+import sepkit.search as search_module
+from sepkit.criterion import pair_reports, scaled_eigvecs, tau_matrix
 from sepkit.linalg import random_orthonormal_columns, reorthonormalize
 from sepkit.pairs import pair_operators, pair_residual
 from sepkit.search import (
@@ -240,3 +241,62 @@ def test_evaluate_constraints_equals_member_residuals():
             values = evaluate_constraints(cs, u)
             brute = np.array([[pair_residual(b, z) for z in members] for b in ops])
             np.testing.assert_allclose(values, brute, atol=1e-12)
+
+
+@pytest.mark.parametrize("m, n, least", [(3, 3, 9), (2, 4, 8)])
+def test_minimize_certifies_rank3_mixtures_at_fixed_budget(m, n, least, monkeypatch):
+    """One restart of at most 200 iterations per size certifies nearly all
+    rank-3 mixtures, no restart runs past its iteration cap, and the
+    nonmonotone line search accepts almost every first trial step (a
+    monotone test needs about 1.15 trial points per iteration here)."""
+    kernel = search_module._objective_and_gradient
+    evaluations = []
+
+    def counted(u, taus):
+        evaluations.append(u.shape)
+        return kernel(u, taus)
+
+    monkeypatch.setattr(search_module, "_objective_and_gradient", counted)
+    cfg = SearchConfig(restarts=1, max_iters=200)
+    certified = iterations = restarts = 0
+    for seed in range(10):
+        rho = sk.random_separable(m, n, terms=3, seed=seed)
+        report = minimize(rho, cfg)
+        assert report.iterations_used <= report.restarts_used * cfg.max_iters
+        iterations += report.iterations_used
+        restarts += report.restarts_used
+        if report.certificate is not None:
+            check_certificate(report.certificate, rho.matrix)
+            certified += 1
+    assert certified >= least
+    assert len(evaluations) - restarts <= 1.08 * iterations
+
+
+def test_minimize_counts_rejected_extractions():
+    """At k = 12 this 2x3 mixture reaches F ~ 1e-27 on members whose
+    anchored minors vanish without being products: both restarts reach
+    tol_residual and both extractions are rejected."""
+    rho = sk.random_separable(2, 3, terms=6, seed=1)
+    report = minimize(rho, SearchConfig(k=12, restarts=2))
+    assert report.certificate is None
+    assert report.rejected_extractions == report.restarts_used == 2
+    assert report.best_residual <= 1e-10
+    with pytest.raises(CertificateError):
+        extract_certificate(report.best_u, scaled_eigvecs(rho), 2, 3)
+    assert minimize(sk.werner_2x2(0.2), SearchConfig()).rejected_extractions == 0
+
+
+def test_minimize_certifies_one_factor_states():
+    """A 1 x n or m x 1 state has no pairs: its eigen-ensemble (u = I) is
+    returned as the certificate, without any descent."""
+    for m, n in [(1, 3), (4, 1)]:
+        rho = sk.random_density(m, n, seed=2)
+        report = minimize(rho)
+        assert (report.k, report.restarts_used, report.iterations_used) == (m * n, 0, 0)
+        assert report.best_residual == 0.0 and report.rejected_extractions == 0
+        np.testing.assert_array_equal(report.best_u, np.eye(m * n))
+        check_certificate(report.certificate, rho.matrix)
+        x = scaled_eigvecs(rho)
+        assert pair_reports(x, m, n) == []
+        assert emit_constraints(x, m, n).pairs == ()
+        assert render_constraints(emit_constraints(x, m, n)) == ""
