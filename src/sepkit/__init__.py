@@ -6,6 +6,10 @@ for separable decompositions.
 """
 
 from .criterion import (
+    BOUNDARY_TOL,
+    PRODUCT_TOL,
+    RANK_TOL,
+    RECON_TOL,
     ClassificationReport,
     ClassifyConfig,
     ScaledEigvecs,
@@ -40,6 +44,7 @@ from .linalg import (
     RankDeficientError,
     TakagiResult,
     hermitian_eig,
+    product_svd,
     random_orthonormal_columns,
     reorthonormalize,
     singular_values,
@@ -63,6 +68,7 @@ from .search import (
     SearchReport,
     SeparableCertificate,
     certificate_from_members,
+    certify,
     check_certificate,
     emit_constraints,
     evaluate_constraints,

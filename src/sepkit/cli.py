@@ -59,16 +59,15 @@ def _resolve_basis(args, rho) -> np.ndarray | None:
 
 
 def _search_config(args) -> search.SearchConfig:
-    cfg = search.SearchConfig()
-    if getattr(args, "k", None) is not None:
-        cfg.k = args.k
-    if getattr(args, "restarts", None) is not None:
-        cfg.restarts = args.restarts
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "max_iters", None) is not None:
-        cfg.max_iters = args.max_iters
-    return cfg
+    flags = {name: getattr(args, name) for name in ("k", "restarts", "max_iters", "seed")}
+    return search.SearchConfig(**{name: v for name, v in flags.items() if v is not None})
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _emit(args, payload: dict, human: list[str], out) -> None:
@@ -101,31 +100,26 @@ def _certificate_row(cert) -> dict | None:
             "weights": [float(w) for w in cert.weights]}
 
 
+# gen subcommand -> the state its flags describe.
+_GENERATORS = {
+    "bound_2x4": lambda a: states.bound_2x4(),
+    "horodecki": lambda a: states.horodecki_2x4(a.b),
+    "tiles": lambda a: states.tiles(),
+    "bell": lambda a: states.bell(),
+    "werner": lambda a: states.werner_2x2(a.p),
+    "isotropic": lambda a: states.isotropic(a.d, a.fidelity),
+    "random": lambda a: states.random_density(a.m, a.n, a.rank, a.seed),
+    "separable": lambda a: states.random_separable(a.m, a.n, a.terms, a.seed),
+    "product": lambda a: states.product(states.random_density(1, a.m, a.m, a.seed).matrix,
+                                        states.random_density(1, a.n, a.n, a.seed + 1).matrix),
+}
+
+
 def _cmd_gen(args, out, err) -> int:
-    name = args.state
-    if name == "bound_2x4":
-        rho = states.bound_2x4()
-    elif name == "horodecki":
-        rho = states.horodecki_2x4(args.b)
-    elif name == "tiles":
-        rho = states.tiles()
-    elif name == "bell":
-        rho = states.bell()
-    elif name == "werner":
-        rho = states.werner_2x2(args.p)
-    elif name == "isotropic":
-        rho = states.isotropic(args.d, args.fidelity)
-    elif name == "random":
-        rank = args.rank if args.rank is not None else args.m * args.n
-        rho = states.random_density(args.m, args.n, rank, args.seed)
-    elif name == "separable":
-        rho = states.random_separable(args.m, args.n, args.terms, args.seed)
-    elif name == "product":
-        rng_a = states.random_density(1, args.m, args.m, args.seed).matrix
-        rng_b = states.random_density(1, args.n, args.n, args.seed + 1).matrix
-        rho = states.product(rng_a, rng_b)
-    else:  # pragma: no cover - argparse restricts choices
-        raise _CliError(f"unknown state {name}", EXIT_USAGE)
+    try:
+        rho = _GENERATORS[args.state](args)
+    except ValueError as exc:  # a parameter out of its state's range
+        raise _CliError(str(exc), EXIT_USAGE) from exc
     text = states.serialize_state(rho)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -185,8 +179,8 @@ def _cmd_spectrum(args, out, err) -> int:
         lam = " ".join(f"{v:.12g}" for v in rep.lambdas)
         human.append(f"{i:<5d} {rep.pair.p:<2d} {rep.pair.q:<2d} {rep.a_value:<14.6g} {lam}")
     _emit(args, payload, human, out)
-    tol = criterion.ClassifyConfig().boundary_tol
-    return EXIT_ENTANGLED if any(rep.a_value > tol for rep in reports) else EXIT_INCONCLUSIVE
+    entangled = any(rep.a_value > criterion.BOUNDARY_TOL for rep in reports)
+    return EXIT_ENTANGLED if entangled else EXIT_INCONCLUSIVE
 
 
 def _cmd_ppt(args, out, err) -> int:
@@ -194,8 +188,7 @@ def _cmd_ppt(args, out, err) -> int:
     value = criterion.ppt_min_eigenvalue(rho)
     _emit(args, {"ppt_min_eigenvalue": value},
           [f"ppt min eigenvalue: {value:.12g}"], out)
-    tol = criterion.ClassifyConfig().boundary_tol
-    return EXIT_ENTANGLED if value < -tol else EXIT_INCONCLUSIVE
+    return EXIT_ENTANGLED if value < -criterion.BOUNDARY_TOL else EXIT_INCONCLUSIVE
 
 
 def _cmd_pairs(args, out, err) -> int:
@@ -292,10 +285,12 @@ def _build_parser() -> argparse.ArgumentParser:
                             "degenerate eigenspaces)")
 
     def add_search_flags(p):
-        p.add_argument("--k", type=int, default=None, help="ensemble size (default: schedule)")
-        p.add_argument("--restarts", type=int, default=None, help="random restarts per size")
+        p.add_argument("--k", type=_positive_int, default=None,
+                       help="ensemble size (default: schedule)")
+        p.add_argument("--restarts", type=_positive_int, default=None,
+                       help="random restarts per size")
         p.add_argument("--seed", type=int, default=None, help="base seed for restarts")
-        p.add_argument("--max-iters", dest="max_iters", type=int, default=None,
+        p.add_argument("--max-iters", dest="max_iters", type=_positive_int, default=None,
                        help="iteration cap per descent")
 
     p = sub.add_parser("gen", help="write a built-in state in the text format")

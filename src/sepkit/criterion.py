@@ -18,11 +18,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import hermitian_eig, singular_values
+from .linalg import hermitian_eig, product_svd, singular_values
 from .pairs import PairIndex, PairOperator, enumerate_pairs, pair_operators
 from .states import DensityMatrix
 
 __all__ = [
+    "RANK_TOL",
+    "BOUNDARY_TOL",
+    "PRODUCT_TOL",
+    "RECON_TOL",
     "ScaledEigvecs",
     "SpectralReport",
     "Verdict",
@@ -41,6 +45,12 @@ __all__ = [
     "classify",
 ]
 
+# The tolerances of sepkit's decisions, each defined here once:
+RANK_TOL = 1e-10      # an eigenvalue of rho or a lambda at or below it is zero
+BOUNDARY_TOL = 1e-9   # a > it, or a partial-transpose eigenvalue < -it, proves entanglement
+PRODUCT_TOL = 1e-6    # a member is a product when s2 <= PRODUCT_TOL * s1
+RECON_TOL = 1e-8      # a mixture rebuilds rho when ||mixture - rho||_F <= it
+
 
 @dataclass(frozen=True)
 class ScaledEigvecs:
@@ -55,7 +65,7 @@ class ScaledEigvecs:
         return int(self.values.shape[0])
 
 
-def scaled_eigvecs(rho: DensityMatrix, rank_tol: float = 1e-10,
+def scaled_eigvecs(rho: DensityMatrix, rank_tol: float = RANK_TOL,
                    basis_override=None) -> ScaledEigvecs:
     """Scaled eigenvectors of rho for its eigenvalues above rank_tol.
 
@@ -157,7 +167,7 @@ def pair_taus(x: ScaledEigvecs, m: int, n: int) -> np.ndarray:
     return _stacked_taus(*_pair_layout(x, pair_operators(m, n)))
 
 
-def pair_spectrum(tau, rank_tol: float = 1e-10) -> tuple[np.ndarray, int]:
+def pair_spectrum(tau, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, int]:
     """Descending singular values of tau and the count above rank_tol.
 
     Equal to the square roots of the eigenvalues of tau @ conj(tau).
@@ -191,7 +201,7 @@ class SpectralReport:
 
 
 def pair_reports(x: ScaledEigvecs, m: int, n: int,
-                 rank_tol: float = 1e-10) -> list[SpectralReport]:
+                 rank_tol: float = RANK_TOL) -> list[SpectralReport]:
     """Spectral reports for every pair, in enumeration order.
 
     tau_r = V S V^T, where V holds the four columns of conj(X) that B_r
@@ -231,7 +241,7 @@ def ppt_min_eigenvalue(rho: DensityMatrix) -> float:
     return float(np.linalg.eigvalsh(partial_transpose(rho))[0])
 
 
-def pure_product_check(psi, m: int, n: int, tol: float = 1e-8) -> bool:
+def pure_product_check(psi, m: int, n: int, tol: float = PRODUCT_TOL) -> bool:
     """Whether the coefficient matrix of psi is rank 1 within tolerance.
 
     True when the second singular value is <= tol times the largest.
@@ -240,15 +250,13 @@ def pure_product_check(psi, m: int, n: int, tol: float = 1e-8) -> bool:
     a = np.asarray(psi, dtype=complex).reshape(-1)
     if a.shape[0] != m * n:
         raise ValueError(f"state has length {a.shape[0]}, expected {m * n}")
-    s = singular_values(a.reshape(m, n))
+    s = product_svd(a[None, :], m, n)[1][0]
     if s[0] <= 0.0:
         raise ValueError("zero vector has no product test")
-    if min(m, n) == 1:
-        return True
-    return bool(s[1] <= tol * s[0])
+    return min(m, n) == 1 or bool(s[1] <= tol * s[0])
 
 
-def pair_concurrence_2x2(rho: DensityMatrix, rank_tol: float = 1e-10) -> float:
+def pair_concurrence_2x2(rho: DensityMatrix, rank_tol: float = RANK_TOL) -> float:
     """The a value of a 2x2 state's single pair.
 
     Coincides with the concurrence combination lambda_1 - lambda_2 -
@@ -270,13 +278,9 @@ class Verdict(enum.Enum):
 
 @dataclass
 class ClassifyConfig:
-    """Tolerances and search budget for the classification pipeline."""
+    """Search budget for the classification pipeline; the tolerances are the module's."""
 
-    rank_tol: float = 1e-10
-    boundary_tol: float = 1e-9
-    product_tol: float = 1e-6
-    cert_recon_tol: float = 1e-8
-    search: "object | None" = None  # SearchConfig; defaulted in classify
+    search: "object | None" = None  # SearchConfig; defaulted in minimize
 
 
 @dataclass(frozen=True)
@@ -295,81 +299,50 @@ def classify(rho: DensityMatrix, config: ClassifyConfig | None = None,
              basis_override=None) -> ClassificationReport:
     """Run the pipeline: spectra, pair criterion, partial transpose, then search.
 
-    A 1 x n or m x 1 state is a product and is certified from its
-    eigen-ensemble.  Any pair with a > boundary_tol or a partial-transpose
-    eigenvalue below -boundary_tol proves entanglement.  Otherwise a
-    separable decomposition is attempted; success yields a verified
-    certificate, failure is reported as inconclusive (never as entangled).
+    Any pair with a > BOUNDARY_TOL or a partial-transpose eigenvalue below
+    -BOUNDARY_TOL proves entanglement; a 1 x n or m x 1 state has no pairs
+    and is never entangled.  Otherwise a separable decomposition is
+    attempted; success yields a verified certificate, failure is reported
+    as inconclusive (never as entangled).
     """
     from . import search as _search
 
     cfg = config or ClassifyConfig()
-    scfg = cfg.search or _search.SearchConfig()
-    x = scaled_eigvecs(rho, cfg.rank_tol, basis_override)
+    x = scaled_eigvecs(rho, basis_override=basis_override)
     ppt_min = ppt_min_eigenvalue(rho)
-    if min(rho.m, rho.n) == 1:
-        # No pairs exist and every vector is a product, so the eigen-ensemble
-        # itself is the certificate.
-        cert = _search.certificate_from_members(x.vectors, rho.m, rho.n, cfg.product_tol)
-        _search.check_certificate(cert, rho.matrix, cfg.cert_recon_tol)
-        return ClassificationReport(
-            verdict=Verdict.SEPARABLE_CERTIFIED,
-            ppt_min_eigenvalue=ppt_min, pairs=[], certificate=cert)
-    reports = pair_reports(x, rho.m, rho.n, cfg.rank_tol)
+    reports = pair_reports(x, rho.m, rho.n)
+    one_factor = min(rho.m, rho.n) == 1
+
+    def report(verdict: Verdict, **evidence) -> ClassificationReport:
+        return ClassificationReport(verdict=verdict, ppt_min_eigenvalue=ppt_min,
+                                    pairs=reports, **evidence)
 
     for r, rep in enumerate(reports, start=1):
-        if rep.a_value > cfg.boundary_tol:
-            return ClassificationReport(
-                verdict=Verdict.ENTANGLED_BY_PAIR_CRITERION,
-                ppt_min_eigenvalue=ppt_min, pairs=reports, entangling_pair=r)
-    if ppt_min < -cfg.boundary_tol:
-        return ClassificationReport(
-            verdict=Verdict.ENTANGLED_BY_PPT,
-            ppt_min_eigenvalue=ppt_min, pairs=reports)
+        if rep.a_value > BOUNDARY_TOL:
+            return report(Verdict.ENTANGLED_BY_PAIR_CRITERION, entangling_pair=r)
+    if ppt_min < -BOUNDARY_TOL and not one_factor:
+        return report(Verdict.ENTANGLED_BY_PPT)
 
-    if x.count == 1:
-        psi = x.vectors[0]
-        if pure_product_check(psi, rho.m, rho.n, cfg.product_tol):
-            try:
-                cert = _search.certificate_from_members(
-                    x.vectors, rho.m, rho.n, cfg.product_tol)
-                _search.check_certificate(cert, rho.matrix, cfg.cert_recon_tol)
-                return ClassificationReport(
-                    verdict=Verdict.SEPARABLE_CERTIFIED,
-                    ppt_min_eigenvalue=ppt_min, pairs=reports, certificate=cert)
-            except _search.CertificateError:
-                pass
+    # Every vector of a one-factor system is a product, so its eigen-ensemble
+    # is a certificate; a rank-1 state's eigenvector is one if it is a product.
+    cert = _search.certify(x.vectors, rho) if one_factor or x.count == 1 else None
+    if cert is None and len(reports) == 1:
+        cert = _constructive_certificate(rho)
+    if cert is not None:
+        return report(Verdict.SEPARABLE_CERTIFIED, certificate=cert)
 
-    if len(reports) == 1 and reports[0].a_value <= cfg.boundary_tol:
-        cert = _constructive_certificate(rho, cfg, x)
-        if cert is not None:
-            return ClassificationReport(
-                verdict=Verdict.SEPARABLE_CERTIFIED,
-                ppt_min_eigenvalue=ppt_min, pairs=reports, certificate=cert)
-
-    search_report = _search.minimize(rho, scfg)
-    if search_report.certificate is not None:
-        return ClassificationReport(
-            verdict=Verdict.SEPARABLE_CERTIFIED, ppt_min_eigenvalue=ppt_min,
-            pairs=reports, certificate=search_report.certificate, search=search_report)
-    return ClassificationReport(
-        verdict=Verdict.INCONCLUSIVE, ppt_min_eigenvalue=ppt_min,
-        pairs=reports, search=search_report)
+    found = _search.minimize(rho, cfg.search)
+    verdict = Verdict.INCONCLUSIVE if found.certificate is None else Verdict.SEPARABLE_CERTIFIED
+    return report(verdict, certificate=found.certificate, search=found)
 
 
-def _constructive_certificate(rho: DensityMatrix, cfg: ClassifyConfig,
-                              x: ScaledEigvecs):
+def _constructive_certificate(rho: DensityMatrix):
     """Exact route for single-pair systems: the pair ensemble is a full decomposition."""
     from . import decompose as _decompose
     from . import search as _search
 
-    pair = enumerate_pairs(rho.m, rho.n)[0]
     try:
-        ensemble = _decompose.single_pair_decomposition(
-            rho, pair, rank_tol=cfg.rank_tol, boundary_tol=cfg.boundary_tol)
-        cert = _search.certificate_from_members(
-            ensemble.members, rho.m, rho.n, cfg.product_tol)
-        _search.check_certificate(cert, rho.matrix, cfg.cert_recon_tol)
-    except (ValueError, _search.CertificateError):
+        ensemble = _decompose.single_pair_decomposition(rho, enumerate_pairs(rho.m, rho.n)[0])
+    except ValueError:
         return None
-    return cert
+    return _search.certify(ensemble.members, rho)

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import ScaledEigvecs, a_value, scaled_eigvecs, tau_matrix
-from .linalg import takagi
+from .criterion import (BOUNDARY_TOL, PRODUCT_TOL, RANK_TOL, ScaledEigvecs, a_value,
+                        scaled_eigvecs, tau_matrix)
+from .linalg import product_svd, takagi
 from .pairs import PairIndex, PairOperator, build_pair_operator, pair_residual
 from .states import DensityMatrix
 
@@ -174,8 +175,8 @@ class PureEnsemble:
 
 
 def single_pair_decomposition(rho: DensityMatrix, pair: PairIndex,
-                              k: int | None = None, rank_tol: float = 1e-10,
-                              boundary_tol: float = 1e-9) -> PureEnsemble:
+                              k: int | None = None, rank_tol: float = RANK_TOL,
+                              boundary_tol: float = BOUNDARY_TOL) -> PureEnsemble:
     """Ensemble of 4k pure states reassembling rho with zero residual on one pair.
 
     Requires the pair's a value <= boundary_tol.  k defaults to the
@@ -209,7 +210,7 @@ class EnsembleReport:
     max_pair_residual: float
     member_product_errors: np.ndarray
 
-    def ok(self, tol: float = 1e-10, product_tol: float = 1e-6) -> bool:
+    def ok(self, tol: float = 1e-10, product_tol: float = PRODUCT_TOL) -> bool:
         return (self.reconstruction_error <= tol
                 and self.max_pair_residual <= tol
                 and bool(np.all(self.member_product_errors <= product_tol)))
@@ -230,10 +231,9 @@ def verify_ensemble(ensemble: PureEnsemble, rho: DensityMatrix,
         for i in range(z.shape[0]):
             max_residual = max(max_residual, abs(pair_residual(b, z[i])))
     product_errors = np.zeros(z.shape[0])
-    for i in range(z.shape[0]):
-        s = np.linalg.svd(z[i].reshape(ensemble.m, ensemble.n), compute_uv=False)
-        if s[0] > 1e-12 and min(ensemble.m, ensemble.n) > 1:
-            product_errors[i] = s[1] / s[0]
+    if min(ensemble.m, ensemble.n) > 1:
+        s = product_svd(z, ensemble.m, ensemble.n)[1]
+        np.divide(s[:, 1], s[:, 0], out=product_errors, where=s[:, 0] > 1e-12)
     return EnsembleReport(reconstruction_error=recon_err,
                           max_pair_residual=max_residual,
                           member_product_errors=product_errors)

@@ -16,6 +16,7 @@ __all__ = [
     "hermitian_eig",
     "takagi",
     "singular_values",
+    "product_svd",
     "random_orthonormal_columns",
     "reorthonormalize",
 ]
@@ -84,6 +85,19 @@ def hermitian_eig(h, tol: float = 1e-10) -> HermitianEig:
 def singular_values(m) -> np.ndarray:
     """Singular values of a complex matrix, descending."""
     return np.linalg.svd(_as_matrix(m, "m"), compute_uv=False)
+
+
+def product_svd(members, m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Leading left factors, singular values and leading right factors of each member.
+
+    Row i of ``members`` is an m*n coefficient vector; one batched SVD of
+    the m x n matrices gives alphas[i] = U_i[:, 0], s[i] descending and
+    betas[i] = V_i^H[0, :].  A member is a product when s[i, 1] is
+    negligible next to s[i, 0] (always, when min(m, n) == 1).
+    """
+    z = np.asarray(members, dtype=complex)
+    u, s, vh = np.linalg.svd(z.reshape(z.shape[0], m, n))
+    return u[:, :, 0], s, vh[:, 0, :]
 
 
 def _complex_orthonormal_from_real_pool(pool: np.ndarray, against: np.ndarray,

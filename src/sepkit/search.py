@@ -24,13 +24,14 @@ matrix M^H M = I + alpha^2 t^H t >= I, so its Cholesky factor L always
 exists with singular values >= 1, and M L^-H is that factor (R = L^H).
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import ScaledEigvecs, pair_taus, scaled_eigvecs
+from .criterion import PRODUCT_TOL, RECON_TOL, ScaledEigvecs, pair_taus, scaled_eigvecs
 from .criterion import tau_matrix  # noqa: F401 (traced by perfbench)
-from .linalg import random_orthonormal_columns, reorthonormalize  # noqa: F401 (traced by perfbench)
+from .linalg import product_svd, random_orthonormal_columns, reorthonormalize  # noqa: F401
 from .pairs import PairIndex, pair_operators
 from .states import DensityMatrix, format_float
 
@@ -47,6 +48,7 @@ __all__ = [
     "extract_certificate",
     "certificate_from_members",
     "check_certificate",
+    "certify",
     "emit_constraints",
     "render_constraints",
     "evaluate_constraints",
@@ -55,7 +57,7 @@ __all__ = [
 
 @dataclass
 class SearchConfig:
-    """Budget and tolerances for the search.
+    """Budget for the search.
 
     k = None walks the schedule l, 2l, 4l, ... capped at (mn)^2; an
     explicit k runs that single ensemble size.  Each size runs `restarts`
@@ -66,14 +68,7 @@ class SearchConfig:
     k: int | None = None
     restarts: int = 50
     max_iters: int = 2000
-    tol_residual: float = 1e-10
     seed: int = 0
-    armijo_c: float = 1e-4
-    shrink: float = 0.5
-    step_init: float = 1.0
-    step_min: float = 1e-14
-    product_tol: float = 1e-6
-    rank_tol: float = 1e-10
 
 
 @dataclass(frozen=True)
@@ -107,7 +102,7 @@ class CertificateError(ValueError):
 class SearchReport:
     """Best point found, its residual, the budget used, and the certificate if any.
 
-    rejected_extractions counts the restarts that reached tol_residual
+    rejected_extractions counts the restarts that reached _TOL_RESIDUAL
     but whose members failed the product test or the re-check.
     """
 
@@ -179,11 +174,19 @@ def _retract(m: np.ndarray) -> np.ndarray:
     return _retract(q) if np.vdot(m, m).real > 2 * m.shape[1] else q
 
 
+# Line search: sufficient-decrease constant, backtracking factor, first
+# trial step, and the step below which no step is acceptable.
+_ARMIJO_C = 1e-4
+_SHRINK = 0.5
+_STEP_INIT = 1.0
+_STEP_MIN = 1e-14
 # Weight of the past in the Zhang-Hager reference value of the line search.
 _NONMONOTONE_ETA = 0.85
+# A restart that ends at F <= _TOL_RESIDUAL goes to certificate extraction.
+_TOL_RESIDUAL = 1e-10
 
 
-def _descend(u: np.ndarray, taus: np.ndarray, cfg: SearchConfig) -> tuple[np.ndarray, float, int]:
+def _descend(u: np.ndarray, taus: np.ndarray, max_iters: int) -> tuple[np.ndarray, float, int]:
     """Projected gradient descent with Barzilai-Borwein steps.
 
     From the second iteration the trial step is BB2, s.y / y.y with
@@ -195,10 +198,10 @@ def _descend(u: np.ndarray, taus: np.ndarray, cfg: SearchConfig) -> tuple[np.nda
     """
     f, g, w = _objective_and_gradient(u, taus)
     c, q = f, 1.0
-    alpha = cfg.step_init
+    alpha = _STEP_INIT
     t_prev = None
     iters = 0
-    for iters in range(1, cfg.max_iters + 1):
+    for iters in range(1, max_iters + 1):
         if f <= 1e-28:
             break
         t = _tangent_project(u, g, w)
@@ -212,21 +215,21 @@ def _descend(u: np.ndarray, taus: np.ndarray, cfg: SearchConfig) -> tuple[np.nda
             yy = tnorm2 - 2.0 * cross + prev_norm2
             if sy > 0.0 and yy > 0.0:
                 alpha = min(max(sy / yy, 1e-10), 1e6)
-        while alpha >= cfg.step_min:
+        while alpha >= _STEP_MIN:
             try:
                 u_try = _retract(u - alpha * t)
             except np.linalg.LinAlgError:
-                alpha *= cfg.shrink
+                alpha *= _SHRINK
                 continue
             f_try, g_try, w_try = _objective_and_gradient(u_try, taus)
-            if f_try <= c - cfg.armijo_c * alpha * tnorm2:
+            if f_try <= c - _ARMIJO_C * alpha * tnorm2:
                 u, f, g, w = u_try, f_try, g_try, w_try
                 t_prev, prev_norm2 = t, tnorm2
                 q_next = _NONMONOTONE_ETA * q + 1.0
                 c = (_NONMONOTONE_ETA * q * c + f) / q_next
                 q = q_next
                 break
-            alpha *= cfg.shrink
+            alpha *= _SHRINK
         else:  # no trial step was accepted
             break
     return u, f, iters
@@ -253,20 +256,22 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
     Runs the k schedule; per size, one descent per seeded random restart.
     Results merge by minimum residual, first-come on ties.  Certificate
     extraction is attempted on every restart that ends at F <=
-    tol_residual, and the first one that yields a checked certificate
+    _TOL_RESIDUAL, and the first one that yields a checked certificate
     ends the search; the others are counted as rejected extractions.  A
     1 x n or m x 1 state has no pairs, and its eigen-ensemble (u = I) is
-    the certificate.
+    the certificate.  Raises ValueError when restarts or max_iters is
+    below 1.
     """
     cfg = config or SearchConfig()
-    x = scaled_eigvecs(rho, cfg.rank_tol)
+    if cfg.restarts < 1 or cfg.max_iters < 1:
+        raise ValueError(f"restarts and max_iters must be >= 1: {cfg.restarts}, {cfg.max_iters}")
+    x = scaled_eigvecs(rho)
     l = x.count
     if min(rho.m, rho.n) == 1:
-        certificate = certificate_from_members(x.vectors, rho.m, rho.n, cfg.product_tol)
-        check_certificate(certificate, rho.matrix)
+        certificate = certify(x.vectors, rho)
         return SearchReport(best_residual=0.0, best_u=np.eye(l, dtype=complex), k=l,
-                            restarts_used=0, iterations_used=0,
-                            certificate=certificate, rejected_extractions=0)
+                            restarts_used=0, iterations_used=0, certificate=certificate,
+                            rejected_extractions=int(certificate is None))
     cap = (rho.dim) ** 2
     taus = pair_taus(x, rho.m, rho.n)
 
@@ -276,36 +281,27 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
     restarts_used = 0
     iterations_used = 0
     rejected = 0
+    certificate = None
 
-    for k in _k_schedule(cfg, l, cap):
-        for i in range(cfg.restarts):
-            u0 = random_orthonormal_columns(k, l, cfg.seed + i)
-            u, f, iters = _descend(u0, taus, cfg)
-            restarts_used += 1
-            iterations_used += iters
-            if f < best_f:
-                best_f, best_u, best_k = f, u, k
-            if f <= cfg.tol_residual:
-                try:
-                    certificate = extract_certificate(u, x, rho.m, rho.n,
-                                                      cfg.product_tol)
-                    check_certificate(certificate, rho.matrix)
-                except CertificateError:
-                    rejected += 1
-                    continue
-                return SearchReport(best_residual=best_f, best_u=best_u,
-                                    k=best_k, restarts_used=restarts_used,
-                                    iterations_used=iterations_used,
-                                    certificate=certificate,
-                                    rejected_extractions=rejected)
+    for k, i in itertools.product(_k_schedule(cfg, l, cap), range(cfg.restarts)):
+        u0 = random_orthonormal_columns(k, l, cfg.seed + i)
+        u, f, iters = _descend(u0, taus, cfg.max_iters)
+        restarts_used += 1
+        iterations_used += iters
+        if f < best_f:
+            best_f, best_u, best_k = f, u, k
+        if f <= _TOL_RESIDUAL:
+            certificate = certify(u, rho, x)
+            if certificate is not None:
+                break
+            rejected += 1
     return SearchReport(best_residual=best_f, best_u=best_u, k=best_k,
-                        restarts_used=restarts_used,
-                        iterations_used=iterations_used, certificate=None,
-                        rejected_extractions=rejected)
+                        restarts_used=restarts_used, iterations_used=iterations_used,
+                        certificate=certificate, rejected_extractions=rejected)
 
 
 def certificate_from_members(members: np.ndarray, m: int, n: int,
-                             tol: float = 1e-6) -> SeparableCertificate:
+                             tol: float = PRODUCT_TOL) -> SeparableCertificate:
     """Factor unnormalized pure states into (weight, alpha, beta) triples.
 
     Each member's coefficient matrix must be rank 1 within tol (second
@@ -313,30 +309,24 @@ def certificate_from_members(members: np.ndarray, m: int, n: int,
     are dropped.
     """
     members = np.asarray(members, dtype=complex)
-    weights = []
-    alphas = []
-    betas = []
-    for i in range(members.shape[0]):
-        z = members[i]
-        p = float(np.real(np.vdot(z, z)))
-        if p <= 1e-14:
-            continue
-        uu, s, vh = np.linalg.svd(z.reshape(m, n))
-        if min(m, n) > 1 and s[1] > tol * s[0]:
+    weights = np.array([np.vdot(z, z).real for z in members])
+    alphas, s, betas = product_svd(members, m, n)
+    keep = weights > 1e-14
+    if min(m, n) > 1:
+        bad = np.flatnonzero(keep & (s[:, 1] > tol * s[:, 0]))
+        if bad.size:
+            i = int(bad[0])
             raise CertificateError(
-                f"member {i} is not a product state: s2/s1 = {s[1] / s[0]:.3e}",
+                f"member {i} is not a product state: s2/s1 = {s[i, 1] / s[i, 0]:.3e}",
                 member_index=i)
-        weights.append(p)
-        alphas.append(uu[:, 0])
-        betas.append(vh[0, :])
-    if not weights:
+    if not np.any(keep):
         raise CertificateError("all members have negligible weight")
-    return SeparableCertificate(m=m, n=n, weights=np.array(weights),
-                                alphas=np.array(alphas), betas=np.array(betas))
+    return SeparableCertificate(m=m, n=n, weights=weights[keep],
+                                alphas=alphas[keep], betas=betas[keep])
 
 
 def check_certificate(cert: SeparableCertificate, rho_matrix: np.ndarray,
-                      recon_tol: float = 1e-8, weight_tol: float = 1e-10) -> None:
+                      recon_tol: float = RECON_TOL, weight_tol: float = 1e-10) -> None:
     """Assert the mixture is normalized and reassembles rho."""
     total = float(np.sum(cert.weights))
     if abs(total - 1.0) > weight_tol:
@@ -347,10 +337,26 @@ def check_certificate(cert: SeparableCertificate, rho_matrix: np.ndarray,
 
 
 def extract_certificate(u, x: ScaledEigvecs, m: int, n: int,
-                        tol: float = 1e-6) -> SeparableCertificate:
+                        tol: float = PRODUCT_TOL) -> SeparableCertificate:
     """Certificate from the members |z_i> = sum_j u_ij |x_j>."""
     u = _check_u(u, x.count, 1e-8)
     return certificate_from_members(u @ x.vectors, m, n, tol)
+
+
+def certify(members, rho: DensityMatrix, x: ScaledEigvecs | None = None):
+    """The certificate the members factor into if it rebuilds rho, else None.
+
+    With x given, members is a search point u and the members are
+    u @ x.vectors (extract_certificate).  Every certificate sepkit
+    reports comes from here, checked by check_certificate.
+    """
+    try:
+        cert = (certificate_from_members(members, rho.m, rho.n) if x is None
+                else extract_certificate(members, x, rho.m, rho.n))
+        check_certificate(cert, rho.matrix)
+    except CertificateError:
+        return None
+    return cert
 
 
 @dataclass(frozen=True)

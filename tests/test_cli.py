@@ -192,6 +192,30 @@ def test_bad_inputs(tmp_path):
     assert run(["nonsense"])[0] == 64
 
 
+@pytest.mark.parametrize("command", ["classify", "search"])
+@pytest.mark.parametrize("flag", ["--restarts", "--max-iters", "--k"])
+def test_budget_flags_must_be_positive(tmp_path, capsys, command, flag):
+    """A budget below 1 is a usage error, caught before any work is done."""
+    path = gen(tmp_path, "werner", "--p", "0.3")
+    for value in ("0", "-2"):
+        assert run([command, path, "--json", flag, value])[:2] == (64, "")
+        assert f"argument {flag}: must be >= 1, got {value}" in capsys.readouterr().err
+    assert run([command, path, flag, "two"])[0] == 64
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["horodecki", "--b", "2"], "b must lie in [0, 1]"),
+    (["isotropic", "--d", "1", "--fidelity", "0.5"], "d must be >= 2"),
+    (["random", "--m", "2", "--n", "2", "--rank", "9"], "rank must lie in [1, 4]"),
+    (["werner", "--p", "-0.5"], "p must lie in [0, 1]"),
+])
+def test_gen_rejects_out_of_range_parameters(tmp_path, flags, message):
+    code, out, err = run(["gen", *flags, "--out", tmp_path / "state.txt"])
+    assert (code, out) == (64, "")
+    assert message in err
+    assert not (tmp_path / "state.txt").exists()
+
+
 def test_one_factor_states_have_no_pairs(tmp_path):
     """spectrum and emit-constraints report zero pairs on a 1 x 3 state, and
     search returns its eigen-ensemble certificate."""

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import sepkit as sk
 from sepkit.criterion import (
+    BOUNDARY_TOL,
     ClassifyConfig,
     Verdict,
     a_value,
@@ -194,6 +195,11 @@ def test_pure_product_check():
     assert not sk.pure_product_check(np.array([1, 0, 0, 1]) / np.sqrt(2), 2, 2)
     with pytest.raises(ValueError, match="zero vector"):
         sk.pure_product_check(np.zeros(4), 2, 2)
+    # The default is PRODUCT_TOL, the tolerance certificates use.
+    near = np.kron([1, 0], [1, 0]) + 1e-7 * np.kron([0, 1], [0, 1])
+    assert sk.pure_product_check(near, 2, 2)
+    assert not sk.pure_product_check(near, 2, 2, tol=1e-8)
+    assert sk.certificate_from_members(near[None, :], 2, 2).weights.shape == (1,)
 
 
 def test_pair_concurrence_2x2():
@@ -287,7 +293,7 @@ def test_classify_never_certifies_bound_entangled_states(rho):
     cfg = ClassifyConfig(search=SearchConfig(restarts=1, max_iters=200))
     assert sk.ppt_min_eigenvalue(rho) >= -1e-12
     x = scaled_eigvecs(rho)
-    assert all(rep.a_value <= cfg.boundary_tol for rep in pair_reports(x, rho.m, rho.n))
+    assert all(rep.a_value <= BOUNDARY_TOL for rep in pair_reports(x, rho.m, rho.n))
     report = sk.classify(rho, cfg)
     assert report.verdict is Verdict.INCONCLUSIVE
     assert report.certificate is None

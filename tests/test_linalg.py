@@ -6,6 +6,7 @@ import pytest
 from sepkit.linalg import (
     RankDeficientError,
     hermitian_eig,
+    product_svd,
     random_orthonormal_columns,
     reorthonormalize,
     singular_values,
@@ -58,6 +59,22 @@ def test_singular_values_match_numpy():
     a = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
     np.testing.assert_allclose(singular_values(a), np.linalg.svd(a, compute_uv=False),
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4), (3, 3),
+                                  (3, 4), (4, 4)])
+def test_product_svd_is_the_per_member_svd(m, n):
+    """The batched SVD equals one SVD per member bit for bit, zero members included."""
+    rng = np.random.default_rng(m * 10 + n)
+    z = rng.normal(size=(7, m * n)) + 1j * rng.normal(size=(7, m * n))
+    z[2] = 0.0
+    z[4] = np.kron(z[4, :m], z[4, :n])
+    alphas, s, betas = product_svd(z, m, n)
+    for i, row in enumerate(z):
+        u_i, s_i, vh_i = np.linalg.svd(row.reshape(m, n))
+        np.testing.assert_array_equal(alphas[i], u_i[:, 0])
+        np.testing.assert_array_equal(s[i], s_i)
+        np.testing.assert_array_equal(betas[i], vh_i[0, :])
 
 
 def test_takagi_factorizes_random_symmetric():

@@ -1,5 +1,7 @@
 """Tests for the joint residual, its gradient, and the ensemble search."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from sepkit.search import (
     _tangent_project,
     SearchConfig,
     certificate_from_members,
+    certify,
     check_certificate,
     emit_constraints,
     evaluate_constraints,
@@ -169,6 +172,37 @@ def test_minimize_is_deterministic():
 def test_minimize_rejects_k_below_rank():
     with pytest.raises(ValueError, match="below the rank"):
         minimize(sk.werner_2x2(0.2), SearchConfig(k=2))
+
+
+@pytest.mark.parametrize("budget", [{"restarts": 0}, {"max_iters": 0}, {"restarts": -1}])
+def test_minimize_rejects_an_empty_budget(budget):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        minimize(sk.werner_2x2(0.2), SearchConfig(**budget))
+
+
+def test_search_config_holds_only_the_budget():
+    assert [f.name for f in dataclasses.fields(SearchConfig)] == [
+        "k", "restarts", "max_iters", "seed"]
+    assert [f.name for f in dataclasses.fields(sk.ClassifyConfig)] == ["search"]
+
+
+def test_certify_returns_checked_certificates_only():
+    """certify is the one gate: product members that rebuild rho give a
+    certificate that passes check_certificate; anything else gives None."""
+    rho = sk.bound_2x4()
+    cert = minimize(rho, SearchConfig(restarts=5)).certificate
+    members = np.sqrt(cert.weights)[:, None] * np.einsum("ia,ib->iab", cert.alphas,
+                                                        cert.betas).reshape(5, 8)
+    again = certify(members, rho)
+    check_certificate(again, rho.matrix)
+    np.testing.assert_allclose(again.density(), rho.matrix, atol=1e-12)
+    assert certify(members[:4], rho) is None  # products, but not all of rho
+    assert certify(scaled_eigvecs(rho, basis_override=sk.bound_2x4_basis()).vectors,
+                   rho) is None  # rebuild rho, but not all products
+    x = scaled_eigvecs(rho)
+    u = minimize(rho, SearchConfig(k=5, restarts=5)).best_u
+    np.testing.assert_array_equal(certify(u, rho, x).weights,
+                                  extract_certificate(u, x, 2, 4).weights)
 
 
 def test_extract_certificate_requires_product_members():
