@@ -121,6 +121,23 @@ def test_spectrum(tmp_path):
                                [0.0, -0.25, -0.25], atol=1e-12)
 
 
+@pytest.mark.parametrize("flags, basis", [
+    (["bound_2x4"], ["--basis", "paper"]),
+    (["random", "--m", "3", "--n", "3", "--rank", "2"], []),
+    (["random", "--m", "8", "--n", "8"], []),
+])
+def test_spectrum_json_taus_are_the_stacked_tau_matrix(tmp_path, flags, basis):
+    """Every pair's tau, as 17-digit strings, exactly as tau_matrix builds it."""
+    path = gen(tmp_path, *flags)
+    code, out, _ = run(["spectrum", path, *basis, "--json"])
+    assert code in (1, 2)
+    rho = sk.parse_state(path.read_text())
+    x = sk.scaled_eigvecs(rho, basis_override=sk.bound_2x4_basis() if basis else None)
+    expected = [[[f"{z.real:.17g}", f"{z.imag:.17g}"] for z in sk.tau_matrix(x, b).reshape(-1)]
+                for b in sk.pair_operators(rho.m, rho.n)]
+    assert json.loads(out)["taus"] == expected
+
+
 def test_basis_flag_is_bound_2x4_only(tmp_path):
     path = gen(tmp_path, "werner", "--p", "0.2")
     code, _, err = run(["spectrum", path, "--basis", "paper"])
