@@ -168,12 +168,11 @@ def _cmd_spectrum(args, out, err) -> int:
     basis = _resolve_basis(args, rho)
     x = criterion.scaled_eigvecs(rho, basis_override=basis)
     reports = criterion.pair_reports(x, rho.m, rho.n)
-    payload = {
-        "eigenvalues": [float(v) for v in x.values],
-        "pairs": _pair_rows(reports),
-        "taus": [[[f"{z.real:.17g}", f"{z.imag:.17g}"] for z in rep.tau.reshape(-1)]
-                 for rep in reports],
-    }
+    payload = {"eigenvalues": [float(v) for v in x.values], "pairs": _pair_rows(reports)}
+    if args.json:  # a 1 x n or m x 1 state has no pairs and so no taus
+        taus = criterion.pair_taus(x, rho.m, rho.n) if reports else []
+        payload["taus"] = [[[f"{z.real:.17g}", f"{z.imag:.17g}"] for z in tau.reshape(-1)]
+                           for tau in taus]
     human = ["pair  p  q  a_value        lambdas"]
     for i, rep in enumerate(reports, start=1):
         lam = " ".join(f"{v:.12g}" for v in rep.lambdas)

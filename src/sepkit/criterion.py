@@ -9,8 +9,10 @@ for the singular values of tau, separability requires
 
 for every pair, where l' counts the nonzero lambdas.  B has four
 nonzero entries, so tau has rank <= 4 and its nonzero lambdas are those
-of a 4 x 4 core (see pair_reports).  The partial transpose test runs
-alongside as an independent witness.
+of a 4 x 4 core: pair_reports gives each pair's lambdas, l' and a without
+building tau.  Only pair_taus builds the (P, l, l) stack of taus, for the
+search and the exported constraints; tau_matrix is the per-pair reference.
+The partial transpose test runs alongside as an independent witness.
 """
 
 import enum
@@ -114,11 +116,6 @@ def tau_matrix(x: ScaledEigvecs, b: PairOperator) -> np.ndarray:
     return (tau + tau.T) / 2.0
 
 
-# Complex entries per scratch block of _stacked_taus (256 KiB): small next
-# to the (P, l, l) stack it fills, large enough to batch the pairs.
-_TAU_BLOCK = 1 << 14
-
-
 def _pair_layout(x: ScaledEigvecs, ops: list[PairOperator]):
     """conj(X) by columns, and every operator's entries as (P, 4) arrays.
 
@@ -133,38 +130,20 @@ def _pair_layout(x: ScaledEigvecs, ops: list[PairOperator]):
     return np.ascontiguousarray(x.vectors.conj().T), rows, cols, ent[:, :, 2]
 
 
-def _stacked_taus(xt: np.ndarray, rows, cols, vals) -> np.ndarray:
-    """tau_matrix of every operator at once, accumulated in its order.
-
-    The signed outer products (val conj(x)_row) conj(x)_col^T are added to
-    a zeroed stack one entry at a time, then the stack is symmetrized, so
-    each tau equals tau_matrix's bit for bit.  Pairs go in blocks through
-    one small scratch buffer instead of full-size temporaries.
-    """
-    count, l = rows.shape[0], xt.shape[1]
-    taus = np.zeros((count, l, l), dtype=complex)
-    step = max(1, _TAU_BLOCK // (l * l))
-    scratch = np.empty((min(step, count), l, l), dtype=complex)
-    for start in range(0, count, step):
-        blk = slice(start, start + step)
-        left = vals[blk, :, None] * xt[rows[blk]]
-        right = xt[cols[blk]]
-        tau = taus[blk]
-        term = scratch[:tau.shape[0]]
-        for e in range(rows.shape[1]):
-            np.multiply(left[:, e, :, None], right[:, e, None, :], out=term)
-            tau += term
-        np.add(tau, tau.swapaxes(1, 2), out=term)
-        np.divide(term, 2.0, out=tau)
-    return taus
-
-
 def pair_taus(x: ScaledEigvecs, m: int, n: int) -> np.ndarray:
     """The (P, l, l) stack of every pair's tau, in enumeration order.
 
-    Bit for bit equal to stacking tau_matrix over pair_operators(m, n).
+    The only builder of a tau stack (the search and emit_constraints read
+    it; classify needs only the spectra of pair_reports).  The signed
+    outer products are added to a zeroed stack in tau_matrix's entry
+    order, then symmetrized, so it equals stacking tau_matrix over
+    pair_operators(m, n) bit for bit.
     """
-    return _stacked_taus(*_pair_layout(x, pair_operators(m, n)))
+    xt, rows, cols, vals = _pair_layout(x, pair_operators(m, n))
+    taus = np.zeros((rows.shape[0], xt.shape[1], xt.shape[1]), dtype=complex)
+    for e in range(rows.shape[1]):
+        taus += vals[:, e, None, None] * xt[rows[:, e], :, None] * xt[cols[:, e], None, :]
+    return (taus + taus.swapaxes(1, 2)) / 2.0
 
 
 def pair_spectrum(tau, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, int]:
@@ -191,10 +170,9 @@ def a_value(lambdas, l_prime: int) -> float:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Per-pair spectral data: tau, its singular values, and the a value."""
+    """Per-pair spectral data: the singular values of tau, l' and the a value."""
 
     pair: PairIndex
-    tau: np.ndarray
     lambdas: np.ndarray
     l_prime: int
     a_value: float
@@ -208,8 +186,8 @@ def pair_reports(x: ScaledEigvecs, m: int, n: int,
     touches and S is its 4 x 4 sign block.  With the thin QR V = Q R,
     tau_r = Q (R S R^T) Q^T, so its nonzero singular values are those of
     the core R S R^T: one batched QR and one batched SVD give every
-    pair's lambdas, padded with exact zeros to length l.  A 1 x n or
-    m x 1 system has no pairs.
+    pair's lambdas, padded with exact zeros to length l, and no tau is
+    built.  A 1 x n or m x 1 system has no pairs.
     """
     if min(m, n) == 1:
         return []
@@ -221,10 +199,8 @@ def pair_reports(x: ScaledEigvecs, m: int, n: int,
     lambdas = np.zeros((len(ops), x.count))
     lambdas[:, :r.shape[1]] = np.linalg.svd(r @ sign @ r.swapaxes(1, 2), compute_uv=False)
     l_primes = np.count_nonzero(lambdas > rank_tol, axis=1).tolist()
-    taus = _stacked_taus(xt, rows, cols, vals)
-    return [SpectralReport(pair=b.pair, tau=tau, lambdas=lam, l_prime=lp,
-                           a_value=a_value(lam, lp))
-            for b, tau, lam, lp in zip(ops, taus, lambdas, l_primes)]
+    return [SpectralReport(pair=b.pair, lambdas=lam, l_prime=lp, a_value=a_value(lam, lp))
+            for b, lam, lp in zip(ops, lambdas, l_primes)]
 
 
 def partial_transpose(rho: DensityMatrix, subsystem: int = 2) -> np.ndarray:

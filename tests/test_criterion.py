@@ -107,9 +107,7 @@ def assert_reports_match_per_pair_spectra(rho):
     ops = pair_operators(rho.m, rho.n)
     assert [rep.pair for rep in reports] == [b.pair for b in ops]
     for b, rep in zip(ops, reports):
-        tau = tau_matrix(x, b)
-        lam, l_prime = pair_spectrum(tau)
-        np.testing.assert_array_equal(rep.tau, tau)
+        lam, l_prime = pair_spectrum(tau_matrix(x, b))
         assert rep.lambdas.shape == (x.count,)
         np.testing.assert_allclose(rep.lambdas, lam, rtol=0, atol=1e-13)
         assert rep.l_prime == l_prime
