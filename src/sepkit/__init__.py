@@ -30,6 +30,7 @@ from .criterion import (
 from .decompose import (
     CanonicalBasis,
     EnsembleReport,
+    MemberCountError,
     PairCriterionError,
     PolygonInfeasibleError,
     PureEnsemble,

@@ -63,11 +63,17 @@ def _search_config(args) -> search.SearchConfig:
     return search.SearchConfig(**{name: v for name, v in flags.items() if v is not None})
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type for integers >= low."""
+    def int_at_least(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return int_at_least
+
+
+_positive_int = _int_at_least(1)
 
 
 def _emit(args, payload: dict, human: list[str], out) -> None:
@@ -206,12 +212,14 @@ def _cmd_pairs(args, out, err) -> int:
 
 def _cmd_decompose(args, out, err) -> int:
     rho = _read_state(args.file)
-    pairs = enumerate_pairs(rho.m, rho.n)
+    pairs = enumerate_pairs(rho.m, rho.n) if min(rho.m, rho.n) > 1 else []
     if not 1 <= args.pair <= len(pairs):
         raise _CliError(f"pair index {args.pair} out of range 1..{len(pairs)}", EXIT_USAGE)
     pair = pairs[args.pair - 1]
     try:
         ensemble = decompose.single_pair_decomposition(rho, pair, k=args.k)
+    except decompose.MemberCountError as exc:
+        raise _CliError(str(exc), EXIT_USAGE) from exc
     except (decompose.PairCriterionError, decompose.PolygonInfeasibleError) as exc:
         raise _CliError(str(exc), EXIT_FAILED) from exc
     ops = pair_operators(rho.m, rho.n)
@@ -288,7 +296,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="ensemble size (default: schedule)")
         p.add_argument("--restarts", type=_positive_int, default=None,
                        help="random restarts per size")
-        p.add_argument("--seed", type=int, default=None, help="base seed for restarts")
+        p.add_argument("--seed", type=_int_at_least(0), default=None,
+                       help="base seed for restarts")
         p.add_argument("--max-iters", dest="max_iters", type=_positive_int, default=None,
                        help="iteration cap per descent")
 
@@ -345,8 +354,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_json(p)
 
     p = sub.add_parser("pairs", help="list the pair operators for given dims")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("m", type=_int_at_least(2))
+    p.add_argument("n", type=_int_at_least(2))
     add_json(p)
 
     p = sub.add_parser("decompose", help="single-pair annihilating ensemble")

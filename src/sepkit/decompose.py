@@ -22,6 +22,7 @@ from .states import DensityMatrix
 __all__ = [
     "PolygonInfeasibleError",
     "PairCriterionError",
+    "MemberCountError",
     "CanonicalBasis",
     "PureEnsemble",
     "EnsembleReport",
@@ -35,6 +36,10 @@ __all__ = [
 
 class PolygonInfeasibleError(ValueError):
     """The largest length exceeds the sum of the others; no closed polygon exists."""
+
+
+class MemberCountError(ValueError):
+    """An explicit k is not a power of two with 4k >= max(4, l)."""
 
 
 class PairCriterionError(ValueError):
@@ -180,10 +185,16 @@ def single_pair_decomposition(rho: DensityMatrix, pair: PairIndex,
     """Ensemble of 4k pure states reassembling rho with zero residual on one pair.
 
     Requires the pair's a value <= boundary_tol.  k defaults to the
-    smallest power of two with 4k >= max(4, l); an explicit k must satisfy
-    the same constraint.
+    smallest power of two with 4k >= max(4, l); an explicit k must be a
+    power of two at least as large, else MemberCountError is raised.
     """
     x = scaled_eigvecs(rho, rank_tol)
+    k_min = _member_count(x.count)
+    if k is None:
+        k = k_min
+    elif k < k_min or k & (k - 1):
+        raise MemberCountError(f"k must be a power of two >= {k_min} for rank {x.count}, "
+                               f"got {k}")
     b = build_pair_operator(rho.m, rho.n, pair)
     basis = canonical_basis(x, b)
     lam = basis.lambdas
@@ -194,8 +205,6 @@ def single_pair_decomposition(rho: DensityMatrix, pair: PairIndex,
         raise PairCriterionError(
             f"pair ({pair.p}, {pair.q}) has a = {a:.3e} > {boundary_tol:.1e}; "
             "no annihilating ensemble exists")
-    if k is None:
-        k = _member_count(l)
     theta = close_polygon(lam) / 2.0
     signs = sign_matrix(k, l)
     coeff = signs * np.exp(1j * theta)[None, :] / (2.0 * np.sqrt(k))

@@ -47,6 +47,11 @@ class DensityMatrix:
         return self.m * self.n
 
 
+def _check_dims(m: int, n: int) -> None:
+    if m < 1 or n < 1:
+        raise ValueError(f"dims must be positive, got ({m}, {n})")
+
+
 def density_matrix(m: int, n: int, matrix, herm_tol: float = 1e-8,
                    trace_tol: float = 1e-8, psd_tol: float = 1e-8) -> DensityMatrix:
     """Validate and wrap a density matrix.
@@ -54,8 +59,7 @@ def density_matrix(m: int, n: int, matrix, herm_tol: float = 1e-8,
     Checks shape, Hermiticity, unit trace, and positive semidefiniteness
     (eigenvalues >= -psd_tol).
     """
-    if m < 1 or n < 1:
-        raise ValueError(f"dims must be positive, got ({m}, {n})")
+    _check_dims(m, n)
     mat = np.asarray(matrix, dtype=complex)
     d = m * n
     if mat.shape != (d, d):
@@ -191,6 +195,7 @@ def product(rho_a, rho_b) -> DensityMatrix:
 
 def random_density(m: int, n: int, rank: int | None = None, seed: int = 0) -> DensityMatrix:
     """Seeded random state: G G^dag normalized to unit trace, G complex Gaussian mn x rank."""
+    _check_dims(m, n)
     d = m * n
     if rank is None:
         rank = d
@@ -205,6 +210,7 @@ def random_density(m: int, n: int, rank: int | None = None, seed: int = 0) -> De
 
 def random_separable(m: int, n: int, terms: int, seed: int) -> DensityMatrix:
     """Seeded random mixture of product pure states (Dirichlet weights)."""
+    _check_dims(m, n)
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
     rng = np.random.default_rng(seed)

@@ -220,11 +220,39 @@ def test_budget_flags_must_be_positive(tmp_path, capsys, command, flag):
     assert run([command, path, flag, "two"])[0] == 64
 
 
+@pytest.mark.parametrize("command", ["classify", "search"])
+def test_seed_must_be_non_negative(tmp_path, capsys, command):
+    path = gen(tmp_path, "werner", "--p", "0.3")
+    assert run([command, path, "--json", "--seed", "-1"])[:2] == (64, "")
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert run([command, path, "--seed", "0"])[0] == 0
+
+
+@pytest.mark.parametrize("state, flags, message", [
+    (["bound_2x4"], ["--k", "0"], "k must be a power of two >= 2 for rank 5, got 0"),
+    (["bound_2x4"], ["--k", "3"], "k must be a power of two >= 2 for rank 5, got 3"),
+    (["bound_2x4"], ["--k", "1"], "k must be a power of two >= 2 for rank 5, got 1"),
+    (["random", "--m", "1", "--n", "3"], [], "pair index 1 out of range 1..0"),
+])
+def test_decompose_usage_errors(tmp_path, state, flags, message):
+    code, out, err = run(["decompose", gen(tmp_path, *state), "--pair", "1", *flags])
+    assert (code, out) == (64, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("dims", [["1", "3"], ["0", "3"], ["3", "1"]])
+def test_pairs_needs_dims_of_at_least_two(capsys, dims):
+    assert run(["pairs", *dims])[:2] == (64, "")
+    assert "must be >= 2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags, message", [
     (["horodecki", "--b", "2"], "b must lie in [0, 1]"),
     (["isotropic", "--d", "1", "--fidelity", "0.5"], "d must be >= 2"),
     (["random", "--m", "2", "--n", "2", "--rank", "9"], "rank must lie in [1, 4]"),
     (["werner", "--p", "-0.5"], "p must lie in [0, 1]"),
+    (["separable", "--m", "0", "--n", "2"], "dims must be positive, got (0, 2)"),
+    (["random", "--m", "2", "--n", "0"], "dims must be positive, got (2, 0)"),
 ])
 def test_gen_rejects_out_of_range_parameters(tmp_path, flags, message):
     code, out, err = run(["gen", *flags, "--out", tmp_path / "state.txt"])

@@ -5,6 +5,7 @@ import pytest
 
 import sepkit as sk
 from sepkit.decompose import (
+    MemberCountError,
     PairCriterionError,
     PolygonInfeasibleError,
     canonical_basis,
@@ -117,6 +118,15 @@ def test_sign_matrix_rejects_bad_sizes():
         sign_matrix(3, 5)
     with pytest.raises(ValueError, match="l <= 4k"):
         sign_matrix(1, 5)
+
+
+def test_single_pair_decomposition_rejects_bad_k():
+    """bound_2x4 has rank 5, so k must be a power of two with 4k >= 5."""
+    for k in (0, 1, 3, -2):
+        with pytest.raises(MemberCountError, match=f"power of two >= 2 for rank 5, got {k}"):
+            single_pair_decomposition(sk.bound_2x4(), PairIndex(2, 2), k=k)
+    ens = single_pair_decomposition(sk.bound_2x4(), PairIndex(2, 2), k=4)
+    assert ens.members.shape == (16, 8)
 
 
 def test_single_pair_decomposition_of_bound_state():

@@ -141,6 +141,13 @@ def test_random_density_rank_and_seed():
         sk.random_density(2, 2, rank=5)
 
 
+def test_random_states_reject_empty_factors():
+    with pytest.raises(ValueError, match=r"dims must be positive, got \(0, 2\)"):
+        sk.random_separable(0, 2, 3, 0)
+    with pytest.raises(ValueError, match=r"dims must be positive, got \(2, 0\)"):
+        sk.random_density(2, 0)
+
+
 def test_random_separable_stays_ppt():
     """Mixtures of product states can never have a negative partial
     transpose, whatever the seed."""
