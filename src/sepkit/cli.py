@@ -73,9 +73,6 @@ def _int_at_least(low: int):
     return int_at_least
 
 
-_positive_int = _int_at_least(1)
-
-
 def _emit(args, payload: dict, human: list[str], out) -> None:
     if args.json:
         print(json.dumps(payload), file=out)
@@ -292,13 +289,13 @@ def _build_parser() -> argparse.ArgumentParser:
                             "degenerate eigenspaces)")
 
     def add_search_flags(p):
-        p.add_argument("--k", type=_positive_int, default=None,
+        p.add_argument("--k", type=_int_at_least(1), default=None,
                        help="ensemble size (default: schedule)")
-        p.add_argument("--restarts", type=_positive_int, default=None,
+        p.add_argument("--restarts", type=_int_at_least(1), default=None,
                        help="random restarts per size")
         p.add_argument("--seed", type=_int_at_least(0), default=None,
                        help="base seed for restarts")
-        p.add_argument("--max-iters", dest="max_iters", type=_positive_int, default=None,
+        p.add_argument("--max-iters", dest="max_iters", type=_int_at_least(1), default=None,
                        help="iteration cap per descent")
 
     p = sub.add_parser("gen", help="write a built-in state in the text format")

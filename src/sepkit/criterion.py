@@ -9,10 +9,9 @@ for the singular values of tau, separability requires
 
 for every pair, where l' counts the nonzero lambdas.  B has four
 nonzero entries, so tau has rank <= 4 and its nonzero lambdas are those
-of a 4 x 4 core: pair_reports gives each pair's lambdas, l' and a without
-building tau.  Only pair_taus builds the (P, l, l) stack of taus, for the
-search and the exported constraints; tau_matrix is the per-pair reference.
-The partial transpose test runs alongside as an independent witness.
+of a 4 x 4 core (pair_reports); only pair_taus builds the (P, l, l)
+stack of taus, for the search.  The partial transpose test runs
+alongside as an independent witness.
 """
 
 import enum
@@ -131,13 +130,11 @@ def _pair_layout(x: ScaledEigvecs, ops: list[PairOperator]):
 
 
 def pair_taus(x: ScaledEigvecs, m: int, n: int) -> np.ndarray:
-    """The (P, l, l) stack of every pair's tau, in enumeration order.
+    """The (P, l, l) stack of every pair's tau in enumeration order, built only here.
 
-    The only builder of a tau stack (the search and emit_constraints read
-    it; classify needs only the spectra of pair_reports).  The signed
-    outer products are added to a zeroed stack in tau_matrix's entry
-    order, then symmetrized, so it equals stacking tau_matrix over
-    pair_operators(m, n) bit for bit.
+    Signed outer products are added to a zeroed stack in tau_matrix's
+    entry order, then symmetrized: bit for bit tau_matrix stacked over
+    pair_operators(m, n).
     """
     xt, rows, cols, vals = _pair_layout(x, pair_operators(m, n))
     taus = np.zeros((rows.shape[0], xt.shape[1], xt.shape[1]), dtype=complex)

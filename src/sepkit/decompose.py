@@ -193,8 +193,7 @@ def single_pair_decomposition(rho: DensityMatrix, pair: PairIndex,
     if k is None:
         k = k_min
     elif k < k_min or k & (k - 1):
-        raise MemberCountError(f"k must be a power of two >= {k_min} for rank {x.count}, "
-                               f"got {k}")
+        raise MemberCountError(f"k must be a power of two >= {k_min} for rank {x.count}, got {k}")
     b = build_pair_operator(rho.m, rho.n, pair)
     basis = canonical_basis(x, b)
     lam = basis.lambdas
