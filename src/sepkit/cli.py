@@ -113,9 +113,16 @@ _GENERATORS = {
     "isotropic": lambda a: states.isotropic(a.d, a.fidelity),
     "random": lambda a: states.random_density(a.m, a.n, a.rank, a.seed),
     "separable": lambda a: states.random_separable(a.m, a.n, a.terms, a.seed),
-    "product": lambda a: states.product(states.random_density(1, a.m, a.m, a.seed).matrix,
-                                        states.random_density(1, a.n, a.n, a.seed + 1).matrix),
+    "product": lambda a: _random_product(a.m, a.n, a.seed),
 }
+
+
+def _random_product(m: int, n: int, seed: int) -> states.DensityMatrix:
+    """rho_A x rho_B with seeded full-rank factors; bad dims are reported as given."""
+    if m < 1 or n < 1:
+        raise ValueError(f"dims must be positive, got ({m}, {n})")
+    return states.product(states.random_density(1, m, m, seed).matrix,
+                          states.random_density(1, n, n, seed + 1).matrix)
 
 
 def _cmd_gen(args, out, err) -> int:
@@ -321,18 +328,18 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--rank", type=int, default=None)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_int_at_least(0), default=0)
     g.add_argument("--out", default=None)
     g = gen_sub.add_parser("separable", help="seeded random mixture of products")
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--terms", type=int, default=4)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_int_at_least(0), default=0)
     g.add_argument("--out", default=None)
     g = gen_sub.add_parser("product", help="seeded random product state rho_A x rho_B")
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--n", type=int, required=True)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_int_at_least(0), default=0)
     g.add_argument("--out", default=None)
 
     p = sub.add_parser("classify", help="run the full pipeline on a state file")

@@ -9,9 +9,9 @@ for the singular values of tau, separability requires
 
 for every pair, where l' counts the nonzero lambdas.  B has four
 nonzero entries, so tau has rank <= 4 and its nonzero lambdas are those
-of a 4 x 4 core (pair_reports); only pair_taus builds the (P, l, l)
-stack of taus, for the search.  The partial transpose test runs
-alongside as an independent witness.
+of a 4 x 4 core (pair_reports); only pair_taus stacks tau_matrix
+into the (P, l, l) array the search reads.  The partial transpose test
+runs alongside as an independent witness.
 """
 
 import enum
@@ -59,16 +59,14 @@ class ScaledEigvecs:
 
     vectors: np.ndarray
     values: np.ndarray
-    rank_tol: float
 
     @property
     def count(self) -> int:
         return int(self.values.shape[0])
 
 
-def scaled_eigvecs(rho: DensityMatrix, rank_tol: float = RANK_TOL,
-                   basis_override=None) -> ScaledEigvecs:
-    """Scaled eigenvectors of rho for its eigenvalues above rank_tol.
+def scaled_eigvecs(rho: DensityMatrix, basis_override=None) -> ScaledEigvecs:
+    """Scaled eigenvectors of rho for its eigenvalues above RANK_TOL.
 
     ``basis_override`` supplies the rows directly (e.g. a fixed gauge for
     a degenerate spectrum); it is validated against rho: the Gram matrix
@@ -81,7 +79,7 @@ def scaled_eigvecs(rho: DensityMatrix, rank_tol: float = RANK_TOL,
         raise ValueError(f"rho has negative eigenvalue {w[-1]:.3e}")
     if abs(np.sum(w) - 1.0) > 1e-8:
         raise ValueError(f"rho has trace {np.sum(w):.12g}, expected 1")
-    keep = w > rank_tol
+    keep = w > RANK_TOL
 
     if basis_override is not None:
         x = np.asarray(basis_override, dtype=complex)
@@ -97,11 +95,11 @@ def scaled_eigvecs(rho: DensityMatrix, rank_tol: float = RANK_TOL,
         recon = np.einsum("ia,ib->ab", x, x.conj())
         if np.linalg.norm(recon - rho.matrix) > 1e-8:
             raise ValueError("override vectors do not reassemble rho")
-        return ScaledEigvecs(vectors=x, values=norms, rank_tol=rank_tol)
+        return ScaledEigvecs(vectors=x, values=norms)
 
     t = w[keep]
     x = (eig.eigenvectors[:, keep] * np.sqrt(t)[None, :]).T
-    return ScaledEigvecs(vectors=x, values=t, rank_tol=rank_tol)
+    return ScaledEigvecs(vectors=x, values=t)
 
 
 def tau_matrix(x: ScaledEigvecs, b: PairOperator) -> np.ndarray:
@@ -115,36 +113,13 @@ def tau_matrix(x: ScaledEigvecs, b: PairOperator) -> np.ndarray:
     return (tau + tau.T) / 2.0
 
 
-def _pair_layout(x: ScaledEigvecs, ops: list[PairOperator]):
-    """conj(X) by columns, and every operator's entries as (P, 4) arrays.
-
-    Row i of the first array is column i of conj(X); the entries come as
-    0-based rows, 0-based columns and values.
-    """
-    dim = ops[0].m * ops[0].n
-    if x.vectors.shape[1] != dim:
-        raise ValueError(f"vectors have dimension {x.vectors.shape[1]}, operator needs {dim}")
-    ent = np.array([b.entries for b in ops])
-    rows, cols = (ent[:, :, k].astype(np.intp) - 1 for k in (0, 1))
-    return np.ascontiguousarray(x.vectors.conj().T), rows, cols, ent[:, :, 2]
-
-
 def pair_taus(x: ScaledEigvecs, m: int, n: int) -> np.ndarray:
-    """The (P, l, l) stack of every pair's tau in enumeration order, built only here.
-
-    Signed outer products are added to a zeroed stack in tau_matrix's
-    entry order, then symmetrized: bit for bit tau_matrix stacked over
-    pair_operators(m, n).
-    """
-    xt, rows, cols, vals = _pair_layout(x, pair_operators(m, n))
-    taus = np.zeros((rows.shape[0], xt.shape[1], xt.shape[1]), dtype=complex)
-    for e in range(rows.shape[1]):
-        taus += vals[:, e, None, None] * xt[rows[:, e], :, None] * xt[cols[:, e], None, :]
-    return (taus + taus.swapaxes(1, 2)) / 2.0
+    """The (P, l, l) stack of every pair's tau_matrix, in enumeration order."""
+    return np.array([tau_matrix(x, b) for b in pair_operators(m, n)])
 
 
-def pair_spectrum(tau, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, int]:
-    """Descending singular values of tau and the count above rank_tol.
+def pair_spectrum(tau) -> tuple[np.ndarray, int]:
+    """Descending singular values of tau and the count above RANK_TOL.
 
     Equal to the square roots of the eigenvalues of tau @ conj(tau).
     """
@@ -152,7 +127,7 @@ def pair_spectrum(tau, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, int]:
     if np.linalg.norm(tau - tau.T) > 1e-8 * (1.0 + np.linalg.norm(tau)):
         raise ValueError("tau must be complex symmetric")
     lambdas = singular_values(tau)
-    return lambdas, int(np.sum(lambdas > rank_tol))
+    return lambdas, int(np.sum(lambdas > RANK_TOL))
 
 
 def a_value(lambdas, l_prime: int) -> float:
@@ -175,8 +150,7 @@ class SpectralReport:
     a_value: float
 
 
-def pair_reports(x: ScaledEigvecs, m: int, n: int,
-                 rank_tol: float = RANK_TOL) -> list[SpectralReport]:
+def pair_reports(x: ScaledEigvecs, m: int, n: int) -> list[SpectralReport]:
     """Spectral reports for every pair, in enumeration order.
 
     tau_r = V S V^T, where V holds the four columns of conj(X) that B_r
@@ -189,13 +163,19 @@ def pair_reports(x: ScaledEigvecs, m: int, n: int,
     if min(m, n) == 1:
         return []
     ops = pair_operators(m, n)
-    xt, rows, cols, vals = _pair_layout(x, ops)
+    if x.vectors.shape[1] != m * n:
+        raise ValueError(f"vectors have dimension {x.vectors.shape[1]}, operator needs {m * n}")
+    # Each operator's entries as 0-based rows, 0-based columns and values, (P, 4) each.
+    ent = np.array([b.entries for b in ops])
+    rows, cols = (ent[:, :, k].astype(np.intp) - 1 for k in (0, 1))
+    vals = ent[:, :, 2]
     # V = conj(X)[:, rows]; S[e, f] = val_e where entry e's column is entry f's row.
+    xt = x.vectors.conj().T
     sign = np.where(cols[:, :, None] == rows[:, None, :], vals[:, :, None], 0.0)
     r = np.linalg.qr(xt[rows].swapaxes(1, 2), mode="r")
     lambdas = np.zeros((len(ops), x.count))
     lambdas[:, :r.shape[1]] = np.linalg.svd(r @ sign @ r.swapaxes(1, 2), compute_uv=False)
-    l_primes = np.count_nonzero(lambdas > rank_tol, axis=1).tolist()
+    l_primes = np.count_nonzero(lambdas > RANK_TOL, axis=1).tolist()
     return [SpectralReport(pair=b.pair, lambdas=lam, l_prime=lp, a_value=a_value(lam, lp))
             for b, lam, lp in zip(ops, lambdas, l_primes)]
 
@@ -229,7 +209,7 @@ def pure_product_check(psi, m: int, n: int, tol: float = PRODUCT_TOL) -> bool:
     return min(m, n) == 1 or bool(s[1] <= tol * s[0])
 
 
-def pair_concurrence_2x2(rho: DensityMatrix, rank_tol: float = RANK_TOL) -> float:
+def pair_concurrence_2x2(rho: DensityMatrix) -> float:
     """The a value of a 2x2 state's single pair.
 
     Coincides with the concurrence combination lambda_1 - lambda_2 -
@@ -237,8 +217,8 @@ def pair_concurrence_2x2(rho: DensityMatrix, rank_tol: float = RANK_TOL) -> floa
     """
     if (rho.m, rho.n) != (2, 2):
         raise ValueError(f"defined for 2x2 states only, got ({rho.m}, {rho.n})")
-    x = scaled_eigvecs(rho, rank_tol)
-    [report] = pair_reports(x, 2, 2, rank_tol)
+    x = scaled_eigvecs(rho)
+    [report] = pair_reports(x, 2, 2)
     return report.a_value
 
 

@@ -106,11 +106,11 @@ def _solve_polygon(lengths: np.ndarray, target: float) -> np.ndarray:
     return np.concatenate([[alpha], _solve_polygon(rest, r) + beta])
 
 
-def close_polygon(lengths, feas_tol: float = 1e-12) -> np.ndarray:
+def close_polygon(lengths) -> np.ndarray:
     """Phases phi_j such that sum_j lengths[j] exp(i phi_j) = 0.
 
-    Requires max(lengths) <= sum of the others (within feas_tol relative
-    to the total); otherwise raises PolygonInfeasibleError.  Zero lengths
+    Requires max(lengths) <= sum of the others (within 1e-12 relative to
+    the total); otherwise raises PolygonInfeasibleError.  Zero lengths
     get phase 0.
     """
     lengths = np.asarray(lengths, dtype=float)
@@ -124,7 +124,7 @@ def close_polygon(lengths, feas_tol: float = 1e-12) -> np.ndarray:
     order = np.argsort(-lengths, kind="stable")
     sorted_lengths = lengths[order]
     excess = 2.0 * sorted_lengths[0] - total
-    if excess > feas_tol * total:
+    if excess > 1e-12 * total:
         raise PolygonInfeasibleError(
             f"longest length {sorted_lengths[0]:.6g} exceeds the sum of the others "
             f"by {excess:.3e}")
@@ -134,18 +134,11 @@ def close_polygon(lengths, feas_tol: float = 1e-12) -> np.ndarray:
     return phases
 
 
-def _bit_reverse(value: int, bits: int) -> int:
-    out = 0
-    for _ in range(bits):
-        out = (out << 1) | (value & 1)
-        value >>= 1
-    return out
-
-
 def sign_matrix(k: int, l: int) -> np.ndarray:
     """First l columns of the 4k x 4k signed matrix with mutually orthogonal columns.
 
-    Entry (r, j), 1-based, is (-1)**popcount(bitrev(r-1) & (j-1)) over
+    The Sylvester-Hadamard matrix with its rows in bit-reversed order:
+    entry (r, j), 1-based, is (-1)**popcount(bitrev(r-1) & (j-1)) over
     log2(4k) bits.  4k must be a power of two and at least max(4, l);
     the first column is all +1.
     """
@@ -154,13 +147,12 @@ def sign_matrix(k: int, l: int) -> np.ndarray:
         raise ValueError(f"4k must be a power of two, got 4k={rows}")
     if not 1 <= l <= rows:
         raise ValueError(f"need 1 <= l <= 4k, got l={l}, 4k={rows}")
-    bits = rows.bit_length() - 1
-    out = np.empty((rows, l), dtype=int)
-    for r in range(rows):
-        rev = _bit_reverse(r, bits)
-        for j in range(l):
-            out[r, j] = -1 if bin(rev & j).count("1") % 2 else 1
-    return out
+    # Doubling [[S, S], [S, -S]] with its two row blocks interleaved puts
+    # the new row bit lowest, which keeps the row order bit-reversed.
+    s = np.ones((1, 1), dtype=int)
+    while s.shape[0] < rows:
+        s = np.stack([np.hstack([s, s]), np.hstack([s, -s])], axis=1).reshape(2 * len(s), -1)
+    return s[:, :l]
 
 
 def _member_count(l: int) -> int:
@@ -180,15 +172,14 @@ class PureEnsemble:
 
 
 def single_pair_decomposition(rho: DensityMatrix, pair: PairIndex,
-                              k: int | None = None, rank_tol: float = RANK_TOL,
-                              boundary_tol: float = BOUNDARY_TOL) -> PureEnsemble:
+                              k: int | None = None) -> PureEnsemble:
     """Ensemble of 4k pure states reassembling rho with zero residual on one pair.
 
-    Requires the pair's a value <= boundary_tol.  k defaults to the
+    Requires the pair's a value <= BOUNDARY_TOL.  k defaults to the
     smallest power of two with 4k >= max(4, l); an explicit k must be a
     power of two at least as large, else MemberCountError is raised.
     """
-    x = scaled_eigvecs(rho, rank_tol)
+    x = scaled_eigvecs(rho)
     k_min = _member_count(x.count)
     if k is None:
         k = k_min
@@ -198,11 +189,11 @@ def single_pair_decomposition(rho: DensityMatrix, pair: PairIndex,
     basis = canonical_basis(x, b)
     lam = basis.lambdas
     l = lam.shape[0]
-    l_prime = int(np.sum(lam > rank_tol))
+    l_prime = int(np.sum(lam > RANK_TOL))
     a = a_value(lam, l_prime)
-    if a > boundary_tol:
+    if a > BOUNDARY_TOL:
         raise PairCriterionError(
-            f"pair ({pair.p}, {pair.q}) has a = {a:.3e} > {boundary_tol:.1e}; "
+            f"pair ({pair.p}, {pair.q}) has a = {a:.3e} > {BOUNDARY_TOL:.1e}; "
             "no annihilating ensemble exists")
     theta = close_polygon(lam) / 2.0
     signs = sign_matrix(k, l)
@@ -218,10 +209,11 @@ class EnsembleReport:
     max_pair_residual: float
     member_product_errors: np.ndarray
 
-    def ok(self, tol: float = 1e-10, product_tol: float = PRODUCT_TOL) -> bool:
-        return (self.reconstruction_error <= tol
-                and self.max_pair_residual <= tol
-                and bool(np.all(self.member_product_errors <= product_tol)))
+    def ok(self) -> bool:
+        """Errors and residuals <= 1e-10 and every member a product within PRODUCT_TOL."""
+        return (self.reconstruction_error <= 1e-10
+                and self.max_pair_residual <= 1e-10
+                and bool(np.all(self.member_product_errors <= PRODUCT_TOL)))
 
 
 def verify_ensemble(ensemble: PureEnsemble, rho: DensityMatrix,

@@ -115,7 +115,7 @@ def _complex_orthonormal_from_real_pool(pool: np.ndarray, against: np.ndarray,
     return u[:, :needed]
 
 
-def takagi(s, tol: float = 1e-10) -> TakagiResult:
+def takagi(s) -> TakagiResult:
     """Takagi factorization of a complex symmetric matrix.
 
     Returns a unitary ``v`` and nonnegative descending ``lambdas`` with
@@ -125,12 +125,14 @@ def takagi(s, tol: float = 1e-10) -> TakagiResult:
     +lambda reassemble into complex vectors u with s @ conj(u) = lambda u,
     and the zero modes are extracted by complex orthonormalization of the
     kernel, which stays stable when lambdas are degenerate or vanish.
+    Raises ValueError if ``s`` deviates from symmetry by more than 1e-10
+    relative to its norm.
     """
     s = _as_matrix(s, "s")
     if s.shape[0] != s.shape[1]:
         raise ValueError(f"s must be square, got shape {s.shape}")
     scale = 1.0 + np.linalg.norm(s)
-    if np.linalg.norm(s - s.T) > tol * scale:
+    if np.linalg.norm(s - s.T) > 1e-10 * scale:
         raise ValueError("matrix is not complex symmetric within tolerance")
     s = (s + s.T) / 2.0
     l = s.shape[0]
@@ -161,19 +163,20 @@ def takagi(s, tol: float = 1e-10) -> TakagiResult:
     return TakagiResult(v=u[:, order].conj().T, lambdas=lambdas[order])
 
 
-def reorthonormalize(m, tol: float = 1e-12) -> np.ndarray:
+def reorthonormalize(m) -> np.ndarray:
     """Orthonormalize columns by QR, preserving the column span.
 
     Deterministic: the R factor's diagonal is made real positive, so an
     already-orthonormal input is returned unchanged up to roundoff.
-    Raises RankDeficientError when the columns are numerically dependent.
+    Raises RankDeficientError when the columns are numerically dependent:
+    some |R_jj| <= 1e-12 max(1, ||m||).
     """
     m = _as_matrix(m, "m")
     if m.shape[0] < m.shape[1]:
         raise ValueError(f"need at least as many rows as columns, got {m.shape}")
     q, r = np.linalg.qr(m)
     diag = np.diagonal(r).copy()
-    if np.min(np.abs(diag)) <= tol * max(1.0, float(np.linalg.norm(m))):
+    if np.min(np.abs(diag)) <= 1e-12 * max(1.0, float(np.linalg.norm(m))):
         raise RankDeficientError("columns are numerically rank deficient")
     return q * (diag / np.abs(diag))[None, :]
 

@@ -300,20 +300,19 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
                         certificate=certificate, rejected_extractions=rejected)
 
 
-def certificate_from_members(members: np.ndarray, m: int, n: int,
-                             tol: float = PRODUCT_TOL) -> SeparableCertificate:
+def certificate_from_members(members: np.ndarray, m: int, n: int) -> SeparableCertificate:
     """Factor unnormalized pure states into (weight, alpha, beta) triples.
 
-    Each member's coefficient matrix must be rank 1 within tol (second
-    singular value relative to the first); members of negligible weight
-    are dropped.
+    Each member's coefficient matrix must be rank 1 within PRODUCT_TOL
+    (second singular value relative to the first); members of negligible
+    weight are dropped.
     """
     members = np.asarray(members, dtype=complex)
     weights = np.array([np.vdot(z, z).real for z in members])
     alphas, s, betas = product_svd(members, m, n)
     keep = weights > 1e-14
     if min(m, n) > 1:
-        bad = np.flatnonzero(keep & (s[:, 1] > tol * s[:, 0]))
+        bad = np.flatnonzero(keep & (s[:, 1] > PRODUCT_TOL * s[:, 0]))
         if bad.size:
             i = int(bad[0])
             raise CertificateError(
@@ -326,21 +325,20 @@ def certificate_from_members(members: np.ndarray, m: int, n: int,
 
 
 def check_certificate(cert: SeparableCertificate, rho_matrix: np.ndarray,
-                      recon_tol: float = RECON_TOL, weight_tol: float = 1e-10) -> None:
-    """Assert the mixture is normalized and reassembles rho."""
+                      recon_tol: float = RECON_TOL) -> None:
+    """Assert the weights sum to 1 within 1e-10 and the mixture reassembles rho."""
     total = float(np.sum(cert.weights))
-    if abs(total - 1.0) > weight_tol:
+    if abs(total - 1.0) > 1e-10:
         raise CertificateError(f"weights sum to {total:.12g}, expected 1")
     err = float(np.linalg.norm(cert.density() - rho_matrix))
     if err > recon_tol:
         raise CertificateError(f"certificate reassembles rho only within {err:.3e}")
 
 
-def extract_certificate(u, x: ScaledEigvecs, m: int, n: int,
-                        tol: float = PRODUCT_TOL) -> SeparableCertificate:
+def extract_certificate(u, x: ScaledEigvecs, m: int, n: int) -> SeparableCertificate:
     """Certificate from the members |z_i> = sum_j u_ij |x_j>."""
     u = _check_u(u, x.count, 1e-8)
-    return certificate_from_members(u @ x.vectors, m, n, tol)
+    return certificate_from_members(u @ x.vectors, m, n)
 
 
 def certify(members, rho: DensityMatrix, x: ScaledEigvecs | None = None):

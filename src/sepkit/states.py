@@ -47,17 +47,20 @@ class DensityMatrix:
         return self.m * self.n
 
 
+# Hermiticity, trace and positivity tolerance of every validated state.
+_VALID_TOL = 1e-8
+
+
 def _check_dims(m: int, n: int) -> None:
     if m < 1 or n < 1:
         raise ValueError(f"dims must be positive, got ({m}, {n})")
 
 
-def density_matrix(m: int, n: int, matrix, herm_tol: float = 1e-8,
-                   trace_tol: float = 1e-8, psd_tol: float = 1e-8) -> DensityMatrix:
+def density_matrix(m: int, n: int, matrix) -> DensityMatrix:
     """Validate and wrap a density matrix.
 
-    Checks shape, Hermiticity, unit trace, and positive semidefiniteness
-    (eigenvalues >= -psd_tol).
+    Checks shape, Hermiticity, unit trace, and positive semidefiniteness,
+    each within _VALID_TOL.
     """
     _check_dims(m, n)
     mat = np.asarray(matrix, dtype=complex)
@@ -66,17 +69,17 @@ def density_matrix(m: int, n: int, matrix, herm_tol: float = 1e-8,
         raise ValueError(f"matrix shape {mat.shape} does not match dims ({m}, {n})")
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix contains non-finite entries")
-    if np.linalg.norm(mat - mat.conj().T) > herm_tol * (1.0 + np.linalg.norm(mat)):
+    if np.linalg.norm(mat - mat.conj().T) > _VALID_TOL * (1.0 + np.linalg.norm(mat)):
         raise ValueError("matrix is not Hermitian within tolerance")
-    if abs(np.trace(mat).real - 1.0) > trace_tol or abs(np.trace(mat).imag) > trace_tol:
+    if abs(np.trace(mat).real - 1.0) > _VALID_TOL or abs(np.trace(mat).imag) > _VALID_TOL:
         raise ValueError(f"trace is {np.trace(mat):.6g}, expected 1")
-    if np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2)) < -psd_tol:
-        raise ValueError("matrix has an eigenvalue below -psd_tol")
+    if np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2)) < -_VALID_TOL:
+        raise ValueError(f"matrix has an eigenvalue below -{_VALID_TOL:g}")
     return DensityMatrix(m=m, n=n, matrix=mat)
 
 
 def bound_2x4() -> DensityMatrix:
-    """The rank-5 PPT state on a 2x4 system used throughout the tests.
+    """The rank-5 PPT state on a 2x4 system used throughout the tests: horodecki_2x4(1).
 
     Entries are 0 or 1/8, nonzero eigenvalues {1/4, 1/4, 1/4, 1/8, 1/8},
     positive partial transpose.  Often quoted as bound entangled (hence
@@ -85,17 +88,7 @@ def bound_2x4() -> DensityMatrix:
     w^-3i |3>) with w = exp(2 pi i / 5) at equal weights reproduces it
     exactly, and classify finds such a decomposition.
     """
-    rows = [
-        [1, 0, 0, 0, 0, 1, 0, 0],
-        [0, 1, 0, 0, 0, 0, 1, 0],
-        [0, 0, 1, 0, 0, 0, 0, 1],
-        [0, 0, 0, 1, 0, 0, 0, 0],
-        [0, 0, 0, 0, 1, 0, 0, 0],
-        [1, 0, 0, 0, 0, 1, 0, 0],
-        [0, 1, 0, 0, 0, 0, 1, 0],
-        [0, 0, 1, 0, 0, 0, 0, 1],
-    ]
-    return DensityMatrix(m=2, n=4, matrix=np.array(rows, dtype=complex) / 8.0)
+    return horodecki_2x4(1.0)
 
 
 def bound_2x4_basis() -> np.ndarray:

@@ -228,6 +228,15 @@ def test_seed_must_be_non_negative(tmp_path, capsys, command):
     assert run([command, path, "--seed", "0"])[0] == 0
 
 
+@pytest.mark.parametrize("state", ["random", "separable", "product"])
+def test_gen_seed_must_be_non_negative(tmp_path, capsys, state):
+    flags = ["gen", state, "--m", "2", "--n", "2", "--out", tmp_path / "state.txt"]
+    assert run([*flags, "--seed", "-1"])[:2] == (64, "")
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "state.txt").exists()
+    assert run([*flags, "--seed", "0"])[0] == 0
+
+
 @pytest.mark.parametrize("state, flags, message", [
     (["bound_2x4"], ["--k", "0"], "k must be a power of two >= 2 for rank 5, got 0"),
     (["bound_2x4"], ["--k", "3"], "k must be a power of two >= 2 for rank 5, got 3"),
@@ -253,6 +262,7 @@ def test_pairs_needs_dims_of_at_least_two(capsys, dims):
     (["werner", "--p", "-0.5"], "p must lie in [0, 1]"),
     (["separable", "--m", "0", "--n", "2"], "dims must be positive, got (0, 2)"),
     (["random", "--m", "2", "--n", "0"], "dims must be positive, got (2, 0)"),
+    (["product", "--m", "0", "--n", "2"], "dims must be positive, got (0, 2)"),
 ])
 def test_gen_rejects_out_of_range_parameters(tmp_path, flags, message):
     code, out, err = run(["gen", *flags, "--out", tmp_path / "state.txt"])

@@ -1,5 +1,8 @@
 """Tests for scaled eigenvectors, pair spectra, and the classification pipeline."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,7 +132,7 @@ def test_pair_reports_match_per_pair_spectra_property(m, n, data, seed):
 
 
 def test_pair_taus_is_the_stacked_tau_matrix():
-    """Bit for bit, in enumeration order, across block boundaries (8x8 takes several)."""
+    """Bit for bit and in enumeration order, from 2x2 to 8x8."""
     cases = [sk.bound_2x4(), sk.tiles(), sk.bell(), sk.random_density(3, 4, rank=2, seed=3),
              sk.random_density(8, 8, seed=5)]
     for rho in cases:
@@ -198,6 +201,35 @@ def test_pure_product_check():
     assert sk.pure_product_check(near, 2, 2)
     assert not sk.pure_product_check(near, 2, 2, tol=1e-8)
     assert sk.certificate_from_members(near[None, :], 2, 2).weights.shape == (1,)
+
+
+# The only tolerances a caller can set, each one a caller does set; every
+# other tolerance is RANK_TOL, BOUNDARY_TOL, PRODUCT_TOL, RECON_TOL or a
+# fixed constant of its module.
+SETTABLE_TOLERANCES = {
+    ("hermitian_eig", "tol"),
+    ("pure_product_check", "tol"),
+    ("check_certificate", "recon_tol"),
+    ("joint_residual", "orth_tol"),
+    ("residual_gradient", "orth_tol"),
+}
+
+
+def test_tolerances_are_constants():
+    """No public parameter, method parameter or dataclass field ends in tol but those five."""
+    found = set()
+    for mod in (sk.criterion, sk.decompose, sk.linalg, sk.pairs, sk.search, sk.states):
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            callables = [(name, obj)] if inspect.isfunction(obj) else []
+            if inspect.isclass(obj):
+                callables = [(f"{name}.{attr}", fn) for attr, fn in vars(obj).items()
+                             if inspect.isfunction(fn)]
+                if dataclasses.is_dataclass(obj):
+                    found |= {(name, f.name) for f in dataclasses.fields(obj)}
+            for label, fn in callables:
+                found |= {(label, p) for p in inspect.signature(fn).parameters}
+    assert {(label, p) for label, p in found if p.endswith("tol")} == SETTABLE_TOLERANCES
 
 
 def test_pair_concurrence_2x2():
