@@ -119,8 +119,7 @@ _GENERATORS = {
 
 def _random_product(m: int, n: int, seed: int) -> states.DensityMatrix:
     """rho_A x rho_B with seeded full-rank factors; bad dims are reported as given."""
-    if m < 1 or n < 1:
-        raise ValueError(f"dims must be positive, got ({m}, {n})")
+    states._check_dims(m, n)
     return states.product(states.random_density(1, m, m, seed).matrix,
                           states.random_density(1, n, n, seed + 1).matrix)
 

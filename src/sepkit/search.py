@@ -150,7 +150,7 @@ def joint_residual(u, taus, orth_tol: float = 1e-3) -> float:
     return _objective_and_gradient(_check_u(u, taus.shape[1], orth_tol), taus)[0]
 
 
-def residual_gradient(u, taus, orth_tol: float = 1e-3) -> np.ndarray:
+def residual_gradient(u, taus) -> np.ndarray:
     """Euclidean gradient of joint_residual with respect to u.
 
     For a direction d, the directional derivative equals
@@ -158,7 +158,7 @@ def residual_gradient(u, taus, orth_tol: float = 1e-3) -> np.ndarray:
     differences.
     """
     taus = _stack_taus(taus)
-    return _objective_and_gradient(_check_u(u, taus.shape[1], orth_tol), taus)[1]
+    return _objective_and_gradient(_check_u(u, taus.shape[1], 1e-3), taus)[1]
 
 
 def _tangent_project(u: np.ndarray, g: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
