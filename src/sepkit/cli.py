@@ -3,7 +3,8 @@
 Exit codes: 0 a separable decomposition was certified, 1 entanglement was
 proven (pair criterion or partial transpose), 2 inconclusive, 64 usage
 errors, 65 unreadable or invalid input, 70 a valid request whose
-operation fails (e.g. decomposing a pair that violates the criterion).
+operation fails (e.g. decomposing a pair that violates the criterion),
+73 an output file that cannot be written.
 """
 
 import argparse
@@ -21,6 +22,7 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_FAILED = 70
+EXIT_CANTCREAT = 73
 
 _VERDICT_EXIT = {
     criterion.Verdict.SEPARABLE_CERTIFIED: EXIT_SEPARABLE,
@@ -40,7 +42,7 @@ def _read_state(path: str) -> states.DensityMatrix:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read {path}: {exc}", EXIT_DATA) from exc
     try:
         return states.parse_state(text)
@@ -131,8 +133,11 @@ def _cmd_gen(args, out, err) -> int:
         raise _CliError(str(exc), EXIT_USAGE) from exc
     text = states.serialize_state(rho)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _CliError(f"cannot write {args.out}: {exc}", EXIT_CANTCREAT) from exc
     else:
         out.write(text)
     return 0
@@ -221,8 +226,6 @@ def _cmd_decompose(args, out, err) -> int:
     pair = pairs[args.pair - 1]
     try:
         ensemble = decompose.single_pair_decomposition(rho, pair, k=args.k)
-    except decompose.MemberCountError as exc:
-        raise _CliError(str(exc), EXIT_USAGE) from exc
     except (decompose.PairCriterionError, decompose.PolygonInfeasibleError) as exc:
         raise _CliError(str(exc), EXIT_FAILED) from exc
     ops = pair_operators(rho.m, rho.n)
@@ -406,6 +409,9 @@ def run_cli(argv: list[str], out=None, err=None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=err)
         return exc.code
+    except decompose.MemberCountError as exc:  # --k that does not fit the state
+        print(f"error: {exc}", file=err)
+        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_FAILED

@@ -39,7 +39,8 @@ class PolygonInfeasibleError(ValueError):
 
 
 class MemberCountError(ValueError):
-    """An explicit k is not a power of two with 4k >= max(4, l)."""
+    """An explicit member count k is below the rank l or, for a single-pair
+    ensemble, not a power of two with 4k >= max(4, l)."""
 
 
 class PairCriterionError(ValueError):

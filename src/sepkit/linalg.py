@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .states import STATE_TOL
+
 __all__ = [
     "HermitianEig",
     "TakagiResult",
@@ -62,19 +64,19 @@ class TakagiResult:
     lambdas: np.ndarray
 
 
-def hermitian_eig(h, tol: float = 1e-10) -> HermitianEig:
+def hermitian_eig(h) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Eigenvectors follow a deterministic phase convention: the
     largest-magnitude component of each column is made real positive.
     Raises ValueError if ``h`` deviates from Hermiticity by more than
-    ``tol`` relative to its norm.
+    STATE_TOL, the tolerance every state meets, relative to its norm.
     """
     h = _as_matrix(h, "h")
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"h must be square, got shape {h.shape}")
     scale = 1.0 + np.linalg.norm(h)
-    if np.linalg.norm(h - h.conj().T) > tol * scale:
+    if np.linalg.norm(h - h.conj().T) > STATE_TOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
     w = w[::-1]

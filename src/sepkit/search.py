@@ -31,6 +31,7 @@ import numpy as np
 
 from .criterion import PRODUCT_TOL, RECON_TOL, ScaledEigvecs, pair_taus, scaled_eigvecs
 from .criterion import tau_matrix  # noqa: F401 (traced by perfbench)
+from .decompose import MemberCountError
 from .linalg import product_svd, random_orthonormal_columns, reorthonormalize  # noqa: F401
 from .pairs import PairIndex, pair_operators
 from .states import DensityMatrix, format_float
@@ -128,10 +129,8 @@ def _check_u(u, l: int, orth_tol: float) -> np.ndarray:
         raise ValueError(f"u has shape {u.shape}, expected (k, {l})")
     if u.shape[0] < u.shape[1]:
         raise ValueError(f"u needs at least as many rows as columns, got {u.shape}")
-    if orth_tol is not None:
-        gram = u.conj().T @ u
-        if np.linalg.norm(gram - np.eye(l)) > orth_tol:
-            raise ValueError("u does not have orthonormal columns within tolerance")
+    if np.linalg.norm(u.conj().T @ u - np.eye(l)) > orth_tol:
+        raise ValueError("u does not have orthonormal columns within tolerance")
     return u
 
 
@@ -144,10 +143,10 @@ def _objective_and_gradient(u: np.ndarray,
     return float(np.vdot(d, d).real), 4.0 * np.einsum("ri,ril->il", d.conj(), wt), w
 
 
-def joint_residual(u, taus, orth_tol: float = 1e-3) -> float:
-    """F(u) = sum over pairs and members of |<z_i| B^r |conj(z_i)>|^2."""
+def joint_residual(u, taus) -> float:
+    """F(u) = sum_r sum_i |<z_i| B^r |conj(z_i)>|^2, for u orthonormal within 1e-3."""
     taus = _stack_taus(taus)
-    return _objective_and_gradient(_check_u(u, taus.shape[1], orth_tol), taus)[0]
+    return _objective_and_gradient(_check_u(u, taus.shape[1], 1e-3), taus)[0]
 
 
 def residual_gradient(u, taus) -> np.ndarray:
@@ -161,9 +160,9 @@ def residual_gradient(u, taus) -> np.ndarray:
     return _objective_and_gradient(_check_u(u, taus.shape[1], 1e-3), taus)[1]
 
 
-def _tangent_project(u: np.ndarray, g: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-    """Project g onto the tangent space at u; w, if given, is conj(u)."""
-    utg = (u.conj() if w is None else w).T @ g
+def _tangent_project(u: np.ndarray, g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Project g onto the tangent space at u, given w = conj(u)."""
+    utg = w.T @ g
     return g - u @ ((utg + utg.conj().T) / 2.0)
 
 
@@ -238,7 +237,7 @@ def _descend(u: np.ndarray, taus: np.ndarray, max_iters: int) -> tuple[np.ndarra
 def _k_schedule(cfg: SearchConfig, l: int, cap: int) -> list[int]:
     if cfg.k is not None:
         if cfg.k < l:
-            raise ValueError(f"k = {cfg.k} is below the rank l = {l}")
+            raise MemberCountError(f"k = {cfg.k} is below the rank l = {l}")
         return [min(cfg.k, cap)]
     ks = []
     k = min(l, cap)
@@ -260,7 +259,7 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
     ends the search; the others are counted as rejected extractions.  A
     1 x n or m x 1 state has no pairs, and its eigen-ensemble (u = I) is
     the certificate.  Raises ValueError when restarts or max_iters is
-    below 1.
+    below 1, and MemberCountError when an explicit k is below the rank.
     """
     cfg = config or SearchConfig()
     if cfg.restarts < 1 or cfg.max_iters < 1:
@@ -324,14 +323,13 @@ def certificate_from_members(members: np.ndarray, m: int, n: int) -> SeparableCe
                                 alphas=alphas[keep], betas=betas[keep])
 
 
-def check_certificate(cert: SeparableCertificate, rho_matrix: np.ndarray,
-                      recon_tol: float = RECON_TOL) -> None:
-    """Assert the weights sum to 1 within 1e-10 and the mixture reassembles rho."""
+def check_certificate(cert: SeparableCertificate, rho_matrix: np.ndarray) -> None:
+    """Assert the weights sum to 1 within 1e-10 and the mixture rebuilds rho within RECON_TOL."""
     total = float(np.sum(cert.weights))
     if abs(total - 1.0) > 1e-10:
         raise CertificateError(f"weights sum to {total:.12g}, expected 1")
     err = float(np.linalg.norm(cert.density() - rho_matrix))
-    if err > recon_tol:
+    if err > RECON_TOL:
         raise CertificateError(f"certificate reassembles rho only within {err:.3e}")
 
 
@@ -359,10 +357,9 @@ def certify(members, rho: DensityMatrix, x: ScaledEigvecs | None = None):
 
 @dataclass(frozen=True)
 class PairConstraints:
-    """One pair's tau and the quadratic equation sum_{j<=j'} w_jj' u_j u_j' = 0."""
+    """One pair's quadratic equation sum_{j<=j'} w_jj' u_j u_j' = 0."""
 
     pair: PairIndex
-    tau: np.ndarray
     terms: tuple[tuple[int, int, complex], ...]
 
 
@@ -392,7 +389,7 @@ def emit_constraints(x: ScaledEigvecs, m: int, n: int) -> ConstraintSystem:
                 w = (2.0 - (j == jp)) * tau[j, jp]
                 if abs(w) > cutoff:
                     terms.append((j + 1, jp + 1, complex(w)))
-        systems.append(PairConstraints(pair=b.pair, tau=tau, terms=tuple(terms)))
+        systems.append(PairConstraints(pair=b.pair, terms=tuple(terms)))
     return ConstraintSystem(m=m, n=n, count=x.count, pairs=tuple(systems))
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "random_separable",
     "parse_state",
     "serialize_state",
-    "format_float",
 ]
 
 
@@ -34,21 +33,8 @@ class StateFormatError(ValueError):
     """Malformed state file; the message carries the offending line number."""
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """A bipartite state: dims (m, n) and the mn x mn matrix, first factor m-dimensional."""
-
-    m: int
-    n: int
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.m * self.n
-
-
-# Hermiticity, trace and positivity tolerance of every validated state.
-_VALID_TOL = 1e-8
+STATE_TOL = 1e-8      # Hermiticity and trace tolerance of every state
+BOUNDARY_TOL = 1e-9   # eigenvalues >= -it; a > it, or a PT eigenvalue < -it, proves entanglement
 
 
 def _check_dims(m: int, n: int) -> None:
@@ -56,26 +42,42 @@ def _check_dims(m: int, n: int) -> None:
         raise ValueError(f"dims must be positive, got ({m}, {n})")
 
 
-def density_matrix(m: int, n: int, matrix) -> DensityMatrix:
-    """Validate and wrap a density matrix.
+@dataclass(frozen=True)
+class DensityMatrix:
+    """A bipartite state: dims (m, n) and the mn x mn matrix, first factor m-dimensional.
 
-    Checks shape, Hermiticity, unit trace, and positive semidefiniteness,
-    each within _VALID_TOL.
+    Valid by construction, else ValueError: the matrix is finite, Hermitian
+    and of unit trace within STATE_TOL, with no eigenvalue below -BOUNDARY_TOL.
     """
-    _check_dims(m, n)
-    mat = np.asarray(matrix, dtype=complex)
-    d = m * n
-    if mat.shape != (d, d):
-        raise ValueError(f"matrix shape {mat.shape} does not match dims ({m}, {n})")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("matrix contains non-finite entries")
-    if np.linalg.norm(mat - mat.conj().T) > _VALID_TOL * (1.0 + np.linalg.norm(mat)):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    if abs(np.trace(mat).real - 1.0) > _VALID_TOL or abs(np.trace(mat).imag) > _VALID_TOL:
-        raise ValueError(f"trace is {np.trace(mat):.6g}, expected 1")
-    if np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2)) < -_VALID_TOL:
-        raise ValueError(f"matrix has an eigenvalue below -{_VALID_TOL:g}")
-    return DensityMatrix(m=m, n=n, matrix=mat)
+
+    m: int
+    n: int
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        _check_dims(self.m, self.n)
+        mat = np.asarray(self.matrix, dtype=complex)
+        object.__setattr__(self, "matrix", mat)
+        d = self.dim
+        if mat.shape != (d, d):
+            raise ValueError(f"matrix shape {mat.shape} does not match dims ({self.m}, {self.n})")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("matrix contains non-finite entries")
+        if np.linalg.norm(mat - mat.conj().T) > STATE_TOL * (1.0 + np.linalg.norm(mat)):
+            raise ValueError("matrix is not Hermitian within tolerance")
+        if abs(np.trace(mat).real - 1.0) > STATE_TOL or abs(np.trace(mat).imag) > STATE_TOL:
+            raise ValueError(f"trace is {np.trace(mat):.6g}, expected 1")
+        if np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2)) < -BOUNDARY_TOL:
+            raise ValueError(f"matrix has an eigenvalue below -{BOUNDARY_TOL:g}")
+
+    @property
+    def dim(self) -> int:
+        return self.m * self.n
+
+
+def density_matrix(m: int, n: int, matrix) -> DensityMatrix:
+    """Validate and wrap a density matrix; DensityMatrix states the checks."""
+    return DensityMatrix(m=m, n=n, matrix=matrix)
 
 
 def bound_2x4() -> DensityMatrix:
@@ -264,7 +266,8 @@ def _parse_row(tokens: list[str], lineno: int) -> np.ndarray:
 def parse_state(text: str) -> DensityMatrix:
     """Parse the text format; errors carry 1-based line numbers.
 
-    Validates Hermiticity and unit trace (within 1e-8) of the payload.
+    The payload must be a valid DensityMatrix: Hermitian and of unit
+    trace within STATE_TOL, with no eigenvalue below -BOUNDARY_TOL.
     """
     lines = text.splitlines()
     if not lines:

@@ -129,7 +129,8 @@ def test_criterion_04_bound_entanglement_behavior(tmp_path):
         alphas=np.array([[1, w**i] for i in range(5)]) / np.sqrt(2),
         betas=np.array([[w**(-i * j) for j in range(4)] for i in range(5)]) / 2)
     closed_err = float(np.linalg.norm(closed_form.density() - rho.matrix))
-    check_certificate(closed_form, rho.matrix, recon_tol=1e-12)
+    check_certificate(closed_form, rho.matrix)
+    assert closed_err <= 1e-12
 
     report = minimize(rho, SearchConfig(restarts=50, seed=0))
     assert report.certificate is not None, (
@@ -309,8 +310,8 @@ def test_criterion_10_gradient_check():
         for _ in range(5):
             d = rng.normal(size=u.shape) + 1j * rng.normal(size=u.shape)
             d /= np.linalg.norm(d)
-            fd = (joint_residual(u + eps * d, taus, orth_tol=None)
-                  - joint_residual(u - eps * d, taus, orth_tol=None)) / (2 * eps)
+            fd = (joint_residual(u + eps * d, taus)
+                  - joint_residual(u - eps * d, taus)) / (2 * eps)
             analytic = float(np.vdot(d, g).real)
             rel = abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-12)
             worst = max(worst, rel)

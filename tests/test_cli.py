@@ -318,3 +318,38 @@ def test_gen_bound_entangled_states(tmp_path):
         assert out.splitlines()[0] == "verdict: Inconclusive"
         assert run(["ppt", state])[0] == 2
         assert run(["spectrum", state])[0] == 2
+
+
+@pytest.mark.parametrize("command", ["search", "classify"])
+def test_k_below_the_rank_is_a_usage_error(tmp_path, command):
+    """A rank-6 state reaches the search, where --k 2 cannot hold it."""
+    path = gen(tmp_path, "separable", "--m", "2", "--n", "3", "--terms", "10", "--seed", "2")
+    code, out, err = run([command, path, "--k", "2"])
+    assert (code, out) == (64, "")
+    assert "k = 2 is below the rank l = 6" in err
+
+
+def test_unwritable_output_and_undecodable_input(tmp_path):
+    """gen to a missing directory exits 73 (cannot create), a state file that
+    is not UTF-8 exits 65 (invalid input), each with an error line."""
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(["gen", "werner", "--p", "0.2", "--out", target])
+    assert (code, out) == (73, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.exists()
+
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(sk.serialize_state(sk.bell()).encode() + "\xe9\n".encode("latin-1"))
+    code, out, err = run(["classify", path])
+    assert (code, out) == (65, "")
+    assert err.startswith(f"error: cannot read {path}: ")
+
+
+def test_eigenvalue_slack_is_bounded_by_the_ppt_boundary(tmp_path):
+    """A 1 x 3 state with an eigenvalue of -5e-9 is rejected on input, not
+    reported entangled by the partial transpose."""
+    path = tmp_path / "slack.txt"
+    path.write_text("dims 1 3\n1.000000005,0 0,0 0,0\n0,0 0,0 0,0\n0,0 0,0 -5e-9,0\n")
+    code, out, err = run(["ppt", path])
+    assert (code, out) == (65, "")
+    assert "eigenvalue below -1e-09" in err

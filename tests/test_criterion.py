@@ -165,17 +165,14 @@ def test_pair_spectrum_gauge_invariance():
 
 
 def test_partial_transpose():
-    """Transposing either factor preserves trace and hermiticity, and the
-    two choices are each other's full transpose."""
+    """Transposing the second factor preserves trace and hermiticity."""
     pt = sk.partial_transpose(sk.bell())
     np.testing.assert_allclose(np.linalg.eigvalsh(pt)[0], -0.5, atol=1e-14)
     for seed in range(4):
         rho = sk.random_density(2, 3, seed=seed)
         pt2 = sk.partial_transpose(rho)
-        pt1 = sk.partial_transpose(rho, subsystem=1)
         np.testing.assert_allclose(pt2, pt2.conj().T, atol=1e-13)
         assert np.trace(pt2).real == pytest.approx(1.0, abs=1e-13)
-        np.testing.assert_allclose(pt1, pt2.T, atol=1e-13)
 
 
 def test_ppt_min_eigenvalue():
@@ -191,31 +188,45 @@ def test_ppt_min_eigenvalue():
     assert sk.ppt_min_eigenvalue(sk.product(rho_a, rho_b)) >= -1e-12
 
 
+
+def test_ppt_verdict_ignores_an_anti_hermitian_residue():
+    """|00><00| plus a 3e-9 anti-Hermitian term passes validation and its
+    Hermitian part is |00><00| exactly: the partial transpose's minimum is
+    that of its Hermitian part, so the state is certified, not entangled."""
+    mat = np.zeros((4, 4), dtype=complex)
+    mat[0, 0] = 1.0
+    mat[0, 3], mat[3, 0] = 3e-9, -3e-9
+    rho = sk.density_matrix(2, 2, mat)
+    assert sk.ppt_min_eigenvalue(rho) >= -BOUNDARY_TOL
+    assert sk.classify(rho).verdict is Verdict.SEPARABLE_CERTIFIED
+
+
+def test_state_eigenvalue_slack_is_the_ppt_boundary():
+    """A state may have an eigenvalue down to -BOUNDARY_TOL and no lower, so
+    a diagonal state, its own partial transpose, is never EntangledByPPT."""
+    assert sk.states.BOUNDARY_TOL == BOUNDARY_TOL
+    for t, dims in [(5e-9, (2, 2)), (1.1 * BOUNDARY_TOL, (2, 2)), (5e-9, (1, 4))]:
+        with pytest.raises(ValueError, match="eigenvalue below"):
+            sk.density_matrix(*dims, np.diag([1 + t, 0, 0, -t]))
+    rho = sk.density_matrix(2, 2, np.diag([1 + 0.9 * BOUNDARY_TOL, 0, 0, -0.9 * BOUNDARY_TOL]))
+    assert sk.ppt_min_eigenvalue(rho) == -0.9 * BOUNDARY_TOL
+    assert sk.classify(rho).verdict is not Verdict.ENTANGLED_BY_PPT
+
 def test_pure_product_check():
     assert sk.pure_product_check(np.kron([1, 0], [0, 1, 0]), 2, 3)
     assert not sk.pure_product_check(np.array([1, 0, 0, 1]) / np.sqrt(2), 2, 2)
     with pytest.raises(ValueError, match="zero vector"):
         sk.pure_product_check(np.zeros(4), 2, 2)
-    # The default is PRODUCT_TOL, the tolerance certificates use.
+    # The tolerance is PRODUCT_TOL, the one certificates use.
     near = np.kron([1, 0], [1, 0]) + 1e-7 * np.kron([0, 1], [0, 1])
     assert sk.pure_product_check(near, 2, 2)
-    assert not sk.pure_product_check(near, 2, 2, tol=1e-8)
     assert sk.certificate_from_members(near[None, :], 2, 2).weights.shape == (1,)
 
 
-# The only tolerances a caller can set, each one a caller does set; every
-# other tolerance is RANK_TOL, BOUNDARY_TOL, PRODUCT_TOL, RECON_TOL or a
-# fixed constant of its module.
-SETTABLE_TOLERANCES = {
-    ("hermitian_eig", "tol"),
-    ("pure_product_check", "tol"),
-    ("check_certificate", "recon_tol"),
-    ("joint_residual", "orth_tol"),
-}
-
-
 def test_tolerances_are_constants():
-    """No public parameter, method parameter or dataclass field ends in tol but those four."""
+    """No public parameter, method parameter or dataclass field ends in tol: every
+    tolerance is RANK_TOL, BOUNDARY_TOL, PRODUCT_TOL, RECON_TOL, STATE_TOL or a
+    fixed constant of its module."""
     found = set()
     for mod in (sk.criterion, sk.decompose, sk.linalg, sk.pairs, sk.search, sk.states):
         for name in mod.__all__:
@@ -228,7 +239,7 @@ def test_tolerances_are_constants():
                     found |= {(name, f.name) for f in dataclasses.fields(obj)}
             for label, fn in callables:
                 found |= {(label, p) for p in inspect.signature(fn).parameters}
-    assert {(label, p) for label, p in found if p.endswith("tol")} <= SETTABLE_TOLERANCES
+    assert {(label, p) for label, p in found if p.endswith("tol")} == set()
 
 
 def test_pair_concurrence_2x2():
@@ -292,7 +303,8 @@ def test_classify_certifies_one_factor_systems(m, n, rank):
     assert report.verdict is Verdict.SEPARABLE_CERTIFIED
     assert report.pairs == [] and report.entangling_pair is None and report.search is None
     assert len(report.certificate.weights) == rank
-    sk.check_certificate(report.certificate, rho.matrix, recon_tol=1e-12)
+    sk.check_certificate(report.certificate, rho.matrix)
+    assert np.linalg.norm(report.certificate.density() - rho.matrix) <= 1e-12
 
 
 def test_classify_maximally_mixed_2x2():

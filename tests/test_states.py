@@ -170,6 +170,23 @@ def test_density_matrix_validation():
         sk.density_matrix(2, 3, np.eye(4) / 4)  # dims mismatch
 
 
+
+def test_every_state_is_validated():
+    """DensityMatrix checks its matrix itself, so no constructor can skip the
+    checks, and every state of the zoo passes them."""
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 1] = 0.2
+    with pytest.raises(ValueError, match="not Hermitian"):
+        sk.DensityMatrix(2, 2, m)
+    with pytest.raises(ValueError, match="trace"):
+        sk.DensityMatrix(2, 2, np.eye(4))
+    zoo = [sk.bound_2x4(), sk.horodecki_2x4(0.3), sk.tiles(), sk.bell(), sk.werner_2x2(0.7),
+           sk.isotropic(3, 0.4), sk.random_density(2, 3, rank=2, seed=1),
+           sk.random_separable(3, 2, terms=5, seed=2), sk.product(np.eye(2) / 2, np.eye(3) / 3)]
+    for rho in zoo:
+        assert isinstance(rho, sk.DensityMatrix)
+        sk.density_matrix(rho.m, rho.n, rho.matrix)
+
 def test_format_float_round_trips():
     for x in (0.5, 1 / 3, 1e-17, -2.75, 0.1 + 0.2):
         assert float(format_float(x)) == x
