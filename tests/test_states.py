@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sepkit as sk
 from sepkit.states import format_float
@@ -233,6 +235,62 @@ def test_parse_names_malformed_and_non_finite_tokens():
     for token in ("nan,0", "0,inf", "-inf,nan"):
         with pytest.raises(sk.StateFormatError, match=f"line 4: non-finite entry '{token}'"):
             sk.parse_state(with_token(4, token))
+
+
+def test_parse_names_a_misplaced_comma():
+    """A row with the right comma count but a wrong split ('0,0,0' next to
+    '0') is reported at its first bad token, whichever comes first."""
+    rows = ["1,0 0,0 0,0 0,0", "0,0 0,0 0,0 0,0", "0,0 0,0 0,0 0,0", "0,0 0,0 0,0 0,0"]
+    for split, first in (("0,0,0 0", "0,0,0"), ("0 0,0,0", "0")):
+        body = list(rows)
+        body[1] = body[1].replace("0,0 0,0", split, 1)
+        assert body[1].count(",") == 4 and len(body[1].split()) == 4
+        with pytest.raises(sk.StateFormatError,
+                           match=f"line 3: expected 're,im', got '{first}'"):
+            sk.parse_state("dims 2 2\n" + "\n".join(body) + "\n")
+    # Spaced out, '0, 0' reads like one entry, but it is two tokens.
+    body = list(rows)
+    body[1] = "0,0 0, 0 0,0 0,0"
+    with pytest.raises(sk.StateFormatError, match="line 3: expected 4 entries, got 5"):
+        sk.parse_state("dims 2 2\n" + "\n".join(body) + "\n")
+
+
+def test_parse_accepts_any_whitespace():
+    """Tabs, runs of spaces, leading and trailing blanks and CRLF line ends
+    parse to the same bytes as single spaces and LF."""
+    rho = sk.random_density(2, 3, seed=11)
+    text = sk.serialize_state(rho)
+    lines = text.splitlines()
+    variants = [
+        "\r\n".join(lines) + "\r\n",
+        "\n".join(line.replace(" ", "\t") for line in lines) + "\n",
+        "\n".join(line.replace(" ", "   ") for line in lines) + "\n",
+        "\n".join(" \t" + line + " \t " for line in lines) + "\n\n  \n",
+    ]
+    for variant in variants:
+        assert sk.parse_state(variant).matrix.tobytes() == rho.matrix.tobytes()
+
+
+def _parse_per_token(text: str) -> np.ndarray:
+    """Reference parser: float() on every 're,im' token."""
+    lines = text.splitlines()
+    d = int(lines[0].split()[1]) * int(lines[0].split()[2])
+    out = np.zeros((d, 2 * d))
+    for i in range(d):
+        for j, token in enumerate(lines[1 + i].split()):
+            re_part, im_part = token.split(",")
+            out[i, 2 * j], out[i, 2 * j + 1] = float(re_part), float(im_part)
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 8), st.integers(2, 8), st.data(), st.integers(0, 2**32 - 1))
+def test_parse_matches_per_token_floats(m, n, data, seed):
+    """parse_state(serialize_state(rho)) is bit for bit float() of each token."""
+    rank = data.draw(st.integers(1, m * n), label="rank")
+    text = sk.serialize_state(sk.random_density(m, n, rank=rank, seed=seed))
+    parsed = sk.parse_state(text).matrix
+    assert parsed.view(float).tobytes() == _parse_per_token(text).tobytes()
 
 
 def test_parse_validates_the_matrix():
