@@ -15,11 +15,13 @@ runs alongside as an independent witness.
 """
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import hermitian_eig, product_svd, singular_values
+from .linalg import descending_eig, product_svd, singular_values
+from .linalg import hermitian_eig  # noqa: F401 (traced by perfbench)
 from .pairs import PairIndex, PairOperator, enumerate_pairs, pair_operators
 from .states import BOUNDARY_TOL, DensityMatrix
 
@@ -70,11 +72,16 @@ def scaled_eigvecs(rho: DensityMatrix, basis_override=None) -> ScaledEigvecs:
     ``basis_override`` supplies the rows directly (e.g. a fixed gauge for
     a degenerate spectrum); it is validated against rho: the Gram matrix
     must be diag(norms^2), the norms^2 must match rho's nonzero spectrum
-    as a multiset, and the rows must reassemble rho.
+    as a multiset, and the rows must reassemble rho.  The spectrum is the
+    one rho was validated with, so no second eigendecomposition is made,
+    and only the kept eigenvectors get hermitian_eig's phase convention:
+    they equal its columns bit for bit.
     """
-    eig = hermitian_eig(rho.matrix)
-    w = eig.eigenvalues
-    keep = w > RANK_TOL
+    w, v = rho._eigh
+    # Ascending, so the eigenvalues above RANK_TOL are the last ones.
+    zero = int(np.count_nonzero(w <= RANK_TOL))
+    eig = descending_eig(w[zero:], v[:, zero:])
+    t = eig.eigenvalues
 
     if basis_override is not None:
         x = np.asarray(basis_override, dtype=complex)
@@ -84,17 +91,14 @@ def scaled_eigvecs(rho: DensityMatrix, basis_override=None) -> ScaledEigvecs:
         norms = np.diagonal(gram).real.copy()
         if np.linalg.norm(gram - np.diag(norms)) > 1e-10:
             raise ValueError("override vectors are not orthogonal within tolerance")
-        if x.shape[0] != int(np.sum(keep)) or np.linalg.norm(
-                np.sort(norms) - np.sort(w[keep])) > 1e-8:
+        if x.shape[0] != t.shape[0] or np.linalg.norm(np.sort(norms) - np.sort(t)) > 1e-8:
             raise ValueError("override norms do not match the nonzero spectrum of rho")
         recon = np.einsum("ia,ib->ab", x, x.conj())
         if np.linalg.norm(recon - rho.matrix) > 1e-8:
             raise ValueError("override vectors do not reassemble rho")
         return ScaledEigvecs(vectors=x, values=norms)
 
-    t = w[keep]
-    x = (eig.eigenvectors[:, keep] * np.sqrt(t)[None, :]).T
-    return ScaledEigvecs(vectors=x, values=t)
+    return ScaledEigvecs(vectors=(eig.eigenvectors * np.sqrt(t)[None, :]).T, values=t)
 
 
 def tau_matrix(x: ScaledEigvecs, b: PairOperator) -> np.ndarray:
@@ -145,6 +149,21 @@ class SpectralReport:
     a_value: float
 
 
+@functools.lru_cache(maxsize=64)
+def _pair_layout(m: int, n: int) -> tuple[tuple[PairIndex, ...], np.ndarray, np.ndarray]:
+    """Each pair, the 0-based rows its four entries touch (P, 4), and its sign block.
+
+    Depends only on (m, n), so it is built once per shape; the arrays are
+    read-only.  sign[r, e, f] = val_e where entry e's column is entry f's row.
+    """
+    ops = pair_operators(m, n)
+    ent = np.array([b.entries for b in ops])
+    rows, cols = (ent[:, :, k].astype(np.intp) - 1 for k in (0, 1))
+    sign = np.where(cols[:, :, None] == rows[:, None, :], ent[:, :, 2, None], 0.0)
+    rows.flags.writeable = sign.flags.writeable = False
+    return tuple(b.pair for b in ops), rows, sign
+
+
 def pair_reports(x: ScaledEigvecs, m: int, n: int) -> list[SpectralReport]:
     """Spectral reports for every pair, in enumeration order.
 
@@ -157,22 +176,16 @@ def pair_reports(x: ScaledEigvecs, m: int, n: int) -> list[SpectralReport]:
     """
     if min(m, n) == 1:
         return []
-    ops = pair_operators(m, n)
+    pairs, rows, sign = _pair_layout(m, n)
     if x.vectors.shape[1] != m * n:
         raise ValueError(f"vectors have dimension {x.vectors.shape[1]}, operator needs {m * n}")
-    # Each operator's entries as 0-based rows, 0-based columns and values, (P, 4) each.
-    ent = np.array([b.entries for b in ops])
-    rows, cols = (ent[:, :, k].astype(np.intp) - 1 for k in (0, 1))
-    vals = ent[:, :, 2]
-    # V = conj(X)[:, rows]; S[e, f] = val_e where entry e's column is entry f's row.
-    xt = x.vectors.conj().T
-    sign = np.where(cols[:, :, None] == rows[:, None, :], vals[:, :, None], 0.0)
-    r = np.linalg.qr(xt[rows].swapaxes(1, 2), mode="r")
-    lambdas = np.zeros((len(ops), x.count))
+    # V = conj(X)[:, rows], one 4-column block per pair.
+    r = np.linalg.qr(x.vectors.conj().T[rows].swapaxes(1, 2), mode="r")
+    lambdas = np.zeros((len(pairs), x.count))
     lambdas[:, :r.shape[1]] = np.linalg.svd(r @ sign @ r.swapaxes(1, 2), compute_uv=False)
     l_primes = np.count_nonzero(lambdas > RANK_TOL, axis=1).tolist()
-    return [SpectralReport(pair=b.pair, lambdas=lam, l_prime=lp, a_value=a_value(lam, lp))
-            for b, lam, lp in zip(ops, lambdas, l_primes)]
+    return [SpectralReport(pair=pair, lambdas=lam, l_prime=lp, a_value=a_value(lam, lp))
+            for pair, lam, lp in zip(pairs, lambdas, l_primes)]
 
 
 def partial_transpose(rho: DensityMatrix) -> np.ndarray:

@@ -9,6 +9,7 @@ yields 4k pure states z_i that reassemble rho while every <z_i|B|conj(z_i)>
 vanishes.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,13 +136,14 @@ def close_polygon(lengths) -> np.ndarray:
     return phases
 
 
+@functools.lru_cache(maxsize=64)
 def sign_matrix(k: int, l: int) -> np.ndarray:
     """First l columns of the 4k x 4k signed matrix with mutually orthogonal columns.
 
     The Sylvester-Hadamard matrix with its rows in bit-reversed order:
     entry (r, j), 1-based, is (-1)**popcount(bitrev(r-1) & (j-1)) over
     log2(4k) bits.  4k must be a power of two and at least max(4, l);
-    the first column is all +1.
+    the first column is all +1.  Built once per (k, l) and read-only.
     """
     rows = 4 * k
     if k < 1 or rows & (rows - 1) != 0:
@@ -153,7 +155,9 @@ def sign_matrix(k: int, l: int) -> np.ndarray:
     s = np.ones((1, 1), dtype=int)
     while s.shape[0] < rows:
         s = np.stack([np.hstack([s, s]), np.hstack([s, -s])], axis=1).reshape(2 * len(s), -1)
-    return s[:, :l]
+    s = s[:, :l].copy()  # the cache keeps 4k x l entries, not the 4k x 4k matrix
+    s.flags.writeable = False
+    return s
 
 
 def _member_count(l: int) -> int:

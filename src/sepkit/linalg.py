@@ -78,10 +78,12 @@ def hermitian_eig(h) -> HermitianEig:
     scale = 1.0 + np.linalg.norm(h)
     if np.linalg.norm(h - h.conj().T) > STATE_TOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
-    w = w[::-1]
-    v = v[:, ::-1]
-    return HermitianEig(eigenvalues=w, eigenvectors=_fix_column_phases(v))
+    return descending_eig(*np.linalg.eigh((h + h.conj().T) / 2.0))
+
+
+def descending_eig(w: np.ndarray, v: np.ndarray) -> HermitianEig:
+    """hermitian_eig's result from numpy's ascending eigh output (w, v)."""
+    return HermitianEig(eigenvalues=w[::-1], eigenvectors=_fix_column_phases(v[:, ::-1]))
 
 
 def singular_values(m) -> np.ndarray:
@@ -139,7 +141,7 @@ def takagi(s) -> TakagiResult:
     s = (s + s.T) / 2.0
     l = s.shape[0]
 
-    emb = np.block([[s.real, s.imag], [s.imag, -s.real]])
+    emb = np.array([[s.real, s.imag], [s.imag, -s.real]]).swapaxes(1, 2).reshape(2 * l, 2 * l)
     mu, w = np.linalg.eigh(emb)
     mu = mu[::-1]
     w = w[:, ::-1]

@@ -34,7 +34,7 @@ from .criterion import tau_matrix  # noqa: F401 (traced by perfbench)
 from .decompose import MemberCountError
 from .linalg import product_svd, random_orthonormal_columns, reorthonormalize  # noqa: F401
 from .pairs import PairIndex, pair_operators
-from .states import DensityMatrix, format_float
+from .states import STATE_TOL, DensityMatrix, format_float
 
 __all__ = [
     "SearchConfig",
@@ -83,12 +83,9 @@ class SeparableCertificate:
     betas: np.ndarray
 
     def density(self) -> np.ndarray:
-        d = self.m * self.n
-        out = np.zeros((d, d), dtype=complex)
-        for w, a, b in zip(self.weights, self.alphas, self.betas):
-            psi = np.kron(a, b)
-            out += w * np.outer(psi, psi.conj())
-        return out
+        """sum_i w_i |a_i b_i><a_i b_i|, as one product of the kron rows."""
+        psi = (self.alphas[:, :, None] * self.betas[:, None, :]).reshape(len(self.weights), -1)
+        return (self.weights[:, None] * psi).T @ psi.conj()
 
 
 class CertificateError(ValueError):
@@ -324,10 +321,17 @@ def certificate_from_members(members: np.ndarray, m: int, n: int) -> SeparableCe
 
 
 def check_certificate(cert: SeparableCertificate, rho_matrix: np.ndarray) -> None:
-    """Assert the weights sum to 1 within 1e-10 and the mixture rebuilds rho within RECON_TOL."""
+    """Assert the weights sum to rho's trace and the mixture rebuilds rho.
+
+    The sum must match within STATE_TOL and the mixture within RECON_TOL.
+    The target is rho's own trace, not 1: a valid state's trace is 1 only
+    within STATE_TOL, and an exact decomposition's weights sum to its
+    positive eigenvalues.
+    """
     total = float(np.sum(cert.weights))
-    if abs(total - 1.0) > 1e-10:
-        raise CertificateError(f"weights sum to {total:.12g}, expected 1")
+    trace = float(np.trace(rho_matrix).real)
+    if abs(total - trace) > STATE_TOL:
+        raise CertificateError(f"weights sum to {total:.12g}, expected the trace {trace:.12g}")
     err = float(np.linalg.norm(cert.density() - rho_matrix))
     if err > RECON_TOL:
         raise CertificateError(f"certificate reassembles rho only within {err:.3e}")

@@ -6,7 +6,7 @@ printed with 17 significant digits so that parse(serialize(rho))
 round-trips bit for bit.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,16 +48,19 @@ class DensityMatrix:
 
     Valid by construction, else ValueError: the matrix is finite, Hermitian
     and of unit trace within STATE_TOL, with no eigenvalue below -BOUNDARY_TOL.
+    ``matrix`` is the state's own read-only copy of the input.  The
+    eigendecomposition of its Hermitian part that validation computes is
+    kept, read-only and in numpy's ascending order, for scaled_eigvecs.
     """
 
     m: int
     n: int
     matrix: np.ndarray
+    _eigh: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_dims(self.m, self.n)
-        mat = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", mat)
+        mat = np.array(self.matrix, dtype=complex)
         d = self.dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match dims ({self.m}, {self.n})")
@@ -67,8 +70,13 @@ class DensityMatrix:
             raise ValueError("matrix is not Hermitian within tolerance")
         if abs(np.trace(mat).real - 1.0) > STATE_TOL or abs(np.trace(mat).imag) > STATE_TOL:
             raise ValueError(f"trace is {np.trace(mat):.6g}, expected 1")
-        if np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2)) < -BOUNDARY_TOL:
+        w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
+        if w[0] < -BOUNDARY_TOL:
             raise ValueError(f"matrix has an eigenvalue below -{BOUNDARY_TOL:g}")
+        for a in (mat, w, v):
+            a.flags.writeable = False
+        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "_eigh", (w, v))
 
     @property
     def dim(self) -> int:
@@ -247,20 +255,28 @@ def _parse_entry(token: str, lineno: int) -> complex:
     return complex(re, im)
 
 
-def _parse_row(tokens: list[str], lineno: int) -> np.ndarray:
-    """One matrix row, converted by numpy in one call when every token is well formed.
+def _parse_body(rows: list[str], d: int) -> np.ndarray | None:
+    """The d x d matrix of well-formed rows, converted in one numpy call; else None.
 
-    Any malformed token sends the row through _parse_entry, which raises
-    the error naming it.
+    Each row must split into d tokens.  With the commas spaced out, the
+    body must give 3 d^2 pieces, of which every third, from the second, is
+    dropped and the rest must convert to numbers.  A token with no comma or
+    two commas cannot pass: the count then needs more than d^2 commas, or
+    two 2 apart, and either leaves one where a number belongs.  Any
+    malformed or non-finite entry yields None, and the caller's per-token
+    pass names it.
     """
-    if all(token.count(",") == 1 for token in tokens):
-        try:
-            parts = np.array(",".join(tokens).split(","), dtype=float)
-        except ValueError:
-            parts = None
-        if parts is not None and np.isfinite(parts).all():
-            return parts.view(complex)
-    return np.array([_parse_entry(token, lineno) for token in tokens])
+    if list(map(len, map(str.split, rows))) != [d] * d:
+        return None
+    pieces = " ".join(rows).replace(",", " , ").split()
+    if len(pieces) != 3 * d * d:
+        return None
+    del pieces[1::3]
+    try:
+        parts = np.array(pieces, dtype=float)
+    except ValueError:
+        return None
+    return parts.view(complex).reshape(d, d) if np.isfinite(parts).all() else None
 
 
 def parse_state(text: str) -> DensityMatrix:
@@ -287,13 +303,15 @@ def parse_state(text: str) -> DensityMatrix:
     for extra in range(1 + d, len(lines)):
         if lines[extra].strip():
             raise StateFormatError(f"line {extra + 1}: unexpected content after matrix rows")
-    mat = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        lineno = i + 2
-        tokens = lines[1 + i].split()
-        if len(tokens) != d:
-            raise StateFormatError(f"line {lineno}: expected {d} entries, got {len(tokens)}")
-        mat[i] = _parse_row(tokens, lineno)
+    rows = lines[1:1 + d]
+    mat = _parse_body(rows, d)
+    if mat is None:
+        mat = np.zeros((d, d), dtype=complex)
+        for i, row in enumerate(rows):
+            tokens = row.split()
+            if len(tokens) != d:
+                raise StateFormatError(f"line {i + 2}: expected {d} entries, got {len(tokens)}")
+            mat[i] = [_parse_entry(token, i + 2) for token in tokens]
     try:
         return density_matrix(m, n, mat)
     except ValueError as exc:

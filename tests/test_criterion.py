@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import sepkit as sk
 from sepkit.criterion import (
     BOUNDARY_TOL,
+    RANK_TOL,
     ClassifyConfig,
     Verdict,
     a_value,
@@ -20,7 +21,7 @@ from sepkit.criterion import (
     scaled_eigvecs,
     tau_matrix,
 )
-from sepkit.linalg import singular_values
+from sepkit.linalg import hermitian_eig, singular_values
 from sepkit.pairs import pair_operators
 from sepkit.search import SearchConfig
 
@@ -45,6 +46,44 @@ def test_scaled_eigvecs_reassemble_states():
         assert np.all(np.diag(gram).real > 0)
         recon = np.einsum("ia,ib->ab", x.vectors, x.vectors.conj())
         np.testing.assert_allclose(recon, rho.matrix, atol=1e-12)
+
+
+def assert_scaled_eigvecs_are_hermitian_eig(rho):
+    eig = hermitian_eig(rho.matrix)
+    keep = eig.eigenvalues > RANK_TOL
+    t = eig.eigenvalues[keep]
+    x = scaled_eigvecs(rho)
+    assert x.values.tobytes() == t.tobytes()
+    assert x.vectors.tobytes() == (eig.eigenvectors[:, keep] * np.sqrt(t)[None, :]).T.tobytes()
+
+
+def test_scaled_eigvecs_reuse_the_validation_spectrum():
+    """scaled_eigvecs reads the eigendecomposition the state was validated
+    with and gives, bit for bit, what hermitian_eig(rho.matrix) gives."""
+    zoo = [sk.bound_2x4(), sk.horodecki_2x4(0.3), sk.tiles(), sk.bell(), sk.werner_2x2(0.7),
+           sk.isotropic(3, 0.4), sk.random_separable(3, 2, terms=5, seed=2),
+           sk.product(np.eye(2) / 2, np.eye(3) / 3), sk.random_density(1, 4, seed=0)]
+    for rho in zoo:
+        assert_scaled_eigvecs_are_hermitian_eig(rho)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 8), st.integers(2, 8), st.data(), st.integers(0, 2**32 - 1))
+def test_scaled_eigvecs_reuse_the_validation_spectrum_property(m, n, data, seed):
+    rank = data.draw(st.integers(1, m * n), label="rank")
+    assert_scaled_eigvecs_are_hermitian_eig(sk.random_density(m, n, rank=rank, seed=seed))
+
+
+def test_pair_layout_is_built_once_and_read_only():
+    """pair_reports' operators, gather rows and sign blocks depend only on
+    (m, n): one read-only copy per shape."""
+    pairs, rows, sign = sk.criterion._pair_layout(3, 4)
+    assert sk.criterion._pair_layout(3, 4)[1] is rows
+    assert list(pairs) == sk.enumerate_pairs(3, 4)
+    assert rows.shape == (6, 4) and sign.shape == (6, 4, 4)
+    for arr in (rows, sign):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 0
 
 
 def test_scaled_eigvecs_count_is_rank():

@@ -113,6 +113,13 @@ def test_sign_matrix_columns_orthogonal():
         np.testing.assert_array_equal(s[:, 0], np.ones(4 * k))
 
 
+def test_sign_matrix_is_built_once_and_read_only():
+    s = sign_matrix(2, 5)
+    assert sign_matrix(2, 5) is s
+    with pytest.raises(ValueError, match="read-only"):
+        s[0, 0] = -1
+
+
 def test_sign_matrix_rejects_bad_sizes():
     with pytest.raises(ValueError, match="power of two"):
         sign_matrix(3, 5)

@@ -253,6 +253,37 @@ def test_check_certificate_validates_weights_and_reconstruction():
         check_certificate(shrunk, rho.matrix)
 
 
+def test_certificate_density_is_the_sum_of_kron_terms():
+    """One product of the kron rows gives the per-term sum, up to rounding."""
+    rng = np.random.default_rng(4)
+    alphas = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+    betas = rng.standard_normal((7, 4)) + 1j * rng.standard_normal((7, 4))
+    cert = sk.SeparableCertificate(m=3, n=4, weights=rng.dirichlet(np.ones(7)),
+                                   alphas=alphas / np.linalg.norm(alphas, axis=1)[:, None],
+                                   betas=betas / np.linalg.norm(betas, axis=1)[:, None])
+    terms = [w * np.outer(np.kron(a, b), np.kron(a, b).conj())
+             for w, a, b in zip(cert.weights, cert.alphas, cert.betas)]
+    np.testing.assert_allclose(cert.density(), np.sum(terms, axis=0), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("mat", [np.eye(4) / 4 * (1 + 5e-9),
+                                 np.diag([1 + 0.9e-9, 0, 0, -0.9e-9])],
+                         ids=["trace_1+5e-9", "eigenvalue_-0.9e-9"])
+def test_weight_sum_is_held_to_the_trace(mat):
+    """A valid state's trace is 1 only within STATE_TOL, and an exact
+    decomposition's weights sum to its positive eigenvalues: both states
+    certify at the benchmark budget, and weights scaled by 1 + 1e-7 are
+    still rejected."""
+    rho = sk.density_matrix(2, 2, mat)
+    report = sk.classify(rho, sk.ClassifyConfig(search=SearchConfig(restarts=1, max_iters=200)))
+    assert report.verdict is sk.Verdict.SEPARABLE_CERTIFIED
+    cert = report.certificate
+    check_certificate(cert, rho.matrix)
+    scaled = dataclasses.replace(cert, weights=cert.weights * (1 + 1e-7))
+    with pytest.raises(CertificateError, match="weights sum"):
+        check_certificate(scaled, rho.matrix)
+
+
 def test_emit_and_render_constraints():
     """The exported quadratic system for the 2x4 state, normalized to its
     largest coefficient, is a frozen text block."""

@@ -189,6 +189,29 @@ def test_every_state_is_validated():
         assert isinstance(rho, sk.DensityMatrix)
         sk.density_matrix(rho.m, rho.n, rho.matrix)
 
+
+def test_state_keeps_its_own_read_only_matrix():
+    """Mutating the caller's array after construction changes neither the
+    state's matrix nor what classify reports, and the state's arrays are
+    read-only."""
+    for p in (0.2, 0.8):
+        caller = sk.werner_2x2(p).matrix.copy()
+        rho = sk.density_matrix(2, 2, caller)
+        before = sk.classify(rho)
+        caller[:] = np.eye(4) / 4
+        np.testing.assert_array_equal(rho.matrix, sk.werner_2x2(p).matrix)
+        after = sk.classify(rho)
+        assert (after.verdict, after.entangling_pair) == (before.verdict, before.entangling_pair)
+        assert after.ppt_min_eigenvalue == before.ppt_min_eigenvalue
+        assert after.pairs[0].lambdas.tobytes() == before.pairs[0].lambdas.tobytes()
+        assert (after.certificate is None) == (before.certificate is None)
+        if after.certificate is not None:
+            assert after.certificate.alphas.tobytes() == before.certificate.alphas.tobytes()
+        for arr in (rho.matrix, *rho._eigh):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+
 def test_format_float_round_trips():
     for x in (0.5, 1 / 3, 1e-17, -2.75, 0.1 + 0.2):
         assert float(format_float(x)) == x
