@@ -299,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_search_flags(p):
         p.add_argument("--k", type=_int_at_least(1), default=None,
-                       help="ensemble size (default: schedule)")
+                       help="ensemble size (default: l, 2l, … up to l²; larger k is capped at l²)")
         p.add_argument("--restarts", type=_int_at_least(1), default=None,
                        help="random restarts per size")
         p.add_argument("--seed", type=_int_at_least(0), default=None,

@@ -181,11 +181,17 @@ def pair_reports(x: ScaledEigvecs, m: int, n: int) -> list[SpectralReport]:
         raise ValueError(f"vectors have dimension {x.vectors.shape[1]}, operator needs {m * n}")
     # V = conj(X)[:, rows], one 4-column block per pair.
     r = np.linalg.qr(x.vectors.conj().T[rows].swapaxes(1, 2), mode="r")
+    core = np.linalg.svd(r @ sign @ r.swapaxes(1, 2), compute_uv=False)
     lambdas = np.zeros((len(pairs), x.count))
-    lambdas[:, :r.shape[1]] = np.linalg.svd(r @ sign @ r.swapaxes(1, 2), compute_uv=False)
-    l_primes = np.count_nonzero(lambdas > RANK_TOL, axis=1).tolist()
-    return [SpectralReport(pair=pair, lambdas=lam, l_prime=lp, a_value=a_value(lam, lp))
-            for pair, lam, lp in zip(pairs, lambdas, l_primes)]
+    lambdas[:, :core.shape[1]] = core
+    # Every a_value at once: the nonzero lambdas are a descending prefix of
+    # at most four, and the trailing ones are summed in a_value's order.
+    nz = np.zeros((len(pairs), 4))
+    nz[:, :core.shape[1]] = np.where(core > RANK_TOL, core, 0.0)
+    a_values = (nz[:, 0] - ((nz[:, 1] + nz[:, 2]) + nz[:, 3])).tolist()
+    l_primes = np.count_nonzero(nz, axis=1).tolist()
+    return [SpectralReport(pair=pair, lambdas=lam, l_prime=lp, a_value=a)
+            for pair, lam, lp, a in zip(pairs, lambdas, l_primes, a_values)]
 
 
 def partial_transpose(rho: DensityMatrix) -> np.ndarray:

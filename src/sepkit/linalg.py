@@ -38,14 +38,17 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def _fix_column_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude component is real positive."""
-    v = v.copy()
-    for i in range(v.shape[1]):
-        j = int(np.argmax(np.abs(v[:, i])))
-        pivot = v[j, i]
-        if abs(pivot) > 0:
-            v[:, i] *= np.conj(pivot) / abs(pivot)
-    return v
+    """Rotate each column so its largest-magnitude component is real positive.
+
+    The phase is conj(p) / hypot(p): the modulus of a complex scalar is
+    hypot (the array np.abs can differ in the last bit), and dividing by
+    it as a complex keeps the signed zeros, so the columns equal a
+    per-column conj(p) / abs(p) bit for bit.  A zero column is left alone.
+    """
+    p = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phase = np.where(p != 0, p.conj() / np.hypot(p.real, p.imag), 1.0)
+    return v * phase
 
 
 @dataclass(frozen=True)

@@ -60,10 +60,16 @@ __all__ = [
 class SearchConfig:
     """Budget for the search.
 
-    k = None walks the schedule l, 2l, 4l, ... capped at (mn)^2; an
-    explicit k runs that single ensemble size.  Each size runs `restarts`
-    descents from random orthonormal starts seeded seed + restart index,
-    each of at most max_iters iterations.
+    k = None walks the schedule l, 2l, 4l, ... capped at l^2, for a state
+    of rank l; an explicit k runs that single ensemble size, clipped to
+    l^2.  Each size runs `restarts` descents from random orthonormal
+    starts seeded seed + restart index, each of at most max_iters
+    iterations.
+
+    The cap loses no decomposition: every product vector of one lies in
+    range(rho), so their projectors span at most the l^2 real dimensions
+    of the Hermitian operators on that range, and by Caratheodory l^2 of
+    them suffice.  Zero members pad such a mixture to any k >= l^2.
     """
 
     k: int | None = None
@@ -249,7 +255,9 @@ def _k_schedule(cfg: SearchConfig, l: int, cap: int) -> list[int]:
 def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchReport:
     """Search for an annihilating u; deterministic for fixed (rho, config).
 
-    Runs the k schedule; per size, one descent per seeded random restart.
+    Runs the k schedule l, 2l, 4l, ... up to l^2, the most product terms
+    a rank-l separable state needs (an explicit k is clipped to l^2; see
+    SearchConfig); per size, one descent per seeded random restart.
     Results merge by minimum residual, first-come on ties.  Certificate
     extraction is attempted on every restart that ends at F <=
     _TOL_RESIDUAL, and the first one that yields a checked certificate
@@ -268,7 +276,7 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
         return SearchReport(best_residual=0.0, best_u=np.eye(l, dtype=complex), k=l,
                             restarts_used=0, iterations_used=0, certificate=certificate,
                             rejected_extractions=int(certificate is None))
-    cap = (rho.dim) ** 2
+    cap = l * l
     taus = pair_taus(x, rho.m, rho.n)
 
     best_f = np.inf

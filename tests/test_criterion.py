@@ -170,6 +170,16 @@ def test_pair_reports_match_per_pair_spectra_property(m, n, data, seed):
     assert_reports_match_per_pair_spectra(sk.random_density(m, n, rank=rank, seed=seed))
 
 
+def test_pair_report_a_values_are_a_value_bit_for_bit():
+    """The batched a-values sum the trailing lambdas in a_value's order."""
+    cases = [sk.bound_2x4(), sk.tiles(), sk.bell(), sk.werner_2x2(0.2)]
+    cases += [sk.random_density(m, n, rank=rank, seed=m + n)
+              for m, n in [(2, 2), (2, 3), (3, 4), (8, 8)] for rank in (1, 2, 3, None)]
+    for rho in cases:
+        for rep in pair_reports(scaled_eigvecs(rho), rho.m, rho.n):
+            assert rep.a_value == a_value(rep.lambdas, rep.l_prime)
+
+
 def test_pair_taus_is_the_stacked_tau_matrix():
     """Bit for bit and in enumeration order, from 2x2 to 8x8."""
     cases = [sk.bound_2x4(), sk.tiles(), sk.bell(), sk.random_density(3, 4, rank=2, seed=3),

@@ -42,12 +42,12 @@ CLASSIFY = {
                   (6.502225146782513e-29, 5, 1, 74, 0), W_BOUND),
     "separable": (2, "Inconclusive", None, -1.3425674975420517e-16,
                   [-9.71445146547012e-17, 2.7755575615628914e-16],
-                  (3.207875451202377e-08, 12, 5, 1000, 0), None),
+                  (4.940345361982196e-08, 6, 3, 600, 0), None),
     "one_by_three": (0, "SeparableCertified", None, 0.02124298005579765,
                      [], None, W_ONE_BY_THREE),
     "horodecki": (2, "Inconclusive", None, -4.417635812605136e-18,
                   [-0.04994330475368636, -0.22222222222222218, -0.17693893711513908],
-                  (1.5805668348471963e-05, 64, 5, 1000, 0), None),
+                  (3.6616257903276416e-05, 25, 4, 800, 0), None),
 }
 
 # name: exit, (best residual, k, restarts, iterations, rejected), certificate weights or None
@@ -55,11 +55,11 @@ SEARCH = {
     "werner": (0, (7.745131785251576e-30, 4, 1, 55, 0),
                [0.24999999999999975, 0.2499999999999991, 0.2500000000000002,
                 0.2500000000000008]),
-    "bell": (2, (0.0625, 16, 5, 240, 0), None),
+    "bell": (2, (0.9999999999999986, 1, 1, 1, 0), None),
     "bound_2x4": (0, (6.502225146782513e-29, 5, 1, 74, 0), W_BOUND),
-    "separable": (2, (3.207875451202377e-08, 12, 5, 1000, 0), None),
+    "separable": (2, (4.940345361982196e-08, 6, 3, 600, 0), None),
     "one_by_three": (0, (0.0, 3, 0, 0, 0), W_ONE_BY_THREE),
-    "horodecki": (2, (1.5805668348471963e-05, 64, 5, 1000, 0), None),
+    "horodecki": (2, (3.6616257903276416e-05, 25, 4, 800, 0), None),
 }
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from sepkit.linalg import (
     RankDeficientError,
+    _fix_column_phases,
     hermitian_eig,
     product_svd,
     random_orthonormal_columns,
@@ -47,6 +48,29 @@ def test_hermitian_eig_fixes_column_phases():
         lead = col[np.argmax(np.abs(col))]
         assert abs(lead.imag) <= 1e-12
         assert lead.real > 0
+
+
+def per_column_phases(v):
+    """The per-column reference: the pivot's conj(p) / abs(p), column by column."""
+    v = v.copy()
+    for i in range(v.shape[1]):
+        pivot = v[int(np.argmax(np.abs(v[:, i]))), i]
+        if abs(pivot) > 0:
+            v[:, i] *= np.conj(pivot) / abs(pivot)
+    return v
+
+
+def test_column_phases_match_the_per_column_loop_bit_for_bit():
+    """Signed zeros included: exact-zero entries (block and permuted
+    eigenvectors) and a zero column come out with the loop's bytes."""
+    werner = np.diag([0.3, 0.2, 0.2, 0.3]).astype(complex)
+    werner[1, 2] = werner[2, 1] = -0.1
+    cases = [np.linalg.eigh(_random_hermitian(d, d))[1] for d in (2, 5, 8)]
+    cases += [np.linalg.eigh(werner)[1], np.eye(3)[:, ::-1] * 1j,
+              np.array([[0.0, 1j, -0.5], [0.0, 0.5, 2.0 - 1j]])]
+    for v in cases:
+        v = v[:, ::-1]
+        assert _fix_column_phases(v).tobytes() == per_column_phases(v).tobytes()
 
 
 def test_hermitian_eig_rejects_non_hermitian():

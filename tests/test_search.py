@@ -8,6 +8,7 @@ import pytest
 import sepkit as sk
 import sepkit.search as search_module
 from sepkit.criterion import pair_reports, scaled_eigvecs, tau_matrix
+from sepkit.decompose import MemberCountError
 from sepkit.linalg import random_orthonormal_columns, reorthonormalize
 from sepkit.pairs import pair_operators, pair_residual
 from sepkit.search import (
@@ -149,11 +150,12 @@ def test_minimize_certifies_bound_2x4():
 def test_minimize_cannot_certify_entangled_states():
     """On the maximally entangled state the best the search can do is
     spread the one eigenvector over k members, diluting the residual to
-    1/k at the schedule cap.  No certificate can appear."""
+    1/k.  Bell has rank l = 1, so the schedule stops at k = l^2 = 1 and
+    the residual is the undiluted 1/1.  No certificate can appear."""
     report = minimize(sk.bell(), SearchConfig(restarts=3))
     assert report.certificate is None
-    assert report.k == 16
-    assert report.best_residual == pytest.approx(1 / 16, rel=1e-10)
+    assert report.k == 1
+    assert report.best_residual == pytest.approx(1 / 1, rel=1e-10)
 
 
 def test_minimize_is_deterministic():
@@ -168,8 +170,55 @@ def test_minimize_is_deterministic():
 
 
 def test_minimize_rejects_k_below_rank():
-    with pytest.raises(ValueError, match="below the rank"):
+    with pytest.raises(MemberCountError, match="below the rank"):
         minimize(sk.werner_2x2(0.2), SearchConfig(k=2))
+    with pytest.raises(MemberCountError, match="k = 4 is below the rank l = 5"):
+        minimize(sk.horodecki_2x4(0.5), SearchConfig(k=4))
+
+
+def walked_schedules(monkeypatch, rho, config):
+    """The k schedules minimize asks _k_schedule for, and minimize's report."""
+    seen, real = [], search_module._k_schedule
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(search_module, "_k_schedule", spy)
+    return seen, minimize(rho, config)
+
+
+@pytest.mark.parametrize("rho, schedule", [
+    (sk.bell(), [1]),                                    # l = 1
+    (sk.tiles(), [4, 8, 16]),                            # l = 4 in 3x3
+    (sk.horodecki_2x4(0.5), [5, 10, 20, 25]),            # l = 5 in 2x4
+    (sk.random_separable(2, 3, terms=8, seed=0), [6, 12, 24, 36]),  # full rank
+])
+def test_schedule_doubles_from_the_rank_up_to_its_square(monkeypatch, rho, schedule):
+    """A rank-l separable state mixes at most l^2 products, so the walk stops there."""
+    seen, _ = walked_schedules(monkeypatch, rho, SearchConfig(restarts=1, max_iters=1))
+    assert seen == [schedule]
+
+
+def test_explicit_k_above_the_rank_squared_is_clipped(monkeypatch):
+    rho = sk.random_separable(2, 3, terms=2, seed=0)  # rank 2, so the cap is 4
+    seen, report = walked_schedules(monkeypatch, rho,
+                                    SearchConfig(k=30, restarts=1, max_iters=5))
+    assert seen == [[4]]
+    assert report.k == 4
+
+
+@pytest.mark.parametrize("rho, restarts, iterations, k_max", [
+    (sk.horodecki_2x4(0.5), 4, 800, 25),
+    (sk.tiles(), 3, 600, 16),
+])
+def test_capped_schedule_bounds_the_work_on_ppt_entangled_states(rho, restarts, iterations,
+                                                                  k_max):
+    """At restarts=1, max_iters=200 every size spends the whole budget."""
+    report = minimize(rho, SearchConfig(restarts=1, max_iters=200))
+    assert report.certificate is None
+    assert (report.restarts_used, report.iterations_used) == (restarts, iterations)
+    assert report.k <= k_max
 
 
 @pytest.mark.parametrize("budget", [{"restarts": 0}, {"max_iters": 0}, {"restarts": -1}])
