@@ -265,13 +265,18 @@ class ClassificationReport:
 
 def classify(rho: DensityMatrix, config: ClassifyConfig | None = None,
              basis_override=None) -> ClassificationReport:
-    """Run the pipeline: spectra, pair criterion, partial transpose, then search.
+    """Run the pipeline: spectra, pair criterion, partial transpose, closed
+    forms, then search.
 
     Any pair with a > BOUNDARY_TOL or a partial-transpose eigenvalue below
     -BOUNDARY_TOL proves entanglement; a 1 x n or m x 1 state has no pairs
-    and is never entangled.  Otherwise a separable decomposition is
-    attempted; success yields a verified certificate, failure is reported
-    as inconclusive (never as entangled).
+    and is never entangled.  Otherwise the closed forms come first: the
+    eigen-ensemble of a one-factor or rank-1 state, then the single pair's
+    ensemble on 2 x 2 and decompose.range_decomposition on more pairs,
+    which certifies every state whose ranges pin its decomposition.  Each
+    goes through search.certify; if none certifies, the search runs.
+    Success yields a verified certificate, failure is reported as
+    inconclusive (never as entangled).
     """
     from . import search as _search
 
@@ -293,7 +298,7 @@ def classify(rho: DensityMatrix, config: ClassifyConfig | None = None,
     # Every vector of a one-factor system is a product, so its eigen-ensemble
     # is a certificate; a rank-1 state's eigenvector is one if it is a product.
     cert = _search.certify(x.vectors, rho) if min(rho.m, rho.n) == 1 or x.count == 1 else None
-    if cert is None and len(reports) == 1:
+    if cert is None and reports:
         cert = _constructive_certificate(rho)
     if cert is not None:
         return report(Verdict.SEPARABLE_CERTIFIED, certificate=cert)
@@ -304,12 +309,14 @@ def classify(rho: DensityMatrix, config: ClassifyConfig | None = None,
 
 
 def _constructive_certificate(rho: DensityMatrix):
-    """Exact route for single-pair systems: the pair ensemble is a full decomposition."""
+    """Closed-form routes: the single pair's ensemble is a full decomposition of
+    a 2 x 2 state, and range_decomposition one of a state whose ranges pin it."""
     from . import decompose as _decompose
     from . import search as _search
 
     try:
-        ensemble = _decompose.single_pair_decomposition(rho, enumerate_pairs(rho.m, rho.n)[0])
+        ensemble = (_decompose.single_pair_decomposition(rho, enumerate_pairs(rho.m, rho.n)[0])
+                    if (rho.m, rho.n) == (2, 2) else _decompose.range_decomposition(rho))
     except ValueError:
         return None
     return _search.certify(ensemble.members, rho)

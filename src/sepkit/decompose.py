@@ -1,4 +1,5 @@
-"""Constructive ensembles that annihilate one pair operator.
+"""Constructive ensembles: one pair's annihilating ensemble, and the
+product decomposition that a state's ranges pin down.
 
 Given scaled eigenvectors x_i of rho and a pair operator B, a Takagi
 factorization of tau rotates the x_i into a canonical basis y_i with
@@ -7,6 +8,16 @@ the lambdas close a polygon in the complex plane, and mixing the y_j with
 half the closure phases and the columns of a signed Hadamard-type matrix
 yields 4k pure states z_i that reassemble rho while every <z_i|B|conj(z_i)>
 vanishes.
+
+The range route (P. Horodecki, Phys. Lett. A 232, 333 (1997)) works in
+the real space V of Hermitian X with supp X in range(rho) and supp X^G in
+range(rho^G), G the partial transpose.  Every term |ab><ab| of a product
+decomposition lies in V, since its partial transpose |a b*><a b*| is a
+term of rho^G; a rank-l state's terms span range(rho), so l of their
+projectors are independent and a separable rho has dim V >= l.  When
+dim V = l those l projectors span V, so the l-term decomposition is
+unique, and a generic Hermitian element of V, whitened by rho's spectrum,
+has the terms as its eigenvectors.  (dim V < l proves rho entangled.)
 """
 
 import functools
@@ -15,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criterion import (BOUNDARY_TOL, PRODUCT_TOL, RANK_TOL, ScaledEigvecs, a_value,
-                        scaled_eigvecs, tau_matrix)
+                        partial_transpose, scaled_eigvecs, tau_matrix)
 from .linalg import product_svd, takagi
 from .pairs import PairIndex, PairOperator, build_pair_operator, pair_residual
 from .states import DensityMatrix
@@ -31,6 +42,7 @@ __all__ = [
     "close_polygon",
     "sign_matrix",
     "single_pair_decomposition",
+    "range_decomposition",
     "verify_ensemble",
 ]
 
@@ -204,6 +216,43 @@ def single_pair_decomposition(rho: DensityMatrix, pair: PairIndex,
     signs = sign_matrix(k, l)
     coeff = signs * np.exp(1j * theta)[None, :] / (2.0 * np.sqrt(k))
     return PureEnsemble(members=coeff @ basis.vectors, m=rho.m, n=rho.n)
+
+
+def range_decomposition(rho: DensityMatrix) -> PureEnsemble:
+    """The l product members of a rank-l state, when its ranges pin them.
+
+    With E the unit eigenvectors of rho, V (see the module docstring) is
+    the Hermitian C with X = E C E^H and X^G K = 0, K the kernel of rho^G
+    (eigenvalues <= RANK_TOL).  Over complex C the conditions X^G K = 0
+    and K^H X^G = 0 give V's complexification, the null space of one
+    linear map.  If its dimension is l, the Hermitian part of a fixed
+    seeded generic element is whitened by T^-1/2, T the eigenvalues, and
+    its eigenvectors b_i give the members sum_j b_ji x_j.  They rebuild rho
+    for any unitary b; search.certify checks that they are products.
+    Raises ValueError when rho^G has no kernel or dim V != l.
+    """
+    x = scaled_eigvecs(rho)
+    l, m, n = x.count, rho.m, rho.n
+    w, v = np.linalg.eigh(partial_transpose(rho))
+    kernel = v[:, w <= RANK_TOL].T.reshape(-1, m, n)
+    if kernel.shape[0] == 0:
+        raise ValueError("the partial transpose has no kernel")
+    e = (x.vectors / np.sqrt(x.values)[:, None]).reshape(l, m, n)
+    # As m x n matrices, (e_j e_k^H)^G K_s is E_j K_s^T conj(E_k), and
+    # K_s^H (e_j e_k^H)^G is the conjugate of its (k, j) entry.
+    ek = e[:, None] @ kernel.swapaxes(1, 2)[None]
+    a = (ek[:, None] @ e.conj()[None, :, None]).reshape(l, l, -1)
+    a = np.concatenate([a, a.swapaxes(0, 1).conj()], axis=2).reshape(l * l, -1).T
+    # vh[rank:] spans the null space of c -> a @ c; a wide a needs the full SVD for it.
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+    rank = int(np.count_nonzero(s > RANK_TOL))
+    if l * l - rank != l:
+        raise ValueError(f"dim V = {l * l - rank}, the rank is {l}")
+    coeff = np.random.default_rng(0).standard_normal((2, l))
+    c = ((coeff[0] + 1j * coeff[1]) @ vh[rank:].conj()).reshape(l, l)
+    scale = 1.0 / np.sqrt(x.values)
+    _, b = np.linalg.eigh(scale[:, None] * (c + c.conj().T) * scale[None, :])
+    return PureEnsemble(members=b.T @ x.vectors, m=m, n=n)
 
 
 @dataclass(frozen=True)

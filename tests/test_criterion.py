@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import itertools
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from sepkit.criterion import (
 )
 from sepkit.linalg import hermitian_eig, singular_values
 from sepkit.pairs import pair_operators
-from sepkit.search import SearchConfig
+from sepkit.search import SearchConfig, check_certificate, minimize
 
 # Nonzero entries (1-based) of the three tau matrices of the built-in 2x4
 # state in its reference eigenbasis, together with the resulting spectra.
@@ -388,3 +389,43 @@ def test_classify_never_certifies_bound_entangled_states(rho):
     assert report.verdict is Verdict.INCONCLUSIVE
     assert report.certificate is None
     assert report.search is not None and report.search.certificate is None
+
+
+@pytest.mark.parametrize("rho, search", [
+    (sk.random_separable(2, 3, 8, seed=1), (24, 4, 800, 0)),
+    (sk.bound_2x4(), (5, 1, 74, 0)),
+    (sk.horodecki_2x4(0.5), (25, 4, 800, 0)),
+    (sk.tiles(), (16, 3, 600, 0)),
+], ids=["full_rank", "bound_2x4", "horodecki_b0.5", "tiles"])
+def test_classify_falls_through_to_the_search(rho, search):
+    """Where range_decomposition refuses a state (see test_decompose),
+    classify reports exactly the search it ran before that route existed:
+    the same k, restarts, iterations and rejections, and the report of a
+    direct minimize call."""
+    cfg = SearchConfig(restarts=1, max_iters=200)
+    found = sk.classify(rho, ClassifyConfig(search=cfg)).search
+    assert (found.k, found.restarts_used, found.iterations_used,
+            found.rejected_extractions) == search
+    alone = minimize(rho, cfg)
+    assert found.best_residual == alone.best_residual
+    assert found.best_u.tobytes() == alone.best_u.tobytes()
+
+
+def test_closed_form_routes_certify_low_rank_mixtures():
+    """Completeness floor: every random mixture of rank below mn on 2x3,
+    2x4, 3x3 and 3x4, two seeds each, under a one-iteration search budget,
+    so that only the closed-form routes can certify.  The range route pins
+    38 of these 54 (every rank up to 4, 5, 6 and 8 respectively); before
+    it, none certified."""
+    cfg = ClassifyConfig(search=SearchConfig(restarts=1, max_iters=1))
+    certified = 0
+    for m, n in [(2, 3), (2, 4), (3, 3), (3, 4)]:
+        for terms, seed in itertools.product(range(2, m * n), range(2)):
+            rho = sk.random_separable(m, n, terms, seed=seed)
+            report = sk.classify(rho, cfg)
+            if report.certificate is not None:
+                assert report.search is None
+                assert len(report.certificate.weights) <= terms
+                check_certificate(report.certificate, rho.matrix)
+                certified += 1
+    assert certified >= 38

@@ -1,4 +1,4 @@
-"""Tests for the canonical basis, polygon phases, and annihilating ensembles."""
+"""Tests for the canonical basis, polygon phases, annihilating ensembles and the range route."""
 
 import numpy as np
 import pytest
@@ -10,12 +10,14 @@ from sepkit.decompose import (
     PolygonInfeasibleError,
     canonical_basis,
     close_polygon,
+    range_decomposition,
     sign_matrix,
     single_pair_decomposition,
     verify_ensemble,
 )
 from sepkit.criterion import a_value, scaled_eigvecs
 from sepkit.pairs import PairIndex, pair_operators, pair_residual
+from sepkit.search import certify
 
 SIGN_4 = np.array([
     [1, 1, 1, 1],
@@ -200,3 +202,42 @@ def test_verify_ensemble_flags_corruption():
     bad = verify_ensemble(broken, rho, pair_operators(2, 4)[:1])
     assert bad.reconstruction_error > 1e-3
     assert not bad.ok()
+
+
+@pytest.mark.parametrize("m, n, terms", [(2, 3, 3), (3, 3, 4), (2, 4, 5), (3, 4, 8), (4, 4, 4)])
+def test_range_decomposition_recovers_the_mixture(m, n, terms):
+    """Where dim V = l the decomposition is unique: the l members are the
+    weighted product vectors the state was mixed from, in some order and
+    up to phase, and they rebuild the state to roundoff."""
+    rng = np.random.default_rng(100 * m + 10 * n + terms)
+    weights = rng.dirichlet(np.ones(terms))
+    alphas = rng.standard_normal((terms, m)) + 1j * rng.standard_normal((terms, m))
+    betas = rng.standard_normal((terms, n)) + 1j * rng.standard_normal((terms, n))
+    alphas /= np.linalg.norm(alphas, axis=1, keepdims=True)
+    betas /= np.linalg.norm(betas, axis=1, keepdims=True)
+    psi = np.sqrt(weights)[:, None] * np.einsum("ka,kb->kab", alphas, betas).reshape(terms, -1)
+    rho = sk.density_matrix(m, n, psi.T @ psi.conj())
+    ens = range_decomposition(rho)
+    assert ens.members.shape == (terms, m * n) and (ens.m, ens.n) == (m, n)
+    recon = ens.members.T @ ens.members.conj()
+    assert np.linalg.norm(recon - rho.matrix) <= 1e-12
+    # Each member's projector is one term's w_i |a_i b_i><a_i b_i|.
+    proj_z, proj_psi = (np.einsum("ka,kb->kab", v, v.conj()) for v in (ens.members, psi))
+    dist = np.linalg.norm(proj_z[:, None] - proj_psi[None], axis=(2, 3))
+    assert sorted(np.argmin(dist, axis=1)) == list(range(terms))
+    assert np.max(np.min(dist, axis=1)) <= 1e-12
+    assert len(certify(ens.members, rho).weights) == terms
+
+
+@pytest.mark.parametrize("rho, message", [
+    (sk.random_separable(2, 3, 8, seed=1), "no kernel"),
+    (sk.bound_2x4(), "dim V = 9, the rank is 5"),
+    (sk.horodecki_2x4(0.5), "dim V = 1, the rank is 5"),
+    (sk.tiles(), "dim V = 1, the rank is 4"),
+], ids=["full_rank", "bound_2x4", "horodecki_b0.5", "tiles"])
+def test_range_decomposition_refuses_states_its_ranges_do_not_pin(rho, message):
+    """A full-rank mixture leaves rho^G no kernel; bound_2x4 has more than
+    its five terms' worth of V; the PPT-entangled states have only rho's
+    own direction in V, which proves them entangled (dim V < l)."""
+    with pytest.raises(ValueError, match=message):
+        range_decomposition(rho)

@@ -28,6 +28,7 @@ W_WERNER = [0.24999999999999997] * 4
 W_BOUND = [0.19999999999999846, 0.20000000000000104, 0.1999999999999993,
            0.19999999999999984, 0.20000000000000145]
 W_ONE_BY_THREE = [0.8889452598500943, 0.08981176009410848, 0.021242980055797507]
+W_SEPARABLE = [0.04564996889225684, 0.795545549430943, 0.15880448167679978]
 
 # name: exit, verdict, entangling pair, ppt min, a-values,
 #       search (best residual, k, restarts, iterations, rejected) or None,
@@ -40,9 +41,8 @@ CLASSIFY = {
     "bound_2x4": (0, "SeparableCertified", None, 0.0,
                   [0.0, -0.2500000000000001, -0.2500000000000001],
                   (6.502225146782513e-29, 5, 1, 74, 0), W_BOUND),
-    "separable": (2, "Inconclusive", None, -1.3425674975420517e-16,
-                  [-9.71445146547012e-17, 2.7755575615628914e-16],
-                  (4.940345361982196e-08, 6, 3, 600, 0), None),
+    "separable": (0, "SeparableCertified", None, -1.3425674975420517e-16,
+                  [-9.71445146547012e-17, 2.7755575615628914e-16], None, W_SEPARABLE),
     "one_by_three": (0, "SeparableCertified", None, 0.02124298005579765,
                      [], None, W_ONE_BY_THREE),
     "horodecki": (2, "Inconclusive", None, -4.417635812605136e-18,
