@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import criterion, decompose, search, states
+from . import criterion, decompose, linalg, search, states
 from .pairs import enumerate_pairs, pair_operators
 
 EXIT_SEPARABLE = 0
@@ -180,11 +180,11 @@ def _cmd_classify(args, out, err) -> int:
 def _cmd_spectrum(args, out, err) -> int:
     rho = _read_state(args.file)
     basis = _resolve_basis(args, rho)
-    x = criterion.scaled_eigvecs(rho, basis_override=basis)
+    x = linalg.scaled_eigvecs(rho, basis_override=basis)
     reports = criterion.pair_reports(x, rho.m, rho.n)
     payload = {"eigenvalues": [float(v) for v in x.values], "pairs": _pair_rows(reports)}
     if args.json:  # a 1 x n or m x 1 state has no pairs and so no taus
-        taus = criterion.pair_taus(x, rho.m, rho.n) if reports else []
+        taus = search.pair_taus(x, rho.m, rho.n) if reports else []
         payload["taus"] = [[[f"{z.real:.17g}", f"{z.imag:.17g}"] for z in tau.reshape(-1)]
                            for tau in taus]
     human = ["pair  p  q  a_value        lambdas"]
@@ -192,7 +192,7 @@ def _cmd_spectrum(args, out, err) -> int:
         lam = " ".join(f"{v:.12g}" for v in rep.lambdas)
         human.append(f"{i:<5d} {rep.pair.p:<2d} {rep.pair.q:<2d} {rep.a_value:<14.6g} {lam}")
     _emit(args, payload, human, out)
-    entangled = any(rep.a_value > criterion.BOUNDARY_TOL for rep in reports)
+    entangled = any(rep.a_value > states.BOUNDARY_TOL for rep in reports)
     return EXIT_ENTANGLED if entangled else EXIT_INCONCLUSIVE
 
 
@@ -201,7 +201,7 @@ def _cmd_ppt(args, out, err) -> int:
     value = criterion.ppt_min_eigenvalue(rho)
     _emit(args, {"ppt_min_eigenvalue": value},
           [f"ppt min eigenvalue: {value:.12g}"], out)
-    return EXIT_ENTANGLED if value < -criterion.BOUNDARY_TOL else EXIT_INCONCLUSIVE
+    return EXIT_ENTANGLED if value < -states.BOUNDARY_TOL else EXIT_INCONCLUSIVE
 
 
 def _cmd_pairs(args, out, err) -> int:
@@ -266,7 +266,7 @@ def _cmd_search(args, out, err) -> int:
 def _cmd_emit_constraints(args, out, err) -> int:
     rho = _read_state(args.file)
     basis = _resolve_basis(args, rho)
-    x = criterion.scaled_eigvecs(rho, basis_override=basis)
+    x = linalg.scaled_eigvecs(rho, basis_override=basis)
     cs = search.emit_constraints(x, rho.m, rho.n)
     text = search.render_constraints(cs)
     if args.json:

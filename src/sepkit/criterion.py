@@ -9,112 +9,41 @@ for the singular values of tau, separability requires
 
 for every pair, where l' counts the nonzero lambdas.  B has four
 nonzero entries, so tau has rank <= 4 and its nonzero lambdas are those
-of a 4 x 4 core (pair_reports); only pair_taus stacks tau_matrix
-into the (P, l, l) array the search reads.  The partial transpose test
-runs alongside as an independent witness.
+of a 4 x 4 core (pair_reports), and no tau is built here: only
+search.pair_taus stacks pairs.tau_matrix into the (P, l, l) array the
+search reads.  The partial transpose test runs alongside as an
+independent witness.
+
+classify runs the whole chain: this pair criterion, then decompose's
+closed forms, then the search.  So criterion sits above decompose and
+search, and the primitives all three share live below them.
 """
 
 import enum
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import descending_eig, product_svd, singular_values
+from . import decompose, search
+from .linalg import ScaledEigvecs, product_svd, scaled_eigvecs, singular_values
 from .linalg import hermitian_eig  # noqa: F401 (traced by perfbench)
-from .pairs import PairIndex, PairOperator, enumerate_pairs, pair_operators
-from .states import BOUNDARY_TOL, DensityMatrix
+from .pairs import PairIndex, enumerate_pairs, pair_operators
+from .pairs import tau_matrix  # noqa: F401 (traced by perfbench)
+from .search import SearchConfig, SearchReport, SeparableCertificate
+from .states import BOUNDARY_TOL, PRODUCT_TOL, RANK_TOL, DensityMatrix, partial_transpose
 
 __all__ = [
-    "RANK_TOL",
-    "BOUNDARY_TOL",
-    "PRODUCT_TOL",
-    "RECON_TOL",
-    "ScaledEigvecs",
     "SpectralReport",
     "Verdict",
     "ClassifyConfig",
     "ClassificationReport",
-    "scaled_eigvecs",
-    "tau_matrix",
-    "pair_taus",
     "pair_spectrum",
-    "a_value",
     "pair_reports",
-    "partial_transpose",
     "ppt_min_eigenvalue",
     "pure_product_check",
-    "pair_concurrence_2x2",
     "classify",
 ]
-
-# The tolerances of sepkit's decisions, each defined once (BOUNDARY_TOL in states):
-RANK_TOL = 1e-10      # an eigenvalue of rho or a lambda at or below it is zero
-PRODUCT_TOL = 1e-6    # a member is a product when s2 <= PRODUCT_TOL * s1
-RECON_TOL = 1e-8      # a mixture rebuilds rho when ||mixture - rho||_F <= it
-
-
-@dataclass(frozen=True)
-class ScaledEigvecs:
-    """Rows are eigenvectors of rho scaled by sqrt(eigenvalue); <x_i|x_j> = t_i delta_ij."""
-
-    vectors: np.ndarray
-    values: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return int(self.values.shape[0])
-
-
-def scaled_eigvecs(rho: DensityMatrix, basis_override=None) -> ScaledEigvecs:
-    """Scaled eigenvectors of rho for its eigenvalues above RANK_TOL.
-
-    ``basis_override`` supplies the rows directly (e.g. a fixed gauge for
-    a degenerate spectrum); it is validated against rho: the Gram matrix
-    must be diag(norms^2), the norms^2 must match rho's nonzero spectrum
-    as a multiset, and the rows must reassemble rho.  The spectrum is the
-    one rho was validated with, so no second eigendecomposition is made,
-    and only the kept eigenvectors get hermitian_eig's phase convention:
-    they equal its columns bit for bit.
-    """
-    w, v = rho._eigh
-    # Ascending, so the eigenvalues above RANK_TOL are the last ones.
-    zero = int(np.count_nonzero(w <= RANK_TOL))
-    eig = descending_eig(w[zero:], v[:, zero:])
-    t = eig.eigenvalues
-
-    if basis_override is not None:
-        x = np.asarray(basis_override, dtype=complex)
-        if x.ndim != 2 or x.shape[1] != rho.dim:
-            raise ValueError(f"override shape {x.shape} does not match dimension {rho.dim}")
-        gram = x @ x.conj().T
-        norms = np.diagonal(gram).real.copy()
-        if np.linalg.norm(gram - np.diag(norms)) > 1e-10:
-            raise ValueError("override vectors are not orthogonal within tolerance")
-        if x.shape[0] != t.shape[0] or np.linalg.norm(np.sort(norms) - np.sort(t)) > 1e-8:
-            raise ValueError("override norms do not match the nonzero spectrum of rho")
-        recon = np.einsum("ia,ib->ab", x, x.conj())
-        if np.linalg.norm(recon - rho.matrix) > 1e-8:
-            raise ValueError("override vectors do not reassemble rho")
-        return ScaledEigvecs(vectors=x, values=norms)
-
-    return ScaledEigvecs(vectors=(eig.eigenvectors * np.sqrt(t)[None, :]).T, values=t)
-
-
-def tau_matrix(x: ScaledEigvecs, b: PairOperator) -> np.ndarray:
-    """Complex symmetric l x l matrix tau[i, j] = x_i^dag B conj(x_j)."""
-    if x.vectors.shape[1] != b.m * b.n:
-        raise ValueError(f"vectors have dimension {x.vectors.shape[1]}, operator needs {b.m * b.n}")
-    xc = x.vectors.conj()
-    tau = np.zeros((x.count, x.count), dtype=complex)
-    for row, col, val in b.entries:
-        tau += val * np.outer(xc[:, row - 1], xc[:, col - 1])
-    return (tau + tau.T) / 2.0
-
-
-def pair_taus(x: ScaledEigvecs, m: int, n: int) -> np.ndarray:
-    """The (P, l, l) stack of every pair's tau_matrix, in enumeration order."""
-    return np.array([tau_matrix(x, b) for b in pair_operators(m, n)])
 
 
 def pair_spectrum(tau) -> tuple[np.ndarray, int]:
@@ -127,16 +56,6 @@ def pair_spectrum(tau) -> tuple[np.ndarray, int]:
         raise ValueError("tau must be complex symmetric")
     lambdas = singular_values(tau)
     return lambdas, int(np.sum(lambdas > RANK_TOL))
-
-
-def a_value(lambdas, l_prime: int) -> float:
-    """lambda_1 minus the sum of the remaining nonzero lambdas (0 when l' = 0)."""
-    lambdas = np.asarray(lambdas, dtype=float)
-    if l_prime < 0 or l_prime > lambdas.shape[0]:
-        raise ValueError(f"l_prime {l_prime} out of range for {lambdas.shape[0]} lambdas")
-    if l_prime == 0:
-        return 0.0
-    return float(lambdas[0] - np.sum(lambdas[1:l_prime]))
 
 
 @dataclass(frozen=True)
@@ -194,15 +113,6 @@ def pair_reports(x: ScaledEigvecs, m: int, n: int) -> list[SpectralReport]:
             for pair, lam, lp, a in zip(pairs, lambdas, l_primes, a_values)]
 
 
-def partial_transpose(rho: DensityMatrix) -> np.ndarray:
-    """Transpose the second factor: entry ((a,mu),(b,nu)) becomes ((a,nu),(b,mu)).
-
-    Transposing the first factor gives the full transpose, with the same spectrum.
-    """
-    r = rho.matrix.reshape(rho.m, rho.n, rho.m, rho.n)
-    return r.transpose(0, 3, 2, 1).reshape(rho.dim, rho.dim)
-
-
 def ppt_min_eigenvalue(rho: DensityMatrix) -> float:
     """Least eigenvalue of the partial transpose's Hermitian part; negative proves entanglement."""
     pt = partial_transpose(rho)
@@ -224,19 +134,6 @@ def pure_product_check(psi, m: int, n: int) -> bool:
     return min(m, n) == 1 or bool(s[1] <= PRODUCT_TOL * s[0])
 
 
-def pair_concurrence_2x2(rho: DensityMatrix) -> float:
-    """The a value of a 2x2 state's single pair.
-
-    Coincides with the concurrence combination lambda_1 - lambda_2 -
-    lambda_3 - lambda_4 (its positive part is the concurrence).
-    """
-    if (rho.m, rho.n) != (2, 2):
-        raise ValueError(f"defined for 2x2 states only, got ({rho.m}, {rho.n})")
-    x = scaled_eigvecs(rho)
-    [report] = pair_reports(x, 2, 2)
-    return report.a_value
-
-
 class Verdict(enum.Enum):
     SEPARABLE_CERTIFIED = "SeparableCertified"
     ENTANGLED_BY_PAIR_CRITERION = "EntangledByPairCriterion"
@@ -248,7 +145,7 @@ class Verdict(enum.Enum):
 class ClassifyConfig:
     """Search budget for the classification pipeline; the tolerances are the module's."""
 
-    search: "object | None" = None  # SearchConfig; defaulted in minimize
+    search: SearchConfig | None = None  # defaulted in minimize
 
 
 @dataclass(frozen=True)
@@ -259,8 +156,8 @@ class ClassificationReport:
     ppt_min_eigenvalue: float
     pairs: list[SpectralReport]
     entangling_pair: int | None = None
-    certificate: "object | None" = None  # SeparableCertificate
-    search: "object | None" = None  # SearchReport
+    certificate: SeparableCertificate | None = None
+    search: SearchReport | None = None
 
 
 def classify(rho: DensityMatrix, config: ClassifyConfig | None = None,
@@ -278,8 +175,6 @@ def classify(rho: DensityMatrix, config: ClassifyConfig | None = None,
     Success yields a verified certificate, failure is reported as
     inconclusive (never as entangled).
     """
-    from . import search as _search
-
     cfg = config or ClassifyConfig()
     x = scaled_eigvecs(rho, basis_override=basis_override)
     ppt_min = ppt_min_eigenvalue(rho)
@@ -297,26 +192,23 @@ def classify(rho: DensityMatrix, config: ClassifyConfig | None = None,
 
     # Every vector of a one-factor system is a product, so its eigen-ensemble
     # is a certificate; a rank-1 state's eigenvector is one if it is a product.
-    cert = _search.certify(x.vectors, rho) if min(rho.m, rho.n) == 1 or x.count == 1 else None
+    cert = search.certify(x.vectors, rho) if min(rho.m, rho.n) == 1 or x.count == 1 else None
     if cert is None and reports:
         cert = _constructive_certificate(rho)
     if cert is not None:
         return report(Verdict.SEPARABLE_CERTIFIED, certificate=cert)
 
-    found = _search.minimize(rho, cfg.search)
+    found = search.minimize(rho, cfg.search)
     verdict = Verdict.INCONCLUSIVE if found.certificate is None else Verdict.SEPARABLE_CERTIFIED
     return report(verdict, certificate=found.certificate, search=found)
 
 
-def _constructive_certificate(rho: DensityMatrix):
+def _constructive_certificate(rho: DensityMatrix) -> SeparableCertificate | None:
     """Closed-form routes: the single pair's ensemble is a full decomposition of
     a 2 x 2 state, and range_decomposition one of a state whose ranges pin it."""
-    from . import decompose as _decompose
-    from . import search as _search
-
     try:
-        ensemble = (_decompose.single_pair_decomposition(rho, enumerate_pairs(rho.m, rho.n)[0])
-                    if (rho.m, rho.n) == (2, 2) else _decompose.range_decomposition(rho))
+        ensemble = (decompose.single_pair_decomposition(rho, enumerate_pairs(rho.m, rho.n)[0])
+                    if (rho.m, rho.n) == (2, 2) else decompose.range_decomposition(rho))
     except ValueError:
         return None
-    return _search.certify(ensemble.members, rho)
+    return search.certify(ensemble.members, rho)

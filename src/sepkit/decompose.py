@@ -25,11 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import (BOUNDARY_TOL, PRODUCT_TOL, RANK_TOL, ScaledEigvecs, a_value,
-                        partial_transpose, scaled_eigvecs, tau_matrix)
-from .linalg import product_svd, takagi
-from .pairs import PairIndex, PairOperator, build_pair_operator, pair_residual
-from .states import DensityMatrix
+from .linalg import ScaledEigvecs, product_svd, scaled_eigvecs, takagi
+from .pairs import PairIndex, PairOperator, build_pair_operator, pair_residual, tau_matrix
+from .states import BOUNDARY_TOL, RANK_TOL, DensityMatrix, partial_transpose
 
 __all__ = [
     "PolygonInfeasibleError",
@@ -38,6 +36,7 @@ __all__ = [
     "CanonicalBasis",
     "PureEnsemble",
     "EnsembleReport",
+    "a_value",
     "canonical_basis",
     "close_polygon",
     "sign_matrix",
@@ -66,6 +65,16 @@ class CanonicalBasis:
 
     vectors: np.ndarray
     lambdas: np.ndarray
+
+
+def a_value(lambdas, l_prime: int) -> float:
+    """lambda_1 minus the sum of the remaining nonzero lambdas (0 when l' = 0)."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    if l_prime < 0 or l_prime > lambdas.shape[0]:
+        raise ValueError(f"l_prime {l_prime} out of range for {lambdas.shape[0]} lambdas")
+    if l_prime == 0:
+        return 0.0
+    return float(lambdas[0] - np.sum(lambdas[1:l_prime]))
 
 
 def canonical_basis(x: ScaledEigvecs, b: PairOperator) -> CanonicalBasis:
@@ -262,12 +271,6 @@ class EnsembleReport:
     reconstruction_error: float
     max_pair_residual: float
     member_product_errors: np.ndarray
-
-    def ok(self) -> bool:
-        """Errors and residuals <= 1e-10 and every member a product within PRODUCT_TOL."""
-        return (self.reconstruction_error <= 1e-10
-                and self.max_pair_residual <= 1e-10
-                and bool(np.all(self.member_product_errors <= PRODUCT_TOL)))
 
 
 def verify_ensemble(ensemble: PureEnsemble, rho: DensityMatrix,

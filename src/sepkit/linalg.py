@@ -1,21 +1,24 @@
 """Dense complex linear algebra kernel.
 
-Hermitian eigendecompositions with a fixed phase convention, Takagi
-factorization of complex symmetric matrices, and orthonormal-column
-helpers used by the spectral tests and the search.
+Hermitian eigendecompositions with a fixed phase convention, a state's
+scaled eigenvectors, Takagi factorization of complex symmetric
+matrices, and orthonormal-column helpers used by the spectral tests and
+the search.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .states import STATE_TOL
+from .states import RANK_TOL, STATE_TOL, DensityMatrix
 
 __all__ = [
     "HermitianEig",
     "TakagiResult",
+    "ScaledEigvecs",
     "RankDeficientError",
     "hermitian_eig",
+    "scaled_eigvecs",
     "takagi",
     "singular_values",
     "product_svd",
@@ -87,6 +90,53 @@ def hermitian_eig(h) -> HermitianEig:
 def descending_eig(w: np.ndarray, v: np.ndarray) -> HermitianEig:
     """hermitian_eig's result from numpy's ascending eigh output (w, v)."""
     return HermitianEig(eigenvalues=w[::-1], eigenvectors=_fix_column_phases(v[:, ::-1]))
+
+
+@dataclass(frozen=True)
+class ScaledEigvecs:
+    """Rows are eigenvectors of rho scaled by sqrt(eigenvalue); <x_i|x_j> = t_i delta_ij."""
+
+    vectors: np.ndarray
+    values: np.ndarray
+
+    @property
+    def count(self) -> int:
+        return int(self.values.shape[0])
+
+
+def scaled_eigvecs(rho: DensityMatrix, basis_override=None) -> ScaledEigvecs:
+    """Scaled eigenvectors of rho for its eigenvalues above RANK_TOL.
+
+    ``basis_override`` supplies the rows directly (e.g. a fixed gauge for
+    a degenerate spectrum); it is validated against rho: the Gram matrix
+    must be diag(norms^2), the norms^2 must match rho's nonzero spectrum
+    as a multiset, and the rows must reassemble rho.  The spectrum is the
+    one rho was validated with, so no second eigendecomposition is made,
+    and only the kept eigenvectors get hermitian_eig's phase convention:
+    they equal its columns bit for bit.
+    """
+    w, v = rho._eigh
+    # Ascending, so the eigenvalues above RANK_TOL are the last ones.
+    zero = int(np.count_nonzero(w <= RANK_TOL))
+    eig = descending_eig(w[zero:], v[:, zero:])
+    t = eig.eigenvalues
+
+    if basis_override is not None:
+        x = np.asarray(basis_override, dtype=complex)
+        if x.ndim != 2 or x.shape[1] != rho.dim:
+            raise ValueError(f"override shape {x.shape} does not match dimension {rho.dim}")
+        gram = x @ x.conj().T
+        norms = np.diagonal(gram).real.copy()
+        if np.linalg.norm(gram - np.diag(norms)) > 1e-10:
+            raise ValueError("override vectors are not orthogonal within tolerance")
+        if x.shape[0] != t.shape[0] or np.linalg.norm(np.sort(norms) - np.sort(t)) > 1e-8:
+            raise ValueError("override norms do not match the nonzero spectrum of rho")
+        recon = np.einsum("ia,ib->ab", x, x.conj())
+        if np.linalg.norm(recon - rho.matrix) > 1e-8:
+            raise ValueError("override vectors do not reassemble rho")
+        return ScaledEigvecs(vectors=x, values=norms)
+
+    return ScaledEigvecs(vectors=(eig.eigenvectors * np.sqrt(t)[None, :]).T, values=t)
 
 
 def singular_values(m) -> np.ndarray:

@@ -5,12 +5,16 @@ A pure state on an m x n system, reshaped to its coefficient matrix A
 are parallel, i.e. when every 2x2 minor anchored at A[1,1] vanishes.
 Each anchored minor (p, q) is encoded as a symmetric sign matrix B with
 four nonzero entries; the bilinear residual psi^dag B conj(psi) equals
-twice the conjugated minor and vanishes on product states.
+twice the conjugated minor and vanishes on product states.  On a
+state's scaled eigenvectors each B gives the complex symmetric matrix
+tau_matrix that the decompositions and the search read.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .linalg import ScaledEigvecs
 
 __all__ = [
     "PairIndex",
@@ -21,6 +25,7 @@ __all__ = [
     "pair_operators",
     "tilde",
     "pair_residual",
+    "tau_matrix",
 ]
 
 
@@ -116,3 +121,14 @@ def pair_residual(b: PairOperator, psi) -> complex:
     """psi^dag B conj(psi) = 2 (conj(A[1,q] A[p,1]) - conj(A[1,1] A[p,q]))."""
     v = _check_vector(b, psi)
     return complex(np.vdot(v, tilde(b, v)))
+
+
+def tau_matrix(x: ScaledEigvecs, b: PairOperator) -> np.ndarray:
+    """Complex symmetric l x l matrix tau[i, j] = x_i^dag B conj(x_j)."""
+    if x.vectors.shape[1] != b.m * b.n:
+        raise ValueError(f"vectors have dimension {x.vectors.shape[1]}, operator needs {b.m * b.n}")
+    xc = x.vectors.conj()
+    tau = np.zeros((x.count, x.count), dtype=complex)
+    for row, col, val in b.entries:
+        tau += val * np.outer(xc[:, row - 1], xc[:, col - 1])
+    return (tau + tau.T) / 2.0

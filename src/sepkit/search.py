@@ -29,12 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import PRODUCT_TOL, RECON_TOL, ScaledEigvecs, pair_taus, scaled_eigvecs
-from .criterion import tau_matrix  # noqa: F401 (traced by perfbench)
 from .decompose import MemberCountError
-from .linalg import product_svd, random_orthonormal_columns, reorthonormalize  # noqa: F401
-from .pairs import PairIndex, pair_operators
-from .states import STATE_TOL, DensityMatrix, format_float
+from .linalg import ScaledEigvecs, product_svd, random_orthonormal_columns, scaled_eigvecs
+from .linalg import reorthonormalize  # noqa: F401 (traced by perfbench)
+from .pairs import PairIndex, pair_operators, tau_matrix
+from .states import PRODUCT_TOL, RECON_TOL, STATE_TOL, DensityMatrix, format_float
 
 __all__ = [
     "SearchConfig",
@@ -43,6 +42,7 @@ __all__ = [
     "CertificateError",
     "ConstraintSystem",
     "PairConstraints",
+    "pair_taus",
     "joint_residual",
     "residual_gradient",
     "minimize",
@@ -52,7 +52,6 @@ __all__ = [
     "certify",
     "emit_constraints",
     "render_constraints",
-    "evaluate_constraints",
 ]
 
 
@@ -117,6 +116,11 @@ class SearchReport:
     iterations_used: int
     certificate: SeparableCertificate | None
     rejected_extractions: int
+
+
+def pair_taus(x: ScaledEigvecs, m: int, n: int) -> np.ndarray:
+    """The (P, l, l) stack of every pair's tau_matrix, in enumeration order."""
+    return np.array([tau_matrix(x, b) for b in pair_operators(m, n)])
 
 
 def _stack_taus(taus) -> np.ndarray:
@@ -264,11 +268,14 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
     ends the search; the others are counted as rejected extractions.  A
     1 x n or m x 1 state has no pairs, and its eigen-ensemble (u = I) is
     the certificate.  Raises ValueError when restarts or max_iters is
-    below 1, and MemberCountError when an explicit k is below the rank.
+    below 1 or seed is negative, and MemberCountError when an explicit k
+    is below the rank.
     """
     cfg = config or SearchConfig()
     if cfg.restarts < 1 or cfg.max_iters < 1:
         raise ValueError(f"restarts and max_iters must be >= 1: {cfg.restarts}, {cfg.max_iters}")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {cfg.seed}")
     x = scaled_eigvecs(rho)
     l = x.count
     if min(rho.m, rho.n) == 1:
@@ -403,19 +410,6 @@ def emit_constraints(x: ScaledEigvecs, m: int, n: int) -> ConstraintSystem:
                     terms.append((j + 1, jp + 1, complex(w)))
         systems.append(PairConstraints(pair=b.pair, terms=tuple(terms)))
     return ConstraintSystem(m=m, n=n, count=x.count, pairs=tuple(systems))
-
-
-def evaluate_constraints(cs: ConstraintSystem, u) -> np.ndarray:
-    """Substitute the rows of u: out[r, i] = sum_{j<=j'} w_jj' conj(u_ij u_ij').
-
-    Equals the member residuals <z_i| B^r |conj(z_i)> exactly.
-    """
-    u = np.asarray(u, dtype=complex)
-    out = np.zeros((len(cs.pairs), u.shape[0]), dtype=complex)
-    for r, pc in enumerate(cs.pairs):
-        for j, jp, w in pc.terms:
-            out[r] += w * np.conj(u[:, j - 1] * u[:, jp - 1])
-    return out
 
 
 def render_constraints(cs: ConstraintSystem) -> str:

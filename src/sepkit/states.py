@@ -1,4 +1,5 @@
-"""Bipartite density matrices: validated container, state zoo, file format.
+"""Bipartite density matrices: validated container, state zoo, file format,
+the partial transpose, and every tolerance of sepkit's decisions.
 
 The text format is line-oriented: a header ``dims m n`` followed by
 mn rows of mn whitespace-separated ``re,im`` entries, each number
@@ -11,9 +12,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "RANK_TOL",
+    "BOUNDARY_TOL",
+    "PRODUCT_TOL",
+    "RECON_TOL",
     "DensityMatrix",
     "StateFormatError",
     "density_matrix",
+    "partial_transpose",
     "bound_2x4",
     "bound_2x4_basis",
     "horodecki_2x4",
@@ -33,8 +39,12 @@ class StateFormatError(ValueError):
     """Malformed state file; the message carries the offending line number."""
 
 
+# The tolerances of sepkit's decisions, each defined once:
 STATE_TOL = 1e-8      # Hermiticity and trace tolerance of every state
 BOUNDARY_TOL = 1e-9   # eigenvalues >= -it; a > it, or a PT eigenvalue < -it, proves entanglement
+RANK_TOL = 1e-10      # an eigenvalue of rho or a lambda at or below it is zero
+PRODUCT_TOL = 1e-6    # a member is a product when s2 <= PRODUCT_TOL * s1
+RECON_TOL = 1e-8      # a mixture rebuilds rho when ||mixture - rho||_F <= it
 
 
 def _check_dims(m: int, n: int) -> None:
@@ -86,6 +96,15 @@ class DensityMatrix:
 def density_matrix(m: int, n: int, matrix) -> DensityMatrix:
     """Validate and wrap a density matrix; DensityMatrix states the checks."""
     return DensityMatrix(m=m, n=n, matrix=matrix)
+
+
+def partial_transpose(rho: DensityMatrix) -> np.ndarray:
+    """Transpose the second factor: entry ((a,mu),(b,nu)) becomes ((a,nu),(b,mu)).
+
+    Transposing the first factor gives the full transpose, with the same spectrum.
+    """
+    r = rho.matrix.reshape(rho.m, rho.n, rho.m, rho.n)
+    return r.transpose(0, 3, 2, 1).reshape(rho.dim, rho.dim)
 
 
 def bound_2x4() -> DensityMatrix:

@@ -17,20 +17,16 @@ import pytest
 
 import sepkit as sk
 from sepkit.cli import run_cli
-from sepkit.criterion import (
-    a_value,
-    pair_reports,
-    scaled_eigvecs,
-    tau_matrix,
-)
+from sepkit.criterion import pair_reports
 from sepkit.decompose import (
     PolygonInfeasibleError,
+    a_value,
     close_polygon,
     sign_matrix,
     single_pair_decomposition,
 )
-from sepkit.linalg import random_orthonormal_columns
-from sepkit.pairs import pair_operators, pair_residual
+from sepkit.linalg import random_orthonormal_columns, scaled_eigvecs
+from sepkit.pairs import pair_operators, pair_residual, tau_matrix
 from sepkit.search import (
     SearchConfig,
     SeparableCertificate,

@@ -10,21 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sepkit as sk
-from sepkit.criterion import (
-    BOUNDARY_TOL,
-    RANK_TOL,
-    ClassifyConfig,
-    Verdict,
-    a_value,
-    pair_reports,
-    pair_spectrum,
-    pair_taus,
-    scaled_eigvecs,
-    tau_matrix,
-)
-from sepkit.linalg import hermitian_eig, singular_values
-from sepkit.pairs import pair_operators
-from sepkit.search import SearchConfig, check_certificate, minimize
+from sepkit.criterion import ClassifyConfig, Verdict, pair_reports, pair_spectrum
+from sepkit.decompose import a_value
+from sepkit.linalg import hermitian_eig, scaled_eigvecs, singular_values
+from sepkit.pairs import pair_operators, tau_matrix
+from sepkit.search import SearchConfig, check_certificate, minimize, pair_taus
+from sepkit.states import BOUNDARY_TOL, RANK_TOL
 
 # Nonzero entries (1-based) of the three tau matrices of the built-in 2x4
 # state in its reference eigenbasis, together with the resulting spectra.
@@ -293,14 +284,17 @@ def test_tolerances_are_constants():
 
 
 def test_pair_concurrence_2x2():
-    assert sk.pair_concurrence_2x2(sk.bell()) == pytest.approx(1.0, abs=1e-12)
+    """The single pair's a value of a 2x2 state is the concurrence combination
+    lambda_1 - lambda_2 - lambda_3 - lambda_4."""
+    def a(rho):
+        return pair_reports(scaled_eigvecs(rho), 2, 2)[0].a_value
+
+    assert a(sk.bell()) == pytest.approx(1.0, abs=1e-12)
     mixed = sk.density_matrix(2, 2, np.eye(4) / 4)
-    assert sk.pair_concurrence_2x2(mixed) == pytest.approx(-0.5, abs=1e-12)
+    assert a(mixed) == pytest.approx(-0.5, abs=1e-12)
     pure00 = np.zeros((4, 4))
     pure00[0, 0] = 1.0
-    assert sk.pair_concurrence_2x2(sk.density_matrix(2, 2, pure00)) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError, match="2x2"):
-        sk.pair_concurrence_2x2(sk.bound_2x4())
+    assert a(sk.density_matrix(2, 2, pure00)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_classify_entangled_by_pair_criterion():

@@ -15,9 +15,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sepkit as sk
-from sepkit.criterion import BOUNDARY_TOL, ClassifyConfig, Verdict
+from sepkit.criterion import ClassifyConfig, Verdict
 from sepkit.decompose import range_decomposition
 from sepkit.search import SearchConfig, certify, check_certificate, minimize
+from sepkit.states import BOUNDARY_TOL
 
 BUDGET = SearchConfig(restarts=1, max_iters=50)
 SEEDS = st.integers(0, 2**32 - 1)

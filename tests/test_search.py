@@ -7,10 +7,10 @@ import pytest
 
 import sepkit as sk
 import sepkit.search as search_module
-from sepkit.criterion import pair_reports, scaled_eigvecs, tau_matrix
+from sepkit.criterion import pair_reports
 from sepkit.decompose import MemberCountError
-from sepkit.linalg import random_orthonormal_columns, reorthonormalize
-from sepkit.pairs import pair_operators, pair_residual
+from sepkit.linalg import random_orthonormal_columns, reorthonormalize, scaled_eigvecs
+from sepkit.pairs import pair_operators, pair_residual, tau_matrix
 from sepkit.search import (
     CertificateError,
     _retract,
@@ -20,7 +20,6 @@ from sepkit.search import (
     certify,
     check_certificate,
     emit_constraints,
-    evaluate_constraints,
     extract_certificate,
     joint_residual,
     minimize,
@@ -227,6 +226,16 @@ def test_minimize_rejects_an_empty_budget(budget):
         minimize(sk.werner_2x2(0.2), SearchConfig(**budget))
 
 
+def test_minimize_rejects_a_negative_seed_up_front(monkeypatch):
+    """Like the budget, the seed is checked before any tau is built."""
+    def no_taus(*args):
+        raise AssertionError("taus built before the seed was checked")
+
+    monkeypatch.setattr(search_module, "pair_taus", no_taus)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        minimize(sk.werner_2x2(0.2), SearchConfig(seed=-1))
+
+
 def test_search_config_holds_only_the_budget():
     assert [f.name for f in dataclasses.fields(SearchConfig)] == [
         "k", "restarts", "max_iters", "seed"]
@@ -342,7 +351,9 @@ def test_emit_and_render_constraints():
     assert [len(pc.terms) for pc in cs.pairs] == [2, 2, 2]
 
 
-def test_evaluate_constraints_equals_member_residuals():
+def test_emitted_constraints_equal_member_residuals():
+    """Substituting the rows of u, sum_{j<=j'} w_jj' conj(u_ij u_ij') is the
+    member residual <z_i| B^r |conj(z_i)>."""
     for rho in (sk.bound_2x4(), sk.random_density(2, 3, seed=13)):
         x = scaled_eigvecs(rho)
         cs = emit_constraints(x, rho.m, rho.n)
@@ -350,7 +361,8 @@ def test_evaluate_constraints_equals_member_residuals():
         for k in (x.count, x.count + 1):
             u = random_orthonormal_columns(k, x.count, seed=3)
             members = u @ x.vectors
-            values = evaluate_constraints(cs, u)
+            values = np.array([sum(w * np.conj(u[:, j - 1] * u[:, jp - 1]) for j, jp, w in pc.terms)
+                               for pc in cs.pairs])
             brute = np.array([[pair_residual(b, z) for z in members] for b in ops])
             np.testing.assert_allclose(values, brute, atol=1e-12)
 
