@@ -4,7 +4,8 @@ Exit codes: 0 a separable decomposition was certified, 1 entanglement was
 proven (pair criterion or partial transpose), 2 inconclusive, 64 usage
 errors, 65 unreadable or invalid input, 70 a valid request whose
 operation fails (e.g. decomposing a pair that violates the criterion),
-73 an output file that cannot be written.
+73 an output file that cannot be written.  Any other exception is an
+internal error: "error: internal error: <type>: <message>", exit 70.
 """
 
 import argparse
@@ -183,10 +184,9 @@ def _cmd_spectrum(args, out, err) -> int:
     x = linalg.scaled_eigvecs(rho, basis_override=basis)
     reports = criterion.pair_reports(x, rho.m, rho.n)
     payload = {"eigenvalues": [float(v) for v in x.values], "pairs": _pair_rows(reports)}
-    if args.json:  # a 1 x n or m x 1 state has no pairs and so no taus
-        taus = search.pair_taus(x, rho.m, rho.n) if reports else []
+    if args.json:
         payload["taus"] = [[[f"{z.real:.17g}", f"{z.imag:.17g}"] for z in tau.reshape(-1)]
-                           for tau in taus]
+                           for tau in search.pair_taus(x, rho.m, rho.n)]
     human = ["pair  p  q  a_value        lambdas"]
     for i, rep in enumerate(reports, start=1):
         lam = " ".join(f"{v:.12g}" for v in rep.lambdas)
@@ -220,7 +220,7 @@ def _cmd_pairs(args, out, err) -> int:
 
 def _cmd_decompose(args, out, err) -> int:
     rho = _read_state(args.file)
-    pairs = enumerate_pairs(rho.m, rho.n) if min(rho.m, rho.n) > 1 else []
+    pairs = enumerate_pairs(rho.m, rho.n)
     if not 1 <= args.pair <= len(pairs):
         raise _CliError(f"pair index {args.pair} out of range 1..{len(pairs)}", EXIT_USAGE)
     pair = pairs[args.pair - 1]
@@ -414,6 +414,9 @@ def run_cli(argv: list[str], out=None, err=None) -> int:
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=err)
+        return EXIT_FAILED
+    except Exception as exc:  # a defect, not a verdict: never exit 1
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=err)
         return EXIT_FAILED
 
 

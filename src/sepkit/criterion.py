@@ -28,7 +28,7 @@ import numpy as np
 from . import decompose, search
 from .linalg import ScaledEigvecs, product_svd, scaled_eigvecs, singular_values
 from .linalg import hermitian_eig  # noqa: F401 (traced by perfbench)
-from .pairs import PairIndex, enumerate_pairs, pair_operators
+from .pairs import PairIndex, pair_operators
 from .pairs import tau_matrix  # noqa: F401 (traced by perfbench)
 from .search import SearchConfig, SearchReport, SeparableCertificate
 from .states import BOUNDARY_TOL, PRODUCT_TOL, RANK_TOL, DensityMatrix, partial_transpose
@@ -76,7 +76,7 @@ def _pair_layout(m: int, n: int) -> tuple[tuple[PairIndex, ...], np.ndarray, np.
     read-only.  sign[r, e, f] = val_e where entry e's column is entry f's row.
     """
     ops = pair_operators(m, n)
-    ent = np.array([b.entries for b in ops])
+    ent = np.array([b.entries for b in ops]).reshape(-1, 4, 3)  # (0, 4, 3) with no pairs
     rows, cols = (ent[:, :, k].astype(np.intp) - 1 for k in (0, 1))
     sign = np.where(cols[:, :, None] == rows[:, None, :], ent[:, :, 2, None], 0.0)
     rows.flags.writeable = sign.flags.writeable = False
@@ -91,10 +91,8 @@ def pair_reports(x: ScaledEigvecs, m: int, n: int) -> list[SpectralReport]:
     tau_r = Q (R S R^T) Q^T, so its nonzero singular values are those of
     the core R S R^T: one batched QR and one batched SVD give every
     pair's lambdas, padded with exact zeros to length l, and no tau is
-    built.  A 1 x n or m x 1 system has no pairs.
+    built.  A one-dimensional factor has no pairs, so no reports.
     """
-    if min(m, n) == 1:
-        return []
     pairs, rows, sign = _pair_layout(m, n)
     if x.vectors.shape[1] != m * n:
         raise ValueError(f"vectors have dimension {x.vectors.shape[1]}, operator needs {m * n}")
@@ -166,12 +164,12 @@ def classify(rho: DensityMatrix, config: ClassifyConfig | None = None,
     forms, then search.
 
     Any pair with a > BOUNDARY_TOL or a partial-transpose eigenvalue below
-    -BOUNDARY_TOL proves entanglement; a 1 x n or m x 1 state has no pairs
-    and is never entangled.  Otherwise the closed forms come first: the
-    eigen-ensemble of a one-factor or rank-1 state, then the single pair's
-    ensemble on 2 x 2 and decompose.range_decomposition on more pairs,
-    which certifies every state whose ranges pin its decomposition.  Each
-    goes through search.certify; if none certifies, the search runs.
+    -BOUNDARY_TOL proves entanglement; a one-dimensional factor has no
+    pairs and is never entangled.  Otherwise the closed forms come first:
+    the eigen-ensemble of a state with no pairs or of rank 1, then a lone
+    pair's ensemble (2 x 2) or decompose.range_decomposition on more
+    pairs, which certifies every state whose ranges pin its decomposition.
+    Each goes through search.certify; if none certifies, the search runs.
     Success yields a verified certificate, failure is reported as
     inconclusive (never as entangled).
     """
@@ -190,11 +188,11 @@ def classify(rho: DensityMatrix, config: ClassifyConfig | None = None,
     if ppt_min < -BOUNDARY_TOL:
         return report(Verdict.ENTANGLED_BY_PPT)
 
-    # Every vector of a one-factor system is a product, so its eigen-ensemble
-    # is a certificate; a rank-1 state's eigenvector is one if it is a product.
-    cert = search.certify(x.vectors, rho) if min(rho.m, rho.n) == 1 or x.count == 1 else None
+    # With no pairs every vector is a product, so the eigen-ensemble is a
+    # certificate; a rank-1 state's eigenvector is one if it is a product.
+    cert = search.certify(x.vectors, rho) if not reports or x.count == 1 else None
     if cert is None and reports:
-        cert = _constructive_certificate(rho)
+        cert = _constructive_certificate(rho, reports)
     if cert is not None:
         return report(Verdict.SEPARABLE_CERTIFIED, certificate=cert)
 
@@ -203,12 +201,12 @@ def classify(rho: DensityMatrix, config: ClassifyConfig | None = None,
     return report(verdict, certificate=found.certificate, search=found)
 
 
-def _constructive_certificate(rho: DensityMatrix) -> SeparableCertificate | None:
-    """Closed-form routes: the single pair's ensemble is a full decomposition of
-    a 2 x 2 state, and range_decomposition one of a state whose ranges pin it."""
+def _constructive_certificate(rho: DensityMatrix, reports) -> SeparableCertificate | None:
+    """Closed-form routes: a lone pair's ensemble (2 x 2) is a full decomposition
+    of the state, and range_decomposition one of a state whose ranges pin it."""
     try:
-        ensemble = (decompose.single_pair_decomposition(rho, enumerate_pairs(rho.m, rho.n)[0])
-                    if (rho.m, rho.n) == (2, 2) else decompose.range_decomposition(rho))
+        ensemble = (decompose.single_pair_decomposition(rho, reports[0].pair)
+                    if len(reports) == 1 else decompose.range_decomposition(rho))
     except ValueError:
         return None
     return search.certify(ensemble.members, rho)

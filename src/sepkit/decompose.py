@@ -106,27 +106,28 @@ def _triangle_apex(a: float, c: float, t: float) -> tuple[float, complex]:
 def _solve_polygon(lengths: np.ndarray, target: float) -> np.ndarray:
     """Phases phi with sum(lengths * exp(i phi)) = target (real, >= 0).
 
-    Recursive reduction: the largest length and the remainder's resultant
-    form a triangle over the target; the remainder's resultant magnitude is
-    chosen inside its own achievable interval, closest to |target - largest|.
+    Reduction, one level per length: the level's length and the rest's
+    resultant form a triangle over the level's target; the resultant's
+    magnitude, the next level's target, is chosen inside the rest's own
+    achievable interval, closest to |target - length|.  Each level's
+    rotation beta turns all the phases below it, innermost level first.
     """
     p = lengths.shape[0]
-    if p == 0:
-        return np.zeros(0)
-    if p == 1:
-        return np.zeros(1)
-    rest = lengths[1:]
-    total = float(np.sum(rest))
-    high = total
-    low = max(0.0, 2.0 * float(rest[0]) - total) if total > 0.0 else 0.0
-    r = min(max(abs(target - float(lengths[0])), low), high)
-    if target <= 0.0:
-        alpha = 0.0
-        resultant = complex(-r, 0.0)
-    else:
-        alpha, resultant = _triangle_apex(float(lengths[0]), r, target)
-    beta = float(np.angle(resultant)) if r > 0.0 else 0.0
-    return np.concatenate([[alpha], _solve_polygon(rest, r) + beta])
+    phases, betas = np.zeros(p), np.zeros(p)
+    for i in range(p - 1):
+        rest = lengths[i + 1:]
+        total = float(np.sum(rest))
+        low = max(0.0, 2.0 * float(rest[0]) - total) if total > 0.0 else 0.0
+        r = min(max(abs(target - float(lengths[i])), low), total)
+        if target <= 0.0:
+            resultant = complex(-r, 0.0)
+        else:
+            phases[i], resultant = _triangle_apex(float(lengths[i]), r, target)
+        betas[i] = float(np.angle(resultant)) if r > 0.0 else 0.0
+        target = r
+    for i in range(p - 2, -1, -1):
+        phases[i + 1:] += betas[i]
+    return phases
 
 
 def close_polygon(lengths) -> np.ndarray:
@@ -173,10 +174,12 @@ def sign_matrix(k: int, l: int) -> np.ndarray:
         raise ValueError(f"need 1 <= l <= 4k, got l={l}, 4k={rows}")
     # Doubling [[S, S], [S, -S]] with its two row blocks interleaved puts
     # the new row bit lowest, which keeps the row order bit-reversed.
+    # Only the first l columns are kept at each step: those of the doubled
+    # matrix come from the first l of the one before.
     s = np.ones((1, 1), dtype=int)
     while s.shape[0] < rows:
         s = np.stack([np.hstack([s, s]), np.hstack([s, -s])], axis=1).reshape(2 * len(s), -1)
-    s = s[:, :l].copy()  # the cache keeps 4k x l entries, not the 4k x 4k matrix
+        s = s[:, :l].copy()
     s.flags.writeable = False
     return s
 

@@ -157,21 +157,6 @@ def product_svd(members, m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return u[:, :, 0], s, vh[:, 0, :]
 
 
-def _complex_orthonormal_from_real_pool(pool: np.ndarray, against: np.ndarray,
-                                        needed: int) -> np.ndarray:
-    """Extract `needed` complex-orthonormal columns from a real-kernel pool.
-
-    The pool columns span a J-invariant real subspace, i.e. a complex
-    subspace of dimension >= needed once reinterpreted as complex vectors.
-    """
-    if against.shape[1] > 0:
-        pool = pool - against @ (against.conj().T @ pool)
-    u, s, _ = np.linalg.svd(pool, full_matrices=False)
-    if s.shape[0] < needed or s[needed - 1] < 1e-8:
-        raise RankDeficientError("degenerate kernel pool in Takagi factorization")
-    return u[:, :needed]
-
-
 def takagi(s) -> TakagiResult:
     """Takagi factorization of a complex symmetric matrix.
 
@@ -179,9 +164,10 @@ def takagi(s) -> TakagiResult:
     v @ s @ v.T = diag(lambdas).  The lambdas equal the singular values
     of ``s``.  Computed from the eigendecomposition of the real symmetric
     embedding [[Re s, Im s], [Im s, -Re s]]: eigenvectors for eigenvalues
-    +lambda reassemble into complex vectors u with s @ conj(u) = lambda u,
-    and the zero modes are extracted by complex orthonormalization of the
-    kernel, which stays stable when lambdas are degenerate or vanish.
+    +lambda reassemble into orthonormal complex vectors u with
+    s @ conj(u) = lambda u.  The zero modes, if any, are the orthogonal
+    complement of those positive modes, taken from one complete QR: s
+    annihilates the conjugate of every vector orthogonal to them.
     Raises ValueError if ``s`` deviates from symmetry by more than 1e-10
     relative to its norm.
     """
@@ -201,14 +187,9 @@ def takagi(s) -> TakagiResult:
 
     ztol = 1e3 * np.finfo(float).eps * scale
     npos = min(int(np.sum(mu > ztol)), l)
-    u_pos = w[:l, :npos] + 1j * w[l:, :npos]
+    u = w[:l, :npos] + 1j * w[l:, :npos]
     if npos < l:
-        kernel = np.abs(mu) <= ztol
-        pool = w[:l, kernel] + 1j * w[l:, kernel]
-        u_ker = _complex_orthonormal_from_real_pool(pool, u_pos, l - npos)
-        u = np.hstack([u_pos, u_ker])
-    else:
-        u = u_pos
+        u = np.hstack([u, np.linalg.qr(u, mode="complete")[0][:, npos:]])
 
     # Phase fix: rotate each column so u_i^dag @ s @ conj(u_i) is real >= 0.
     d = np.einsum("ij,jk,ki->i", u.conj().T, s, u.conj())

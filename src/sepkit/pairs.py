@@ -8,6 +8,9 @@ four nonzero entries; the bilinear residual psi^dag B conj(psi) equals
 twice the conjugated minor and vanishes on product states.  On a
 state's scaled eigenvectors each B gives the complex symmetric matrix
 tau_matrix that the decompositions and the search read.
+
+A one-dimensional factor (1 x n or m x 1) has no minors, since every
+vector is a product: the pair list is [], and the other modules read it.
 """
 
 from dataclasses import dataclass
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ScaledEigvecs
+from .states import _check_dims
 
 __all__ = [
     "PairIndex",
@@ -62,13 +66,12 @@ def basis_index(n: int, a: int, b: int) -> int:
     return (a - 1) * n + b
 
 
-def _check_dims(m: int, n: int) -> None:
-    if m < 2 or n < 2:
-        raise ValueError(f"both factors need dimension >= 2, got ({m}, {n})")
-
-
 def enumerate_pairs(m: int, n: int) -> list[PairIndex]:
-    """All (m-1)(n-1) anchored minors, ordered by q ascending then p ascending."""
+    """All (m-1)(n-1) anchored minors, ordered by q ascending then p ascending.
+
+    [] when a factor is one-dimensional; dims below 1 raise ValueError,
+    as for a DensityMatrix.
+    """
     _check_dims(m, n)
     return [PairIndex(p, q) for q in range(2, n + 1) for p in range(2, m + 1)]
 
@@ -79,7 +82,6 @@ def build_pair_operator(m: int, n: int, pair: PairIndex) -> PairOperator:
     Value -1 at (index(1,1), index(p,q)) and its transpose, +1 at
     (index(1,q), index(p,1)) and its transpose.
     """
-    _check_dims(m, n)
     p, q = pair.p, pair.q
     if not (2 <= p <= m and 2 <= q <= n):
         raise ValueError(f"pair ({p}, {q}) out of range for dims ({m}, {n})")

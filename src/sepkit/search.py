@@ -265,11 +265,11 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
     Results merge by minimum residual, first-come on ties.  Certificate
     extraction is attempted on every restart that ends at F <=
     _TOL_RESIDUAL, and the first one that yields a checked certificate
-    ends the search; the others are counted as rejected extractions.  A
-    1 x n or m x 1 state has no pairs, and its eigen-ensemble (u = I) is
-    the certificate.  Raises ValueError when restarts or max_iters is
-    below 1 or seed is negative, and MemberCountError when an explicit k
-    is below the rank.
+    ends the search; the others are counted as rejected extractions.  With
+    no pairs (a one-dimensional factor) the eigen-ensemble (u = I) is the
+    certificate.  Raises ValueError when restarts or max_iters is below 1
+    or seed is negative, and MemberCountError when an explicit k is below
+    the rank.
     """
     cfg = config or SearchConfig()
     if cfg.restarts < 1 or cfg.max_iters < 1:
@@ -278,13 +278,12 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
         raise ValueError(f"seed must be >= 0, got {cfg.seed}")
     x = scaled_eigvecs(rho)
     l = x.count
-    if min(rho.m, rho.n) == 1:
+    taus = pair_taus(x, rho.m, rho.n)
+    if len(taus) == 0:
         certificate = certify(x.vectors, rho)
         return SearchReport(best_residual=0.0, best_u=np.eye(l, dtype=complex), k=l,
                             restarts_used=0, iterations_used=0, certificate=certificate,
                             rejected_extractions=int(certificate is None))
-    cap = l * l
-    taus = pair_taus(x, rho.m, rho.n)
 
     best_f = np.inf
     best_u = None
@@ -294,7 +293,7 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
     rejected = 0
     certificate = None
 
-    for k, i in itertools.product(_k_schedule(cfg, l, cap), range(cfg.restarts)):
+    for k, i in itertools.product(_k_schedule(cfg, l, l * l), range(cfg.restarts)):
         u0 = random_orthonormal_columns(k, l, cfg.seed + i)
         u, f, iters = _descend(u0, taus, cfg.max_iters)
         restarts_used += 1
@@ -395,10 +394,8 @@ class ConstraintSystem:
 def emit_constraints(x: ScaledEigvecs, m: int, n: int) -> ConstraintSystem:
     """Constraint system over the rows of u: w_jj' = (2 - delta_jj') tau_jj'.
 
-    A 1 x n or m x 1 system has no pairs and so no constraints.
+    A system with a one-dimensional factor has no pairs and so no constraints.
     """
-    if min(m, n) == 1:
-        return ConstraintSystem(m=m, n=n, count=x.count, pairs=())
     systems = []
     for b, tau in zip(pair_operators(m, n), pair_taus(x, m, n)):
         cutoff = 1e-12 * max(1.0, float(np.max(np.abs(tau))))

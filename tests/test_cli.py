@@ -65,6 +65,18 @@ def test_classify_exit_codes(tmp_path):
     assert out.splitlines()[0] == "verdict: Inconclusive"
 
 
+def test_internal_errors_exit_70_not_1(tmp_path, monkeypatch):
+    """An unexpected exception is a defect, not a proof of entanglement."""
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    path = gen(tmp_path, "bell")
+    monkeypatch.setattr(sk.criterion, "classify", broken)
+    code, _, err = run(["classify", path])
+    assert code == 70
+    assert err.strip() == "error: internal error: RuntimeError: boom"
+
+
 def test_classify_certifies_one_factor_states(tmp_path):
     path = gen(tmp_path, "random", "--m", "1", "--n", "3", "--seed", "2")
     code, out, _ = run(["classify", path])

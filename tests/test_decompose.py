@@ -1,5 +1,7 @@
 """Tests for the canonical basis, polygon phases, annihilating ensembles and the range route."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,13 @@ def test_close_polygon_closes_random_feasible_sets():
         assert np.all((phases >= 0) & (phases < 2 * np.pi))
 
 
+def test_close_polygon_closes_thousands_of_lengths():
+    """One loop, not one call per length: a full-rank 32 x 32 state has 1024."""
+    lengths = np.ones(2000)
+    phases = close_polygon(lengths)
+    assert abs(np.sum(lengths * np.exp(1j * phases))) <= 1e-12 * lengths.sum()
+
+
 def test_close_polygon_rejects_infeasible_lengths():
     with pytest.raises(PolygonInfeasibleError, match="exceeds the sum"):
         close_polygon(np.array([1.0, 0.5, 0.4]))
@@ -121,6 +130,18 @@ def test_sign_matrix_is_built_once_and_read_only():
     assert sign_matrix(2, 5) is s
     with pytest.raises(ValueError, match="read-only"):
         s[0, 0] = -1
+
+
+def test_sign_matrix_builds_only_the_columns_it_keeps():
+    """4k = 1024 rows and l = 2 columns: no 1024 x 1024 matrix on the way."""
+    tracemalloc.start()
+    try:
+        s = sign_matrix.__wrapped__(256, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.shape == (1024, 2)
+    assert peak < 2**20
 
 
 def test_sign_matrix_rejects_bad_sizes():

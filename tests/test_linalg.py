@@ -122,6 +122,25 @@ def test_takagi_handles_rank_deficiency_and_zero():
     np.testing.assert_allclose(res.lambdas, np.zeros(4), atol=0)
     np.testing.assert_allclose(res.v.conj().T @ res.v, np.eye(4), atol=1e-12)
 
+    # s = U diag(sigma) U^T with U random unitary, so the zero space is not
+    # a coordinate subspace; sigma has exact zeros, repeated values or both.
+    rng = np.random.default_rng(14)
+    for l in range(5, 13):
+        for _ in range(3):
+            g = rng.standard_normal((l, l)) + 1j * rng.standard_normal((l, l))
+            u = np.linalg.qr(g)[0]
+            zeros = int(rng.integers(1, l))
+            spread = rng.uniform(0.1, 1.0, l - zeros)
+            for sigma in (np.r_[spread, np.zeros(zeros)],
+                          np.r_[np.full(l - zeros, 0.7), np.zeros(zeros)],
+                          np.r_[np.full(zeros, 0.3), spread]):
+                s = u @ np.diag(sigma) @ u.T
+                res = takagi(s)
+                assert np.linalg.norm(res.v @ res.v.conj().T - np.eye(l)) <= 1e-11
+                err = np.linalg.norm(res.v @ s @ res.v.T - np.diag(res.lambdas))
+                assert err <= 1e-11 * (1.0 + np.linalg.norm(s))
+                np.testing.assert_allclose(res.lambdas, np.sort(sigma)[::-1], atol=1e-12)
+
 
 def test_takagi_degenerate_spectrum():
     """Repeated singular values still give a valid factorization.

@@ -54,8 +54,12 @@ def test_enumerate_pairs_order():
 
 
 def test_enumerate_pairs_rejects_trivial_factors():
-    with pytest.raises(ValueError):
-        enumerate_pairs(1, 3)
+    """A one-dimensional factor has no minors; dims below 1 are not a system."""
+    assert enumerate_pairs(1, 3) == [] and enumerate_pairs(3, 1) == []
+    assert pair_operators(1, 3) == []
+    for m, n in ((0, 3), (3, 0), (-1, 2)):
+        with pytest.raises(ValueError):
+            enumerate_pairs(m, n)
 
 
 def test_build_pair_operator_rejects_out_of_range():
