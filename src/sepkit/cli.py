@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import criterion, decompose, linalg, search, states
-from .pairs import enumerate_pairs, pair_operators
+from .pairs import pair_operators
 
 EXIT_SEPARABLE = 0
 EXIT_ENTANGLED = 1
@@ -106,17 +106,31 @@ def _certificate_row(cert) -> dict | None:
             "weights": [float(w) for w in cert.weights]}
 
 
-# gen subcommand -> the state its flags describe.
+_INT = {"type": int, "required": True}
+_FLOAT = {"type": float, "required": True}
+_DIMS = (("--m", _INT), ("--n", _INT))
+_SEED = (("--seed", {"type": _int_at_least(0), "default": 0}),)
+
+# gen subcommand -> (help, flags, the state its flags describe); each also takes --out.
 _GENERATORS = {
-    "bound_2x4": lambda a: states.bound_2x4(),
-    "horodecki": lambda a: states.horodecki_2x4(a.b),
-    "tiles": lambda a: states.tiles(),
-    "bell": lambda a: states.bell(),
-    "werner": lambda a: states.werner_2x2(a.p),
-    "isotropic": lambda a: states.isotropic(a.d, a.fidelity),
-    "random": lambda a: states.random_density(a.m, a.n, a.rank, a.seed),
-    "separable": lambda a: states.random_separable(a.m, a.n, a.terms, a.seed),
-    "product": lambda a: _random_product(a.m, a.n, a.seed),
+    "bound_2x4": ("rank-5 PPT 2x4 state (separable; see states.bound_2x4)", (),
+                  lambda a: states.bound_2x4()),
+    "horodecki": ("Horodecki 2x4 state rho_b (PPT; entangled for 0 < b < 1, bound_2x4 at b = 1)",
+                  (("--b", _FLOAT),), lambda a: states.horodecki_2x4(a.b)),
+    "tiles": ("3x3 bound-entangled state of the Tiles UPB", (), lambda a: states.tiles()),
+    "bell": ("maximally entangled 2x2 state", (), lambda a: states.bell()),
+    "werner": ("singlet mixed with white noise", (("--p", _FLOAT),),
+               lambda a: states.werner_2x2(a.p)),
+    "isotropic": ("isotropic d x d state", (("--d", _INT), ("--fidelity", _FLOAT)),
+                  lambda a: states.isotropic(a.d, a.fidelity)),
+    "random": ("seeded random density matrix",
+               _DIMS + (("--rank", {"type": int, "default": None}),) + _SEED,
+               lambda a: states.random_density(a.m, a.n, a.rank, a.seed)),
+    "separable": ("seeded random mixture of products",
+                  _DIMS + (("--terms", {"type": int, "default": 4}),) + _SEED,
+                  lambda a: states.random_separable(a.m, a.n, a.terms, a.seed)),
+    "product": ("seeded random product state rho_A x rho_B", _DIMS + _SEED,
+                lambda a: _random_product(a.m, a.n, a.seed)),
 }
 
 
@@ -129,7 +143,7 @@ def _random_product(m: int, n: int, seed: int) -> states.DensityMatrix:
 
 def _cmd_gen(args, out, err) -> int:
     try:
-        rho = _GENERATORS[args.state](args)
+        rho = _GENERATORS[args.state][2](args)
     except ValueError as exc:  # a parameter out of its state's range
         raise _CliError(str(exc), EXIT_USAGE) from exc
     text = states.serialize_state(rho)
@@ -220,15 +234,14 @@ def _cmd_pairs(args, out, err) -> int:
 
 def _cmd_decompose(args, out, err) -> int:
     rho = _read_state(args.file)
-    pairs = enumerate_pairs(rho.m, rho.n)
-    if not 1 <= args.pair <= len(pairs):
-        raise _CliError(f"pair index {args.pair} out of range 1..{len(pairs)}", EXIT_USAGE)
-    pair = pairs[args.pair - 1]
+    ops = pair_operators(rho.m, rho.n)
+    if not 1 <= args.pair <= len(ops):
+        raise _CliError(f"pair index {args.pair} out of range 1..{len(ops)}", EXIT_USAGE)
+    pair = ops[args.pair - 1].pair
     try:
         ensemble = decompose.single_pair_decomposition(rho, pair, k=args.k)
     except (decompose.PairCriterionError, decompose.PolygonInfeasibleError) as exc:
         raise _CliError(str(exc), EXIT_FAILED) from exc
-    ops = pair_operators(rho.m, rho.n)
     report = decompose.verify_ensemble(ensemble, rho, ops)
     payload = {
         "pair": {"r": args.pair, "p": pair.p, "q": pair.q},
@@ -287,6 +300,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Separability analysis of bipartite quantum states")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, run, text):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(run=run)
+        return p
+
     def add_json(p):
         p.add_argument("--json", action="store_true",
                        help="machine-readable output instead of tables")
@@ -307,92 +325,51 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-iters", dest="max_iters", type=_int_at_least(1), default=None,
                        help="iteration cap per descent")
 
-    p = sub.add_parser("gen", help="write a built-in state in the text format")
+    p = command("gen", _cmd_gen, "write a built-in state in the text format")
     gen_sub = p.add_subparsers(dest="state", required=True)
-    g = gen_sub.add_parser("bound_2x4", help="rank-5 PPT 2x4 state (separable; see states.bound_2x4)")
-    g.add_argument("--out", default=None)
-    g = gen_sub.add_parser("horodecki", help="Horodecki 2x4 state rho_b (PPT; entangled "
-                                             "for 0 < b < 1, bound_2x4 at b = 1)")
-    g.add_argument("--b", type=float, required=True)
-    g.add_argument("--out", default=None)
-    g = gen_sub.add_parser("tiles", help="3x3 bound-entangled state of the Tiles UPB")
-    g.add_argument("--out", default=None)
-    g = gen_sub.add_parser("bell", help="maximally entangled 2x2 state")
-    g.add_argument("--out", default=None)
-    g = gen_sub.add_parser("werner", help="singlet mixed with white noise")
-    g.add_argument("--p", type=float, required=True)
-    g.add_argument("--out", default=None)
-    g = gen_sub.add_parser("isotropic", help="isotropic d x d state")
-    g.add_argument("--d", type=int, required=True)
-    g.add_argument("--fidelity", type=float, required=True)
-    g.add_argument("--out", default=None)
-    g = gen_sub.add_parser("random", help="seeded random density matrix")
-    g.add_argument("--m", type=int, required=True)
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--rank", type=int, default=None)
-    g.add_argument("--seed", type=_int_at_least(0), default=0)
-    g.add_argument("--out", default=None)
-    g = gen_sub.add_parser("separable", help="seeded random mixture of products")
-    g.add_argument("--m", type=int, required=True)
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--terms", type=int, default=4)
-    g.add_argument("--seed", type=_int_at_least(0), default=0)
-    g.add_argument("--out", default=None)
-    g = gen_sub.add_parser("product", help="seeded random product state rho_A x rho_B")
-    g.add_argument("--m", type=int, required=True)
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--seed", type=_int_at_least(0), default=0)
-    g.add_argument("--out", default=None)
+    for state, (text, flags, _build) in _GENERATORS.items():
+        g = gen_sub.add_parser(state, help=text)
+        for flag, spec in flags:
+            g.add_argument(flag, **spec)
+        g.add_argument("--out", default=None)
 
-    p = sub.add_parser("classify", help="run the full pipeline on a state file")
+    p = command("classify", _cmd_classify, "run the full pipeline on a state file")
     p.add_argument("file")
     add_json(p)
     add_basis(p)
     add_search_flags(p)
 
-    p = sub.add_parser("spectrum", help="per-pair lambdas and a values")
+    p = command("spectrum", _cmd_spectrum, "per-pair lambdas and a values")
     p.add_argument("file")
     add_json(p)
     add_basis(p)
 
-    p = sub.add_parser("ppt", help="smallest eigenvalue of the partial transpose")
+    p = command("ppt", _cmd_ppt, "smallest eigenvalue of the partial transpose")
     p.add_argument("file")
     add_json(p)
 
-    p = sub.add_parser("pairs", help="list the pair operators for given dims")
+    p = command("pairs", _cmd_pairs, "list the pair operators for given dims")
     p.add_argument("m", type=_int_at_least(2))
     p.add_argument("n", type=_int_at_least(2))
     add_json(p)
 
-    p = sub.add_parser("decompose", help="single-pair annihilating ensemble")
+    p = command("decompose", _cmd_decompose, "single-pair annihilating ensemble")
     p.add_argument("file")
     p.add_argument("--pair", type=int, required=True, help="1-based pair index")
     p.add_argument("--k", type=int, default=None, help="member count multiplier (4k members)")
     add_json(p)
 
-    p = sub.add_parser("search", help="numerical search for a separable decomposition")
+    p = command("search", _cmd_search, "numerical search for a separable decomposition")
     p.add_argument("file")
     add_json(p)
     add_search_flags(p)
 
-    p = sub.add_parser("emit-constraints", help="export the per-pair quadratic constraints")
+    p = command("emit-constraints", _cmd_emit_constraints, "export the per-pair quadratic constraints")
     p.add_argument("file")
     add_json(p)
     add_basis(p)
 
     return parser
-
-
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "classify": _cmd_classify,
-    "spectrum": _cmd_spectrum,
-    "ppt": _cmd_ppt,
-    "pairs": _cmd_pairs,
-    "decompose": _cmd_decompose,
-    "search": _cmd_search,
-    "emit-constraints": _cmd_emit_constraints,
-}
 
 
 def run_cli(argv: list[str], out=None, err=None) -> int:
@@ -405,7 +382,7 @@ def run_cli(argv: list[str], out=None, err=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.command](args, out, err)
+        return args.run(args, out, err)
     except _CliError as exc:
         print(f"error: {exc}", file=err)
         return exc.code

@@ -28,7 +28,7 @@ import numpy as np
 from . import decompose, search
 from .linalg import ScaledEigvecs, product_svd, scaled_eigvecs, singular_values
 from .linalg import hermitian_eig  # noqa: F401 (traced by perfbench)
-from .pairs import PairIndex, pair_operators
+from .pairs import PairIndex, _entry_arrays, pair_operators
 from .pairs import tau_matrix  # noqa: F401 (traced by perfbench)
 from .search import SearchConfig, SearchReport, SeparableCertificate
 from .states import BOUNDARY_TOL, PRODUCT_TOL, RANK_TOL, DensityMatrix, partial_transpose
@@ -76,9 +76,8 @@ def _pair_layout(m: int, n: int) -> tuple[tuple[PairIndex, ...], np.ndarray, np.
     read-only.  sign[r, e, f] = val_e where entry e's column is entry f's row.
     """
     ops = pair_operators(m, n)
-    ent = np.array([b.entries for b in ops]).reshape(-1, 4, 3)  # (0, 4, 3) with no pairs
-    rows, cols = (ent[:, :, k].astype(np.intp) - 1 for k in (0, 1))
-    sign = np.where(cols[:, :, None] == rows[:, None, :], ent[:, :, 2, None], 0.0)
+    rows, cols, vals = _entry_arrays(ops)
+    sign = np.where(cols[:, :, None] == rows[:, None, :], vals[:, :, None], 0.0)
     rows.flags.writeable = sign.flags.writeable = False
     return tuple(b.pair for b in ops), rows, sign
 
@@ -120,8 +119,8 @@ def ppt_min_eigenvalue(rho: DensityMatrix) -> float:
 def pure_product_check(psi, m: int, n: int) -> bool:
     """Whether the coefficient matrix of psi is rank 1 within tolerance.
 
-    True when the second singular value is <= PRODUCT_TOL times the largest.
-    Raises on a zero vector.
+    True when product_svd's second singular value is <= PRODUCT_TOL times
+    the first (always, with a one-dimensional factor).  Raises on a zero vector.
     """
     a = np.asarray(psi, dtype=complex).reshape(-1)
     if a.shape[0] != m * n:
@@ -129,7 +128,7 @@ def pure_product_check(psi, m: int, n: int) -> bool:
     s = product_svd(a[None, :], m, n)[1][0]
     if s[0] <= 0.0:
         raise ValueError("zero vector has no product test")
-    return min(m, n) == 1 or bool(s[1] <= PRODUCT_TOL * s[0])
+    return bool(s[1] <= PRODUCT_TOL * s[0])
 
 
 class Verdict(enum.Enum):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ScaledEigvecs, product_svd, scaled_eigvecs, takagi
-from .pairs import PairIndex, PairOperator, build_pair_operator, pair_residual, tau_matrix
+from .pairs import PairIndex, PairOperator, _entry_arrays, build_pair_operator, tau_matrix
 from .states import BOUNDARY_TOL, RANK_TOL, DensityMatrix, partial_transpose
 
 __all__ = [
@@ -280,20 +280,20 @@ def verify_ensemble(ensemble: PureEnsemble, rho: DensityMatrix,
                     pairs: list[PairOperator]) -> EnsembleReport:
     """Reconstruction error, worst pair residual, and per-member product errors.
 
-    The product error of a member is its second singular value relative to
-    its first (0 for members of negligible norm).
+    The residuals of every member on every pair come from one gather per
+    operator entry.  A member's product error is its second singular value
+    relative to its first (0 for members of negligible norm).
     """
     z = ensemble.members
+    if any((b.m, b.n) != (ensemble.m, ensemble.n) for b in pairs):
+        raise ValueError(f"pair operators do not match the {ensemble.m} x {ensemble.n} ensemble")
     recon = np.einsum("ia,ib->ab", z, z.conj())
     recon_err = float(np.linalg.norm(recon - rho.matrix))
-    max_residual = 0.0
-    for b in pairs:
-        for i in range(z.shape[0]):
-            max_residual = max(max_residual, abs(pair_residual(b, z[i])))
+    rows, cols, vals = _entry_arrays(pairs)
+    residuals = sum(vals[:, e] * np.conj(z[:, rows[:, e]] * z[:, cols[:, e]]) for e in range(4))
     product_errors = np.zeros(z.shape[0])
-    if min(ensemble.m, ensemble.n) > 1:
-        s = product_svd(z, ensemble.m, ensemble.n)[1]
-        np.divide(s[:, 1], s[:, 0], out=product_errors, where=s[:, 0] > 1e-12)
+    s = product_svd(z, ensemble.m, ensemble.n)[1]
+    np.divide(s[:, 1], s[:, 0], out=product_errors, where=s[:, 0] > 1e-12)
     return EnsembleReport(reconstruction_error=recon_err,
-                          max_pair_residual=max_residual,
+                          max_pair_residual=float(np.max(np.abs(residuals), initial=0.0)),
                           member_product_errors=product_errors)

@@ -150,10 +150,13 @@ def product_svd(members, m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.nda
     Row i of ``members`` is an m*n coefficient vector; one batched SVD of
     the m x n matrices gives alphas[i] = U_i[:, 0], s[i] descending and
     betas[i] = V_i^H[0, :].  A member is a product when s[i, 1] is
-    negligible next to s[i, 0] (always, when min(m, n) == 1).
+    negligible next to s[i, 0].  With a one-dimensional factor every
+    vector is a product: its one singular value gets an exact zero second.
     """
     z = np.asarray(members, dtype=complex)
     u, s, vh = np.linalg.svd(z.reshape(z.shape[0], m, n))
+    if s.shape[1] == 1:
+        s = np.hstack([s, np.zeros_like(s)])
     return u[:, :, 0], s, vh[:, 0, :]
 
 
@@ -165,8 +168,9 @@ def takagi(s) -> TakagiResult:
     of ``s``.  Computed from the eigendecomposition of the real symmetric
     embedding [[Re s, Im s], [Im s, -Re s]]: eigenvectors for eigenvalues
     +lambda reassemble into orthonormal complex vectors u with
-    s @ conj(u) = lambda u.  The zero modes, if any, are the orthogonal
-    complement of those positive modes, taken from one complete QR: s
+    s @ conj(u) = lambda u.  If some are zero, one complete QR of those
+    modes re-orthonormalizes them (near the zero threshold they are only
+    nearly orthogonal) and completes them with the zero modes: s
     annihilates the conjugate of every vector orthogonal to them.
     Raises ValueError if ``s`` deviates from symmetry by more than 1e-10
     relative to its norm.
@@ -189,7 +193,7 @@ def takagi(s) -> TakagiResult:
     npos = min(int(np.sum(mu > ztol)), l)
     u = w[:l, :npos] + 1j * w[l:, :npos]
     if npos < l:
-        u = np.hstack([u, np.linalg.qr(u, mode="complete")[0][:, npos:]])
+        u = np.linalg.qr(u, mode="complete")[0]
 
     # Phase fix: rotate each column so u_i^dag @ s @ conj(u_i) is real >= 0.
     d = np.einsum("ij,jk,ki->i", u.conj().T, s, u.conj())

@@ -103,6 +103,13 @@ def pair_operators(m: int, n: int) -> list[PairOperator]:
     return [build_pair_operator(m, n, pair) for pair in enumerate_pairs(m, n)]
 
 
+def _entry_arrays(ops: list[PairOperator]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 0-based rows, 0-based columns and values of each operator's four entries, (P, 4)."""
+    ent = np.array([b.entries for b in ops]).reshape(-1, 4, 3)  # (0, 4, 3) with no pairs
+    rows, cols = (ent[:, :, k].astype(np.intp) - 1 for k in (0, 1))
+    return rows, cols, ent[:, :, 2]
+
+
 def _check_vector(b: PairOperator, psi) -> np.ndarray:
     v = np.asarray(psi, dtype=complex).reshape(-1)
     if v.shape[0] != b.m * b.n:

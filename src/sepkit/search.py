@@ -241,18 +241,15 @@ def _descend(u: np.ndarray, taus: np.ndarray, max_iters: int) -> tuple[np.ndarra
     return u, f, iters
 
 
-def _k_schedule(cfg: SearchConfig, l: int, cap: int) -> list[int]:
+def _k_schedule(cfg: SearchConfig, l: int) -> list[int]:
+    cap = l * l  # the most product terms a rank-l separable state needs
     if cfg.k is not None:
         if cfg.k < l:
             raise MemberCountError(f"k = {cfg.k} is below the rank l = {l}")
         return [min(cfg.k, cap)]
-    ks = []
-    k = min(l, cap)
-    while True:
-        ks.append(k)
-        if k >= cap:
-            break
-        k = min(2 * k, cap)
+    ks = [l]
+    while ks[-1] < cap:
+        ks.append(min(2 * ks[-1], cap))
     return ks
 
 
@@ -293,7 +290,7 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
     rejected = 0
     certificate = None
 
-    for k, i in itertools.product(_k_schedule(cfg, l, l * l), range(cfg.restarts)):
+    for k, i in itertools.product(_k_schedule(cfg, l), range(cfg.restarts)):
         u0 = random_orthonormal_columns(k, l, cfg.seed + i)
         u, f, iters = _descend(u0, taus, cfg.max_iters)
         restarts_used += 1
@@ -314,20 +311,19 @@ def certificate_from_members(members: np.ndarray, m: int, n: int) -> SeparableCe
     """Factor unnormalized pure states into (weight, alpha, beta) triples.
 
     Each member's coefficient matrix must be rank 1 within PRODUCT_TOL
-    (second singular value relative to the first); members of negligible
-    weight are dropped.
+    (product_svd's s2/s1, 0 with a one-dimensional factor); members of
+    negligible weight are dropped.
     """
     members = np.asarray(members, dtype=complex)
     weights = np.array([np.vdot(z, z).real for z in members])
     alphas, s, betas = product_svd(members, m, n)
     keep = weights > 1e-14
-    if min(m, n) > 1:
-        bad = np.flatnonzero(keep & (s[:, 1] > PRODUCT_TOL * s[:, 0]))
-        if bad.size:
-            i = int(bad[0])
-            raise CertificateError(
-                f"member {i} is not a product state: s2/s1 = {s[i, 1] / s[i, 0]:.3e}",
-                member_index=i)
+    bad = np.flatnonzero(keep & (s[:, 1] > PRODUCT_TOL * s[:, 0]))
+    if bad.size:
+        i = int(bad[0])
+        raise CertificateError(
+            f"member {i} is not a product state: s2/s1 = {s[i, 1] / s[i, 0]:.3e}",
+            member_index=i)
     if not np.any(keep):
         raise CertificateError("all members have negligible weight")
     return SeparableCertificate(m=m, n=n, weights=weights[keep],

@@ -10,6 +10,7 @@ from sepkit.decompose import (
     MemberCountError,
     PairCriterionError,
     PolygonInfeasibleError,
+    PureEnsemble,
     a_value,
     canonical_basis,
     close_polygon,
@@ -18,7 +19,7 @@ from sepkit.decompose import (
     single_pair_decomposition,
     verify_ensemble,
 )
-from sepkit.linalg import scaled_eigvecs
+from sepkit.linalg import random_orthonormal_columns, scaled_eigvecs
 from sepkit.pairs import PairIndex, pair_operators, pair_residual
 from sepkit.search import certify
 
@@ -222,6 +223,24 @@ def test_verify_ensemble_flags_corruption():
     broken = type(ens)(members=ens.members * 1.01, m=ens.m, n=ens.n)
     bad = verify_ensemble(broken, rho, pair_operators(2, 4)[:1])
     assert bad.reconstruction_error > 1e-3
+
+
+@pytest.mark.parametrize("m, n", [(3, 3), (2, 4), (4, 4)])
+def test_verify_ensemble_residual_is_the_worst_pair_residual(m, n):
+    """The gathered residuals give the largest |pair_residual| over the
+    operators passed: all of them, a subset, or none (0.0); operators of
+    another shape are refused."""
+    rho = sk.random_density(m, n, seed=40_000 + m * n)
+    x = scaled_eigvecs(rho)
+    z = random_orthonormal_columns(2 * x.count, x.count, seed=m * n) @ x.vectors
+    ensemble = PureEnsemble(members=z, m=m, n=n)
+    ops = pair_operators(m, n)
+    for subset in (ops, ops[1::2], []):
+        worst = max((abs(pair_residual(b, psi)) for b in subset for psi in z), default=0.0)
+        assert abs(verify_ensemble(ensemble, rho, subset).max_pair_residual - worst) <= 1e-15
+    assert verify_ensemble(ensemble, rho, []).max_pair_residual == 0.0
+    with pytest.raises(ValueError):
+        verify_ensemble(ensemble, rho, pair_operators(m, n + 1))
 
 
 @pytest.mark.parametrize("m, n, terms", [(2, 3, 3), (3, 3, 4), (2, 4, 5), (3, 4, 8), (4, 4, 4)])

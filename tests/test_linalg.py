@@ -88,17 +88,21 @@ def test_singular_values_match_numpy():
 @pytest.mark.parametrize("m, n", [(1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4), (3, 3),
                                   (3, 4), (4, 4)])
 def test_product_svd_is_the_per_member_svd(m, n):
-    """The batched SVD equals one SVD per member bit for bit, zero members included."""
+    """The batched SVD equals one SVD per member bit for bit, zero members included;
+    with a one-dimensional factor the lone singular value gets an exact zero second."""
     rng = np.random.default_rng(m * 10 + n)
     z = rng.normal(size=(7, m * n)) + 1j * rng.normal(size=(7, m * n))
     z[2] = 0.0
     z[4] = np.kron(z[4, :m], z[4, :n])
     alphas, s, betas = product_svd(z, m, n)
+    assert s.shape == (7, max(min(m, n), 2))
     for i, row in enumerate(z):
         u_i, s_i, vh_i = np.linalg.svd(row.reshape(m, n))
         np.testing.assert_array_equal(alphas[i], u_i[:, 0])
-        np.testing.assert_array_equal(s[i], s_i)
+        np.testing.assert_array_equal(s[i, :len(s_i)], s_i)
         np.testing.assert_array_equal(betas[i], vh_i[0, :])
+    if min(m, n) == 1:
+        assert np.all(s[:, 1] == 0.0)
 
 
 def test_takagi_factorizes_random_symmetric():
@@ -140,6 +144,21 @@ def test_takagi_handles_rank_deficiency_and_zero():
                 err = np.linalg.norm(res.v @ s @ res.v.T - np.diag(res.lambdas))
                 assert err <= 1e-11 * (1.0 + np.linalg.norm(s))
                 np.testing.assert_allclose(res.lambdas, np.sort(sigma)[::-1], atol=1e-12)
+
+    # Two singular values within 0.67-1.5x of the zero threshold next to an
+    # exact zero: the embedding mixes their modes, and v must stay unitary.
+    rng = np.random.default_rng(15)
+    for _ in range(300):
+        l = int(rng.integers(5, 9))
+        g = rng.standard_normal((l, l)) + 1j * rng.standard_normal((l, l))
+        u = np.linalg.qr(g)[0]
+        spread = rng.uniform(0.1, 1.0, l - 3)
+        threshold = 1e3 * np.finfo(float).eps * (1.0 + np.linalg.norm(spread))
+        s = u @ np.diag(np.r_[spread, rng.uniform(0.67, 1.5, 2) * threshold, 0.0]) @ u.T
+        res = takagi(s)
+        assert np.linalg.norm(res.v @ res.v.conj().T - np.eye(l)) <= 1e-11
+        err = np.linalg.norm(res.v @ s @ res.v.T - np.diag(res.lambdas))
+        assert err <= 1e-11 * (1.0 + np.linalg.norm(s))
 
 
 def test_takagi_degenerate_spectrum():
