@@ -84,6 +84,10 @@ def _emit(args, payload: dict, human: list[str], out) -> None:
             print(line, file=out)
 
 
+def _re_im(z: complex) -> list[str]:
+    return [states.format_float(z.real), states.format_float(z.imag)]
+
+
 def _pair_rows(reports) -> list[dict]:
     return [{"p": rep.pair.p, "q": rep.pair.q,
              "lambdas": [float(v) for v in rep.lambdas],
@@ -199,7 +203,7 @@ def _cmd_spectrum(args, out, err) -> int:
     reports = criterion.pair_reports(x, rho.m, rho.n)
     payload = {"eigenvalues": [float(v) for v in x.values], "pairs": _pair_rows(reports)}
     if args.json:
-        payload["taus"] = [[[f"{z.real:.17g}", f"{z.imag:.17g}"] for z in tau.reshape(-1)]
+        payload["taus"] = [[_re_im(z) for z in tau.reshape(-1)]
                            for tau in search.pair_taus(x, rho.m, rho.n)]
     human = ["pair  p  q  a_value        lambdas"]
     for i, rep in enumerate(reports, start=1):
@@ -238,15 +242,11 @@ def _cmd_decompose(args, out, err) -> int:
     if not 1 <= args.pair <= len(ops):
         raise _CliError(f"pair index {args.pair} out of range 1..{len(ops)}", EXIT_USAGE)
     pair = ops[args.pair - 1].pair
-    try:
-        ensemble = decompose.single_pair_decomposition(rho, pair, k=args.k)
-    except (decompose.PairCriterionError, decompose.PolygonInfeasibleError) as exc:
-        raise _CliError(str(exc), EXIT_FAILED) from exc
+    ensemble = decompose.single_pair_decomposition(rho, pair, k=args.k)
     report = decompose.verify_ensemble(ensemble, rho, ops)
     payload = {
         "pair": {"r": args.pair, "p": pair.p, "q": pair.q},
-        "members": [[[f"{z.real:.17g}", f"{z.imag:.17g}"] for z in row]
-                    for row in ensemble.members],
+        "members": [[_re_im(z) for z in row] for row in ensemble.members],
         "reconstruction_error": float(report.reconstruction_error),
         "max_pair_residual": float(report.max_pair_residual),
         "member_product_errors": [float(v) for v in report.member_product_errors],
@@ -285,8 +285,7 @@ def _cmd_emit_constraints(args, out, err) -> int:
     if args.json:
         payload = {"count": cs.count,
                    "pairs": [{"r": i, "p": pc.pair.p, "q": pc.pair.q,
-                              "terms": [[j, jp, f"{w.real:.17g}", f"{w.imag:.17g}"]
-                                        for j, jp, w in pc.terms]}
+                              "terms": [[j, jp, *_re_im(w)] for j, jp, w in pc.terms]}
                              for i, pc in enumerate(cs.pairs, start=1)]}
         print(json.dumps(payload), file=out)
     else:

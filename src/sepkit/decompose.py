@@ -103,39 +103,15 @@ def _triangle_apex(a: float, c: float, t: float) -> tuple[float, complex]:
     return alpha, complex((t - a) + a * 2.0 * sin_half2, -a * sin_alpha)
 
 
-def _solve_polygon(lengths: np.ndarray, target: float) -> np.ndarray:
-    """Phases phi with sum(lengths * exp(i phi)) = target (real, >= 0).
-
-    Reduction, one level per length: the level's length and the rest's
-    resultant form a triangle over the level's target; the resultant's
-    magnitude, the next level's target, is chosen inside the rest's own
-    achievable interval, closest to |target - length|.  Each level's
-    rotation beta turns all the phases below it, innermost level first.
-    """
-    p = lengths.shape[0]
-    phases, betas = np.zeros(p), np.zeros(p)
-    for i in range(p - 1):
-        rest = lengths[i + 1:]
-        total = float(np.sum(rest))
-        low = max(0.0, 2.0 * float(rest[0]) - total) if total > 0.0 else 0.0
-        r = min(max(abs(target - float(lengths[i])), low), total)
-        if target <= 0.0:
-            resultant = complex(-r, 0.0)
-        else:
-            phases[i], resultant = _triangle_apex(float(lengths[i]), r, target)
-        betas[i] = float(np.angle(resultant)) if r > 0.0 else 0.0
-        target = r
-    for i in range(p - 2, -1, -1):
-        phases[i + 1:] += betas[i]
-    return phases
-
-
 def close_polygon(lengths) -> np.ndarray:
     """Phases phi_j such that sum_j lengths[j] exp(i phi_j) = 0.
 
     Requires max(lengths) <= sum of the others (within 1e-12 relative to
     the total); otherwise raises PolygonInfeasibleError.  Zero lengths
-    get phase 0.
+    and the longest get phase 0.  One triangle closes the polygon: sorted
+    in descending order, the 2nd, 4th, ... lengths form arm A and the 3rd,
+    5th, ... arm B, each arm sharing one phase.  Their sums satisfy a >= b
+    and a - b <= 2nd <= longest <= a + b, so (longest, a, b) is a triangle.
     """
     lengths = np.asarray(lengths, dtype=float)
     if lengths.ndim != 1 or lengths.shape[0] == 0:
@@ -152,8 +128,13 @@ def close_polygon(lengths) -> np.ndarray:
         raise PolygonInfeasibleError(
             f"longest length {sorted_lengths[0]:.6g} exceeds the sum of the others "
             f"by {excess:.3e}")
+    alpha, remainder = _triangle_apex(float(np.sum(sorted_lengths[1::2])),
+                                      float(np.sum(sorted_lengths[2::2])),
+                                      float(sorted_lengths[0]))
+    arms = np.zeros_like(lengths)
+    arms[1::2], arms[2::2] = alpha + np.pi, np.angle(remainder) + np.pi
     phases = np.zeros_like(lengths)
-    phases[order] = np.mod(_solve_polygon(sorted_lengths, 0.0), 2.0 * np.pi)
+    phases[order] = np.mod(arms, 2.0 * np.pi)
     phases[lengths == 0.0] = 0.0
     return phases
 
@@ -204,9 +185,12 @@ def single_pair_decomposition(rho: DensityMatrix, pair: PairIndex,
                               k: int | None = None) -> PureEnsemble:
     """Ensemble of 4k pure states reassembling rho with zero residual on one pair.
 
-    Requires the pair's a value <= BOUNDARY_TOL.  k defaults to the
-    smallest power of two with 4k >= max(4, l); an explicit k must be a
-    power of two at least as large, else MemberCountError is raised.
+    Requires the pair's a value <= BOUNDARY_TOL.  The polygon closed is
+    that of the lambdas with lambda_1 trimmed to the sum of the rest, which
+    changes nothing when a <= 0 and otherwise leaves each member a residual
+    of at most a / (4k) on the pair.  k defaults to the smallest power of
+    two with 4k >= max(4, l); an explicit k must be a power of two at least
+    as large, else MemberCountError is raised.
     """
     x = scaled_eigvecs(rho)
     k_min = _member_count(x.count)
@@ -224,7 +208,7 @@ def single_pair_decomposition(rho: DensityMatrix, pair: PairIndex,
         raise PairCriterionError(
             f"pair ({pair.p}, {pair.q}) has a = {a:.3e} > {BOUNDARY_TOL:.1e}; "
             "no annihilating ensemble exists")
-    theta = close_polygon(lam) / 2.0
+    theta = close_polygon(np.append(min(lam[0], float(np.sum(lam[1:]))), lam[1:])) / 2.0
     signs = sign_matrix(k, l)
     coeff = signs * np.exp(1j * theta)[None, :] / (2.0 * np.sqrt(k))
     return PureEnsemble(members=coeff @ basis.vectors, m=rho.m, n=rho.n)

@@ -193,6 +193,21 @@ def test_decompose(tmp_path):
     assert "out of range" in err
 
 
+@pytest.mark.parametrize("state", [
+    ["werner", "--p", "0.2"],
+    ["separable", "--m", "2", "--n", "2", "--terms", "4", "--seed", "1"],
+])
+def test_decompose_full_rank_2x2(tmp_path, state):
+    """The 2 x 2 route's ensemble rebuilds the state, annihilates its one
+    pair and consists of product members."""
+    code, out, _ = run(["decompose", gen(tmp_path, *state), "--pair", "1", "--json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["reconstruction_error"] <= 1e-12
+    assert data["max_pair_residual"] <= 1e-12
+    assert max(data["member_product_errors"]) <= 1e-6
+
+
 def test_search_subcommand(tmp_path):
     code, out, _ = run(["search", gen(tmp_path, "werner", "--p", "0.2")])
     assert code == 0

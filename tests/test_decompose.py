@@ -213,6 +213,23 @@ def test_single_pair_decomposition_needs_nonpositive_a():
         single_pair_decomposition(sk.bell(), PairIndex(2, 2))
 
 
+def test_single_pair_decomposition_closes_pairs_its_a_check_admits():
+    """A Werner state just past p = 1/3 has 0 < a <= BOUNDARY_TOL on its one
+    pair.  The route trims lambda_1 to close the polygon, so classify
+    certifies it without the search; past BOUNDARY_TOL the pair still
+    proves entanglement."""
+    cfg = sk.ClassifyConfig(search=sk.SearchConfig(restarts=1, max_iters=50))
+    rho = sk.werner_2x2(1 / 3 + 1e-10)
+    report = sk.classify(rho, cfg)
+    assert report.verdict is sk.Verdict.SEPARABLE_CERTIFIED
+    assert report.search is None
+    sk.check_certificate(report.certificate, rho.matrix)
+    ens = single_pair_decomposition(rho, PairIndex(2, 2))
+    assert ens.members.shape == (4, 4)
+    worse = sk.classify(sk.werner_2x2(1 / 3 + 2e-9), cfg)
+    assert worse.verdict is sk.Verdict.ENTANGLED_BY_PAIR_CRITERION
+
+
 def test_verify_ensemble_flags_corruption():
     rho = sk.bound_2x4()
     ens = single_pair_decomposition(rho, PairIndex(2, 2))
