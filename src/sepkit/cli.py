@@ -100,7 +100,8 @@ def _search_row(report) -> dict | None:
     return {"best_residual": float(report.best_residual), "k": int(report.k),
             "restarts": int(report.restarts_used),
             "iterations": int(report.iterations_used),
-            "rejected_extractions": int(report.rejected_extractions)}
+            "rejected_extractions": int(report.rejected_extractions),
+            "range_dim": int(report.range_dim)}
 
 
 def _certificate_row(cert) -> dict | None:
@@ -187,7 +188,8 @@ def _cmd_classify(args, out, err) -> int:
                      f"lambdas = {lam}")
     if report.search is not None:
         human.append(f"search: best residual {report.search.best_residual:.6g} "
-                     f"(k={report.search.k}, restarts={report.search.restarts_used}, "
+                     f"(k={report.search.k}, dim V={report.search.range_dim}, "
+                     f"restarts={report.search.restarts_used}, "
                      f"iterations={report.search.iterations_used}, "
                      f"rejected extractions={report.search.rejected_extractions})")
     if report.certificate is not None:
@@ -267,7 +269,8 @@ def _cmd_search(args, out, err) -> int:
     payload = {**_search_row(report), "certificate": _certificate_row(report.certificate)}
     human = [
         f"best residual: {report.best_residual:.6g}",
-        f"k: {report.k}  restarts: {report.restarts_used}  iterations: {report.iterations_used}"
+        f"k: {report.k}  dim V: {report.range_dim}  restarts: {report.restarts_used}"
+        f"  iterations: {report.iterations_used}"
         f"  rejected extractions: {report.rejected_extractions}",
         ("certificate: " + (f"{report.certificate.weights.shape[0]} product terms"
                             if report.certificate else "none")),
@@ -316,7 +319,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_search_flags(p):
         p.add_argument("--k", type=_int_at_least(1), default=None,
-                       help="ensemble size (default: l, 2l, … up to l²; larger k is capped at l²)")
+                       help="ensemble size (default: l, 2l, … up to max(l, dim V); "
+                            "larger k is capped there)")
         p.add_argument("--restarts", type=_int_at_least(1), default=None,
                        help="random restarts per size")
         p.add_argument("--seed", type=_int_at_least(0), default=None,

@@ -14,10 +14,13 @@ the real space V of Hermitian X with supp X in range(rho) and supp X^G in
 range(rho^G), G the partial transpose.  Every term |ab><ab| of a product
 decomposition lies in V, since its partial transpose |a b*><a b*| is a
 term of rho^G; a rank-l state's terms span range(rho), so l of their
-projectors are independent and a separable rho has dim V >= l.  When
-dim V = l those l projectors span V, so the l-term decomposition is
+projectors are independent and a separable rho has dim V >= l.  So
+dim V < l proves rho entangled.  dim V also bounds the number of terms:
+rho lies in the cone of a decomposition's projectors inside V, so by
+Caratheodory dim V of them suffice (search.minimize walks no further).
+When dim V = l those l projectors span V, so the l-term decomposition is
 unique, and a generic Hermitian element of V, whitened by rho's spectrum,
-has the terms as its eigenvectors.  (dim V < l proves rho entangled.)
+has the terms as its eigenvectors.
 """
 
 import functools
@@ -41,6 +44,7 @@ __all__ = [
     "close_polygon",
     "sign_matrix",
     "single_pair_decomposition",
+    "range_space",
     "range_decomposition",
     "verify_ensemble",
 ]
@@ -214,25 +218,24 @@ def single_pair_decomposition(rho: DensityMatrix, pair: PairIndex,
     return PureEnsemble(members=coeff @ basis.vectors, m=rho.m, n=rho.n)
 
 
-def range_decomposition(rho: DensityMatrix) -> PureEnsemble:
-    """The l product members of a rank-l state, when its ranges pin them.
+def range_space(rho: DensityMatrix) -> tuple[int, np.ndarray | None]:
+    """dim V and a basis of V (see the module docstring) for a rank-l state.
 
-    With E the unit eigenvectors of rho, V (see the module docstring) is
-    the Hermitian C with X = E C E^H and X^G K = 0, K the kernel of rho^G
-    (eigenvalues <= RANK_TOL).  Over complex C the conditions X^G K = 0
-    and K^H X^G = 0 give V's complexification, the null space of one
-    linear map.  If its dimension is l, the Hermitian part of a fixed
-    seeded generic element is whitened by T^-1/2, T the eigenvalues, and
-    its eigenvectors b_i give the members sum_j b_ji x_j.  They rebuild rho
-    for any unitary b; search.certify checks that they are products.
-    Raises ValueError when rho^G has no kernel or dim V != l.
+    With E the unit eigenvectors of rho (in scaled_eigvecs' order and
+    phases), V is the Hermitian C with X = E C E^H and X^G K = 0, K the
+    kernel of rho^G (eigenvalues <= RANK_TOL).  Over complex C the
+    conditions X^G K = 0 and K^H X^G = 0 give V's complexification, the
+    null space of one linear map; the basis is that null space as a
+    (dim V, l, l) stack of C, and the Hermitian parts of its complex
+    combinations span V.  When rho^G has no kernel every Hermitian C lies
+    in V: dim V is l^2, no SVD is taken, and the basis is None.
     """
     x = scaled_eigvecs(rho)
     l, m, n = x.count, rho.m, rho.n
     w, v = np.linalg.eigh(partial_transpose(rho))
     kernel = v[:, w <= RANK_TOL].T.reshape(-1, m, n)
     if kernel.shape[0] == 0:
-        raise ValueError("the partial transpose has no kernel")
+        return l * l, None
     e = (x.vectors / np.sqrt(x.values)[:, None]).reshape(l, m, n)
     # As m x n matrices, (e_j e_k^H)^G K_s is E_j K_s^T conj(E_k), and
     # K_s^H (e_j e_k^H)^G is the conjugate of its (k, j) entry.
@@ -242,13 +245,30 @@ def range_decomposition(rho: DensityMatrix) -> PureEnsemble:
     # vh[rank:] spans the null space of c -> a @ c; a wide a needs the full SVD for it.
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     rank = int(np.count_nonzero(s > RANK_TOL))
-    if l * l - rank != l:
-        raise ValueError(f"dim V = {l * l - rank}, the rank is {l}")
+    return l * l - rank, vh[rank:].conj().reshape(-1, l, l)
+
+
+def range_decomposition(rho: DensityMatrix) -> PureEnsemble:
+    """The l product members of a rank-l state, when its ranges pin them.
+
+    If dim V = l (range_space), the Hermitian part of a fixed seeded
+    generic element of V is whitened by T^-1/2, T the eigenvalues, and
+    its eigenvectors b_i give the members sum_j b_ji x_j.  They rebuild
+    rho for any unitary b; search.certify checks that they are products.
+    Raises ValueError when rho^G has no kernel or dim V != l.
+    """
+    x = scaled_eigvecs(rho)
+    l = x.count
+    dim, basis = range_space(rho)
+    if basis is None:
+        raise ValueError("the partial transpose has no kernel")
+    if dim != l:
+        raise ValueError(f"dim V = {dim}, the rank is {l}")
     coeff = np.random.default_rng(0).standard_normal((2, l))
-    c = ((coeff[0] + 1j * coeff[1]) @ vh[rank:].conj()).reshape(l, l)
+    c = ((coeff[0] + 1j * coeff[1]) @ basis.reshape(l, l * l)).reshape(l, l)
     scale = 1.0 / np.sqrt(x.values)
     _, b = np.linalg.eigh(scale[:, None] * (c + c.conj().T) * scale[None, :])
-    return PureEnsemble(members=b.T @ x.vectors, m=m, n=n)
+    return PureEnsemble(members=b.T @ x.vectors, m=rho.m, n=rho.n)
 
 
 @dataclass(frozen=True)

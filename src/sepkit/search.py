@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import MemberCountError
+from .decompose import MemberCountError, range_space
 from .linalg import ScaledEigvecs, product_svd, random_orthonormal_columns, scaled_eigvecs
 from .linalg import reorthonormalize  # noqa: F401 (traced by perfbench)
 from .pairs import PairIndex, pair_operators, tau_matrix
@@ -59,16 +59,19 @@ __all__ = [
 class SearchConfig:
     """Budget for the search.
 
-    k = None walks the schedule l, 2l, 4l, ... capped at l^2, for a state
-    of rank l; an explicit k runs that single ensemble size, clipped to
-    l^2.  Each size runs `restarts` descents from random orthonormal
+    k = None walks the schedule l, 2l, 4l, ... capped at max(l, dim V),
+    for a state of rank l and the range space V of decompose.range_space;
+    an explicit k runs that single ensemble size, clipped to the same
+    cap.  Each size runs `restarts` descents from random orthonormal
     starts seeded seed + restart index, each of at most max_iters
     iterations.
 
-    The cap loses no decomposition: every product vector of one lies in
-    range(rho), so their projectors span at most the l^2 real dimensions
-    of the Hermitian operators on that range, and by Caratheodory l^2 of
-    them suffice.  Zero members pad such a mixture to any k >= l^2.
+    The cap loses no decomposition: the projectors of every product term
+    of one lie in V, a real space of dimension at most l^2 (l^2 when
+    rho^G has no kernel), so by Caratheodory dim V of them suffice, and
+    zero members pad such a mixture to any larger k.  A separable state
+    needs at least l terms and has dim V >= l; dim V < l proves
+    entanglement, and the walk then stops at l.
     """
 
     k: int | None = None
@@ -107,6 +110,7 @@ class SearchReport:
 
     rejected_extractions counts the restarts that reached _TOL_RESIDUAL
     but whose members failed the product test or the re-check.
+    range_dim is dim V (decompose.range_space), which caps the k walked.
     """
 
     best_residual: float
@@ -116,6 +120,7 @@ class SearchReport:
     iterations_used: int
     certificate: SeparableCertificate | None
     rejected_extractions: int
+    range_dim: int
 
 
 def pair_taus(x: ScaledEigvecs, m: int, n: int) -> np.ndarray:
@@ -241,8 +246,9 @@ def _descend(u: np.ndarray, taus: np.ndarray, max_iters: int) -> tuple[np.ndarra
     return u, f, iters
 
 
-def _k_schedule(cfg: SearchConfig, l: int) -> list[int]:
-    cap = l * l  # the most product terms a rank-l separable state needs
+def _k_schedule(cfg: SearchConfig, l: int, range_dim: int) -> list[int]:
+    """l, 2l, 4l, ... or the explicit k, capped at max(l, range_dim)."""
+    cap = max(l, range_dim)  # the most product terms a separable state needs
     if cfg.k is not None:
         if cfg.k < l:
             raise MemberCountError(f"k = {cfg.k} is below the rank l = {l}")
@@ -256,9 +262,10 @@ def _k_schedule(cfg: SearchConfig, l: int) -> list[int]:
 def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchReport:
     """Search for an annihilating u; deterministic for fixed (rho, config).
 
-    Runs the k schedule l, 2l, 4l, ... up to l^2, the most product terms
-    a rank-l separable state needs (an explicit k is clipped to l^2; see
-    SearchConfig); per size, one descent per seeded random restart.
+    Runs the k schedule l, 2l, 4l, ... up to max(l, dim V), the most
+    product terms a rank-l separable state needs (an explicit k is
+    clipped there; see SearchConfig); per size, one descent per seeded
+    random restart.
     Results merge by minimum residual, first-come on ties.  Certificate
     extraction is attempted on every restart that ends at F <=
     _TOL_RESIDUAL, and the first one that yields a checked certificate
@@ -276,11 +283,13 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
     x = scaled_eigvecs(rho)
     l = x.count
     taus = pair_taus(x, rho.m, rho.n)
+    range_dim = range_space(rho)[0]
     if len(taus) == 0:
         certificate = certify(x.vectors, rho)
         return SearchReport(best_residual=0.0, best_u=np.eye(l, dtype=complex), k=l,
                             restarts_used=0, iterations_used=0, certificate=certificate,
-                            rejected_extractions=int(certificate is None))
+                            rejected_extractions=int(certificate is None),
+                            range_dim=range_dim)
 
     best_f = np.inf
     best_u = None
@@ -290,7 +299,7 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
     rejected = 0
     certificate = None
 
-    for k, i in itertools.product(_k_schedule(cfg, l), range(cfg.restarts)):
+    for k, i in itertools.product(_k_schedule(cfg, l, range_dim), range(cfg.restarts)):
         u0 = random_orthonormal_columns(k, l, cfg.seed + i)
         u, f, iters = _descend(u0, taus, cfg.max_iters)
         restarts_used += 1
@@ -304,7 +313,8 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
             rejected += 1
     return SearchReport(best_residual=best_f, best_u=best_u, k=best_k,
                         restarts_used=restarts_used, iterations_used=iterations_used,
-                        certificate=certificate, rejected_extractions=rejected)
+                        certificate=certificate, rejected_extractions=rejected,
+                        range_dim=range_dim)
 
 
 def certificate_from_members(members: np.ndarray, m: int, n: int) -> SeparableCertificate:

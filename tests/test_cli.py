@@ -331,6 +331,19 @@ def test_search_reports_rejected_extractions(tmp_path):
     assert f"rejected extractions={count})" in run(["classify", path, *flags])[1]
 
 
+def test_search_reports_the_range_dim_that_caps_k(tmp_path):
+    """Both payloads and both human summaries carry dim V: bound_2x4 has
+    rank 5 and dim V = 9, so the walk is 5, 9 and stops at k = 5."""
+    path = gen(tmp_path, "bound_2x4")
+    flags = ["--restarts", "1", "--max-iters", "200"]
+    searched = json.loads(run(["search", path, "--json", *flags])[1])
+    classified = json.loads(run(["classify", path, "--json", *flags])[1])
+    for row in (searched, classified["search"]):
+        assert (row["k"], row["range_dim"]) == (5, 9)
+    assert "k: 5  dim V: 9  restarts: 1" in run(["search", path, *flags])[1]
+    assert "(k=5, dim V=9, restarts=1," in run(["classify", path, *flags])[1]
+
+
 def test_gen_bound_entangled_states(tmp_path):
     """The PPT-entangled Horodecki rho_0.5 and Tiles states are written
     exactly, and a small search budget leaves both Inconclusive."""

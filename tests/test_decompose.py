@@ -15,6 +15,7 @@ from sepkit.decompose import (
     canonical_basis,
     close_polygon,
     range_decomposition,
+    range_space,
     sign_matrix,
     single_pair_decomposition,
     verify_ensemble,
@@ -297,3 +298,63 @@ def test_range_decomposition_refuses_states_its_ranges_do_not_pin(rho, message):
     own direction in V, which proves them entangled (dim V < l)."""
     with pytest.raises(ValueError, match=message):
         range_decomposition(rho)
+
+
+def _dim_v_from_hermitian_basis(rho) -> int:
+    """dim V as a real linear system: l^2 - rank of X -> (X^G K) over the
+    Hermitian X = E H E^H, H running over a real basis of l x l Hermitian
+    matrices, E rho's unit eigenvectors and K the kernel of rho^G."""
+    m, n, d = rho.m, rho.n, rho.dim
+    w, vecs = np.linalg.eigh(rho.matrix)
+    e = vecs[:, w > 1e-10]
+    l = e.shape[1]
+    pt = rho.matrix.reshape(m, n, m, n).transpose(0, 3, 2, 1).reshape(d, d)
+    wg, vg = np.linalg.eigh(pt)
+    kernel = vg[:, wg <= 1e-10]
+    if kernel.shape[1] == 0:
+        return l * l
+    columns = []
+    for j in range(l):
+        for k in range(j, l):
+            units = [1.0] if j == k else [1.0, 1j]
+            for unit in units:
+                h = np.zeros((l, l), dtype=complex)
+                h[j, k] += unit
+                h[k, j] += np.conj(unit)
+                x = e @ h @ e.conj().T
+                xg = x.reshape(m, n, m, n).transpose(0, 3, 2, 1).reshape(d, d)
+                y = (xg @ kernel).reshape(-1)
+                columns.append(np.concatenate([y.real, y.imag]))
+    s = np.linalg.svd(np.array(columns).T, compute_uv=False)
+    return l * l - int(np.count_nonzero(s > 1e-9 * s[0]))
+
+
+@pytest.mark.parametrize("rho, dim", [
+    (sk.horodecki_2x4(0.5), 1),
+    (sk.tiles(), 1),
+    (sk.bound_2x4(), 9),
+    (sk.random_separable(3, 3, 3, seed=0), 3),  # dim V = l: the range route's case
+    (sk.random_separable(2, 3, 8, seed=1), 36),  # full rank: no kernel, dim V = l^2
+], ids=["horodecki_b0.5", "tiles", "bound_2x4", "rank3_mixture", "full_rank"])
+def test_range_space_matches_the_hermitian_count(rho, dim):
+    """range_space's complex null space has the dimension of the real
+    system over a Hermitian basis, and each of its C satisfies both
+    conditions X^G K = 0 and K^H X^G = 0 with X = E C E^H."""
+    assert _dim_v_from_hermitian_basis(rho) == dim
+    found, basis = range_space(rho)
+    assert found == dim
+    if dim == scaled_eigvecs(rho).count ** 2:
+        assert basis is None
+        return
+    assert basis.shape[0] == dim
+    m, n, d = rho.m, rho.n, rho.dim
+    x = scaled_eigvecs(rho)  # C is written in this eigenbasis
+    e = (x.vectors / np.sqrt(x.values)[:, None]).T
+    wg, vg = np.linalg.eigh(sk.partial_transpose(rho))
+    kernel = vg[:, wg <= 1e-10]
+    for c in basis:
+        x = e @ c @ e.conj().T
+        xg = x.reshape(m, n, m, n).transpose(0, 3, 2, 1).reshape(d, d)
+        assert np.linalg.norm(xg @ kernel) <= 1e-10
+        assert np.linalg.norm(kernel.conj().T @ xg) <= 1e-10
+    assert np.linalg.matrix_rank(basis.reshape(dim, -1), tol=1e-8) == dim

@@ -47,7 +47,7 @@ CLASSIFY = {
                      [], None, W_ONE_BY_THREE),
     "horodecki": (2, "Inconclusive", None, -4.417635812605136e-18,
                   [-0.04994330475368636, -0.22222222222222218, -0.17693893711513908],
-                  (3.6616257903276416e-05, 25, 4, 800, 0), None),
+                  (0.0031303734377345596, 5, 1, 200, 0), None),
 }
 
 # name: exit, (best residual, k, restarts, iterations, rejected), certificate weights or None
@@ -57,9 +57,9 @@ SEARCH = {
                 0.2500000000000008]),
     "bell": (2, (0.9999999999999986, 1, 1, 1, 0), None),
     "bound_2x4": (0, (6.502225146782513e-29, 5, 1, 74, 0), W_BOUND),
-    "separable": (2, (4.940345361982196e-08, 6, 3, 600, 0), None),
+    "separable": (2, (0.0001957980340144335, 3, 1, 200, 0), None),
     "one_by_three": (0, (0.0, 3, 0, 0, 0), W_ONE_BY_THREE),
-    "horodecki": (2, (3.6616257903276416e-05, 25, 4, 800, 0), None),
+    "horodecki": (2, (0.0031303734377345596, 5, 1, 200, 0), None),
 }
 
 

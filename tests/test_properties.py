@@ -3,9 +3,10 @@
 A local unitary U x V maps product states to product states and keeps the
 partial transpose's spectrum, so certificates carry over factor by factor
 and the PPT test gives the same answer.  It maps the space V of the range
-route onto the transformed state's, so that route's verdict carries over
-too.  Separately, no state with a negative partial transpose may ever
-come out certified, and low-rank mixtures certify without the search.
+route onto the transformed state's, so dim V and that route's verdict
+carry over too.  Separately, no state with a negative partial transpose
+may ever come out certified, and low-rank mixtures certify without the
+search.
 """
 
 import dataclasses
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import sepkit as sk
 from sepkit.criterion import ClassifyConfig, Verdict
-from sepkit.decompose import range_decomposition
+from sepkit.decompose import range_decomposition, range_space
 from sepkit.search import SearchConfig, certify, check_certificate, minimize
 from sepkit.states import BOUNDARY_TOL
 
@@ -128,3 +129,18 @@ def test_range_route_verdict_is_local_unitary_invariant(dims, data, seed):
         _recheck(cert, state.matrix)
         terms_found.append(len(cert.weights))
     assert terms_found[0] == terms_found[1]
+
+
+@settings(max_examples=50, deadline=None)
+@given(DIMS, st.data(), SEEDS)
+def test_range_dim_is_local_unitary_invariant_and_at_least_the_rank(dims, data, seed):
+    """dim V is the same for rho and (U x V) rho (U x V)^dag, and a
+    separable mixture has dim V >= l: the premise of both the search's
+    cap at max(l, dim V) and the entanglement proof dim V < l."""
+    m, n = dims
+    terms = data.draw(st.integers(1, m * n), label="terms")
+    rho = sk.random_separable(m, n, terms, seed)
+    rng = np.random.default_rng(seed)
+    dim = range_space(rho)[0]
+    assert dim == range_space(_rotate(rho, _unitary(m, rng), _unitary(n, rng)))[0]
+    assert dim >= sk.scaled_eigvecs(rho).count

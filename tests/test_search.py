@@ -188,34 +188,53 @@ def walked_schedules(monkeypatch, rho, config):
 
 
 @pytest.mark.parametrize("rho, schedule", [
-    (sk.bell(), [1]),                                    # l = 1
-    (sk.tiles(), [4, 8, 16]),                            # l = 4 in 3x3
-    (sk.horodecki_2x4(0.5), [5, 10, 20, 25]),            # l = 5 in 2x4
-    (sk.random_separable(2, 3, terms=8, seed=0), [6, 12, 24, 36]),  # full rank
-])
-def test_schedule_doubles_from_the_rank_up_to_its_square(monkeypatch, rho, schedule):
-    """A rank-l separable state mixes at most l^2 products, so the walk stops there."""
-    seen, _ = walked_schedules(monkeypatch, rho, SearchConfig(restarts=1, max_iters=1))
+    (sk.bell(), [1]),                                    # l = 1, no kernel of rho^G
+    (sk.tiles(), [4]),                                   # l = 4 in 3x3, dim V = 1
+    (sk.horodecki_2x4(0.5), [5]),                        # l = 5 in 2x4, dim V = 1
+    (sk.bound_2x4(), [5, 9]),                            # l = 5, dim V = 9
+    (sk.random_separable(2, 3, terms=8, seed=0), [6, 12, 24, 36]),  # full rank, dim V = l^2
+], ids=["bell", "tiles", "horodecki_b0.5", "bound_2x4", "full_rank"])
+def test_schedule_doubles_from_the_rank_up_to_dim_v(monkeypatch, rho, schedule):
+    """A separable state mixes at most dim V products (l^2 when rho^G has
+    no kernel), so the walk stops at max(l, dim V), which the report holds."""
+    seen, report = walked_schedules(monkeypatch, rho, SearchConfig(restarts=1, max_iters=1))
     assert seen == [schedule]
+    assert schedule[-1] == max(scaled_eigvecs(rho).count, report.range_dim)
 
 
 def test_explicit_k_above_the_rank_squared_is_clipped(monkeypatch):
-    rho = sk.random_separable(2, 3, terms=2, seed=0)  # rank 2, so the cap is 4
+    rho = sk.random_separable(2, 3, terms=2, seed=0)  # rank 2 and dim V = 2, so the cap is 2
     seen, report = walked_schedules(monkeypatch, rho,
                                     SearchConfig(k=30, restarts=1, max_iters=5))
-    assert seen == [[4]]
-    assert report.k == 4
+    assert seen == [[2]]
+    assert report.k == 2
+
+
+@pytest.mark.parametrize("rho, k, clipped", [
+    (sk.bound_2x4(), 7, 7),                                # l = 5, dim V = 9
+    (sk.bound_2x4(), 30, 9),
+    (sk.tiles(), 30, 4),                                   # l = 4, dim V = 1
+    (sk.random_separable(2, 3, terms=8, seed=0), 40, 36),  # full rank, dim V = l^2
+], ids=["bound_2x4_below", "bound_2x4_above", "tiles", "full_rank"])
+def test_explicit_k_is_clipped_at_the_walks_cap(monkeypatch, rho, k, clipped):
+    """An explicit k is clipped at max(l, dim V), where the walk stops."""
+    seen, report = walked_schedules(monkeypatch, rho,
+                                    SearchConfig(k=k, restarts=1, max_iters=5))
+    assert seen == [[clipped]]
+    assert report.k == clipped
 
 
 @pytest.mark.parametrize("rho, restarts, iterations, k_max", [
-    (sk.horodecki_2x4(0.5), 4, 800, 25),
-    (sk.tiles(), 3, 600, 16),
+    (sk.horodecki_2x4(0.5), 1, 200, 5),
+    (sk.tiles(), 1, 200, 4),
 ])
 def test_capped_schedule_bounds_the_work_on_ppt_entangled_states(rho, restarts, iterations,
                                                                   k_max):
-    """At restarts=1, max_iters=200 every size spends the whole budget."""
+    """dim V = 1 is below the rank, so only k = l runs, and at restarts=1,
+    max_iters=200 it spends the whole budget without a certificate."""
     report = minimize(rho, SearchConfig(restarts=1, max_iters=200))
     assert report.certificate is None
+    assert report.range_dim == 1
     assert (report.restarts_used, report.iterations_used) == (restarts, iterations)
     assert report.k <= k_max
 

@@ -1,0 +1,104 @@
+"""Completeness sweep: how many seeded separable mixtures sepkit certifies.
+
+Usage, from the repository root:
+
+    python3 tools/completeness.py --restarts 1 --max-iters 200 \
+        --min-classify 140 --min-minimize 50
+
+The states are ``random_separable(m, n, terms, seed)`` for m x n in 2x3,
+3x3, 2x4, 3x4, 2x5 and 4x4, every terms from 2 to mn - 1 and seeds 0-3
+(196 states).  Every one is separable, so each state that ends without a
+certificate is a completeness failure, never a wrong verdict.  Each
+state goes through ``classify`` (closed forms, then the search) and
+through ``minimize`` alone, both at the budget given by ``--restarts``
+and ``--max-iters``.
+
+One line per state gives its rank l, dim V (``SearchReport.range_dim``),
+whether each route certified, and the search's k and iterations; then
+the certified counts and total search iterations per shape and overall.
+Every certificate is re-checked with ``check_certificate``.  The exit
+code is 1 when a count falls below its ``--min-*`` floor, else 0.
+
+sepkit is imported from ``src/`` of the checkout this file sits in, and
+BLAS runs on one thread.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "src"))
+
+import sepkit as sk  # noqa: E402
+
+SHAPES = ((2, 3), (3, 3), (2, 4), (3, 4), (2, 5), (4, 4))
+SEEDS = range(4)
+
+
+def sweep(cfg: sk.SearchConfig):
+    """Yield (m, n, terms, seed, l, classify report, minimize report)."""
+    for m, n in SHAPES:
+        for terms in range(2, m * n):
+            for seed in SEEDS:
+                rho = sk.random_separable(m, n, terms, seed)
+                classified = sk.classify(rho, sk.ClassifyConfig(search=cfg))
+                searched = sk.minimize(rho, cfg)
+                for cert in (classified.certificate, searched.certificate):
+                    if cert is not None:
+                        sk.check_certificate(cert, rho.matrix)
+                yield m, n, terms, seed, sk.scaled_eigvecs(rho).count, classified, searched
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--restarts", type=int, default=1)
+    parser.add_argument("--max-iters", dest="max_iters", type=int, default=200)
+    parser.add_argument("--min-classify", dest="min_classify", type=int, default=0,
+                        help="fail below this many classify certificates")
+    parser.add_argument("--min-minimize", dest="min_minimize", type=int, default=0,
+                        help="fail below this many minimize certificates")
+    args = parser.parse_args(argv)
+    cfg = sk.SearchConfig(restarts=args.restarts, max_iters=args.max_iters)
+
+    start = time.perf_counter()
+    totals = {}  # (m, n) -> [states, classify, minimize, classify iters, minimize iters]
+    print("shape terms seed  l dimV classify minimize  k iters")
+    for m, n, terms, seed, l, classified, searched in sweep(cfg):
+        row = totals.setdefault((m, n), [0, 0, 0, 0, 0])
+        row[0] += 1
+        row[1] += classified.certificate is not None
+        row[2] += searched.certificate is not None
+        row[3] += classified.search.iterations_used if classified.search else 0
+        row[4] += searched.iterations_used
+        print(f"{m}x{n} {terms:5d} {seed:4d} {l:2d} {searched.range_dim:4d} "
+              f"{'yes' if classified.certificate is not None else 'no':>8} "
+              f"{'yes' if searched.certificate is not None else 'no':>8} "
+              f"{searched.k:3d} {searched.iterations_used:5d}")
+
+    print(f"\nbudget: restarts={cfg.restarts} max_iters={cfg.max_iters}")
+    print("shape states classify minimize classify_iters minimize_iters")
+    overall = [0, 0, 0, 0, 0]
+    for (m, n), row in totals.items():
+        print(f"{m}x{n} {row[0]:6d} {row[1]:8d} {row[2]:8d} {row[3]:14d} {row[4]:14d}")
+        overall = [a + b for a, b in zip(overall, row)]
+    print(f"all {overall[0]:6d} {overall[1]:8d} {overall[2]:8d} "
+          f"{overall[3]:14d} {overall[4]:14d}")
+    print(f"wall time: {time.perf_counter() - start:.1f} s")
+
+    failed = False
+    for name, count, floor in (("classify", overall[1], args.min_classify),
+                               ("minimize", overall[2], args.min_minimize)):
+        if count < floor:
+            print(f"FAIL: {name} certified {count}, below the floor {floor}", file=sys.stderr)
+            failed = True
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
