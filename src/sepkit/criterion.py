@@ -12,11 +12,9 @@ nonzero entries, so tau has rank <= 4 and its nonzero lambdas are those
 of a 4 x 4 core (pair_reports), and no tau is built here: only
 search.pair_taus stacks pairs.tau_matrix into the (P, l, l) array the
 search reads.  The partial transpose test runs alongside as an
-independent witness.
-
-classify runs the whole chain: this pair criterion, then decompose's
-closed forms, then the search.  So criterion sits above decompose and
-search, and the primitives all three share live below them.
+independent witness.  classify runs _ROUTES in order, so criterion sits
+above decompose and search, and the primitives all three share live
+below them.
 """
 
 import enum
@@ -111,9 +109,8 @@ def pair_reports(x: ScaledEigvecs, m: int, n: int) -> list[SpectralReport]:
 
 
 def ppt_min_eigenvalue(rho: DensityMatrix) -> float:
-    """Least eigenvalue of the partial transpose's Hermitian part; negative proves entanglement."""
-    pt = partial_transpose(rho)
-    return float(np.linalg.eigvalsh((pt + pt.conj().T) / 2.0)[0])
+    """Least eigenvalue of the partial transpose; negative proves entanglement."""
+    return float(np.linalg.eigvalsh(partial_transpose(rho))[0])
 
 
 def pure_product_check(psi, m: int, n: int) -> bool:
@@ -157,55 +154,57 @@ class ClassificationReport:
     search: SearchReport | None = None
 
 
+def _pair_criterion(rho, x, reports, ppt_min, config):
+    for r, rep in enumerate(reports, start=1):
+        if rep.a_value > BOUNDARY_TOL:
+            return dict(verdict=Verdict.ENTANGLED_BY_PAIR_CRITERION, entangling_pair=r)
+    return None
+
+
+def _ppt(rho, x, reports, ppt_min, config):
+    return dict(verdict=Verdict.ENTANGLED_BY_PPT) if ppt_min < -BOUNDARY_TOL else None
+
+
+def _closed_form(members):
+    """The route certifying members(rho, x, reports); None or a ValueError from it passes."""
+    def route(rho, x, reports, ppt_min, config):
+        try:
+            z = members(rho, x, reports)
+        except ValueError:
+            return None
+        cert = None if z is None else search.certify(z, rho)
+        return None if cert is None else dict(verdict=Verdict.SEPARABLE_CERTIFIED, certificate=cert)
+    return route
+
+
+def _search(rho, x, reports, ppt_min, config):
+    found = search.minimize(rho, (config or ClassifyConfig()).search)
+    verdict = Verdict.INCONCLUSIVE if found.certificate is None else Verdict.SEPARABLE_CERTIFIED
+    return dict(verdict=verdict, certificate=found.certificate, search=found)
+
+
+# classify's decisions in order: each route returns its verdict's evidence, or None.
+_ROUTES = (
+    _pair_criterion,  # a > BOUNDARY_TOL on a pair, the first such one named: entangled
+    _ppt,  # a partial-transpose eigenvalue below -BOUNDARY_TOL: entangled
+    # The eigen-ensemble: with no pairs every vector is a product; at rank 1 it may be.
+    _closed_form(lambda rho, x, reports: x.vectors if not reports or x.count == 1 else None),
+    # A lone pair's ensemble (2 x 2) is a full decomposition of the state.
+    _closed_form(lambda rho, x, reports: decompose.single_pair_decomposition(
+        rho, reports[0].pair).members if len(reports) == 1 else None),
+    # On more pairs, the l terms that the ranges pin down when dim V = l.
+    _closed_form(lambda rho, x, reports: decompose.range_decomposition(rho).members
+                 if len(reports) > 1 else None),
+    _search,  # a failed search is Inconclusive, never entangled
+)
+
+
 def classify(rho: DensityMatrix, config: ClassifyConfig | None = None,
              basis_override=None) -> ClassificationReport:
-    """Run the pipeline: spectra, pair criterion, partial transpose, closed
-    forms, then search.
-
-    Any pair with a > BOUNDARY_TOL or a partial-transpose eigenvalue below
-    -BOUNDARY_TOL proves entanglement; a one-dimensional factor has no
-    pairs and is never entangled.  Otherwise the closed forms come first:
-    the eigen-ensemble of a state with no pairs or of rank 1, then a lone
-    pair's ensemble (2 x 2) or decompose.range_decomposition on more
-    pairs, which certifies every state whose ranges pin its decomposition.
-    Each goes through search.certify; if none certifies, the search runs.
-    Success yields a verified certificate, failure is reported as
-    inconclusive (never as entangled).
-    """
-    cfg = config or ClassifyConfig()
+    """Report the first route of _ROUTES to decide, with the pair spectra and PPT minimum."""
     x = scaled_eigvecs(rho, basis_override=basis_override)
     ppt_min = ppt_min_eigenvalue(rho)
     reports = pair_reports(x, rho.m, rho.n)
-
-    def report(verdict: Verdict, **evidence) -> ClassificationReport:
-        return ClassificationReport(verdict=verdict, ppt_min_eigenvalue=ppt_min,
-                                    pairs=reports, **evidence)
-
-    for r, rep in enumerate(reports, start=1):
-        if rep.a_value > BOUNDARY_TOL:
-            return report(Verdict.ENTANGLED_BY_PAIR_CRITERION, entangling_pair=r)
-    if ppt_min < -BOUNDARY_TOL:
-        return report(Verdict.ENTANGLED_BY_PPT)
-
-    # With no pairs every vector is a product, so the eigen-ensemble is a
-    # certificate; a rank-1 state's eigenvector is one if it is a product.
-    cert = search.certify(x.vectors, rho) if not reports or x.count == 1 else None
-    if cert is None and reports:
-        cert = _constructive_certificate(rho, reports)
-    if cert is not None:
-        return report(Verdict.SEPARABLE_CERTIFIED, certificate=cert)
-
-    found = search.minimize(rho, cfg.search)
-    verdict = Verdict.INCONCLUSIVE if found.certificate is None else Verdict.SEPARABLE_CERTIFIED
-    return report(verdict, certificate=found.certificate, search=found)
-
-
-def _constructive_certificate(rho: DensityMatrix, reports) -> SeparableCertificate | None:
-    """Closed-form routes: a lone pair's ensemble (2 x 2) is a full decomposition
-    of the state, and range_decomposition one of a state whose ranges pin it."""
-    try:
-        ensemble = (decompose.single_pair_decomposition(rho, reports[0].pair)
-                    if len(reports) == 1 else decompose.range_decomposition(rho))
-    except ValueError:
-        return None
-    return search.certify(ensemble.members, rho)
+    evidence = next(e for route in _ROUTES
+                    if (e := route(rho, x, reports, ppt_min, config)) is not None)
+    return ClassificationReport(ppt_min_eigenvalue=ppt_min, pairs=reports, **evidence)

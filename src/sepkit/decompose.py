@@ -17,7 +17,8 @@ term of rho^G; a rank-l state's terms span range(rho), so l of their
 projectors are independent and a separable rho has dim V >= l.  So
 dim V < l proves rho entangled.  dim V also bounds the number of terms:
 rho lies in the cone of a decomposition's projectors inside V, so by
-Caratheodory dim V of them suffice (search.minimize walks no further).
+Caratheodory dim V of them suffice, and zero members pad them to any
+larger count; so search.minimize walks k no further than max(l, dim V).
 When dim V = l those l projectors span V, so the l-term decomposition is
 unique, and a generic Hermitian element of V, whitened by rho's spectrum,
 has the terms as its eigenvectors.
@@ -228,7 +229,9 @@ def range_space(rho: DensityMatrix) -> tuple[int, np.ndarray | None]:
     null space of one linear map; the basis is that null space as a
     (dim V, l, l) stack of C, and the Hermitian parts of its complex
     combinations span V.  When rho^G has no kernel every Hermitian C lies
-    in V: dim V is l^2, no SVD is taken, and the basis is None.
+    in V: dim V is l^2, no SVD is taken, and the basis is None.  The basis
+    is also None when the map has fewer than l^2 - l rows, so dim V > l:
+    its singular values alone give the count.
     """
     x = scaled_eigvecs(rho)
     l, m, n = x.count, rho.m, rho.n
@@ -242,6 +245,8 @@ def range_space(rho: DensityMatrix) -> tuple[int, np.ndarray | None]:
     ek = e[:, None] @ kernel.swapaxes(1, 2)[None]
     a = (ek[:, None] @ e.conj()[None, :, None]).reshape(l, l, -1)
     a = np.concatenate([a, a.swapaxes(0, 1).conj()], axis=2).reshape(l * l, -1).T
+    if a.shape[0] < l * l - l:  # dim V > l, where nothing reads the basis
+        return l * l - int(np.count_nonzero(np.linalg.svd(a, compute_uv=False) > RANK_TOL)), None
     # vh[rank:] spans the null space of c -> a @ c; a wide a needs the full SVD for it.
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     rank = int(np.count_nonzero(s > RANK_TOL))
@@ -260,7 +265,7 @@ def range_decomposition(rho: DensityMatrix) -> PureEnsemble:
     x = scaled_eigvecs(rho)
     l = x.count
     dim, basis = range_space(rho)
-    if basis is None:
+    if basis is None and dim == l * l:
         raise ValueError("the partial transpose has no kernel")
     if dim != l:
         raise ValueError(f"dim V = {dim}, the rank is {l}")

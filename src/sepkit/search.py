@@ -62,16 +62,10 @@ class SearchConfig:
     k = None walks the schedule l, 2l, 4l, ... capped at max(l, dim V),
     for a state of rank l and the range space V of decompose.range_space;
     an explicit k runs that single ensemble size, clipped to the same
-    cap.  Each size runs `restarts` descents from random orthonormal
-    starts seeded seed + restart index, each of at most max_iters
-    iterations.
-
-    The cap loses no decomposition: the projectors of every product term
-    of one lie in V, a real space of dimension at most l^2 (l^2 when
-    rho^G has no kernel), so by Caratheodory dim V of them suffice, and
-    zero members pad such a mixture to any larger k.  A separable state
-    needs at least l terms and has dim V >= l; dim V < l proves
-    entanglement, and the walk then stops at l.
+    cap, which loses no decomposition (see the decompose module
+    docstring).  Each size runs `restarts` descents from random
+    orthonormal starts seeded seed + restart index, each of at most
+    max_iters iterations.
     """
 
     k: int | None = None
@@ -248,7 +242,7 @@ def _descend(u: np.ndarray, taus: np.ndarray, max_iters: int) -> tuple[np.ndarra
 
 def _k_schedule(cfg: SearchConfig, l: int, range_dim: int) -> list[int]:
     """l, 2l, 4l, ... or the explicit k, capped at max(l, range_dim)."""
-    cap = max(l, range_dim)  # the most product terms a separable state needs
+    cap = max(l, range_dim)  # enough terms: see the decompose module docstring
     if cfg.k is not None:
         if cfg.k < l:
             raise MemberCountError(f"k = {cfg.k} is below the rank l = {l}")
@@ -262,9 +256,7 @@ def _k_schedule(cfg: SearchConfig, l: int, range_dim: int) -> list[int]:
 def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchReport:
     """Search for an annihilating u; deterministic for fixed (rho, config).
 
-    Runs the k schedule l, 2l, 4l, ... up to max(l, dim V), the most
-    product terms a rank-l separable state needs (an explicit k is
-    clipped there; see SearchConfig); per size, one descent per seeded
+    Runs SearchConfig's k schedule; per size, one descent per seeded
     random restart.
     Results merge by minimum residual, first-come on ties.  Certificate
     extraction is attempted on every restart that ends at F <=

@@ -58,8 +58,9 @@ class DensityMatrix:
 
     Valid by construction, else ValueError: the matrix is finite, Hermitian
     and of unit trace within STATE_TOL, with no eigenvalue below -BOUNDARY_TOL.
-    ``matrix`` is the state's own read-only copy of the input.  The
-    eigendecomposition of its Hermitian part that validation computes is
+    ``matrix`` is the read-only Hermitian part (M + M^H)/2 of the input M,
+    so every reader sees one Hermitian matrix (the input itself when it is
+    exactly Hermitian).  Its eigendecomposition, computed by validation, is
     kept, read-only and in numpy's ascending order, for scaled_eigvecs.
     """
 
@@ -80,7 +81,8 @@ class DensityMatrix:
             raise ValueError("matrix is not Hermitian within tolerance")
         if abs(np.trace(mat).real - 1.0) > STATE_TOL or abs(np.trace(mat).imag) > STATE_TOL:
             raise ValueError(f"trace is {np.trace(mat):.6g}, expected 1")
-        w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
+        mat = (mat + mat.conj().T) / 2
+        w, v = np.linalg.eigh(mat)
         if w[0] < -BOUNDARY_TOL:
             raise ValueError(f"matrix has an eigenvalue below -{BOUNDARY_TOL:g}")
         for a in (mat, w, v):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import sepkit as sk
 from sepkit.criterion import ClassifyConfig, Verdict, pair_reports, pair_spectrum
-from sepkit.decompose import a_value
+from sepkit.decompose import a_value, range_space
 from sepkit.linalg import hermitian_eig, scaled_eigvecs, singular_values
 from sepkit.pairs import pair_operators, tau_matrix
 from sepkit.search import SearchConfig, check_certificate, minimize, pair_taus
@@ -403,6 +403,43 @@ def test_classify_falls_through_to_the_search(rho, search):
     alone = minimize(rho, cfg)
     assert found.best_residual == alone.best_residual
     assert found.best_u.tobytes() == alone.best_u.tobytes()
+
+
+@pytest.mark.parametrize("module, name, rho", [
+    (sk.search, "minimize", sk.tiles()),
+    (sk.search, "certify", sk.werner_2x2(0.2)),
+    (sk.decompose, "single_pair_decomposition", sk.werner_2x2(0.2)),
+    (sk.decompose, "range_decomposition", sk.random_separable(3, 3, 3, seed=0)),
+], ids=["minimize", "certify", "single_pair", "range"])
+def test_classify_looks_each_route_up_at_call_time(monkeypatch, module, name, rho):
+    """A spy set on the module after import sees classify's call: no route
+    binds decompose or search functions when criterion is imported."""
+    original, calls = getattr(module, name), []
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    sk.classify(rho, ClassifyConfig(search=SearchConfig(restarts=1, max_iters=5)))
+    assert calls
+
+
+@pytest.mark.parametrize("m, n", [(3, 3), (2, 4), (3, 4)])
+def test_an_anti_hermitian_residue_moves_neither_dim_v_nor_the_verdict(m, n):
+    """Low-rank mixtures plus 3e-9 times a unit real antisymmetric matrix
+    are valid states with the mixture as their Hermitian part.  Every
+    reader sees that part (eigh reads one triangle only), so dim V stays
+    l and the range route certifies them without the search."""
+    cfg = ClassifyConfig(search=SearchConfig(restarts=1, max_iters=1))
+    for terms, seed in itertools.product((2, 3), range(2)):
+        clean = sk.random_separable(m, n, terms, seed=seed)
+        a = np.random.default_rng(seed).standard_normal((m * n, m * n))
+        rho = sk.density_matrix(m, n, clean.matrix + 3e-9 * (a - a.T) / np.linalg.norm(a - a.T))
+        assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+        assert range_space(rho)[0] == range_space(clean)[0] == scaled_eigvecs(rho).count
+        report = sk.classify(rho, cfg)
+        assert report.verdict is Verdict.SEPARABLE_CERTIFIED and report.search is None
 
 
 def test_closed_form_routes_certify_low_rank_mixtures():

@@ -358,3 +358,22 @@ def test_range_space_matches_the_hermitian_count(rho, dim):
         assert np.linalg.norm(xg @ kernel) <= 1e-10
         assert np.linalg.norm(kernel.conj().T @ xg) <= 1e-10
     assert np.linalg.matrix_rank(basis.reshape(dim, -1), tol=1e-8) == dim
+
+
+def test_range_space_counts_a_wide_system_without_a_basis():
+    """Fewer than l^2 - l conditions leave dim V > l, where nothing reads a
+    basis: a rank-35 6x6 mixture gets its count from the singular values
+    alone, with no 1225 x 1225 factor on the way (48 MB)."""
+    rho = sk.random_separable(6, 6, 35, seed=0)
+    assert scaled_eigvecs(rho).count == 35
+    tracemalloc.start()
+    try:
+        dim, basis = range_space(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dim == _dim_v_from_hermitian_basis(rho) == 1154
+    assert basis is None
+    assert peak < 2**23
+    with pytest.raises(ValueError, match="dim V = 1154, the rank is 35"):
+        range_decomposition(rho)

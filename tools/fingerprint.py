@@ -1,0 +1,94 @@
+"""Fingerprint every classify field on the benchmark corpora.
+
+Usage, from the repository root:
+
+    python3 tools/fingerprint.py --seed 1
+
+Each state of the ``screen``, ``certify`` and ``exhaust`` corpora
+(``perfbench/corpus.py``, imported unchanged) goes through
+``parse_state`` and ``classify`` at the benchmark budget (restarts=1,
+max_iters=200).  One sha256 per workload is printed over every field of
+every report: the verdict and entangling pair; the bytes of the PPT
+minimum; each pair's lambdas, l' and a-value; the certificate's weights,
+alphas and betas; the search's best residual, k, restarts, iterations,
+rejected extractions, ``best_u`` and ``range_dim``.
+
+Two checkouts that print the same lines give byte-identical reports.
+The hashes depend on the BLAS build, so compare them on one host only.
+sepkit is imported from ``src/`` of the checkout this file sits in, and
+BLAS runs on one thread.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import struct  # noqa: E402
+import sys  # noqa: E402
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(_ROOT, "src"))
+sys.path.insert(0, os.path.join(_ROOT, "perfbench"))
+
+import numpy as np  # noqa: E402
+
+import corpus  # noqa: E402
+import sepkit as sk  # noqa: E402
+
+WORKLOADS = ("screen", "certify", "exhaust")
+BUDGET = sk.SearchConfig(restarts=1, max_iters=200)  # perfbench/run.py's BUDGET
+
+
+def _array(h, a) -> None:
+    a = np.ascontiguousarray(a)
+    h.update(repr((a.dtype.str, a.shape)).encode())
+    h.update(a.tobytes())
+
+
+def _report(h, rep: sk.ClassificationReport) -> None:
+    """Feed every field of one report into h."""
+    h.update(repr((rep.verdict.value, rep.entangling_pair)).encode())
+    h.update(struct.pack("<d", rep.ppt_min_eigenvalue))
+    for pr in rep.pairs:
+        h.update(repr((pr.pair.p, pr.pair.q, pr.l_prime)).encode())
+        h.update(struct.pack("<d", pr.a_value))
+        _array(h, pr.lambdas)
+    cert = rep.certificate
+    h.update(b"cert" if cert is not None else b"-")
+    if cert is not None:
+        for a in (cert.weights, cert.alphas, cert.betas):
+            _array(h, a)
+    s = rep.search
+    h.update(b"search" if s is not None else b"-")
+    if s is not None:
+        h.update(struct.pack("<d", s.best_residual))
+        h.update(repr((s.k, s.restarts_used, s.iterations_used, s.rejected_extractions,
+                       s.range_dim, s.certificate is not None)).encode())
+        _array(h, s.best_u)
+
+
+def fingerprint(workload: str, seed: int) -> tuple[str, int]:
+    """The sha256 over every report of one workload, and its state count."""
+    cfg = sk.ClassifyConfig(search=BUDGET)
+    h = hashlib.sha256()
+    cases = corpus.WORKLOADS[workload](seed)
+    for case in cases:
+        _report(h, sk.classify(sk.parse_state(case.text), cfg))
+    return h.hexdigest(), len(cases)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=1, help="corpus seed (default 1)")
+    args = parser.parse_args(argv)
+    for workload in WORKLOADS:
+        digest, count = fingerprint(workload, args.seed)
+        print(f"{workload} seed={args.seed} states={count} sha256={digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
