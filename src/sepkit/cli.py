@@ -95,13 +95,21 @@ def _pair_rows(reports) -> list[dict]:
 
 
 def _search_row(report) -> dict | None:
+    """The search's JSON fields; the residual is null when no size was walked."""
     if report is None:
         return None
-    return {"best_residual": float(report.best_residual), "k": int(report.k),
+    residual = float(report.best_residual)
+    return {"best_residual": residual if np.isfinite(residual) else None, "k": int(report.k),
             "restarts": int(report.restarts_used),
             "iterations": int(report.iterations_used),
             "rejected_extractions": int(report.rejected_extractions),
             "range_dim": int(report.range_dim)}
+
+
+def _no_walk(report) -> str:
+    """The human line of a search that walked no size (k = 0); best_u is (0, l)."""
+    return (f"no size searched: dim V = {report.range_dim} is below "
+            f"the rank {report.best_u.shape[1]}")
 
 
 def _certificate_row(cert) -> dict | None:
@@ -186,7 +194,9 @@ def _cmd_classify(args, out, err) -> int:
         lam = " ".join(f"{v:.12g}" for v in rep.lambdas)
         human.append(f"pair {i} (p={rep.pair.p}, q={rep.pair.q}): a = {rep.a_value:.12g}  "
                      f"lambdas = {lam}")
-    if report.search is not None:
+    if report.search is not None and report.search.k == 0:
+        human.append(f"search: {_no_walk(report.search)}")
+    elif report.search is not None:
         human.append(f"search: best residual {report.search.best_residual:.6g} "
                      f"(k={report.search.k}, dim V={report.search.range_dim}, "
                      f"restarts={report.search.restarts_used}, "
@@ -268,7 +278,7 @@ def _cmd_search(args, out, err) -> int:
     report = search.minimize(rho, _search_config(args))
     payload = {**_search_row(report), "certificate": _certificate_row(report.certificate)}
     human = [
-        f"best residual: {report.best_residual:.6g}",
+        _no_walk(report) if report.k == 0 else f"best residual: {report.best_residual:.6g}",
         f"k: {report.k}  dim V: {report.range_dim}  restarts: {report.restarts_used}"
         f"  iterations: {report.iterations_used}"
         f"  rejected extractions: {report.rejected_extractions}",

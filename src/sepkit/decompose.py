@@ -18,7 +18,8 @@ projectors are independent and a separable rho has dim V >= l.  So
 dim V < l proves rho entangled.  dim V also bounds the number of terms:
 rho lies in the cone of a decomposition's projectors inside V, so by
 Caratheodory dim V of them suffice, and zero members pad them to any
-larger count; so search.minimize walks k no further than max(l, dim V).
+larger count; so search.minimize walks k no further than max(l, dim V),
+and not at all when dim V < l holds beyond RANGE_MARGIN.
 When dim V = l those l projectors span V, so the l-term decomposition is
 unique, and a generic Hermitian element of V, whitened by rho's spectrum,
 has the terms as its eigenvectors.
@@ -31,7 +32,7 @@ import numpy as np
 
 from .linalg import ScaledEigvecs, product_svd, scaled_eigvecs, takagi
 from .pairs import PairIndex, PairOperator, _entry_arrays, build_pair_operator, tau_matrix
-from .states import BOUNDARY_TOL, RANK_TOL, DensityMatrix, partial_transpose
+from .states import BOUNDARY_TOL, RANGE_MARGIN, RANK_TOL, DensityMatrix, partial_transpose
 
 __all__ = [
     "PolygonInfeasibleError",
@@ -227,18 +228,44 @@ def range_space(rho: DensityMatrix) -> tuple[int, np.ndarray | None]:
     kernel of rho^G (eigenvalues <= RANK_TOL).  Over complex C the
     conditions X^G K = 0 and K^H X^G = 0 give V's complexification, the
     null space of one linear map; the basis is that null space as a
-    (dim V, l, l) stack of C, and the Hermitian parts of its complex
-    combinations span V.  When rho^G has no kernel every Hermitian C lies
-    in V: dim V is l^2, no SVD is taken, and the basis is None.  The basis
-    is also None when the map has fewer than l^2 - l rows, so dim V > l:
-    its singular values alone give the count.
+    (dim V, l, l) stack of C, read-only, and the Hermitian parts of its
+    complex combinations span V.  When rho^G has no kernel every Hermitian
+    C lies in V: dim V is l^2, no SVD is taken, and the basis is None.  The
+    basis is also None when the map has fewer than l^2 - l rows, so
+    dim V > l: its singular values alone give the count.  rho^G's eigh and
+    the SVD run on the first call only; the result is kept on rho, with
+    the count that search.minimize's skip reads: l^2 minus the singular
+    values above RANGE_MARGIN, or l^2 unless every kernel eigenvalue of
+    rho^G is at most RANGE_MARGIN^2 times rho's least eigenvalue.
     """
+    return _range(rho)[:2]
+
+
+def _range(rho: DensityMatrix) -> tuple[int, np.ndarray | None, int]:
+    """range_space's dim V and basis, and the count beyond RANGE_MARGIN.
+
+    The last bounds dim V from above (see range_space).  When it is below
+    l, dim V < l holds robustly and no decomposition exists.  Computed
+    once per state and kept in rho's _range slot.
+    """
+    if rho._range is None:
+        object.__setattr__(rho, "_range", _solve_range(rho))
+    return rho._range
+
+
+def _solve_range(rho: DensityMatrix) -> tuple[int, np.ndarray | None, int]:
     x = scaled_eigvecs(rho)
     l, m, n = x.count, rho.m, rho.n
     w, v = np.linalg.eigh(partial_transpose(rho))
-    kernel = v[:, w <= RANK_TOL].T.reshape(-1, m, n)
+    zero = w <= RANK_TOL
+    kernel = v[:, zero].T.reshape(-1, m, n)
     if kernel.shape[0] == 0:
-        return l * l, None
+        return l * l, None, l * l
+    # A kernel eigenvalue w_s leaves a product term of weight t an overlap
+    # up to sqrt(w_s / t) with its eigenvector.  Unless that stays below
+    # RANGE_MARGIN for t, rho's least eigenvalue, no count is robust.
+    clear = max(w[zero][-1], 0.0) <= RANGE_MARGIN ** 2 * x.values[-1]
+    margin = RANGE_MARGIN if clear else np.inf
     e = (x.vectors / np.sqrt(x.values)[:, None]).reshape(l, m, n)
     # As m x n matrices, (e_j e_k^H)^G K_s is E_j K_s^T conj(E_k), and
     # K_s^H (e_j e_k^H)^G is the conjugate of its (k, j) entry.
@@ -246,11 +273,15 @@ def range_space(rho: DensityMatrix) -> tuple[int, np.ndarray | None]:
     a = (ek[:, None] @ e.conj()[None, :, None]).reshape(l, l, -1)
     a = np.concatenate([a, a.swapaxes(0, 1).conj()], axis=2).reshape(l * l, -1).T
     if a.shape[0] < l * l - l:  # dim V > l, where nothing reads the basis
-        return l * l - int(np.count_nonzero(np.linalg.svd(a, compute_uv=False) > RANK_TOL)), None
-    # vh[rank:] spans the null space of c -> a @ c; a wide a needs the full SVD for it.
-    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    rank = int(np.count_nonzero(s > RANK_TOL))
-    return l * l - rank, vh[rank:].conj().reshape(-1, l, l)
+        s, basis = np.linalg.svd(a, compute_uv=False), None
+    else:
+        # vh's rows past the rank span the null space of c -> a @ c; a wide a
+        # needs the full SVD for them.
+        _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+        basis = vh[np.count_nonzero(s > RANK_TOL):].conj().reshape(-1, l, l)
+        basis.flags.writeable = False
+    return (l * l - int(np.count_nonzero(s > RANK_TOL)), basis,
+            l * l - int(np.count_nonzero(s > margin)))
 
 
 def range_decomposition(rho: DensityMatrix) -> PureEnsemble:

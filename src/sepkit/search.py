@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import MemberCountError, range_space
+from .decompose import MemberCountError, _range
 from .linalg import ScaledEigvecs, product_svd, random_orthonormal_columns, scaled_eigvecs
 from .linalg import reorthonormalize  # noqa: F401 (traced by perfbench)
 from .pairs import PairIndex, pair_operators, tau_matrix
@@ -63,9 +63,10 @@ class SearchConfig:
     for a state of rank l and the range space V of decompose.range_space;
     an explicit k runs that single ensemble size, clipped to the same
     cap, which loses no decomposition (see the decompose module
-    docstring).  Each size runs `restarts` descents from random
-    orthonormal starts seeded seed + restart index, each of at most
-    max_iters iterations.
+    docstring).  When dim V < l holds beyond RANGE_MARGIN no decomposition
+    exists, and no size is walked.  Each size runs `restarts` descents
+    from random orthonormal starts seeded seed + restart index, each of at
+    most max_iters iterations.
     """
 
     k: int | None = None
@@ -105,6 +106,8 @@ class SearchReport:
     rejected_extractions counts the restarts that reached _TOL_RESIDUAL
     but whose members failed the product test or the re-check.
     range_dim is dim V (decompose.range_space), which caps the k walked.
+    When no size is walked, k is 0, best_residual is inf and best_u is an
+    empty (0, l) array.
     """
 
     best_residual: float
@@ -240,12 +243,19 @@ def _descend(u: np.ndarray, taus: np.ndarray, max_iters: int) -> tuple[np.ndarra
     return u, f, iters
 
 
-def _k_schedule(cfg: SearchConfig, l: int, range_dim: int) -> list[int]:
-    """l, 2l, 4l, ... or the explicit k, capped at max(l, range_dim)."""
+def _k_schedule(cfg: SearchConfig, l: int, range_dim: int, dim_bound: int) -> list[int]:
+    """l, 2l, 4l, ... or the explicit k, capped at max(l, range_dim).
+
+    Empty when dim_bound, dim V counted beyond RANGE_MARGIN
+    (decompose._range), is below l: then no decomposition exists.  An
+    explicit k below l raises first.
+    """
     cap = max(l, range_dim)  # enough terms: see the decompose module docstring
+    if cfg.k is not None and cfg.k < l:
+        raise MemberCountError(f"k = {cfg.k} is below the rank l = {l}")
+    if dim_bound < l:
+        return []
     if cfg.k is not None:
-        if cfg.k < l:
-            raise MemberCountError(f"k = {cfg.k} is below the rank l = {l}")
         return [min(cfg.k, cap)]
     ks = [l]
     while ks[-1] < cap:
@@ -257,7 +267,8 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
     """Search for an annihilating u; deterministic for fixed (rho, config).
 
     Runs SearchConfig's k schedule; per size, one descent per seeded
-    random restart.
+    random restart.  With dim V < l beyond RANGE_MARGIN (see
+    decompose.range_space) the schedule is empty, and no tau is built.
     Results merge by minimum residual, first-come on ties.  Certificate
     extraction is attempted on every restart that ends at F <=
     _TOL_RESIDUAL, and the first one that yields a checked certificate
@@ -274,9 +285,10 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
         raise ValueError(f"seed must be >= 0, got {cfg.seed}")
     x = scaled_eigvecs(rho)
     l = x.count
-    taus = pair_taus(x, rho.m, rho.n)
-    range_dim = range_space(rho)[0]
-    if len(taus) == 0:
+    range_dim, _, dim_bound = _range(rho)
+    schedule = _k_schedule(cfg, l, range_dim, dim_bound)
+    taus = pair_taus(x, rho.m, rho.n) if schedule else None
+    if schedule and len(taus) == 0:
         certificate = certify(x.vectors, rho)
         return SearchReport(best_residual=0.0, best_u=np.eye(l, dtype=complex), k=l,
                             restarts_used=0, iterations_used=0, certificate=certificate,
@@ -284,14 +296,14 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
                             range_dim=range_dim)
 
     best_f = np.inf
-    best_u = None
+    best_u = np.zeros((0, l), dtype=complex)
     best_k = 0
     restarts_used = 0
     iterations_used = 0
     rejected = 0
     certificate = None
 
-    for k, i in itertools.product(_k_schedule(cfg, l, range_dim), range(cfg.restarts)):
+    for k, i in itertools.product(schedule, range(cfg.restarts)):
         u0 = random_orthonormal_columns(k, l, cfg.seed + i)
         u, f, iters = _descend(u0, taus, cfg.max_iters)
         restarts_used += 1

@@ -13,6 +13,7 @@ import numpy as np
 
 __all__ = [
     "RANK_TOL",
+    "RANGE_MARGIN",
     "BOUNDARY_TOL",
     "PRODUCT_TOL",
     "RECON_TOL",
@@ -43,6 +44,13 @@ class StateFormatError(ValueError):
 STATE_TOL = 1e-8      # Hermiticity and trace tolerance of every state
 BOUNDARY_TOL = 1e-9   # eigenvalues >= -it; a > it, or a PT eigenvalue < -it, proves entanglement
 RANK_TOL = 1e-10      # an eigenvalue of rho or a lambda at or below it is zero
+# dim V < l rules out every decomposition (decompose.range_space) only
+# when l^2 - l + 1 singular values of the null-space system exceed
+# RANGE_MARGIN, and rho^G's kernel eigenvalues are at most RANGE_MARGIN^2
+# times rho's least eigenvalue.  On separable states with an eigenvalue
+# near RANK_TOL the count at RANK_TOL often reads l - 1: with a clear
+# kernel the singular values that should vanish read up to 7e-7.
+RANGE_MARGIN = RANK_TOL ** 0.5
 PRODUCT_TOL = 1e-6    # a member is a product when s2 <= PRODUCT_TOL * s1
 RECON_TOL = 1e-8      # a mixture rebuilds rho when ||mixture - rho||_F <= it
 
@@ -62,12 +70,15 @@ class DensityMatrix:
     so every reader sees one Hermitian matrix (the input itself when it is
     exactly Hermitian).  Its eigendecomposition, computed by validation, is
     kept, read-only and in numpy's ascending order, for scaled_eigvecs.
+    decompose.range_space fills the private _range slot on its first call,
+    so the range space is computed once per state.
     """
 
     m: int
     n: int
     matrix: np.ndarray
     _eigh: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    _range: tuple | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         _check_dims(self.m, self.n)

@@ -344,6 +344,31 @@ def test_search_reports_the_range_dim_that_caps_k(tmp_path):
     assert "(k=5, dim V=9, restarts=1," in run(["classify", path, *flags])[1]
 
 
+def _strict_json(text: str):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_a_search_that_walks_no_size_prints_strict_json(tmp_path):
+    """Tiles has dim V = 1 below its rank 4, so no size is walked: the
+    payloads stay strict JSON (a null best residual, not Infinity) and the
+    human lines say why nothing was searched."""
+    path = gen(tmp_path, "tiles")
+    flags = ["--restarts", "1", "--max-iters", "200"]
+    code, out, _ = run(["search", path, "--json", *flags])
+    searched = _strict_json(out)
+    code_c, out, _ = run(["classify", path, "--json", *flags])
+    classified = _strict_json(out)
+    assert code == code_c == 2
+    for row in (searched, classified["search"]):
+        assert (row["best_residual"], row["k"], row["restarts"],
+                row["range_dim"]) == (None, 0, 0, 1)
+    line = "no size searched: dim V = 1 is below the rank 4"
+    assert run(["search", path, *flags])[1].splitlines()[0] == line
+    assert f"search: {line}" in run(["classify", path, *flags])[1].splitlines()
+
+
 def test_gen_bound_entangled_states(tmp_path):
     """The PPT-entangled Horodecki rho_0.5 and Tiles states are written
     exactly, and a small search budget leaves both Inconclusive."""

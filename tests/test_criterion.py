@@ -388,14 +388,14 @@ def test_classify_never_certifies_bound_entangled_states(rho):
 @pytest.mark.parametrize("rho, search", [
     (sk.random_separable(2, 3, 8, seed=1), (24, 4, 800, 0)),
     (sk.bound_2x4(), (5, 1, 74, 0)),
-    (sk.horodecki_2x4(0.5), (5, 1, 200, 0)),
-    (sk.tiles(), (4, 1, 200, 0)),
+    (sk.horodecki_2x4(0.5), (0, 0, 0, 0)),
+    (sk.tiles(), (0, 0, 0, 0)),
 ], ids=["full_rank", "bound_2x4", "horodecki_b0.5", "tiles"])
 def test_classify_falls_through_to_the_search(rho, search):
     """Where range_decomposition refuses a state (see test_decompose),
     classify reports exactly the search a direct minimize call runs: the
     same k, restarts, iterations and rejections.  The PPT-entangled states
-    have dim V = 1 below their rank, so the walk stops at k = l."""
+    have dim V = 1 below their rank, so no size is walked."""
     cfg = SearchConfig(restarts=1, max_iters=200)
     found = sk.classify(rho, ClassifyConfig(search=cfg)).search
     assert (found.k, found.restarts_used, found.iterations_used,
@@ -403,6 +403,23 @@ def test_classify_falls_through_to_the_search(rho, search):
     alone = minimize(rho, cfg)
     assert found.best_residual == alone.best_residual
     assert found.best_u.tobytes() == alone.best_u.tobytes()
+
+
+@pytest.mark.parametrize("make", [sk.tiles, sk.bound_2x4], ids=["tiles", "bound_2x4"])
+def test_classify_computes_the_range_space_once(monkeypatch, make):
+    """range_decomposition refuses both states (dim V = 1 and 9, against
+    ranks 4 and 5) and the search reads dim V again; rho^G's eigh and the
+    null-space SVD still run once per state."""
+    calls, real = [], sk.decompose._solve_range
+
+    def spy(rho):
+        calls.append(rho)
+        return real(rho)
+
+    monkeypatch.setattr(sk.decompose, "_solve_range", spy)
+    report = sk.classify(make(), ClassifyConfig(search=SearchConfig(restarts=1, max_iters=200)))
+    assert report.search is not None
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("module, name, rho", [

@@ -6,12 +6,14 @@ and the PPT test gives the same answer.  It maps the space V of the range
 route onto the transformed state's, so dim V and that route's verdict
 carry over too.  Separately, no state with a negative partial transpose
 may ever come out certified, and low-rank mixtures certify without the
-search.
+search.  Nor does dim V < l skip the search on a separable mixture whose
+rank the tolerances blur.
 """
 
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -144,3 +146,46 @@ def test_range_dim_is_local_unitary_invariant_and_at_least_the_rank(dims, data, 
     dim = range_space(rho)[0]
     assert dim == range_space(_rotate(rho, _unitary(m, rng), _unitary(n, rng)))[0]
     assert dim >= sk.scaled_eigvecs(rho).count
+
+
+def _nearly_rank_deficient(m: int, n: int, terms: int, seed: int, eps: float) -> sk.DensityMatrix:
+    """(1 - eps) random_separable + eps |ab><ab|, a and b random unit vectors:
+    separable, with an eigenvalue of order eps that blurs the count of dim V."""
+    rng = np.random.default_rng(seed)
+    a, b = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in (m, n))
+    psi = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
+    mix = (1.0 - eps) * sk.random_separable(m, n, terms, seed).matrix
+    return sk.density_matrix(m, n, mix + eps * np.outer(psi, psi.conj()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 3), (3, 3), (2, 4), (3, 4)]), st.data(), SEEDS,
+       st.floats(-10.0, -5.0))
+def test_the_search_walks_every_nearly_rank_deficient_separable_mixture(dims, data, seed,
+                                                                        log_eps):
+    """Near eps ~ 1e-9 the count at RANK_TOL often reads dim V = l - 1 on
+    these separable states, so a bare dim V < l would skip their search.
+    The skip needs RANGE_MARGIN and a clear kernel of rho^G (an eps down
+    to 1e-10 puts eigenvalues of rho and rho^G on both sides of RANK_TOL)."""
+    m, n = dims
+    terms = data.draw(st.integers(2, m * n - 1), label="terms")
+    rho = _nearly_rank_deficient(m, n, terms, seed, 10.0 ** log_eps)
+    assert minimize(rho, SearchConfig(restarts=1, max_iters=1)).k > 0
+
+
+@pytest.mark.parametrize("state, config", [
+    ((2, 3, 3, 54, 1e-8), SearchConfig(restarts=1, max_iters=200)),  # dim V reads l - 1
+    ((2, 3, 2, 24, 1e-9), SearchConfig(restarts=1, seed=6)),  # one rho^G eigenvalue < RANK_TOL
+], ids=["count_below_the_rank", "kernel_at_rank_tol"])
+def test_nearly_rank_deficient_separable_mixtures_still_certify(state, config):
+    """Two states of that family that the search certifies.  On the first
+    the count at RANK_TOL reads dim V = 3 < l = 4, and only RANGE_MARGIN
+    keeps its search; on the second rho's least eigenvalue (1.02e-10) and
+    its match in rho^G (0.99e-10) fall on both sides of RANK_TOL, the count
+    reads dim V = 1 < l = 3 with a singular value of 0.43, and only the
+    kernel test keeps it.  seed=6 starts at the restart that certifies."""
+    rho = _nearly_rank_deficient(*state)
+    report = sk.classify(rho, ClassifyConfig(search=config))
+    assert report.search.range_dim < sk.scaled_eigvecs(rho).count
+    assert report.verdict is Verdict.SEPARABLE_CERTIFIED
+    _recheck(report.certificate, rho.matrix)

@@ -147,14 +147,13 @@ def test_minimize_certifies_bound_2x4():
 
 
 def test_minimize_cannot_certify_entangled_states():
-    """On the maximally entangled state the best the search can do is
-    spread the one eigenvector over k members, diluting the residual to
-    1/k.  Bell has rank l = 1, so the schedule stops at k = l^2 = 1 and
-    the residual is the undiluted 1/1.  No certificate can appear."""
+    """Bell has rank l = 1 and dim V = 0 (its partial transpose's negative
+    eigenvector counts as kernel), so no size is walked and the residual
+    stays infinite.  No certificate can appear."""
     report = minimize(sk.bell(), SearchConfig(restarts=3))
     assert report.certificate is None
-    assert report.k == 1
-    assert report.best_residual == pytest.approx(1 / 1, rel=1e-10)
+    assert report.k == 0
+    assert report.best_residual == np.inf
 
 
 def test_minimize_is_deterministic():
@@ -175,6 +174,13 @@ def test_minimize_rejects_k_below_rank():
         minimize(sk.horodecki_2x4(0.5), SearchConfig(k=4))
 
 
+def test_one_factor_states_reject_k_below_the_rank_too():
+    """The explicit k is checked before the eigen-ensemble of a state with
+    no pairs is returned, as for every other state."""
+    with pytest.raises(MemberCountError, match="k = 1 is below the rank l = 3"):
+        minimize(sk.random_density(1, 3, seed=2), SearchConfig(k=1))
+
+
 def walked_schedules(monkeypatch, rho, config):
     """The k schedules minimize asks _k_schedule for, and minimize's report."""
     seen, real = [], search_module._k_schedule
@@ -188,18 +194,20 @@ def walked_schedules(monkeypatch, rho, config):
 
 
 @pytest.mark.parametrize("rho, schedule", [
-    (sk.bell(), [1]),                                    # l = 1, no kernel of rho^G
-    (sk.tiles(), [4]),                                   # l = 4 in 3x3, dim V = 1
-    (sk.horodecki_2x4(0.5), [5]),                        # l = 5 in 2x4, dim V = 1
+    (sk.bell(), []),                                     # l = 1, dim V = 0
+    (sk.tiles(), []),                                    # l = 4 in 3x3, dim V = 1
+    (sk.horodecki_2x4(0.5), []),                         # l = 5 in 2x4, dim V = 1
     (sk.bound_2x4(), [5, 9]),                            # l = 5, dim V = 9
     (sk.random_separable(2, 3, terms=8, seed=0), [6, 12, 24, 36]),  # full rank, dim V = l^2
 ], ids=["bell", "tiles", "horodecki_b0.5", "bound_2x4", "full_rank"])
 def test_schedule_doubles_from_the_rank_up_to_dim_v(monkeypatch, rho, schedule):
     """A separable state mixes at most dim V products (l^2 when rho^G has
-    no kernel), so the walk stops at max(l, dim V), which the report holds."""
+    no kernel), so the walk stops at max(l, dim V), which the report holds;
+    with dim V below the rank no decomposition exists and nothing is walked."""
     seen, report = walked_schedules(monkeypatch, rho, SearchConfig(restarts=1, max_iters=1))
+    l = scaled_eigvecs(rho).count
     assert seen == [schedule]
-    assert schedule[-1] == max(scaled_eigvecs(rho).count, report.range_dim)
+    assert schedule[-1:] == ([max(l, report.range_dim)] if report.range_dim >= l else [])
 
 
 def test_explicit_k_above_the_rank_squared_is_clipped(monkeypatch):
@@ -213,25 +221,26 @@ def test_explicit_k_above_the_rank_squared_is_clipped(monkeypatch):
 @pytest.mark.parametrize("rho, k, clipped", [
     (sk.bound_2x4(), 7, 7),                                # l = 5, dim V = 9
     (sk.bound_2x4(), 30, 9),
-    (sk.tiles(), 30, 4),                                   # l = 4, dim V = 1
+    (sk.tiles(), 30, 0),                                   # l = 4, dim V = 1: none
     (sk.random_separable(2, 3, terms=8, seed=0), 40, 36),  # full rank, dim V = l^2
 ], ids=["bound_2x4_below", "bound_2x4_above", "tiles", "full_rank"])
 def test_explicit_k_is_clipped_at_the_walks_cap(monkeypatch, rho, k, clipped):
-    """An explicit k is clipped at max(l, dim V), where the walk stops."""
+    """An explicit k is clipped at max(l, dim V), where the walk stops, and
+    like the walk runs no size (k = 0) when dim V is below the rank."""
     seen, report = walked_schedules(monkeypatch, rho,
                                     SearchConfig(k=k, restarts=1, max_iters=5))
-    assert seen == [[clipped]]
+    assert seen == [[clipped] if clipped else []]
     assert report.k == clipped
 
 
 @pytest.mark.parametrize("rho, restarts, iterations, k_max", [
-    (sk.horodecki_2x4(0.5), 1, 200, 5),
-    (sk.tiles(), 1, 200, 4),
-])
+    (sk.horodecki_2x4(0.5), 0, 0, 5),
+    (sk.tiles(), 0, 0, 4),
+], ids=["horodecki_b0.5", "tiles"])
 def test_capped_schedule_bounds_the_work_on_ppt_entangled_states(rho, restarts, iterations,
                                                                   k_max):
-    """dim V = 1 is below the rank, so only k = l runs, and at restarts=1,
-    max_iters=200 it spends the whole budget without a certificate."""
+    """dim V = 1 is below the rank, so no size runs: at restarts=1,
+    max_iters=200 it spends none of the budget, and finds no certificate."""
     report = minimize(rho, SearchConfig(restarts=1, max_iters=200))
     assert report.certificate is None
     assert report.range_dim == 1
@@ -443,3 +452,18 @@ def test_minimize_certifies_one_factor_states():
         assert pair_reports(x, m, n) == []
         assert emit_constraints(x, m, n).pairs == ()
         assert render_constraints(emit_constraints(x, m, n)) == ""
+
+
+def test_dim_v_below_the_rank_walks_no_size_and_builds_no_tau(monkeypatch):
+    """Horodecki rho_0.5 has dim V = 1 < l = 5, so no decomposition exists:
+    no tau is built and no restart runs.  The report stays well defined:
+    an infinite residual and an empty (0, l) complex best_u."""
+    def no_taus(*args):
+        raise AssertionError("taus built for an empty walk")
+
+    monkeypatch.setattr(search_module, "pair_taus", no_taus)
+    report = minimize(sk.horodecki_2x4(0.5), SearchConfig(restarts=1, max_iters=200))
+    assert (report.k, report.restarts_used, report.iterations_used,
+            report.rejected_extractions, report.range_dim) == (0, 0, 0, 0, 1)
+    assert report.best_residual == np.inf and report.certificate is None
+    assert report.best_u.shape == (0, 5) and report.best_u.dtype == complex
