@@ -1,16 +1,16 @@
 """Dense complex linear algebra kernel.
 
 Hermitian eigendecompositions with a fixed phase convention, a state's
-scaled eigenvectors, Takagi factorization of complex symmetric
-matrices, and orthonormal-column helpers used by the spectral tests and
-the search.
+scaled eigenvectors (the basis its validation keeps), Takagi
+factorization of complex symmetric matrices, and orthonormal-column
+helpers used by the spectral tests and the search.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .states import RANK_TOL, STATE_TOL, DensityMatrix
+from .states import RECON_TOL, STATE_TOL, DensityMatrix, _fix_column_phases
 
 __all__ = [
     "HermitianEig",
@@ -38,20 +38,6 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
-
-
-def _fix_column_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude component is real positive.
-
-    The phase is conj(p) / hypot(p): the modulus of a complex scalar is
-    hypot (the array np.abs can differ in the last bit), and dividing by
-    it as a complex keeps the signed zeros, so the columns equal a
-    per-column conj(p) / abs(p) bit for bit.  A zero column is left alone.
-    """
-    p = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phase = np.where(p != 0, p.conj() / np.hypot(p.real, p.imag), 1.0)
-    return v * phase
 
 
 @dataclass(frozen=True)
@@ -84,11 +70,7 @@ def hermitian_eig(h) -> HermitianEig:
     scale = 1.0 + np.linalg.norm(h)
     if np.linalg.norm(h - h.conj().T) > STATE_TOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
-    return descending_eig(*np.linalg.eigh((h + h.conj().T) / 2.0))
-
-
-def descending_eig(w: np.ndarray, v: np.ndarray) -> HermitianEig:
-    """hermitian_eig's result from numpy's ascending eigh output (w, v)."""
+    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
     return HermitianEig(eigenvalues=w[::-1], eigenvectors=_fix_column_phases(v[:, ::-1]))
 
 
@@ -107,36 +89,30 @@ class ScaledEigvecs:
 def scaled_eigvecs(rho: DensityMatrix, basis_override=None) -> ScaledEigvecs:
     """Scaled eigenvectors of rho for its eigenvalues above RANK_TOL.
 
-    ``basis_override`` supplies the rows directly (e.g. a fixed gauge for
-    a degenerate spectrum); it is validated against rho: the Gram matrix
-    must be diag(norms^2), the norms^2 must match rho's nonzero spectrum
-    as a multiset, and the rows must reassemble rho.  The spectrum is the
-    one rho was validated with, so no second eigendecomposition is made,
-    and only the kept eigenvectors get hermitian_eig's phase convention:
-    they equal its columns bit for bit.
+    By default, the read-only basis rho's validation built and keeps
+    (DensityMatrix), equal bit for bit to hermitian_eig's values and unit
+    vectors above RANK_TOL.  ``basis_override`` supplies the rows directly
+    (e.g. a fixed gauge for a degenerate spectrum); it is validated
+    against rho: the Gram matrix must be diag(norms^2), the norms^2 must
+    match rho's nonzero spectrum as a multiset, and the rows must
+    reassemble rho within RECON_TOL.
     """
-    w, v = rho._eigh
-    # Ascending, so the eigenvalues above RANK_TOL are the last ones.
-    zero = int(np.count_nonzero(w <= RANK_TOL))
-    eig = descending_eig(w[zero:], v[:, zero:])
-    t = eig.eigenvalues
-
-    if basis_override is not None:
-        x = np.asarray(basis_override, dtype=complex)
-        if x.ndim != 2 or x.shape[1] != rho.dim:
-            raise ValueError(f"override shape {x.shape} does not match dimension {rho.dim}")
-        gram = x @ x.conj().T
-        norms = np.diagonal(gram).real.copy()
-        if np.linalg.norm(gram - np.diag(norms)) > 1e-10:
-            raise ValueError("override vectors are not orthogonal within tolerance")
-        if x.shape[0] != t.shape[0] or np.linalg.norm(np.sort(norms) - np.sort(t)) > 1e-8:
-            raise ValueError("override norms do not match the nonzero spectrum of rho")
-        recon = np.einsum("ia,ib->ab", x, x.conj())
-        if np.linalg.norm(recon - rho.matrix) > 1e-8:
-            raise ValueError("override vectors do not reassemble rho")
-        return ScaledEigvecs(vectors=x, values=norms)
-
-    return ScaledEigvecs(vectors=(eig.eigenvectors * np.sqrt(t)[None, :]).T, values=t)
+    vectors, t = rho._basis
+    if basis_override is None:
+        return ScaledEigvecs(vectors=vectors, values=t)
+    x = np.asarray(basis_override, dtype=complex)
+    if x.ndim != 2 or x.shape[1] != rho.dim:
+        raise ValueError(f"override shape {x.shape} does not match dimension {rho.dim}")
+    gram = x @ x.conj().T
+    norms = np.diagonal(gram).real.copy()
+    if np.linalg.norm(gram - np.diag(norms)) > 1e-10:
+        raise ValueError("override vectors are not orthogonal within tolerance")
+    if x.shape[0] != t.shape[0] or np.linalg.norm(np.sort(norms) - np.sort(t)) > 1e-8:
+        raise ValueError("override norms do not match the nonzero spectrum of rho")
+    recon = np.einsum("ia,ib->ab", x, x.conj())
+    if np.linalg.norm(recon - rho.matrix) > RECON_TOL:
+        raise ValueError("override vectors do not reassemble rho")
+    return ScaledEigvecs(vectors=x, values=norms)
 
 
 def singular_values(m) -> np.ndarray:

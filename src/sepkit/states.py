@@ -7,6 +7,7 @@ printed with 17 significant digits so that parse(serialize(rho))
 round-trips bit for bit.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,8 +57,25 @@ RECON_TOL = 1e-8      # a mixture rebuilds rho when ||mixture - rho||_F <= it
 
 
 def _check_dims(m: int, n: int) -> None:
-    if m < 1 or n < 1:
-        raise ValueError(f"dims must be positive, got ({m}, {n})")
+    try:
+        if operator.index(m) < 1 or operator.index(n) < 1:
+            raise ValueError(f"dims must be positive, got ({m}, {n})")
+    except TypeError:
+        raise ValueError(f"dims must be integers, got ({m!r}, {n!r})") from None
+
+
+def _fix_column_phases(v: np.ndarray) -> np.ndarray:
+    """Rotate each column so its largest-magnitude component is real positive.
+
+    The phase is conj(p) / hypot(p): the modulus of a complex scalar is
+    hypot (the array np.abs can differ in the last bit), and dividing by
+    it as a complex keeps the signed zeros, so the columns equal a
+    per-column conj(p) / abs(p) bit for bit.  A zero column is left alone.
+    """
+    p = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phase = np.where(p != 0, p.conj() / np.hypot(p.real, p.imag), 1.0)
+    return v * phase
 
 
 @dataclass(frozen=True)
@@ -68,8 +86,10 @@ class DensityMatrix:
     and of unit trace within STATE_TOL, with no eigenvalue below -BOUNDARY_TOL.
     ``matrix`` is the read-only Hermitian part (M + M^H)/2 of the input M,
     so every reader sees one Hermitian matrix (the input itself when it is
-    exactly Hermitian).  Its eigendecomposition, computed by validation, is
-    kept, read-only and in numpy's ascending order, for scaled_eigvecs.
+    exactly Hermitian).  Validation keeps its eigendecomposition as the
+    read-only basis that linalg.scaled_eigvecs reads: the eigenvalues t
+    above RANK_TOL, descending, and rows sqrt(t_i) e_i, with the largest
+    component of each unit eigenvector e_i made real positive.
     decompose.range_space fills the private _range slot on its first call,
     so the range space is computed once per state.
     """
@@ -77,7 +97,7 @@ class DensityMatrix:
     m: int
     n: int
     matrix: np.ndarray
-    _eigh: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    _basis: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     _range: tuple | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -96,10 +116,14 @@ class DensityMatrix:
         w, v = np.linalg.eigh(mat)
         if w[0] < -BOUNDARY_TOL:
             raise ValueError(f"matrix has an eigenvalue below -{BOUNDARY_TOL:g}")
-        for a in (mat, w, v):
+        # Ascending, so the eigenvalues above RANK_TOL are the last ones.
+        zero = int(np.count_nonzero(w <= RANK_TOL))
+        t = w[zero:][::-1]
+        x = _fix_column_phases(v[:, zero:][:, ::-1]) * np.sqrt(t)
+        for a in (mat, w, t, x):
             a.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "_eigh", (w, v))
+        object.__setattr__(self, "_basis", (x.T, t))
 
     @property
     def dim(self) -> int:

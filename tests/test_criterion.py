@@ -422,6 +422,30 @@ def test_classify_computes_the_range_space_once(monkeypatch, make):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("make", [sk.tiles, lambda: sk.horodecki_2x4(0.5),
+                                  lambda: sk.werner_2x2(0.2)],
+                         ids=["tiles", "rho_0.5", "werner_0.2"])
+def test_classify_builds_no_eigenbasis(monkeypatch, make):
+    """Validation builds the scaled eigenbasis once; classify and every
+    route it runs read that basis and fix no phases again.  Two reads give
+    equal, read-only arrays."""
+    rho, calls, real = make(), [], sk.states._fix_column_phases
+
+    def spy(v):
+        calls.append(v.shape)
+        return real(v)
+
+    for module in (sk.states, sk.linalg):
+        monkeypatch.setattr(module, "_fix_column_phases", spy)
+    sk.classify(rho, ClassifyConfig(search=SearchConfig(restarts=1, max_iters=200)))
+    assert calls == []
+    first, second = scaled_eigvecs(rho), scaled_eigvecs(rho)
+    for a, b in ((first.vectors, second.vectors), (first.values, second.values)):
+        assert a.tobytes() == b.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
 @pytest.mark.parametrize("module, name, rho", [
     (sk.search, "minimize", sk.tiles()),
     (sk.search, "certify", sk.werner_2x2(0.2)),

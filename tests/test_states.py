@@ -150,6 +150,19 @@ def test_random_states_reject_empty_factors():
         sk.random_density(2, 0)
 
 
+def test_dims_must_be_integers():
+    """(4, 4) == (4.0, 4.0), so float dims once passed the shape check and
+    failed later with TypeError; every entry point now refuses them."""
+    for make in (lambda: sk.DensityMatrix(m=2.0, n=2.0, matrix=np.eye(4) / 4),
+                 lambda: sk.density_matrix(2, "2", np.eye(4) / 4),
+                 lambda: sk.random_separable(2.5, 2, 3, 0),
+                 lambda: sk.random_density(2, 1.5)):
+        with pytest.raises(ValueError, match="dims must be integers"):
+            make()
+    rho = sk.density_matrix(np.int64(2), 2, np.eye(4) / 4)
+    assert sk.classify(rho).verdict is sk.Verdict.SEPARABLE_CERTIFIED
+
+
 def test_random_separable_stays_ppt():
     """Mixtures of product states can never have a negative partial
     transpose, whatever the seed."""
@@ -207,7 +220,7 @@ def test_state_keeps_its_own_read_only_matrix():
         assert (after.certificate is None) == (before.certificate is None)
         if after.certificate is not None:
             assert after.certificate.alphas.tobytes() == before.certificate.alphas.tobytes()
-        for arr in (rho.matrix, *rho._eigh):
+        for arr in (rho.matrix, *rho._basis):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
 
