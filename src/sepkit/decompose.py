@@ -22,7 +22,10 @@ larger count; so search.minimize walks k no further than max(l, dim V),
 and not at all when dim V < l holds beyond RANGE_MARGIN.
 When dim V = l those l projectors span V, so the l-term decomposition is
 unique, and a generic Hermitian element of V, whitened by rho's spectrum,
-has the terms as its eigenvectors.
+has the terms as its eigenvectors.  The pipeline counts dim V from the
+singular values of V's linear system alone; V's basis is built only when
+dim V = l, the one case range_decomposition reads it, or on a
+range_space call.
 """
 
 import functools
@@ -227,61 +230,86 @@ def range_space(rho: DensityMatrix) -> tuple[int, np.ndarray | None]:
     phases), V is the Hermitian C with X = E C E^H and X^G K = 0, K the
     kernel of rho^G (eigenvalues <= RANK_TOL).  Over complex C the
     conditions X^G K = 0 and K^H X^G = 0 give V's complexification, the
-    null space of one linear map; the basis is that null space as a
-    (dim V, l, l) stack of C, read-only, and the Hermitian parts of its
-    complex combinations span V.  When rho^G has no kernel every Hermitian
-    C lies in V: dim V is l^2, no SVD is taken, and the basis is None.  The
+    null space of one linear map; dim V is l^2 minus the map's singular
+    values above RANK_TOL, and the basis is that null space as a
+    (dim V, l, l) stack of C, read-only, whose complex combinations'
+    Hermitian parts span V.  When rho^G has no kernel every Hermitian C
+    lies in V: dim V is l^2, no SVD is taken, and the basis is None.  The
     basis is also None when the map has fewer than l^2 - l rows, so
-    dim V > l: its singular values alone give the count.  rho^G's eigh and
-    the SVD run on the first call only; the result is kept on rho, with
-    the count that search.minimize's skip reads: l^2 minus the singular
-    values above RANGE_MARGIN, or l^2 unless every kernel eigenvalue of
-    rho^G is at most RANGE_MARGIN^2 times rho's least eigenvalue.
+    dim V > l.  The count comes from the singular values alone, once per
+    state (see _range); the basis is built with it only when dim V = l,
+    which is all that range_decomposition reads, and otherwise on each
+    call here, by rebuilding the map.
     """
-    return _range(rho)[:2]
+    dim, _, rows, basis = _range(rho)
+    x = scaled_eigvecs(rho)
+    l = x.count
+    if basis is None and rows and rows >= l * l - l:
+        basis = _null_space(_range_system(rho, x)[0], dim, l)
+    return dim, basis
 
 
-def _range(rho: DensityMatrix) -> tuple[int, np.ndarray | None, int]:
-    """range_space's dim V and basis, and the count beyond RANGE_MARGIN.
+def _range(rho: DensityMatrix) -> tuple[int, int, int, np.ndarray | None]:
+    """dim V, the count beyond RANGE_MARGIN, the map's rows, and V's basis when dim V = l.
 
-    The last bounds dim V from above (see range_space).  When it is below
-    l, dim V < l holds robustly and no decomposition exists.  Computed
-    once per state and kept in rho's _range slot.
+    dim V and the second count come from one values-only SVD of
+    range_space's map.  The second is l^2 minus the singular values above
+    RANGE_MARGIN, or l^2 unless every kernel eigenvalue of rho^G is at most
+    RANGE_MARGIN^2 times rho's least eigenvalue; it bounds dim V from
+    above, so when it is below l, dim V < l holds robustly and no
+    decomposition exists.  The rows are 0 when rho^G has no kernel.  The
+    basis is None unless dim V = l.  Computed once per state and kept in
+    rho's _range slot; the map itself is not kept.
     """
     if rho._range is None:
         object.__setattr__(rho, "_range", _solve_range(rho))
     return rho._range
 
 
-def _solve_range(rho: DensityMatrix) -> tuple[int, np.ndarray | None, int]:
-    x = scaled_eigvecs(rho)
+def _range_system(rho: DensityMatrix, x: ScaledEigvecs) -> tuple[np.ndarray, float] | None:
+    """range_space's map as a (rows, l^2) matrix and the margin its robust
+    count uses, or None when rho^G has no kernel; x is rho's basis."""
     l, m, n = x.count, rho.m, rho.n
     w, v = np.linalg.eigh(partial_transpose(rho))
     zero = w <= RANK_TOL
     kernel = v[:, zero].T.reshape(-1, m, n)
     if kernel.shape[0] == 0:
-        return l * l, None, l * l
+        return None
     # A kernel eigenvalue w_s leaves a product term of weight t an overlap
     # up to sqrt(w_s / t) with its eigenvector.  Unless that stays below
     # RANGE_MARGIN for t, rho's least eigenvalue, no count is robust.
     clear = max(w[zero][-1], 0.0) <= RANGE_MARGIN ** 2 * x.values[-1]
-    margin = RANGE_MARGIN if clear else np.inf
     e = (x.vectors / np.sqrt(x.values)[:, None]).reshape(l, m, n)
     # As m x n matrices, (e_j e_k^H)^G K_s is E_j K_s^T conj(E_k), and
     # K_s^H (e_j e_k^H)^G is the conjugate of its (k, j) entry.
     ek = e[:, None] @ kernel.swapaxes(1, 2)[None]
     a = (ek[:, None] @ e.conj()[None, :, None]).reshape(l, l, -1)
     a = np.concatenate([a, a.swapaxes(0, 1).conj()], axis=2).reshape(l * l, -1).T
-    if a.shape[0] < l * l - l:  # dim V > l, where nothing reads the basis
-        s, basis = np.linalg.svd(a, compute_uv=False), None
-    else:
-        # vh's rows past the rank span the null space of c -> a @ c; a wide a
-        # needs the full SVD for them.
-        _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-        basis = vh[np.count_nonzero(s > RANK_TOL):].conj().reshape(-1, l, l)
-        basis.flags.writeable = False
-    return (l * l - int(np.count_nonzero(s > RANK_TOL)), basis,
-            l * l - int(np.count_nonzero(s > margin)))
+    return a, RANGE_MARGIN if clear else np.inf
+
+
+def _null_space(a: np.ndarray, dim: int, l: int) -> np.ndarray:
+    """The last dim right singular vectors of the (rows, l^2) map a,
+    conjugated, as a read-only (dim, l, l) stack; a has at least l^2 - l
+    rows.  vh's rows past the rank span the null space of c -> a @ c; a
+    wide a needs the full SVD for them."""
+    _, _, vh = np.linalg.svd(a, full_matrices=a.shape[0] < l * l)
+    basis = vh[l * l - dim:].conj().reshape(dim, l, l)
+    basis.flags.writeable = False
+    return basis
+
+
+def _solve_range(rho: DensityMatrix) -> tuple[int, int, int, np.ndarray | None]:
+    x = scaled_eigvecs(rho)
+    l = x.count
+    system = _range_system(rho, x)
+    if system is None:
+        return l * l, l * l, 0, None
+    a, margin = system
+    s = np.linalg.svd(a, compute_uv=False)
+    dim = l * l - int(np.count_nonzero(s > RANK_TOL))
+    return (dim, l * l - int(np.count_nonzero(s > margin)), a.shape[0],
+            _null_space(a, dim, l) if dim == l else None)
 
 
 def range_decomposition(rho: DensityMatrix) -> PureEnsemble:
@@ -291,12 +319,13 @@ def range_decomposition(rho: DensityMatrix) -> PureEnsemble:
     generic element of V is whitened by T^-1/2, T the eigenvalues, and
     its eigenvectors b_i give the members sum_j b_ji x_j.  They rebuild
     rho for any unitary b; search.certify checks that they are products.
-    Raises ValueError when rho^G has no kernel or dim V != l.
+    Raises ValueError when rho^G has no kernel or dim V != l, from the
+    counts alone, before any basis is read.
     """
     x = scaled_eigvecs(rho)
     l = x.count
-    dim, basis = range_space(rho)
-    if basis is None and dim == l * l:
+    dim, _, rows, basis = _range(rho)
+    if not rows:
         raise ValueError("the partial transpose has no kernel")
     if dim != l:
         raise ValueError(f"dim V = {dim}, the rank is {l}")

@@ -285,7 +285,7 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
         raise ValueError(f"seed must be >= 0, got {cfg.seed}")
     x = scaled_eigvecs(rho)
     l = x.count
-    range_dim, _, dim_bound = _range(rho)
+    range_dim, dim_bound = _range(rho)[:2]
     schedule = _k_schedule(cfg, l, range_dim, dim_bound)
     taus = pair_taus(x, rho.m, rho.n) if schedule else None
     if schedule and len(taus) == 0:

@@ -64,6 +64,13 @@ def _check_dims(m: int, n: int) -> None:
         raise ValueError(f"dims must be integers, got ({m!r}, {n!r})") from None
 
 
+def _check_count(name: str, value) -> None:
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _fix_column_phases(v: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude component is real positive.
 
@@ -91,7 +98,8 @@ class DensityMatrix:
     above RANK_TOL, descending, and rows sqrt(t_i) e_i, with the largest
     component of each unit eigenvector e_i made real positive.
     decompose.range_space fills the private _range slot on its first call,
-    so the range space is computed once per state.
+    so the range space's counts are computed once per state (with V's
+    basis only when dim V = l).
     """
 
     m: int
@@ -233,6 +241,7 @@ def werner_2x2(p: float) -> DensityMatrix:
 
 def isotropic(d: int, fidelity: float) -> DensityMatrix:
     """Isotropic state on d x d: fidelity F on |phi+>, the rest spread uniformly."""
+    _check_dims(d, d)
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     if not 0.0 <= fidelity <= 1.0:
@@ -258,6 +267,7 @@ def random_density(m: int, n: int, rank: int | None = None, seed: int = 0) -> De
     d = m * n
     if rank is None:
         rank = d
+    _check_count("rank", rank)
     if not 1 <= rank <= d:
         raise ValueError(f"rank must lie in [1, {d}], got {rank}")
     rng = np.random.default_rng(seed)
@@ -270,6 +280,7 @@ def random_density(m: int, n: int, rank: int | None = None, seed: int = 0) -> De
 def random_separable(m: int, n: int, terms: int, seed: int) -> DensityMatrix:
     """Seeded random mixture of product pure states (Dirichlet weights)."""
     _check_dims(m, n)
+    _check_count("terms", terms)
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
     rng = np.random.default_rng(seed)

@@ -422,6 +422,61 @@ def test_classify_computes_the_range_space_once(monkeypatch, make):
     assert len(calls) == 1
 
 
+def _spy_range_svds(monkeypatch):
+    """Record _solve_range's states and the shapes of the 2-d SVDs that
+    compute singular vectors; classify runs those on the range map only."""
+    solves, shapes = [], []
+    real_solve, real_svd = sk.decompose._solve_range, np.linalg.svd
+
+    def solve(rho):
+        solves.append(rho)
+        return real_solve(rho)
+
+    def svd(a, *args, **kwargs):
+        if np.ndim(a) == 2 and kwargs.get("compute_uv", True):
+            shapes.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(sk.decompose, "_solve_range", solve)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    return solves, shapes
+
+
+@pytest.mark.parametrize("make, vector_svds", [
+    (lambda: sk.horodecki_2x4(0.5), 0),
+    (sk.tiles, 0),
+    (sk.bound_2x4, 0),
+    (lambda: sk.random_separable(3, 3, 3, seed=0), 1),
+], ids=["rho_0.5", "tiles", "bound_2x4", "rank3_mixture"])
+def test_classify_builds_the_range_basis_only_when_dim_v_is_l(monkeypatch, make, vector_svds):
+    """dim V comes from the singular values alone; the basis of V, an SVD
+    with vectors of the l^2-column range map, is built only on the rank-3
+    mixture, whose dim V = l is what range_decomposition reads."""
+    rho = make()
+    l = scaled_eigvecs(rho).count
+    solves, shapes = _spy_range_svds(monkeypatch)
+    sk.classify(rho, ClassifyConfig(search=SearchConfig(restarts=1, max_iters=200)))
+    assert len(solves) == 1
+    assert len(shapes) == vector_svds
+    assert all(cols == l * l for _, cols in shapes)
+
+
+def test_the_range_route_reads_the_basis_range_space_builds(monkeypatch):
+    """The basis that classify's range route read on a dim V = l state is
+    the one range_space gives a fresh parse of the same text, bit for bit,
+    and reading it back after classify builds nothing."""
+    text = sk.serialize_state(sk.random_separable(3, 3, 3, seed=0))
+    rho = sk.parse_state(text)
+    _, shapes = _spy_range_svds(monkeypatch)
+    report = sk.classify(rho)
+    assert report.verdict is Verdict.SEPARABLE_CERTIFIED and report.search is None
+    dim, basis = range_space(rho)
+    assert len(shapes) == 1
+    fresh_dim, fresh = range_space(sk.parse_state(text))
+    assert dim == fresh_dim == scaled_eigvecs(rho).count
+    assert basis.tobytes() == fresh.tobytes()
+
+
 @pytest.mark.parametrize("make", [sk.tiles, lambda: sk.horodecki_2x4(0.5),
                                   lambda: sk.werner_2x2(0.2)],
                          ids=["tiles", "rho_0.5", "werner_0.2"])

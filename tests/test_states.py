@@ -152,12 +152,18 @@ def test_random_states_reject_empty_factors():
 
 def test_dims_must_be_integers():
     """(4, 4) == (4.0, 4.0), so float dims once passed the shape check and
-    failed later with TypeError; every entry point now refuses them."""
+    failed later with TypeError; every entry point now refuses them, and
+    the constructors refuse a non-integral term count or rank too."""
     for make in (lambda: sk.DensityMatrix(m=2.0, n=2.0, matrix=np.eye(4) / 4),
                  lambda: sk.density_matrix(2, "2", np.eye(4) / 4),
                  lambda: sk.random_separable(2.5, 2, 3, 0),
-                 lambda: sk.random_density(2, 1.5)):
+                 lambda: sk.random_density(2, 1.5),
+                 lambda: sk.isotropic(2.5, 0.5)):
         with pytest.raises(ValueError, match="dims must be integers"):
+            make()
+    for make, name in ((lambda: sk.random_separable(2, 3, 2.5, seed=0), "terms"),
+                       (lambda: sk.random_density(2, 3, rank=2.5), "rank")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got 2.5"):
             make()
     rho = sk.density_matrix(np.int64(2), 2, np.eye(4) / 4)
     assert sk.classify(rho).verdict is sk.Verdict.SEPARABLE_CERTIFIED
