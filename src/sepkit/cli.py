@@ -6,6 +6,12 @@ errors, 65 unreadable or invalid input, 70 a valid request whose
 operation fails (e.g. decomposing a pair that violates the criterion),
 73 an output file that cannot be written.  Any other exception is an
 internal error: "error: internal error: <type>: <message>", exit 70.
+
+Each subcommand is a row of _COMMANDS: a handler, its help and its
+argument specs.  A handler maps the parsed arguments to (JSON payload,
+human lines, exit code).  run_cli reads the state file into args.rho,
+resolves --basis to an eigenbasis or None, prints the payload under
+--json and the lines otherwise, and maps exceptions to exit codes.
 """
 
 import argparse
@@ -32,6 +38,8 @@ _VERDICT_EXIT = {
     criterion.Verdict.INCONCLUSIVE: EXIT_INCONCLUSIVE,
 }
 
+_Result = tuple[dict | None, list[str], int]  # a handler's (payload, human lines, exit code)
+
 
 class _CliError(Exception):
     def __init__(self, message: str, code: int):
@@ -42,17 +50,15 @@ class _CliError(Exception):
 def _read_state(path: str) -> states.DensityMatrix:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return states.parse_state(fh.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read {path}: {exc}", EXIT_DATA) from exc
-    try:
-        return states.parse_state(text)
     except states.StateFormatError as exc:
         raise _CliError(f"{path}: {exc}", EXIT_DATA) from exc
 
 
-def _resolve_basis(args, rho) -> np.ndarray | None:
-    if getattr(args, "basis", None) != "paper":
+def _resolve_basis(basis: str | None, rho) -> np.ndarray | None:
+    if basis != "paper":
         return None
     reference = states.bound_2x4()
     if (rho.m, rho.n) != (2, 4) or np.linalg.norm(rho.matrix - reference.matrix) > 1e-10:
@@ -74,14 +80,6 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
     return int_at_least
-
-
-def _emit(args, payload: dict, human: list[str], out) -> None:
-    if args.json:
-        print(json.dumps(payload), file=out)
-    else:
-        for line in human:
-            print(line, file=out)
 
 
 def _re_im(z: complex) -> list[str]:
@@ -154,28 +152,25 @@ def _random_product(m: int, n: int, seed: int) -> states.DensityMatrix:
                           states.random_density(1, n, n, seed + 1).matrix)
 
 
-def _cmd_gen(args, out, err) -> int:
+def _cmd_gen(args) -> _Result:
     try:
         rho = _GENERATORS[args.state][2](args)
     except ValueError as exc:  # a parameter out of its state's range
         raise _CliError(str(exc), EXIT_USAGE) from exc
     text = states.serialize_state(rho)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise _CliError(f"cannot write {args.out}: {exc}", EXIT_CANTCREAT) from exc
-    else:
-        out.write(text)
-    return 0
+    if not args.out:
+        return None, text.splitlines(), 0
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _CliError(f"cannot write {args.out}: {exc}", EXIT_CANTCREAT) from exc
+    return None, [], 0
 
 
-def _cmd_classify(args, out, err) -> int:
-    rho = _read_state(args.file)
-    basis = _resolve_basis(args, rho)
+def _cmd_classify(args) -> _Result:
     cfg = criterion.ClassifyConfig(search=_search_config(args))
-    report = criterion.classify(rho, cfg, basis_override=basis)
+    report = criterion.classify(args.rho, cfg, basis_override=args.basis)
     payload = {
         "verdict": report.verdict.value,
         "ppt_min_eigenvalue": float(report.ppt_min_eigenvalue),
@@ -204,14 +199,12 @@ def _cmd_classify(args, out, err) -> int:
                      f"rejected extractions={report.search.rejected_extractions})")
     if report.certificate is not None:
         human.append(f"certificate: {report.certificate.weights.shape[0]} product terms")
-    _emit(args, payload, human, out)
-    return _VERDICT_EXIT[report.verdict]
+    return payload, human, _VERDICT_EXIT[report.verdict]
 
 
-def _cmd_spectrum(args, out, err) -> int:
-    rho = _read_state(args.file)
-    basis = _resolve_basis(args, rho)
-    x = linalg.scaled_eigvecs(rho, basis_override=basis)
+def _cmd_spectrum(args) -> _Result:
+    rho = args.rho
+    x = linalg.scaled_eigvecs(rho, basis_override=args.basis)
     reports = criterion.pair_reports(x, rho.m, rho.n)
     payload = {"eigenvalues": [float(v) for v in x.values], "pairs": _pair_rows(reports)}
     if args.json:
@@ -221,20 +214,17 @@ def _cmd_spectrum(args, out, err) -> int:
     for i, rep in enumerate(reports, start=1):
         lam = " ".join(f"{v:.12g}" for v in rep.lambdas)
         human.append(f"{i:<5d} {rep.pair.p:<2d} {rep.pair.q:<2d} {rep.a_value:<14.6g} {lam}")
-    _emit(args, payload, human, out)
     entangled = any(rep.a_value > states.BOUNDARY_TOL for rep in reports)
-    return EXIT_ENTANGLED if entangled else EXIT_INCONCLUSIVE
+    return payload, human, EXIT_ENTANGLED if entangled else EXIT_INCONCLUSIVE
 
 
-def _cmd_ppt(args, out, err) -> int:
-    rho = _read_state(args.file)
-    value = criterion.ppt_min_eigenvalue(rho)
-    _emit(args, {"ppt_min_eigenvalue": value},
-          [f"ppt min eigenvalue: {value:.12g}"], out)
-    return EXIT_ENTANGLED if value < -states.BOUNDARY_TOL else EXIT_INCONCLUSIVE
+def _cmd_ppt(args) -> _Result:
+    value = criterion.ppt_min_eigenvalue(args.rho)
+    return ({"ppt_min_eigenvalue": value}, [f"ppt min eigenvalue: {value:.12g}"],
+            EXIT_ENTANGLED if value < -states.BOUNDARY_TOL else EXIT_INCONCLUSIVE)
 
 
-def _cmd_pairs(args, out, err) -> int:
+def _cmd_pairs(args) -> _Result:
     ops = pair_operators(args.m, args.n)
     payload = {"pairs": [{"r": i, "p": b.pair.p, "q": b.pair.q,
                           "entries": [[row, col, val] for row, col, val in b.entries]}
@@ -244,12 +234,11 @@ def _cmd_pairs(args, out, err) -> int:
         neg = " ".join(f"({row},{col})" for row, col, val in b.entries if val < 0)
         pos = " ".join(f"({row},{col})" for row, col, val in b.entries if val > 0)
         human.append(f"B{i} (p={b.pair.p}, q={b.pair.q}): -1 @ {neg}  +1 @ {pos}")
-    _emit(args, payload, human, out)
-    return 0
+    return payload, human, 0
 
 
-def _cmd_decompose(args, out, err) -> int:
-    rho = _read_state(args.file)
+def _cmd_decompose(args) -> _Result:
+    rho = args.rho
     ops = pair_operators(rho.m, rho.n)
     if not 1 <= args.pair <= len(ops):
         raise _CliError(f"pair index {args.pair} out of range 1..{len(ops)}", EXIT_USAGE)
@@ -269,13 +258,11 @@ def _cmd_decompose(args, out, err) -> int:
         f"max pair residual (all pairs): {report.max_pair_residual:.3e}",
         f"max member product error: {float(np.max(report.member_product_errors)):.3e}",
     ]
-    _emit(args, payload, human, out)
-    return 0
+    return payload, human, 0
 
 
-def _cmd_search(args, out, err) -> int:
-    rho = _read_state(args.file)
-    report = search.minimize(rho, _search_config(args))
+def _cmd_search(args) -> _Result:
+    report = search.minimize(args.rho, _search_config(args))
     payload = {**_search_row(report), "certificate": _certificate_row(report.certificate)}
     human = [
         _no_walk(report) if report.k == 0 else f"best residual: {report.best_residual:.6g}",
@@ -285,25 +272,54 @@ def _cmd_search(args, out, err) -> int:
         ("certificate: " + (f"{report.certificate.weights.shape[0]} product terms"
                             if report.certificate else "none")),
     ]
-    _emit(args, payload, human, out)
-    return EXIT_SEPARABLE if report.certificate is not None else EXIT_INCONCLUSIVE
+    return payload, human, EXIT_SEPARABLE if report.certificate is not None else EXIT_INCONCLUSIVE
 
 
-def _cmd_emit_constraints(args, out, err) -> int:
-    rho = _read_state(args.file)
-    basis = _resolve_basis(args, rho)
-    x = linalg.scaled_eigvecs(rho, basis_override=basis)
-    cs = search.emit_constraints(x, rho.m, rho.n)
-    text = search.render_constraints(cs)
-    if args.json:
-        payload = {"count": cs.count,
-                   "pairs": [{"r": i, "p": pc.pair.p, "q": pc.pair.q,
-                              "terms": [[j, jp, *_re_im(w)] for j, jp, w in pc.terms]}
-                             for i, pc in enumerate(cs.pairs, start=1)]}
-        print(json.dumps(payload), file=out)
-    else:
-        out.write(text)
-    return 0
+def _cmd_emit_constraints(args) -> _Result:
+    x = linalg.scaled_eigvecs(args.rho, basis_override=args.basis)
+    cs = search.emit_constraints(x, args.rho.m, args.rho.n)
+    payload = {"count": cs.count,
+               "pairs": [{"r": i, "p": pc.pair.p, "q": pc.pair.q,
+                          "terms": [[j, jp, *_re_im(w)] for j, jp, w in pc.terms]}
+                         for i, pc in enumerate(cs.pairs, start=1)]}
+    return payload, search.render_constraints(cs).splitlines(), 0
+
+
+_FILE = (("file", {}),)
+_JSON = (("--json", {"action": "store_true",
+                     "help": "machine-readable output instead of tables"}),)
+_BASIS = (("--basis", {"choices": ["paper"], "default": None,
+                       "help": "use the canonical reference eigenbasis shipped for the "
+                               "built-in bound_2x4 state (pins the gauge of its "
+                               "degenerate eigenspaces)"}),)
+_BUDGET = (
+    ("--k", {"type": _int_at_least(1), "default": None,
+             "help": "ensemble size (default: l, 2l, … up to max(l, dim V); "
+                     "larger k is capped there)"}),
+    ("--restarts", {"type": _int_at_least(1), "default": None,
+                    "help": "random restarts per size"}),
+    ("--seed", {"type": _int_at_least(0), "default": None, "help": "base seed for restarts"}),
+    ("--max-iters", {"dest": "max_iters", "type": _int_at_least(1), "default": None,
+                     "help": "iteration cap per descent"}),
+)
+_PAIR = (("--pair", {"type": int, "required": True, "help": "1-based pair index"}),
+         ("--k", {"type": int, "default": None, "help": "member count multiplier (4k members)"}))
+
+# subcommand -> (handler, help, argument specs); gen's states come from _GENERATORS.
+_COMMANDS = {
+    "gen": (_cmd_gen, "write a built-in state in the text format", ()),
+    "classify": (_cmd_classify, "run the full pipeline on a state file",
+                 _FILE + _JSON + _BASIS + _BUDGET),
+    "spectrum": (_cmd_spectrum, "per-pair lambdas and a values", _FILE + _JSON + _BASIS),
+    "ppt": (_cmd_ppt, "smallest eigenvalue of the partial transpose", _FILE + _JSON),
+    "pairs": (_cmd_pairs, "list the pair operators for given dims",
+              (("m", {"type": _int_at_least(2)}), ("n", {"type": _int_at_least(2)})) + _JSON),
+    "decompose": (_cmd_decompose, "single-pair annihilating ensemble", _FILE + _PAIR + _JSON),
+    "search": (_cmd_search, "numerical search for a separable decomposition",
+               _FILE + _JSON + _BUDGET),
+    "emit-constraints": (_cmd_emit_constraints, "export the per-pair quadratic constraints",
+                         _FILE + _JSON + _BASIS),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -311,91 +327,40 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="sepkit",
         description="Separability analysis of bipartite quantum states")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, run, text):
+    for name, (run, text, specs) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.set_defaults(run=run)
-        return p
-
-    def add_json(p):
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable output instead of tables")
-
-    def add_basis(p):
-        p.add_argument("--basis", choices=["paper"], default=None,
-                       help="use the canonical reference eigenbasis shipped for the "
-                            "built-in bound_2x4 state (pins the gauge of its "
-                            "degenerate eigenspaces)")
-
-    def add_search_flags(p):
-        p.add_argument("--k", type=_int_at_least(1), default=None,
-                       help="ensemble size (default: l, 2l, … up to max(l, dim V); "
-                            "larger k is capped there)")
-        p.add_argument("--restarts", type=_int_at_least(1), default=None,
-                       help="random restarts per size")
-        p.add_argument("--seed", type=_int_at_least(0), default=None,
-                       help="base seed for restarts")
-        p.add_argument("--max-iters", dest="max_iters", type=_int_at_least(1), default=None,
-                       help="iteration cap per descent")
-
-    p = command("gen", _cmd_gen, "write a built-in state in the text format")
-    gen_sub = p.add_subparsers(dest="state", required=True)
+        for flag, spec in specs:
+            p.add_argument(flag, **spec)
+    gen_sub = sub.choices["gen"].add_subparsers(dest="state", required=True)
     for state, (text, flags, _build) in _GENERATORS.items():
         g = gen_sub.add_parser(state, help=text)
         for flag, spec in flags:
             g.add_argument(flag, **spec)
         g.add_argument("--out", default=None)
-
-    p = command("classify", _cmd_classify, "run the full pipeline on a state file")
-    p.add_argument("file")
-    add_json(p)
-    add_basis(p)
-    add_search_flags(p)
-
-    p = command("spectrum", _cmd_spectrum, "per-pair lambdas and a values")
-    p.add_argument("file")
-    add_json(p)
-    add_basis(p)
-
-    p = command("ppt", _cmd_ppt, "smallest eigenvalue of the partial transpose")
-    p.add_argument("file")
-    add_json(p)
-
-    p = command("pairs", _cmd_pairs, "list the pair operators for given dims")
-    p.add_argument("m", type=_int_at_least(2))
-    p.add_argument("n", type=_int_at_least(2))
-    add_json(p)
-
-    p = command("decompose", _cmd_decompose, "single-pair annihilating ensemble")
-    p.add_argument("file")
-    p.add_argument("--pair", type=int, required=True, help="1-based pair index")
-    p.add_argument("--k", type=int, default=None, help="member count multiplier (4k members)")
-    add_json(p)
-
-    p = command("search", _cmd_search, "numerical search for a separable decomposition")
-    p.add_argument("file")
-    add_json(p)
-    add_search_flags(p)
-
-    p = command("emit-constraints", _cmd_emit_constraints, "export the per-pair quadratic constraints")
-    p.add_argument("file")
-    add_json(p)
-    add_basis(p)
-
     return parser
 
 
 def run_cli(argv: list[str], out=None, err=None) -> int:
-    """Parse and execute; returns the exit code instead of calling sys.exit."""
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
-    parser = _build_parser()
+    """Parse and execute; returns the exit code instead of calling sys.exit.
+
+    print writes an out or err of None to sys.stdout or sys.stderr."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.run(args, out, err)
+        if "file" in args:
+            args.rho = _read_state(args.file)
+        if "basis" in args:
+            args.basis = _resolve_basis(args.basis, args.rho)
+        payload, human, code = args.run(args)
+        if getattr(args, "json", False):
+            print(json.dumps(payload), file=out)
+        else:
+            for line in human:
+                print(line, file=out)
+        return code
     except _CliError as exc:
         print(f"error: {exc}", file=err)
         return exc.code

@@ -35,7 +35,8 @@ import numpy as np
 
 from .linalg import ScaledEigvecs, product_svd, scaled_eigvecs, takagi
 from .pairs import PairIndex, PairOperator, _entry_arrays, build_pair_operator, tau_matrix
-from .states import BOUNDARY_TOL, RANGE_MARGIN, RANK_TOL, DensityMatrix, partial_transpose
+from .states import (BOUNDARY_TOL, RANGE_MARGIN, RANK_TOL, DensityMatrix, _check_count,
+                     partial_transpose)
 
 __all__ = [
     "PolygonInfeasibleError",
@@ -199,8 +200,11 @@ def single_pair_decomposition(rho: DensityMatrix, pair: PairIndex,
     changes nothing when a <= 0 and otherwise leaves each member a residual
     of at most a / (4k) on the pair.  k defaults to the smallest power of
     two with 4k >= max(4, l); an explicit k must be a power of two at least
-    as large, else MemberCountError is raised.
+    as large, else MemberCountError is raised (ValueError if k is not an
+    integer).
     """
+    if k is not None:
+        _check_count("k", k)
     x = scaled_eigvecs(rho)
     k_min = _member_count(x.count)
     if k is None:

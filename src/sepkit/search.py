@@ -33,7 +33,7 @@ from .decompose import MemberCountError, _range
 from .linalg import ScaledEigvecs, product_svd, random_orthonormal_columns, scaled_eigvecs
 from .linalg import reorthonormalize  # noqa: F401 (traced by perfbench)
 from .pairs import PairIndex, pair_operators, tau_matrix
-from .states import PRODUCT_TOL, RECON_TOL, STATE_TOL, DensityMatrix, format_float
+from .states import PRODUCT_TOL, RECON_TOL, STATE_TOL, DensityMatrix, _check_count, format_float
 
 __all__ = [
     "SearchConfig",
@@ -274,11 +274,14 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
     _TOL_RESIDUAL, and the first one that yields a checked certificate
     ends the search; the others are counted as rejected extractions.  With
     no pairs (a one-dimensional factor) the eigen-ensemble (u = I) is the
-    certificate.  Raises ValueError when restarts or max_iters is below 1
-    or seed is negative, and MemberCountError when an explicit k is below
-    the rank.
+    certificate.  Raises ValueError when a budget field is not an integer,
+    restarts or max_iters is below 1 or seed is negative, and
+    MemberCountError when an explicit k is below the rank.
     """
     cfg = config or SearchConfig()
+    for name, value in vars(cfg).items():
+        if value is not None or name != "k":  # k = None walks the schedule
+            _check_count(name, value)
     if cfg.restarts < 1 or cfg.max_iters < 1:
         raise ValueError(f"restarts and max_iters must be >= 1: {cfg.restarts}, {cfg.max_iters}")
     if cfg.seed < 0:

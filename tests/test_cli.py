@@ -77,6 +77,75 @@ def test_internal_errors_exit_70_not_1(tmp_path, monkeypatch):
     assert err.strip() == "error: internal error: RuntimeError: boom"
 
 
+COMMANDS = ["classify", "spectrum", "ppt", "pairs", "decompose", "search", "emit-constraints"]
+BUDGET = {"--restarts": "1", "--max-iters": "200", "--seed": "0", "--k": "4"}
+
+
+def _argv(command, path, *flags):
+    """A runnable command line: pairs takes dims, decompose a pair index."""
+    if command == "pairs":
+        return ["pairs", "2", "2", *flags]
+    return [command, path, *(["--pair", "1"] if command == "decompose" else []), *flags]
+
+
+def _boom(*args, **kwargs):
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("command, target", [
+    ("spectrum", "sepkit.criterion.pair_reports"),
+    ("ppt", "sepkit.criterion.ppt_min_eigenvalue"),
+    ("search", "sepkit.search.minimize"),
+    ("decompose", "sepkit.decompose.single_pair_decomposition"),
+    ("emit-constraints", "sepkit.search.emit_constraints"),
+    ("pairs", "sepkit.cli.pair_operators"),
+])
+def test_internal_errors_exit_70_from_every_handler(tmp_path, monkeypatch, command, target):
+    path = gen(tmp_path, "werner", "--p", "0.2")
+    monkeypatch.setattr(target, _boom)
+    assert run(_argv(command, path)) == (70, "", "error: internal error: RuntimeError: boom\n")
+
+
+def test_an_error_while_printing_exits_70(tmp_path, monkeypatch):
+    """Rendering the payload is inside the error map: nothing is printed."""
+    path = gen(tmp_path, "werner", "--p", "0.2")
+    monkeypatch.setattr("sepkit.cli.json.dumps", _boom)
+    code, out, err = run(["classify", path, "--json"])
+    assert (code, out, err) == (70, "", "error: internal error: RuntimeError: boom\n")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_subcommand_but_gen_takes_json(tmp_path, command):
+    code, out, _ = run(_argv(command, gen(tmp_path, "werner", "--p", "0.2"), "--json"))
+    assert code != 64
+    json.loads(out)
+
+
+def test_gen_takes_no_json(tmp_path, capsys):
+    assert run(["gen", "werner", "--p", "0.2", "--json"])[:2] == (64, "")
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_basis_paper_belongs_to_three_subcommands(tmp_path, command):
+    code, _, _ = run(_argv(command, gen(tmp_path, "bound_2x4"), "--basis", "paper"))
+    if command in ("classify", "spectrum", "emit-constraints"):
+        assert code in (0, 2)
+    else:
+        assert code == 64
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("flag", BUDGET)
+def test_budget_flags_belong_to_classify_and_search(tmp_path, command, flag):
+    """decompose's own --k counts members, so only its search budget is refused."""
+    code, _, _ = run(_argv(command, gen(tmp_path, "werner", "--p", "0.2"), flag, BUDGET[flag]))
+    if command in ("classify", "search") or (command, flag) == ("decompose", "--k"):
+        assert code == 0
+    else:
+        assert code == 64
+
+
 def test_classify_certifies_one_factor_states(tmp_path):
     path = gen(tmp_path, "random", "--m", "1", "--n", "3", "--seed", "2")
     code, out, _ = run(["classify", path])

@@ -162,6 +162,12 @@ def test_single_pair_decomposition_rejects_bad_k():
     assert ens.members.shape == (16, 8)
 
 
+@pytest.mark.parametrize("k", [2.0, 4.5, "4"])
+def test_single_pair_decomposition_rejects_a_non_integer_k(k):
+    with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+        single_pair_decomposition(sk.werner_2x2(0.2), PairIndex(2, 2), k=k)
+
+
 def test_single_pair_decomposition_of_bound_state():
     """Eight members reassemble the state exactly and each one annihilates
     the boundary pair (the other two pairs stay active, so the full report

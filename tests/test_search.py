@@ -254,6 +254,20 @@ def test_minimize_rejects_an_empty_budget(budget):
         minimize(sk.werner_2x2(0.2), SearchConfig(**budget))
 
 
+@pytest.mark.parametrize("budget, name", [
+    ({"restarts": 2.5}, "restarts"), ({"max_iters": 2.5}, "max_iters"),
+    ({"seed": 1.5}, "seed"), ({"k": 4.5}, "k"), ({"k": 1e6}, "k"), ({"restarts": None}, "restarts"),
+])
+def test_minimize_rejects_a_non_integer_budget_up_front(monkeypatch, budget, name):
+    """A ValueError, before any tau is built; k = 1e6 would be capped at dim V."""
+    def no_taus(*args):
+        raise AssertionError("taus built before the budget was checked")
+
+    monkeypatch.setattr(search_module, "pair_taus", no_taus)
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {budget[name]!r}"):
+        minimize(sk.werner_2x2(0.2), SearchConfig(**budget))
+
+
 def test_minimize_rejects_a_negative_seed_up_front(monkeypatch):
     """Like the budget, the seed is checked before any tau is built."""
     def no_taus(*args):
