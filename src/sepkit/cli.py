@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Exit codes: 0 a separable decomposition was certified, 1 entanglement was
-proven (pair criterion or partial transpose), 2 inconclusive, 64 usage
-errors, 65 unreadable or invalid input, 70 a valid request whose
-operation fails (e.g. decomposing a pair that violates the criterion),
-73 an output file that cannot be written.  Any other exception is an
-internal error: "error: internal error: <type>: <message>", exit 70.
+proven (any Entangled* verdict of classify, or criterion's pair criterion
+or partial transpose route for spectrum or ppt), 2 inconclusive, 64 usage
+errors, 65 unreadable or invalid input, 70 a valid request whose operation
+fails (e.g. decomposing a pair that violates the criterion), 73 an output
+file that cannot be written.  Any other exception is an internal error:
+"error: internal error: <type>: <message>", exit 70.
 
 Each subcommand is a row of _COMMANDS: a handler, its help and its
 argument specs.  A handler maps the parsed arguments to (JSON payload,
@@ -31,12 +32,8 @@ EXIT_DATA = 65
 EXIT_FAILED = 70
 EXIT_CANTCREAT = 73
 
-_VERDICT_EXIT = {
-    criterion.Verdict.SEPARABLE_CERTIFIED: EXIT_SEPARABLE,
-    criterion.Verdict.ENTANGLED_BY_PAIR_CRITERION: EXIT_ENTANGLED,
-    criterion.Verdict.ENTANGLED_BY_PPT: EXIT_ENTANGLED,
-    criterion.Verdict.INCONCLUSIVE: EXIT_INCONCLUSIVE,
-}
+_VERDICT_EXIT = {criterion.Verdict.SEPARABLE_CERTIFIED: EXIT_SEPARABLE,
+                 criterion.Verdict.INCONCLUSIVE: EXIT_INCONCLUSIVE}
 
 _Result = tuple[dict | None, list[str], int]  # a handler's (payload, human lines, exit code)
 
@@ -199,7 +196,7 @@ def _cmd_classify(args) -> _Result:
                      f"rejected extractions={report.search.rejected_extractions})")
     if report.certificate is not None:
         human.append(f"certificate: {report.certificate.weights.shape[0]} product terms")
-    return payload, human, _VERDICT_EXIT[report.verdict]
+    return payload, human, _VERDICT_EXIT.get(report.verdict, EXIT_ENTANGLED)
 
 
 def _cmd_spectrum(args) -> _Result:
@@ -214,14 +211,15 @@ def _cmd_spectrum(args) -> _Result:
     for i, rep in enumerate(reports, start=1):
         lam = " ".join(f"{v:.12g}" for v in rep.lambdas)
         human.append(f"{i:<5d} {rep.pair.p:<2d} {rep.pair.q:<2d} {rep.a_value:<14.6g} {lam}")
-    entangled = any(rep.a_value > states.BOUNDARY_TOL for rep in reports)
+    entangled = criterion._pair_criterion(rho, x, reports, None, None) is not None
     return payload, human, EXIT_ENTANGLED if entangled else EXIT_INCONCLUSIVE
 
 
 def _cmd_ppt(args) -> _Result:
     value = criterion.ppt_min_eigenvalue(args.rho)
+    entangled = criterion._ppt(args.rho, None, None, value, None) is not None
     return ({"ppt_min_eigenvalue": value}, [f"ppt min eigenvalue: {value:.12g}"],
-            EXIT_ENTANGLED if value < -states.BOUNDARY_TOL else EXIT_INCONCLUSIVE)
+            EXIT_ENTANGLED if entangled else EXIT_INCONCLUSIVE)
 
 
 def _cmd_pairs(args) -> _Result:

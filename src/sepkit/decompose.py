@@ -35,7 +35,7 @@ import numpy as np
 
 from .linalg import ScaledEigvecs, product_svd, scaled_eigvecs, takagi
 from .pairs import PairIndex, PairOperator, _entry_arrays, build_pair_operator, tau_matrix
-from .states import (BOUNDARY_TOL, RANGE_MARGIN, RANK_TOL, DensityMatrix, _check_count,
+from .states import (BOUNDARY_TOL, RANGE_MARGIN, RANK_TOL, DensityMatrix, _check_counts,
                      partial_transpose)
 
 __all__ = [
@@ -149,7 +149,7 @@ def close_polygon(lengths) -> np.ndarray:
     return phases
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)  # typed: 1.0 must not hit 1's entry
 def sign_matrix(k: int, l: int) -> np.ndarray:
     """First l columns of the 4k x 4k signed matrix with mutually orthogonal columns.
 
@@ -158,6 +158,7 @@ def sign_matrix(k: int, l: int) -> np.ndarray:
     log2(4k) bits.  4k must be a power of two and at least max(4, l);
     the first column is all +1.  Built once per (k, l) and read-only.
     """
+    _check_counts(k=k, l=l)
     rows = 4 * k
     if k < 1 or rows & (rows - 1) != 0:
         raise ValueError(f"4k must be a power of two, got 4k={rows}")
@@ -204,7 +205,7 @@ def single_pair_decomposition(rho: DensityMatrix, pair: PairIndex,
     integer).
     """
     if k is not None:
-        _check_count("k", k)
+        _check_counts(k=k)
     x = scaled_eigvecs(rho)
     k_min = _member_count(x.count)
     if k is None:

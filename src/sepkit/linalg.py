@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import RECON_TOL, STATE_TOL, DensityMatrix, _fix_column_phases
+from .states import RECON_TOL, STATE_TOL, DensityMatrix, _check_counts, _fix_column_phases
 
 __all__ = [
     "HermitianEig",
@@ -105,7 +105,7 @@ def scaled_eigvecs(rho: DensityMatrix, basis_override=None) -> ScaledEigvecs:
         raise ValueError(f"override shape {x.shape} does not match dimension {rho.dim}")
     gram = x @ x.conj().T
     norms = np.diagonal(gram).real.copy()
-    if np.linalg.norm(gram - np.diag(norms)) > 1e-10:
+    if not np.linalg.norm(gram - np.diag(norms)) <= 1e-10:  # NaN fails too
         raise ValueError("override vectors are not orthogonal within tolerance")
     if x.shape[0] != t.shape[0] or np.linalg.norm(np.sort(norms) - np.sort(t)) > 1e-8:
         raise ValueError("override norms do not match the nonzero spectrum of rho")
@@ -204,6 +204,7 @@ def random_orthonormal_columns(k: int, l: int, seed: int) -> np.ndarray:
 
     Gaussian fill followed by QR; deterministic for a fixed seed.
     """
+    _check_counts(k=k, l=l, seed=seed)
     if l < 1 or k < l:
         raise ValueError(f"need k >= l >= 1, got k={k}, l={l}")
     rng = np.random.default_rng(seed)

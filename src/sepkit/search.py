@@ -33,7 +33,7 @@ from .decompose import MemberCountError, _range
 from .linalg import ScaledEigvecs, product_svd, random_orthonormal_columns, scaled_eigvecs
 from .linalg import reorthonormalize  # noqa: F401 (traced by perfbench)
 from .pairs import PairIndex, pair_operators, tau_matrix
-from .states import PRODUCT_TOL, RECON_TOL, STATE_TOL, DensityMatrix, _check_count, format_float
+from .states import PRODUCT_TOL, RECON_TOL, STATE_TOL, DensityMatrix, _check_counts, format_float
 
 __all__ = [
     "SearchConfig",
@@ -138,7 +138,7 @@ def _check_u(u, l: int, orth_tol: float) -> np.ndarray:
         raise ValueError(f"u has shape {u.shape}, expected (k, {l})")
     if u.shape[0] < u.shape[1]:
         raise ValueError(f"u needs at least as many rows as columns, got {u.shape}")
-    if np.linalg.norm(u.conj().T @ u - np.eye(l)) > orth_tol:
+    if not np.linalg.norm(u.conj().T @ u - np.eye(l)) <= orth_tol:  # NaN fails too
         raise ValueError("u does not have orthonormal columns within tolerance")
     return u
 
@@ -279,9 +279,8 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
     MemberCountError when an explicit k is below the rank.
     """
     cfg = config or SearchConfig()
-    for name, value in vars(cfg).items():
-        if value is not None or name != "k":  # k = None walks the schedule
-            _check_count(name, value)
+    # k = None walks the schedule.
+    _check_counts(**{name: v for name, v in vars(cfg).items() if v is not None or name != "k"})
     if cfg.restarts < 1 or cfg.max_iters < 1:
         raise ValueError(f"restarts and max_iters must be >= 1: {cfg.restarts}, {cfg.max_iters}")
     if cfg.seed < 0:
@@ -357,10 +356,10 @@ def check_certificate(cert: SeparableCertificate, rho_matrix: np.ndarray) -> Non
     """
     total = float(np.sum(cert.weights))
     trace = float(np.trace(rho_matrix).real)
-    if abs(total - trace) > STATE_TOL:
+    if not abs(total - trace) <= STATE_TOL:  # NaN fails too
         raise CertificateError(f"weights sum to {total:.12g}, expected the trace {trace:.12g}")
     err = float(np.linalg.norm(cert.density() - rho_matrix))
-    if err > RECON_TOL:
+    if not err <= RECON_TOL:
         raise CertificateError(f"certificate reassembles rho only within {err:.3e}")
 
 
@@ -409,15 +408,13 @@ def emit_constraints(x: ScaledEigvecs, m: int, n: int) -> ConstraintSystem:
 
     A system with a one-dimensional factor has no pairs and so no constraints.
     """
+    j, jp = np.triu_indices(x.count)
+    double = np.where(j == jp, 1.0, 2.0)
     systems = []
     for b, tau in zip(pair_operators(m, n), pair_taus(x, m, n)):
-        cutoff = 1e-12 * max(1.0, float(np.max(np.abs(tau))))
-        terms = []
-        for j in range(x.count):
-            for jp in range(j, x.count):
-                w = (2.0 - (j == jp)) * tau[j, jp]
-                if abs(w) > cutoff:
-                    terms.append((j + 1, jp + 1, complex(w)))
+        w = double * tau[j, jp]
+        keep = np.abs(w) > 1e-12 * max(1.0, float(np.max(np.abs(tau))))
+        terms = zip((j[keep] + 1).tolist(), (jp[keep] + 1).tolist(), w[keep].tolist())
         systems.append(PairConstraints(pair=b.pair, terms=tuple(terms)))
     return ConstraintSystem(m=m, n=n, count=x.count, pairs=tuple(systems))
 

@@ -64,11 +64,12 @@ def _check_dims(m: int, n: int) -> None:
         raise ValueError(f"dims must be integers, got ({m!r}, {n!r})") from None
 
 
-def _check_count(name: str, value) -> None:
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+def _check_counts(**counts) -> None:
+    for name, value in counts.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _fix_column_phases(v: np.ndarray) -> np.ndarray:
@@ -267,7 +268,7 @@ def random_density(m: int, n: int, rank: int | None = None, seed: int = 0) -> De
     d = m * n
     if rank is None:
         rank = d
-    _check_count("rank", rank)
+    _check_counts(rank=rank, seed=seed)
     if not 1 <= rank <= d:
         raise ValueError(f"rank must lie in [1, {d}], got {rank}")
     rng = np.random.default_rng(seed)
@@ -280,7 +281,7 @@ def random_density(m: int, n: int, rank: int | None = None, seed: int = 0) -> De
 def random_separable(m: int, n: int, terms: int, seed: int) -> DensityMatrix:
     """Seeded random mixture of product pure states (Dirichlet weights)."""
     _check_dims(m, n)
-    _check_count("terms", terms)
+    _check_counts(terms=terms, seed=seed)
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
     rng = np.random.default_rng(seed)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface through run_cli."""
 
+import enum
 import io
 import json
 
@@ -230,6 +231,44 @@ def test_ppt(tmp_path):
     code, out, _ = run(["ppt", gen(tmp_path, "bell")])
     assert code == 1
     assert run(["ppt", gen(tmp_path, "bound_2x4")])[0] == 2
+
+
+# A stand-in for an entanglement verdict that classify may add later.
+_NEW_VERDICT = enum.Enum("_NEW_VERDICT", {"ENTANGLED_BY_RANGE": "EntangledByRange"})
+
+
+@pytest.mark.parametrize("verdict, code", [
+    (sk.Verdict.SEPARABLE_CERTIFIED, 0),
+    (sk.Verdict.ENTANGLED_BY_PAIR_CRITERION, 1),
+    (sk.Verdict.ENTANGLED_BY_PPT, 1),
+    (sk.Verdict.INCONCLUSIVE, 2),
+    (_NEW_VERDICT.ENTANGLED_BY_RANGE, 1),
+])
+def test_classify_exit_code_follows_the_verdict(tmp_path, monkeypatch, verdict, code):
+    """Only SeparableCertified and Inconclusive are named; every other verdict exits 1."""
+    path = gen(tmp_path, "werner", "--p", "0.2")
+    report = sk.ClassificationReport(verdict=verdict, ppt_min_eigenvalue=0.0, pairs=[])
+    monkeypatch.setattr(sk.criterion, "classify", lambda *args, **kwargs: report)
+    assert run(["classify", path]) == (code, f"verdict: {verdict.value}\n"
+                                             "ppt min eigenvalue: 0\n", "")
+
+
+@pytest.mark.parametrize("flags, spectrum, ppt", [
+    (["bell"], 1, 1),
+    (["werner", "--p", "0.2"], 2, 2),
+    (["tiles"], 2, 2),
+])
+def test_spectrum_and_ppt_exit_1_exactly_when_their_route_decides(tmp_path, flags,
+                                                                   spectrum, ppt):
+    path = gen(tmp_path, *flags)
+    rho = sk.parse_state(path.read_text())
+    x = sk.scaled_eigvecs(rho)
+    reports = sk.pair_reports(x, rho.m, rho.n)
+    ppt_min = sk.ppt_min_eigenvalue(rho)
+    decided = [route(rho, x, reports, ppt_min, None) is not None
+               for route in (sk.criterion._pair_criterion, sk.criterion._ppt)]
+    assert decided == [spectrum == 1, ppt == 1]
+    assert [run([command, path])[0] for command in ("spectrum", "ppt")] == [spectrum, ppt]
 
 
 def test_pairs_listing():

@@ -100,6 +100,15 @@ def test_scaled_eigvecs_override_validation():
         scaled_eigvecs(rho, basis_override=np.roll(good, 1, axis=1))
 
 
+def test_a_non_finite_override_is_a_value_error():
+    """A NaN basis once passed every check, and classify then failed in the SVD."""
+    nan = np.full((5, 8), np.nan)
+    with pytest.raises(ValueError, match="not orthogonal"):
+        scaled_eigvecs(sk.bound_2x4(), basis_override=nan)
+    with pytest.raises(ValueError, match="not orthogonal"):
+        sk.classify(sk.bound_2x4(), basis_override=nan)
+
+
 def test_tau_matrices_of_bound_state():
     """Entrywise golden values in the reference gauge, all three pairs."""
     x = scaled_eigvecs(sk.bound_2x4(), basis_override=sk.bound_2x4_basis())

@@ -151,6 +151,11 @@ def test_sign_matrix_rejects_bad_sizes():
         sign_matrix(3, 5)
     with pytest.raises(ValueError, match="l <= 4k"):
         sign_matrix(1, 5)
+    sign_matrix(1, 2)  # 1.0 == 1 and hashes alike: a typed cache keeps (1, 2) from answering (1.0, 2)
+    with pytest.raises(ValueError, match="k must be an integer, got 1.0"):
+        sign_matrix(1.0, 2)
+    with pytest.raises(ValueError, match="l must be an integer, got 2.0"):
+        sign_matrix(1, 2.0)
 
 
 def test_single_pair_decomposition_rejects_bad_k():

@@ -209,3 +209,10 @@ def test_random_orthonormal_columns_seeded():
     np.testing.assert_array_equal(u1, u2)
     assert np.linalg.norm(u1 - u3) > 1e-3
     np.testing.assert_allclose(u1.conj().T @ u1, np.eye(4), atol=1e-12)
+
+
+@pytest.mark.parametrize("args, name", [((3, 2, 1.5), "seed"), ((3.0, 2, 1), "k"),
+                                        ((3, 2.0, 1), "l")])
+def test_random_orthonormal_columns_rejects_non_integers(args, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        random_orthonormal_columns(*args)

@@ -81,6 +81,13 @@ def test_joint_residual_checks_orthonormality():
         joint_residual(u[:2, :], taus)
 
 
+def test_joint_residual_rejects_a_non_finite_u():
+    """A NaN norm is not above the tolerance, so the check is written to fail on it."""
+    _, taus = _taus(sk.werner_2x2(0.2))
+    with pytest.raises(ValueError, match="orthonormal"):
+        joint_residual(np.full((4, 4), np.nan), taus)
+
+
 def test_residual_gradient_matches_finite_differences():
     """Central differences along random complex directions reproduce
     Re<d, grad> to six digits, with one to four pairs on the batched axis."""
@@ -351,6 +358,17 @@ def test_check_certificate_validates_weights_and_reconstruction():
                         alphas=cert.alphas, betas=cert.betas)
     with pytest.raises(CertificateError, match="weights sum"):
         check_certificate(shrunk, rho.matrix)
+
+
+@pytest.mark.parametrize("field, message", [("weights", "weights sum"),
+                                            ("alphas", "reassembles")])
+def test_check_certificate_rejects_non_finite_fields(field, message):
+    """NaN weights sum to NaN and NaN alphas rebuild NaN: neither passes the gate."""
+    rho = sk.werner_2x2(0.2)
+    cert = minimize(rho, SearchConfig()).certificate
+    bad = dataclasses.replace(cert, **{field: np.full_like(getattr(cert, field), np.nan)})
+    with pytest.raises(CertificateError, match=message):
+        check_certificate(bad, rho.matrix)
 
 
 def test_certificate_density_is_the_sum_of_kron_terms():

@@ -162,11 +162,14 @@ def test_dims_must_be_integers():
         with pytest.raises(ValueError, match="dims must be integers"):
             make()
     for make, name in ((lambda: sk.random_separable(2, 3, 2.5, seed=0), "terms"),
-                       (lambda: sk.random_density(2, 3, rank=2.5), "rank")):
+                       (lambda: sk.random_density(2, 3, rank=2.5), "rank"),
+                       (lambda: sk.random_separable(2, 3, 2, seed=2.5), "seed"),
+                       (lambda: sk.random_density(2, 3, seed=2.5), "seed")):
         with pytest.raises(ValueError, match=f"{name} must be an integer, got 2.5"):
             make()
     rho = sk.density_matrix(np.int64(2), 2, np.eye(4) / 4)
     assert sk.classify(rho).verdict is sk.Verdict.SEPARABLE_CERTIFIED
+    assert sk.random_density(2, 2, seed=np.int64(3)).m == 2
 
 
 def test_random_separable_stays_ppt():
