@@ -9,16 +9,16 @@ for the singular values of tau, separability requires
 
 for every pair, where l' counts the nonzero lambdas.  B has four
 nonzero entries, so tau has rank <= 4 and its nonzero lambdas are those
-of a 4 x 4 core (pair_reports), and no tau is built here: only
-search.pair_taus stacks pairs.tau_matrix into the (P, l, l) array the
-search reads.  The partial transpose test runs alongside as an
-independent witness.  classify runs _ROUTES in order, so criterion sits
+of a 4 x 4 core (pair_reports), and no tau is built here, nor in the
+search, which evaluates each pair's four entries on its members: only
+search.pair_taus stacks pairs.tau_matrix, for the reference residual
+and the exported constraints.  The partial transpose test runs
+alongside as an independent witness.  classify runs _ROUTES in order, so criterion sits
 above decompose and search, and the primitives all three share live
 below them.
 """
 
 import enum
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +26,8 @@ import numpy as np
 from . import decompose, search
 from .linalg import ScaledEigvecs, product_svd, scaled_eigvecs, singular_values
 from .linalg import hermitian_eig  # noqa: F401 (traced by perfbench)
-from .pairs import PairIndex, _entry_arrays, pair_operators
+from .pairs import PairIndex, _pair_layout
+from .pairs import pair_operators  # noqa: F401 (traced by perfbench)
 from .pairs import tau_matrix  # noqa: F401 (traced by perfbench)
 from .search import SearchConfig, SearchReport, SeparableCertificate
 from .states import BOUNDARY_TOL, PRODUCT_TOL, RANK_TOL, DensityMatrix, partial_transpose
@@ -66,20 +67,6 @@ class SpectralReport:
     a_value: float
 
 
-@functools.lru_cache(maxsize=64)
-def _pair_layout(m: int, n: int) -> tuple[tuple[PairIndex, ...], np.ndarray, np.ndarray]:
-    """Each pair, the 0-based rows its four entries touch (P, 4), and its sign block.
-
-    Depends only on (m, n), so it is built once per shape; the arrays are
-    read-only.  sign[r, e, f] = val_e where entry e's column is entry f's row.
-    """
-    ops = pair_operators(m, n)
-    rows, cols, vals = _entry_arrays(ops)
-    sign = np.where(cols[:, :, None] == rows[:, None, :], vals[:, :, None], 0.0)
-    rows.flags.writeable = sign.flags.writeable = False
-    return tuple(b.pair for b in ops), rows, sign
-
-
 def pair_reports(x: ScaledEigvecs, m: int, n: int) -> list[SpectralReport]:
     """Spectral reports for every pair, in enumeration order.
 
@@ -90,22 +77,22 @@ def pair_reports(x: ScaledEigvecs, m: int, n: int) -> list[SpectralReport]:
     pair's lambdas, padded with exact zeros to length l, and no tau is
     built.  A one-dimensional factor has no pairs, so no reports.
     """
-    pairs, rows, sign = _pair_layout(m, n)
+    layout = _pair_layout(m, n)
     if x.vectors.shape[1] != m * n:
         raise ValueError(f"vectors have dimension {x.vectors.shape[1]}, operator needs {m * n}")
     # V = conj(X)[:, rows], one 4-column block per pair.
-    r = np.linalg.qr(x.vectors.conj().T[rows].swapaxes(1, 2), mode="r")
-    core = np.linalg.svd(r @ sign @ r.swapaxes(1, 2), compute_uv=False)
-    lambdas = np.zeros((len(pairs), x.count))
+    r = np.linalg.qr(x.vectors.conj().T[layout.rows].swapaxes(1, 2), mode="r")
+    core = np.linalg.svd(r @ layout.sign @ r.swapaxes(1, 2), compute_uv=False)
+    lambdas = np.zeros((len(layout.pairs), x.count))
     lambdas[:, :core.shape[1]] = core
     # Every a_value at once: the nonzero lambdas are a descending prefix of
     # at most four, and the trailing ones are summed in a_value's order.
-    nz = np.zeros((len(pairs), 4))
+    nz = np.zeros((len(layout.pairs), 4))
     nz[:, :core.shape[1]] = np.where(core > RANK_TOL, core, 0.0)
     a_values = (nz[:, 0] - ((nz[:, 1] + nz[:, 2]) + nz[:, 3])).tolist()
     l_primes = np.count_nonzero(nz, axis=1).tolist()
     return [SpectralReport(pair=pair, lambdas=lam, l_prime=lp, a_value=a)
-            for pair, lam, lp, a in zip(pairs, lambdas, l_primes, a_values)]
+            for pair, lam, lp, a in zip(layout.pairs, lambdas, l_primes, a_values)]
 
 
 def ppt_min_eigenvalue(rho: DensityMatrix) -> float:
@@ -117,11 +104,14 @@ def pure_product_check(psi, m: int, n: int) -> bool:
     """Whether the coefficient matrix of psi is rank 1 within tolerance.
 
     True when product_svd's second singular value is <= PRODUCT_TOL times
-    the first (always, with a one-dimensional factor).  Raises on a zero vector.
+    the first (always, with a one-dimensional factor).  Raises ValueError
+    on a zero or non-finite vector.
     """
     a = np.asarray(psi, dtype=complex).reshape(-1)
     if a.shape[0] != m * n:
         raise ValueError(f"state has length {a.shape[0]}, expected {m * n}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("psi has a non-finite entry")
     s = product_svd(a[None, :], m, n)[1][0]
     if s[0] <= 0.0:
         raise ValueError("zero vector has no product test")

@@ -356,11 +356,14 @@ def verify_ensemble(ensemble: PureEnsemble, rho: DensityMatrix,
 
     The residuals of every member on every pair come from one gather per
     operator entry.  A member's product error is its second singular value
-    relative to its first (0 for members of negligible norm).
+    relative to its first (0 for members of negligible norm).  Raises
+    ValueError on a non-finite member.
     """
     z = ensemble.members
     if any((b.m, b.n) != (ensemble.m, ensemble.n) for b in pairs):
         raise ValueError(f"pair operators do not match the {ensemble.m} x {ensemble.n} ensemble")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("the members have a non-finite entry")
     recon = np.einsum("ia,ib->ab", z, z.conj())
     recon_err = float(np.linalg.norm(recon - rho.matrix))
     rows, cols, vals = _entry_arrays(pairs)

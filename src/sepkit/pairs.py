@@ -13,6 +13,7 @@ A one-dimensional factor (1 x n or m x 1) has no minors, since every
 vector is a product: the pair list is [], and the other modules read it.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +109,31 @@ def _entry_arrays(ops: list[PairOperator]) -> tuple[np.ndarray, np.ndarray, np.n
     ent = np.array([b.entries for b in ops]).reshape(-1, 4, 3)  # (0, 4, 3) with no pairs
     rows, cols = (ent[:, :, k].astype(np.intp) - 1 for k in (0, 1))
     return rows, cols, ent[:, :, 2]
+
+
+@dataclass(frozen=True)
+class _PairLayout:
+    """Every pair of one shape, the 0-based rows, columns and values of its
+    four entries (P, 4), and the 4 x 4 sign blocks they give (P, 4, 4):
+    sign[r, e, f] = val_e where entry e's column is entry f's row.  The
+    arrays are read-only; criterion.pair_reports and the search read them."""
+
+    pairs: tuple[PairIndex, ...]
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    sign: np.ndarray
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _pair_layout(m: int, n: int) -> _PairLayout:
+    """The layout of pair_operators(m, n), built once per shape."""
+    ops = pair_operators(m, n)
+    rows, cols, vals = _entry_arrays(ops)
+    sign = np.where(cols[:, :, None] == rows[:, None, :], vals[:, :, None], 0.0)
+    for a in (rows, cols, vals, sign):
+        a.flags.writeable = False
+    return _PairLayout(tuple(b.pair for b in ops), rows, cols, vals, sign)
 
 
 def _check_vector(b: PairOperator, psi) -> np.ndarray:

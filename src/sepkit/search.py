@@ -16,12 +16,19 @@ One loop runs each restart, for at most max_iters iterations: a
 Barzilai-Borwein step with a nonmonotone (Zhang-Hager) backtracking
 test, which takes about one trial point per iteration and converges
 down to F ~ 1e-28, so no separate polish phase precedes extraction.
-Each trial point costs one batched product wt = conj(u) @ taus, which
-gives F and its gradient together; an accepted trial's gradient is
-carried into the next iteration.  A step M = u - alpha t is retracted to
-its positive-diagonal QR factor by Cholesky QR: for a tangent t the Gram
-matrix M^H M = I + alpha^2 t^H t >= I, so its Cholesky factor L always
-exists with singular values >= 1, and M L^-H is that factor (R = L^H).
+Each B^r has four nonzero entries, so a trial point is evaluated on its
+members, not on the l x l taus: Zc = conj(u) conj(X) holds the
+conjugated members, each pair residual is the sum of four products of
+their entries, d = (Zc[:, rows] * Zc[:, cols]) @ sel, and the gradient
+is ((conj(d) @ sel^T) * Zc[:, rows]) @ 4 conj(X)^T[cols], at
+k l mn + 4 k P l operations per trial point in place of P k l^2.  An
+accepted trial's gradient is carried into the next iteration.  A step
+M = u - alpha t is retracted to its positive-diagonal QR factor by
+Cholesky QR: for a tangent t the Gram matrix M^H M = I + alpha^2 t^H t
+>= I, so its Cholesky factor L always exists with singular values >= 1,
+and M L^-H is that factor (R = L^H), one l x l inverse per retraction.
+joint_residual and residual_gradient keep the paper's definition on
+the dense taus (pair_taus) as the reference.
 """
 
 import itertools
@@ -32,7 +39,7 @@ import numpy as np
 from .decompose import MemberCountError, _range
 from .linalg import ScaledEigvecs, product_svd, random_orthonormal_columns, scaled_eigvecs
 from .linalg import reorthonormalize  # noqa: F401 (traced by perfbench)
-from .pairs import PairIndex, pair_operators, tau_matrix
+from .pairs import PairIndex, _pair_layout, pair_operators, tau_matrix
 from .states import PRODUCT_TOL, RECON_TOL, STATE_TOL, DensityMatrix, _check_counts, format_float
 
 __all__ = [
@@ -122,6 +129,8 @@ class SearchReport:
 
 def pair_taus(x: ScaledEigvecs, m: int, n: int) -> np.ndarray:
     """The (P, l, l) stack of every pair's tau_matrix, in enumeration order."""
+    if not np.all(np.isfinite(x.vectors)):
+        raise ValueError("the scaled eigenvectors have a non-finite entry")
     return np.array([tau_matrix(x, b) for b in pair_operators(m, n)])
 
 
@@ -129,6 +138,8 @@ def _stack_taus(taus) -> np.ndarray:
     arr = np.asarray(taus, dtype=complex)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise ValueError(f"expected a list of square tau matrices, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("the taus have a non-finite entry")
     return arr
 
 
@@ -143,19 +154,18 @@ def _check_u(u, l: int, orth_tol: float) -> np.ndarray:
     return u
 
 
-def _objective_and_gradient(u: np.ndarray,
-                            taus: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """F(u), its Euclidean gradient and conj(u), from one batched product."""
+def _tau_objective_and_gradient(u: np.ndarray, taus: np.ndarray) -> tuple[float, np.ndarray]:
+    """F(u) and its Euclidean gradient on the dense taus, the reference definition."""
     w = u.conj()
     wt = w @ taus
     d = np.einsum("ril,il->ri", wt, w)
-    return float(np.vdot(d, d).real), 4.0 * np.einsum("ri,ril->il", d.conj(), wt), w
+    return float(np.vdot(d, d).real), 4.0 * np.einsum("ri,ril->il", d.conj(), wt)
 
 
 def joint_residual(u, taus) -> float:
     """F(u) = sum_r sum_i |<z_i| B^r |conj(z_i)>|^2, for u orthonormal within 1e-3."""
     taus = _stack_taus(taus)
-    return _objective_and_gradient(_check_u(u, taus.shape[1], 1e-3), taus)[0]
+    return _tau_objective_and_gradient(_check_u(u, taus.shape[1], 1e-3), taus)[0]
 
 
 def residual_gradient(u, taus) -> np.ndarray:
@@ -166,7 +176,46 @@ def residual_gradient(u, taus) -> np.ndarray:
     differences.
     """
     taus = _stack_taus(taus)
-    return _objective_and_gradient(_check_u(u, taus.shape[1], 1e-3), taus)[1]
+    return _tau_objective_and_gradient(_check_u(u, taus.shape[1], 1e-3), taus)[1]
+
+
+@dataclass(frozen=True)
+class _MemberKernel:
+    """One state's pair residuals as functions of the members.
+
+    xc is conj(X), l x mn; index holds the rows, then the columns, of
+    every pair's four entries (8P); sel (4P x P) sums entry (r, e)'s
+    product into pair r with its value; xg is 4 conj(X)^T[cols], 4P x l.
+    """
+
+    xc: np.ndarray
+    index: np.ndarray
+    sel: np.ndarray
+    xg: np.ndarray
+
+
+def _member_kernel(x: ScaledEigvecs, m: int, n: int) -> _MemberKernel:
+    """The kernel of x's members on the pairs of an m x n system, built once per state."""
+    layout = _pair_layout(m, n)
+    cols = layout.cols.ravel()
+    entries = cols.size
+    sel = np.zeros((entries, len(layout.pairs)), dtype=complex)
+    sel[np.arange(entries), np.arange(entries) // 4] = layout.vals.ravel()
+    xc = x.vectors.conj()
+    return _MemberKernel(xc=xc, index=np.concatenate([layout.rows.ravel(), cols]),
+                         sel=sel, xg=4.0 * xc.T[cols])
+
+
+def _objective_and_gradient(u: np.ndarray,
+                            kernel: _MemberKernel) -> tuple[float, np.ndarray, np.ndarray]:
+    """F(u), its Euclidean gradient and conj(u), from the members conj(u) conj(X)."""
+    w = u.conj()
+    zc = (w @ kernel.xc)[:, kernel.index]
+    half = zc.shape[1] // 2
+    at_rows, at_cols = zc[:, :half], zc[:, half:]
+    d = (at_rows * at_cols) @ kernel.sel
+    g = ((d.conj() @ kernel.sel.T) * at_rows) @ kernel.xg
+    return float(np.vdot(d, d).real), g, w
 
 
 def _tangent_project(u: np.ndarray, g: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -177,8 +226,7 @@ def _tangent_project(u: np.ndarray, g: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _retract(m: np.ndarray) -> np.ndarray:
     """Cholesky QR; its eps ||m||^2 orthonormality error makes a long step take two passes."""
-    mh = m.conj().T
-    q = np.linalg.solve(np.linalg.cholesky(mh @ m), mh).conj().T
+    q = m @ np.linalg.inv(np.linalg.cholesky(m.conj().T @ m)).conj().T
     return _retract(q) if np.vdot(m, m).real > 2 * m.shape[1] else q
 
 
@@ -194,7 +242,8 @@ _NONMONOTONE_ETA = 0.85
 _TOL_RESIDUAL = 1e-10
 
 
-def _descend(u: np.ndarray, taus: np.ndarray, max_iters: int) -> tuple[np.ndarray, float, int]:
+def _descend(u: np.ndarray, kernel: _MemberKernel,
+             max_iters: int) -> tuple[np.ndarray, float, int]:
     """Projected gradient descent with Barzilai-Borwein steps.
 
     From the second iteration the trial step is BB2, s.y / y.y with
@@ -204,7 +253,7 @@ def _descend(u: np.ndarray, taus: np.ndarray, max_iters: int) -> tuple[np.ndarra
     the occasional rise in F.  Stops at F <= 1e-28, |t| <= 1e-16, when
     no step is acceptable, or after max_iters iterations.
     """
-    f, g, w = _objective_and_gradient(u, taus)
+    f, g, w = _objective_and_gradient(u, kernel)
     c, q = f, 1.0
     alpha = _STEP_INIT
     t_prev = None
@@ -229,7 +278,7 @@ def _descend(u: np.ndarray, taus: np.ndarray, max_iters: int) -> tuple[np.ndarra
             except np.linalg.LinAlgError:
                 alpha *= _SHRINK
                 continue
-            f_try, g_try, w_try = _objective_and_gradient(u_try, taus)
+            f_try, g_try, w_try = _objective_and_gradient(u_try, kernel)
             if f_try <= c - _ARMIJO_C * alpha * tnorm2:
                 u, f, g, w = u_try, f_try, g_try, w_try
                 t_prev, prev_norm2 = t, tnorm2
@@ -268,7 +317,7 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
 
     Runs SearchConfig's k schedule; per size, one descent per seeded
     random restart.  With dim V < l beyond RANGE_MARGIN (see
-    decompose.range_space) the schedule is empty, and no tau is built.
+    decompose.range_space) the schedule is empty, and no kernel is built.
     Results merge by minimum residual, first-come on ties.  Certificate
     extraction is attempted on every restart that ends at F <=
     _TOL_RESIDUAL, and the first one that yields a checked certificate
@@ -289,8 +338,7 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
     l = x.count
     range_dim, dim_bound = _range(rho)[:2]
     schedule = _k_schedule(cfg, l, range_dim, dim_bound)
-    taus = pair_taus(x, rho.m, rho.n) if schedule else None
-    if schedule and len(taus) == 0:
+    if schedule and not _pair_layout(rho.m, rho.n).pairs:
         certificate = certify(x.vectors, rho)
         return SearchReport(best_residual=0.0, best_u=np.eye(l, dtype=complex), k=l,
                             restarts_used=0, iterations_used=0, certificate=certificate,
@@ -304,10 +352,11 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
     iterations_used = 0
     rejected = 0
     certificate = None
+    kernel = _member_kernel(x, rho.m, rho.n) if schedule else None
 
     for k, i in itertools.product(schedule, range(cfg.restarts)):
         u0 = random_orthonormal_columns(k, l, cfg.seed + i)
-        u, f, iters = _descend(u0, taus, cfg.max_iters)
+        u, f, iters = _descend(u0, kernel, cfg.max_iters)
         restarts_used += 1
         iterations_used += iters
         if f < best_f:
@@ -328,9 +377,11 @@ def certificate_from_members(members: np.ndarray, m: int, n: int) -> SeparableCe
 
     Each member's coefficient matrix must be rank 1 within PRODUCT_TOL
     (product_svd's s2/s1, 0 with a one-dimensional factor); members of
-    negligible weight are dropped.
+    negligible weight are dropped; a non-finite member is a CertificateError.
     """
     members = np.asarray(members, dtype=complex)
+    if not np.all(np.isfinite(members)):
+        raise CertificateError("the members have a non-finite entry")
     weights = np.array([np.vdot(z, z).real for z in members])
     alphas, s, betas = product_svd(members, m, n)
     keep = weights > 1e-14

@@ -66,18 +66,6 @@ def test_scaled_eigvecs_reuse_the_validation_spectrum_property(m, n, data, seed)
     assert_scaled_eigvecs_are_hermitian_eig(sk.random_density(m, n, rank=rank, seed=seed))
 
 
-def test_pair_layout_is_built_once_and_read_only():
-    """pair_reports' operators, gather rows and sign blocks depend only on
-    (m, n): one read-only copy per shape."""
-    pairs, rows, sign = sk.criterion._pair_layout(3, 4)
-    assert sk.criterion._pair_layout(3, 4)[1] is rows
-    assert list(pairs) == sk.enumerate_pairs(3, 4)
-    assert rows.shape == (6, 4) and sign.shape == (6, 4, 4)
-    for arr in (rows, sign):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0, 0] = 0
-
-
 def test_scaled_eigvecs_count_is_rank():
     assert scaled_eigvecs(sk.bell()).count == 1
     assert scaled_eigvecs(sk.bound_2x4()).count == 5
@@ -271,6 +259,15 @@ def test_pure_product_check():
     near = np.kron([1, 0], [1, 0]) + 1e-7 * np.kron([0, 1], [0, 1])
     assert sk.pure_product_check(near, 2, 2)
     assert sk.certificate_from_members(near[None, :], 2, 2).weights.shape == (1,)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pure_product_check_rejects_a_non_finite_vector(bad):
+    """A ValueError, not the LinAlgError of an SVD that does not converge."""
+    psi = np.kron([1.0, 0.0], [0.0, 1.0, 0.0]).astype(complex)
+    psi[3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        sk.pure_product_check(psi, 2, 3)
 
 
 def test_tolerances_are_constants():

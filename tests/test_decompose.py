@@ -254,6 +254,15 @@ def test_verify_ensemble_flags_corruption():
     assert bad.reconstruction_error > 1e-3
 
 
+def test_verify_ensemble_rejects_a_non_finite_member():
+    rho = sk.bound_2x4()
+    ens = single_pair_decomposition(rho, PairIndex(2, 2))
+    members = ens.members.copy()
+    members[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        verify_ensemble(type(ens)(members=members, m=ens.m, n=ens.n), rho, pair_operators(2, 4))
+
+
 @pytest.mark.parametrize("m, n", [(3, 3), (2, 4), (4, 4)])
 def test_verify_ensemble_residual_is_the_worst_pair_residual(m, n):
     """The gathered residuals give the largest |pair_residual| over the

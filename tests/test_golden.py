@@ -58,7 +58,7 @@ SEARCH = {
                 0.2500000000000008]),
     "bell": (2, (None, 0, 0, 0, 0), None),
     "bound_2x4": (0, (6.502225146782513e-29, 5, 1, 74, 0), W_BOUND),
-    "separable": (2, (0.0001957980340144335, 3, 1, 200, 0), None),
+    "separable": (2, (0.00019579803133573583, 3, 1, 200, 0), None),
     "one_by_three": (0, (0.0, 3, 0, 0, 0), W_ONE_BY_THREE),
     "horodecki": (2, (None, 0, 0, 0, 0), None),
 }

@@ -5,6 +5,7 @@ import pytest
 
 from sepkit.pairs import (
     PairIndex,
+    _pair_layout,
     basis_index,
     build_pair_operator,
     enumerate_pairs,
@@ -146,3 +147,21 @@ def test_zero_anchor_vector_also_annihilates_all_pairs():
     for b in pair_operators(2, 3):
         assert abs(pair_residual(b, psi)) < 1e-15
     assert np.linalg.matrix_rank(a) == 2
+
+
+def test_pair_layout_is_built_once_and_read_only():
+    """The operators' pairs, entry rows, columns and values, and the sign
+    blocks derived from them, depend only on (m, n): one read-only copy
+    per shape, which pair_reports and the search both read."""
+    layout = _pair_layout(3, 4)
+    assert _pair_layout(3, 4) is layout
+    assert list(layout.pairs) == enumerate_pairs(3, 4)
+    ops = pair_operators(3, 4)
+    for r, b in enumerate(ops):
+        entries = zip(layout.rows[r] + 1, layout.cols[r] + 1, layout.vals[r])
+        assert tuple(entries) == b.entries
+    assert layout.sign.shape == (6, 4, 4)
+    for arr in (layout.rows, layout.cols, layout.vals, layout.sign):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 0
+    assert _pair_layout(1, 3).pairs == () and _pair_layout(1, 3).rows.shape == (0, 4)

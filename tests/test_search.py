@@ -13,6 +13,8 @@ from sepkit.linalg import random_orthonormal_columns, reorthonormalize, scaled_e
 from sepkit.pairs import pair_operators, pair_residual, tau_matrix
 from sepkit.search import (
     CertificateError,
+    _member_kernel,
+    _objective_and_gradient,
     _retract,
     _tangent_project,
     SearchConfig,
@@ -104,6 +106,47 @@ def test_residual_gradient_matches_finite_differences():
             fd = (joint_residual(u + eps * d, taus)
                   - joint_residual(u - eps * d, taus)) / (2 * eps)
             assert fd == pytest.approx(float(np.vdot(d, g).real), abs=5e-7)
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 3), (2, 4), (3, 4)])
+@pytest.mark.parametrize("rank", [3, None], ids=["rank3", "full_rank"])
+def test_member_kernel_is_the_dense_objective(m, n, rank):
+    """The search evaluates F and its gradient on the members; both equal
+    joint_residual and residual_gradient on the stacked taus to 1e-12
+    relative, at k = l and k = l^2."""
+    rho = sk.random_density(m, n, rank=rank, seed=10 * m + n)
+    x, taus = _taus(rho)
+    kernel = _member_kernel(x, m, n)
+    for k in (x.count, x.count ** 2):
+        u = random_orthonormal_columns(k, x.count, seed=k)
+        f, g, w = _objective_and_gradient(u, kernel)
+        assert f == pytest.approx(joint_residual(u, taus), rel=1e-12, abs=0)
+        dense = residual_gradient(u, taus)
+        assert np.linalg.norm(g - dense) <= 1e-12 * np.linalg.norm(dense)
+        np.testing.assert_array_equal(w, u.conj())
+
+
+def test_minimize_builds_no_tau(monkeypatch):
+    """The search reads the members, never a tau matrix."""
+    def no_taus(*args):
+        raise AssertionError("a tau was built")
+
+    monkeypatch.setattr(search_module, "pair_taus", no_taus)
+    monkeypatch.setattr(search_module, "tau_matrix", no_taus)
+    report = minimize(sk.bound_2x4(), SearchConfig(restarts=1, max_iters=200))
+    assert report.certificate is not None and report.k == 5
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_joint_residual_rejects_non_finite_taus(bad):
+    """A ValueError, where the residual and its gradient would be nan."""
+    _, taus = _taus(sk.werner_2x2(0.2))
+    taus[0, 1, 2] = taus[0, 2, 1] = bad
+    u = random_orthonormal_columns(4, 4, seed=0)
+    with pytest.raises(ValueError, match="non-finite"):
+        joint_residual(u, taus)
+    with pytest.raises(ValueError, match="non-finite"):
+        residual_gradient(u, taus)
 
 
 def test_retract_is_the_positive_diagonal_qr_factor():
@@ -266,21 +309,21 @@ def test_minimize_rejects_an_empty_budget(budget):
     ({"seed": 1.5}, "seed"), ({"k": 4.5}, "k"), ({"k": 1e6}, "k"), ({"restarts": None}, "restarts"),
 ])
 def test_minimize_rejects_a_non_integer_budget_up_front(monkeypatch, budget, name):
-    """A ValueError, before any tau is built; k = 1e6 would be capped at dim V."""
-    def no_taus(*args):
-        raise AssertionError("taus built before the budget was checked")
+    """A ValueError, before the search's kernel is built; k = 1e6 would be capped at dim V."""
+    def no_kernel(*args):
+        raise AssertionError("kernel built before the budget was checked")
 
-    monkeypatch.setattr(search_module, "pair_taus", no_taus)
+    monkeypatch.setattr(search_module, "_member_kernel", no_kernel)
     with pytest.raises(ValueError, match=f"{name} must be an integer, got {budget[name]!r}"):
         minimize(sk.werner_2x2(0.2), SearchConfig(**budget))
 
 
 def test_minimize_rejects_a_negative_seed_up_front(monkeypatch):
-    """Like the budget, the seed is checked before any tau is built."""
-    def no_taus(*args):
-        raise AssertionError("taus built before the seed was checked")
+    """Like the budget, the seed is checked before the search's kernel is built."""
+    def no_kernel(*args):
+        raise AssertionError("kernel built before the seed was checked")
 
-    monkeypatch.setattr(search_module, "pair_taus", no_taus)
+    monkeypatch.setattr(search_module, "_member_kernel", no_kernel)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         minimize(sk.werner_2x2(0.2), SearchConfig(seed=-1))
 
@@ -337,6 +380,19 @@ def test_certificate_from_members():
     for a, b in zip(cert.alphas, cert.betas):
         assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(b) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_members_are_not_certified(bad):
+    """certificate_from_members raises CertificateError, so certify returns
+    None as documented instead of an SVD's LinAlgError."""
+    rho = sk.werner_2x2(0.2)
+    members = scaled_eigvecs(rho).vectors.copy()
+    members[0, 0] = bad
+    with pytest.raises(CertificateError, match="non-finite"):
+        certificate_from_members(members, 2, 2)
+    assert certify(members, rho) is None
+    assert certify(np.full((2, 4), bad), rho) is None
 
 
 def test_certificate_from_members_reports_offender():
@@ -409,6 +465,15 @@ def test_emit_and_render_constraints():
     cs = emit_constraints(x, 2, 4)
     assert render_constraints(cs) == CONSTRAINTS_2X4
     assert [len(pc.terms) for pc in cs.pairs] == [2, 2, 2]
+
+
+def test_emit_constraints_rejects_non_finite_vectors():
+    """A ValueError, where NaN coefficients would all be dropped as negligible."""
+    x = sk.ScaledEigvecs(vectors=np.full((4, 4), np.nan), values=np.full(4, np.nan))
+    with pytest.raises(ValueError, match="non-finite"):
+        emit_constraints(x, 2, 2)
+    with pytest.raises(ValueError, match="non-finite"):
+        emit_constraints(x, 1, 4)
 
 
 def test_emitted_constraints_equal_member_residuals():
@@ -488,12 +553,14 @@ def test_minimize_certifies_one_factor_states():
 
 def test_dim_v_below_the_rank_walks_no_size_and_builds_no_tau(monkeypatch):
     """Horodecki rho_0.5 has dim V = 1 < l = 5, so no decomposition exists:
-    no tau is built and no restart runs.  The report stays well defined:
-    an infinite residual and an empty (0, l) complex best_u."""
+    neither a tau nor the search's kernel is built and no restart runs.
+    The report stays well defined: an infinite residual and an empty
+    (0, l) complex best_u."""
     def no_taus(*args):
-        raise AssertionError("taus built for an empty walk")
+        raise AssertionError("taus or kernel built for an empty walk")
 
     monkeypatch.setattr(search_module, "pair_taus", no_taus)
+    monkeypatch.setattr(search_module, "_member_kernel", no_taus)
     report = minimize(sk.horodecki_2x4(0.5), SearchConfig(restarts=1, max_iters=200))
     assert (report.k, report.restarts_used, report.iterations_used,
             report.rejected_extractions, report.range_dim) == (0, 0, 0, 0, 1)

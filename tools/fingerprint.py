@@ -13,6 +13,11 @@ minimum; each pair's lambdas, l' and a-value; the certificate's weights,
 alphas and betas; the search's best residual, k, restarts, iterations,
 rejected extractions, ``best_u`` and ``range_dim``.
 
+A second sha256 per workload (``verdicts=``) covers only each report's
+verdict, entangling pair and number of certificate terms.  A change
+that moves only the search's rounding alters the first digest; an equal
+``verdicts=`` digest shows that every verdict is still the parent's.
+
 Two checkouts that print the same lines give byte-identical reports.
 The hashes depend on the BLAS build, so compare them on one host only.
 sepkit is imported from ``src/`` of the checkout this file sits in, and
@@ -70,14 +75,22 @@ def _report(h, rep: sk.ClassificationReport) -> None:
         _array(h, s.best_u)
 
 
-def fingerprint(workload: str, seed: int) -> tuple[str, int]:
-    """The sha256 over every report of one workload, and its state count."""
+def _verdict(h, rep: sk.ClassificationReport) -> None:
+    """Feed one report's verdict, entangling pair and certificate size into h."""
+    terms = None if rep.certificate is None else len(rep.certificate.weights)
+    h.update(repr((rep.verdict.value, rep.entangling_pair, terms)).encode())
+
+
+def fingerprint(workload: str, seed: int) -> tuple[str, str, int]:
+    """The sha256 over every field and over the verdicts of one workload, and its state count."""
     cfg = sk.ClassifyConfig(search=BUDGET)
-    h = hashlib.sha256()
+    fields, verdicts = hashlib.sha256(), hashlib.sha256()
     cases = corpus.WORKLOADS[workload](seed)
     for case in cases:
-        _report(h, sk.classify(sk.parse_state(case.text), cfg))
-    return h.hexdigest(), len(cases)
+        rep = sk.classify(sk.parse_state(case.text), cfg)
+        _report(fields, rep)
+        _verdict(verdicts, rep)
+    return fields.hexdigest(), verdicts.hexdigest(), len(cases)
 
 
 def main(argv=None) -> int:
@@ -85,8 +98,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1, help="corpus seed (default 1)")
     args = parser.parse_args(argv)
     for workload in WORKLOADS:
-        digest, count = fingerprint(workload, args.seed)
-        print(f"{workload} seed={args.seed} states={count} sha256={digest}")
+        digest, verdicts, count = fingerprint(workload, args.seed)
+        print(f"{workload} seed={args.seed} states={count} sha256={digest} verdicts={verdicts}")
     return 0
 
 
