@@ -29,6 +29,7 @@ range_space call.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,8 +95,9 @@ def canonical_basis(x: ScaledEigvecs, b: PairOperator) -> CanonicalBasis:
     return CanonicalBasis(vectors=t.v.conj() @ x.vectors, lambdas=t.lambdas)
 
 
-def _triangle_apex(a: float, c: float, t: float) -> tuple[float, complex]:
-    """Apex angle alpha and remainder t - a e^{i alpha} of the (a, c, t) triangle.
+def _triangle_apex(a: float, c: float, t: float) -> tuple[float, float]:
+    """Apex angle alpha and the angle of the remainder t - a e^{i alpha} of
+    the (a, c, t) triangle.
 
     Uses half-angle factors instead of the law-of-cosines quotient: the
     arccos form loses half the digits on needle triangles (c much smaller
@@ -106,11 +108,11 @@ def _triangle_apex(a: float, c: float, t: float) -> tuple[float, complex]:
     den = max((a + t + c) * ((a + t) - c), 0.0)
     hyp = num + den
     if hyp <= 0.0:
-        return 0.0, complex(t - a, 0.0)
-    alpha = 2.0 * float(np.arctan2(np.sqrt(num), np.sqrt(den)))
+        return 0.0, math.atan2(0.0, t - a)
+    alpha = 2.0 * math.atan2(math.sqrt(num), math.sqrt(den))
     sin_half2 = num / hyp
-    sin_alpha = 2.0 * np.sqrt(sin_half2 * (den / hyp))
-    return alpha, complex((t - a) + a * 2.0 * sin_half2, -a * sin_alpha)
+    sin_alpha = 2.0 * math.sqrt(sin_half2 * (den / hyp))
+    return alpha, math.atan2(-a * sin_alpha, (t - a) + a * 2.0 * sin_half2)
 
 
 def close_polygon(lengths) -> np.ndarray:
@@ -126,27 +128,25 @@ def close_polygon(lengths) -> np.ndarray:
     lengths = np.asarray(lengths, dtype=float)
     if lengths.ndim != 1 or lengths.shape[0] == 0:
         raise ValueError("lengths must be a nonempty 1-d array")
-    if np.any(lengths < 0.0) or not np.all(np.isfinite(lengths)):
+    lengths = lengths.tolist()  # a handful of lengths: plain floats beat numpy's per-call cost
+    if not all(0.0 <= v < math.inf for v in lengths):  # NaN fails too
         raise ValueError("lengths must be finite and nonnegative")
-    total = float(np.sum(lengths))
+    phases = [0.0] * len(lengths)
+    total = math.fsum(lengths)
     if total == 0.0:
-        return np.zeros_like(lengths)
-    order = np.argsort(-lengths, kind="stable")
-    sorted_lengths = lengths[order]
-    excess = 2.0 * sorted_lengths[0] - total
+        return np.array(phases)
+    order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)  # stable
+    ordered = [lengths[j] for j in order]
+    excess = 2.0 * ordered[0] - total
     if excess > 1e-12 * total:
         raise PolygonInfeasibleError(
-            f"longest length {sorted_lengths[0]:.6g} exceeds the sum of the others "
+            f"longest length {ordered[0]:.6g} exceeds the sum of the others "
             f"by {excess:.3e}")
-    alpha, remainder = _triangle_apex(float(np.sum(sorted_lengths[1::2])),
-                                      float(np.sum(sorted_lengths[2::2])),
-                                      float(sorted_lengths[0]))
-    arms = np.zeros_like(lengths)
-    arms[1::2], arms[2::2] = alpha + np.pi, np.angle(remainder) + np.pi
-    phases = np.zeros_like(lengths)
-    phases[order] = np.mod(arms, 2.0 * np.pi)
-    phases[lengths == 0.0] = 0.0
-    return phases
+    alpha, beta = _triangle_apex(math.fsum(ordered[1::2]), math.fsum(ordered[2::2]), ordered[0])
+    arms = ((alpha + math.pi) % math.tau, (beta + math.pi) % math.tau)
+    for i, j in enumerate(order[1:]):
+        phases[j] = arms[i % 2] if lengths[j] > 0.0 else 0.0
+    return np.array(phases)
 
 
 @functools.lru_cache(maxsize=64, typed=True)  # typed: 1.0 must not hit 1's entry
@@ -215,16 +215,14 @@ def single_pair_decomposition(rho: DensityMatrix, pair: PairIndex,
     b = build_pair_operator(rho.m, rho.n, pair)
     basis = canonical_basis(x, b)
     lam = basis.lambdas
-    l = lam.shape[0]
-    l_prime = int(np.sum(lam > RANK_TOL))
+    l_prime = int(np.count_nonzero(lam > RANK_TOL))
     a = a_value(lam, l_prime)
     if a > BOUNDARY_TOL:
         raise PairCriterionError(
             f"pair ({pair.p}, {pair.q}) has a = {a:.3e} > {BOUNDARY_TOL:.1e}; "
             "no annihilating ensemble exists")
-    theta = close_polygon(np.append(min(lam[0], float(np.sum(lam[1:]))), lam[1:])) / 2.0
-    signs = sign_matrix(k, l)
-    coeff = signs * np.exp(1j * theta)[None, :] / (2.0 * np.sqrt(k))
+    theta = close_polygon([min(lam[0], lam[1:].sum()), *lam[1:]]) / 2.0
+    coeff = sign_matrix(k, len(lam)) * (np.exp(1j * theta) / (2.0 * math.sqrt(k)))
     return PureEnsemble(members=coeff @ basis.vectors, m=rho.m, n=rho.n)
 
 
@@ -317,6 +315,15 @@ def _solve_range(rho: DensityMatrix) -> tuple[int, int, int, np.ndarray | None]:
             _null_space(a, dim, l) if dim == l else None)
 
 
+@functools.lru_cache(maxsize=64, typed=True)
+def _range_coefficients(l: int) -> np.ndarray:
+    """range_decomposition's seeded coefficients for rank l, built once, read-only."""
+    coeff = np.random.default_rng(0).standard_normal((2, l))
+    coeff = coeff[0] + 1j * coeff[1]
+    coeff.flags.writeable = False
+    return coeff
+
+
 def range_decomposition(rho: DensityMatrix) -> PureEnsemble:
     """The l product members of a rank-l state, when its ranges pin them.
 
@@ -334,8 +341,7 @@ def range_decomposition(rho: DensityMatrix) -> PureEnsemble:
         raise ValueError("the partial transpose has no kernel")
     if dim != l:
         raise ValueError(f"dim V = {dim}, the rank is {l}")
-    coeff = np.random.default_rng(0).standard_normal((2, l))
-    c = ((coeff[0] + 1j * coeff[1]) @ basis.reshape(l, l * l)).reshape(l, l)
+    c = (_range_coefficients(l) @ basis.reshape(l, l * l)).reshape(l, l)
     scale = 1.0 / np.sqrt(x.values)
     _, b = np.linalg.eigh(scale[:, None] * (c + c.conj().T) * scale[None, :])
     return PureEnsemble(members=b.T @ x.vectors, m=rho.m, n=rho.n)

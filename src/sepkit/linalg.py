@@ -142,12 +142,14 @@ def takagi(s) -> TakagiResult:
     Returns a unitary ``v`` and nonnegative descending ``lambdas`` with
     v @ s @ v.T = diag(lambdas).  The lambdas equal the singular values
     of ``s``.  Computed from the eigendecomposition of the real symmetric
-    embedding [[Re s, Im s], [Im s, -Re s]]: eigenvectors for eigenvalues
-    +lambda reassemble into orthonormal complex vectors u with
-    s @ conj(u) = lambda u.  If some are zero, one complete QR of those
-    modes re-orthonormalizes them (near the zero threshold they are only
-    nearly orthogonal) and completes them with the zero modes: s
-    annihilates the conjugate of every vector orthogonal to them.
+    embedding [[Re s, Im s], [Im s, -Re s]]: an eigenvector (a, b) for
+    an eigenvalue mu > 0 gives a unit u = a + ib with s @ conj(u) = mu u,
+    so u^H s conj(u) = mu is already real and nonnegative and no phase
+    pass is needed: the lambdas are the embedding's positive eigenvalues,
+    descending, then zeros.  If some are zero, one complete QR of the
+    positive modes re-orthonormalizes them (near the zero threshold they
+    are only nearly orthogonal; R's real diagonal keeps s conj(u) = mu u)
+    and completes them with zero modes, whose conjugates s annihilates.
     Raises ValueError if ``s`` deviates from symmetry by more than 1e-10
     relative to its norm.
     """
@@ -160,25 +162,18 @@ def takagi(s) -> TakagiResult:
     s = (s + s.T) / 2.0
     l = s.shape[0]
 
-    emb = np.array([[s.real, s.imag], [s.imag, -s.real]]).swapaxes(1, 2).reshape(2 * l, 2 * l)
+    emb = np.empty((2 * l, 2 * l))
+    emb[:l, :l], emb[:l, l:], emb[l:, :l], emb[l:, l:] = s.real, s.imag, s.imag, -s.real
     mu, w = np.linalg.eigh(emb)
-    mu = mu[::-1]
-    w = w[:, ::-1]
+    mu, w = mu[::-1], w[:, ::-1]
 
     ztol = 1e3 * np.finfo(float).eps * scale
-    npos = min(int(np.sum(mu > ztol)), l)
+    lambdas = np.where(mu[:l] > ztol, mu[:l], 0.0)
+    npos = int(np.count_nonzero(lambdas))
     u = w[:l, :npos] + 1j * w[l:, :npos]
     if npos < l:
         u = np.linalg.qr(u, mode="complete")[0]
-
-    # Phase fix: rotate each column so u_i^dag @ s @ conj(u_i) is real >= 0.
-    d = np.einsum("ij,jk,ki->i", u.conj().T, s, u.conj())
-    phases = np.where(np.abs(d) > 0, np.exp(1j * np.angle(d) / 2.0), 1.0)
-    u = u * phases[None, :]
-    lambdas = np.abs(d)
-
-    order = np.argsort(-lambdas, kind="stable")
-    return TakagiResult(v=u[:, order].conj().T, lambdas=lambdas[order])
+    return TakagiResult(v=u.conj().T, lambdas=lambdas)
 
 
 def reorthonormalize(m) -> np.ndarray:

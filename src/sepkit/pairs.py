@@ -162,8 +162,7 @@ def tau_matrix(x: ScaledEigvecs, b: PairOperator) -> np.ndarray:
     """Complex symmetric l x l matrix tau[i, j] = x_i^dag B conj(x_j)."""
     if x.vectors.shape[1] != b.m * b.n:
         raise ValueError(f"vectors have dimension {x.vectors.shape[1]}, operator needs {b.m * b.n}")
+    rows, cols, vals = zip(*b.entries)
     xc = x.vectors.conj()
-    tau = np.zeros((x.count, x.count), dtype=complex)
-    for row, col, val in b.entries:
-        tau += val * np.outer(xc[:, row - 1], xc[:, col - 1])
+    tau = (xc[:, np.subtract(rows, 1)] * vals) @ xc[:, np.subtract(cols, 1)].T
     return (tau + tau.T) / 2.0

@@ -378,20 +378,23 @@ def certificate_from_members(members: np.ndarray, m: int, n: int) -> SeparableCe
     Each member's coefficient matrix must be rank 1 within PRODUCT_TOL
     (product_svd's s2/s1, 0 with a one-dimensional factor); members of
     negligible weight are dropped; a non-finite member is a CertificateError.
+    Members that are not a (k, m*n) array raise ValueError.
     """
-    members = np.asarray(members, dtype=complex)
-    if not np.all(np.isfinite(members)):
+    members = np.ascontiguousarray(members, dtype=complex)
+    if members.ndim != 2 or members.shape[1] != m * n:
+        raise ValueError(f"members must be a (k, {m * n}) array, got shape {members.shape}")
+    if not np.isfinite(members).all():
         raise CertificateError("the members have a non-finite entry")
-    weights = np.array([np.vdot(z, z).real for z in members])
+    weights = np.einsum("ij,ij->i", members.view(float), members.view(float))  # |z_i|^2
     alphas, s, betas = product_svd(members, m, n)
     keep = weights > 1e-14
-    bad = np.flatnonzero(keep & (s[:, 1] > PRODUCT_TOL * s[:, 0]))
-    if bad.size:
-        i = int(bad[0])
+    bad = keep & (s[:, 1] > PRODUCT_TOL * s[:, 0])
+    if bad.any():
+        i = int(bad.argmax())  # the first offender
         raise CertificateError(
             f"member {i} is not a product state: s2/s1 = {s[i, 1] / s[i, 0]:.3e}",
             member_index=i)
-    if not np.any(keep):
+    if not keep.any():
         raise CertificateError("all members have negligible weight")
     return SeparableCertificate(m=m, n=n, weights=weights[keep],
                                 alphas=alphas[keep], betas=betas[keep])
@@ -405,7 +408,7 @@ def check_certificate(cert: SeparableCertificate, rho_matrix: np.ndarray) -> Non
     within STATE_TOL, and an exact decomposition's weights sum to its
     positive eigenvalues.
     """
-    total = float(np.sum(cert.weights))
+    total = float(cert.weights.sum())
     trace = float(np.trace(rho_matrix).real)
     if not abs(total - trace) <= STATE_TOL:  # NaN fails too
         raise CertificateError(f"weights sum to {total:.12g}, expected the trace {trace:.12g}")
@@ -425,7 +428,8 @@ def certify(members, rho: DensityMatrix, x: ScaledEigvecs | None = None):
 
     With x given, members is a search point u and the members are
     u @ x.vectors (extract_certificate).  Every certificate sepkit
-    reports comes from here, checked by check_certificate.
+    reports comes from here, checked by check_certificate.  Members that
+    are not a (k, m*n) array raise ValueError rather than return None.
     """
     try:
         cert = (certificate_from_members(members, rho.m, rho.n) if x is None

@@ -81,9 +81,8 @@ def _fix_column_phases(v: np.ndarray) -> np.ndarray:
     per-column conj(p) / abs(p) bit for bit.  A zero column is left alone.
     """
     p = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phase = np.where(p != 0, p.conj() / np.hypot(p.real, p.imag), 1.0)
-    return v * phase
+    r = np.hypot(p.real, p.imag)
+    return v * np.where(r != 0, p.conj() / np.where(r != 0, r, 1.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -117,11 +116,13 @@ class DensityMatrix:
             raise ValueError(f"matrix shape {mat.shape} does not match dims ({self.m}, {self.n})")
         if not np.all(np.isfinite(mat)):
             raise ValueError("matrix contains non-finite entries")
-        if np.linalg.norm(mat - mat.conj().T) > STATE_TOL * (1.0 + np.linalg.norm(mat)):
+        adj = mat.conj().T
+        if np.linalg.norm(mat - adj) > STATE_TOL * (1.0 + np.linalg.norm(mat)):
             raise ValueError("matrix is not Hermitian within tolerance")
-        if abs(np.trace(mat).real - 1.0) > STATE_TOL or abs(np.trace(mat).imag) > STATE_TOL:
-            raise ValueError(f"trace is {np.trace(mat):.6g}, expected 1")
-        mat = (mat + mat.conj().T) / 2
+        trace = np.trace(mat)
+        if abs(trace.real - 1.0) > STATE_TOL or abs(trace.imag) > STATE_TOL:
+            raise ValueError(f"trace is {trace:.6g}, expected 1")
+        mat = (mat + adj) / 2
         w, v = np.linalg.eigh(mat)
         if w[0] < -BOUNDARY_TOL:
             raise ValueError(f"matrix has an eigenvalue below -{BOUNDARY_TOL:g}")
@@ -172,16 +173,8 @@ def bound_2x4_basis() -> np.ndarray:
     The 1/4 eigenspace of bound_2x4 is degenerate, so per-pair spectral
     matrices depend on the basis gauge; this fixed basis pins them down.
     """
-    s = np.sqrt(1.0 / 8.0)
     x = np.zeros((5, 8))
-    x[0, 3] = s
-    x[1, 4] = s
-    x[2, 0] = s
-    x[2, 5] = s
-    x[3, 1] = s
-    x[3, 6] = s
-    x[4, 2] = s
-    x[4, 7] = s
+    x[[0, 1, 2, 2, 3, 3, 4, 4], [3, 4, 0, 5, 1, 6, 2, 7]] = np.sqrt(1.0 / 8.0)
     return x.astype(complex)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sepkit as sk
+import sepkit.decompose as decompose_module
 from sepkit.decompose import (
     MemberCountError,
     PairCriterionError,
@@ -304,6 +305,23 @@ def test_range_decomposition_recovers_the_mixture(m, n, terms):
     assert sorted(np.argmin(dist, axis=1)) == list(range(terms))
     assert np.max(np.min(dist, axis=1)) <= 1e-12
     assert len(certify(ens.members, rho).weights) == terms
+
+
+def test_range_decomposition_draws_no_generator_per_call(monkeypatch):
+    """The generic element's seeded coefficients are built once per rank,
+    read-only, and equal default_rng(0)'s; later calls make no generator."""
+    rho, again = (sk.random_separable(3, 3, 3, seed=2) for _ in range(2))
+    first = range_decomposition(rho).members
+    coeff = np.random.default_rng(0).standard_normal((2, 3))
+    kept = decompose_module._range_coefficients(3)
+    np.testing.assert_array_equal(kept, coeff[0] + 1j * coeff[1])
+    assert not kept.flags.writeable
+
+    def no_generator(*args):
+        raise AssertionError("range_decomposition made a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    np.testing.assert_array_equal(range_decomposition(again).members, first)
 
 
 @pytest.mark.parametrize("rho, message", [

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import sepkit as sk
 from sepkit.linalg import (
     RankDeficientError,
     _fix_column_phases,
@@ -159,6 +160,33 @@ def test_takagi_handles_rank_deficiency_and_zero():
         assert np.linalg.norm(res.v @ res.v.conj().T - np.eye(l)) <= 1e-11
         err = np.linalg.norm(res.v @ s @ res.v.T - np.diag(res.lambdas))
         assert err <= 1e-11 * (1.0 + np.linalg.norm(s))
+
+
+def test_takagi_lambdas_are_the_embeddings_positive_eigenvalues():
+    """A positive mode u of the real embedding has s conj(u) = mu u, so the
+    lambdas are the embedding's positive eigenvalues as they stand,
+    descending, then exact zeros: on rank-deficient inputs and on the
+    degenerate taus of Werner states (0.4, 0.2, 0.2, 0.2 at p = 0.2)."""
+    rng = np.random.default_rng(16)
+    cases = []
+    for l, rank in [(4, 0), (4, 1), (4, 2), (4, 3), (4, 4), (6, 3)]:
+        g = rng.standard_normal((l, rank)) + 1j * rng.standard_normal((l, rank))
+        cases.append(g @ g.T)
+    b = sk.build_pair_operator(2, 2, sk.PairIndex(2, 2))
+    for p in (0.0, 0.2, 0.5, 1.0):
+        cases.append(sk.tau_matrix(sk.scaled_eigvecs(sk.werner_2x2(p)), b))
+    cases.append(np.diag([0.3, 0.3, 0.0, 0.0]).astype(complex))
+    for s in cases:
+        mu = np.linalg.eigvalsh(np.block([[s.real, s.imag], [s.imag, -s.real]]))[::-1]
+        npos = int(np.count_nonzero(mu > 1e-10))
+        res = takagi(s)
+        # eigvalsh and eigh agree to rounding relative to the norm.
+        np.testing.assert_allclose(res.lambdas[:npos], mu[:npos], rtol=0,
+                                   atol=1e-14 * (1.0 + np.linalg.norm(s)))
+        assert np.all(res.lambdas[npos:] == 0.0)
+        assert np.all(np.diff(res.lambdas) <= 0.0)
+        np.testing.assert_allclose(res.v @ s @ res.v.T, np.diag(res.lambdas), atol=1e-12)
+        np.testing.assert_allclose(res.v @ res.v.conj().T, np.eye(len(s)), atol=1e-12)
 
 
 def test_takagi_degenerate_spectrum():

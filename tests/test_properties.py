@@ -6,7 +6,7 @@ and the PPT test gives the same answer.  It maps the space V of the range
 route onto the transformed state's, so dim V and that route's verdict
 carry over too.  Separately, no state with a negative partial transpose
 may ever come out certified, and low-rank mixtures certify without the
-search.  Nor does dim V < l skip the search on a separable mixture whose
+search, as does every PPT 2 x 2 state, inside the PPT set or on its boundary.  Nor does dim V < l skip the search on a separable mixture whose
 rank the tolerances blur.
 """
 
@@ -108,6 +108,53 @@ def test_low_rank_mixtures_certify_without_the_search(dims, data, seed):
     assert report.verdict is Verdict.SEPARABLE_CERTIFIED and report.search is None
     assert len(report.certificate.weights) <= sk.scaled_eigvecs(rho).count
     _recheck(report.certificate, rho.matrix)
+
+
+def _certifies_in_closed_form(rho: sk.DensityMatrix) -> None:
+    report = sk.classify(rho, ClassifyConfig(search=BUDGET))
+    assert report.verdict is Verdict.SEPARABLE_CERTIFIED and report.search is None
+    _recheck(report.certificate, rho.matrix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), SEEDS)
+def test_ppt_2x2_states_certify_in_closed_form(rank, seed):
+    """On 2 x 2, PPT is separable (Horodecki, PLA 223, 1 (1996)) and the
+    single-pair ensemble is a full decomposition, so every PPT state
+    certifies without the search.  A random state of rank 1 or 2 is PPT
+    with probability 0, so those ranks are drawn as mixtures of that many
+    product states; random states of rank 3 and 4 are kept when PPT."""
+    if rank <= 2:
+        rho = sk.random_separable(2, 2, rank, seed)
+    else:
+        rho = sk.random_density(2, 2, rank=rank, seed=seed)
+        assume(sk.ppt_min_eigenvalue(rho) >= -BOUNDARY_TOL)
+    _certifies_in_closed_form(rho)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), SEEDS)
+def test_2x2_states_on_the_ppt_boundary_certify_in_closed_form(rank, seed):
+    """An NPT state sigma mixed with I/4, p sigma + (1 - p) I/4, bisected
+    in p onto the PPT boundary (its partial transpose is singular there),
+    still certifies in closed form: the pair's a-value sits at 0."""
+    sigma = sk.random_density(2, 2, rank=rank, seed=seed)
+    assume(sk.ppt_min_eigenvalue(sigma) < 0.0)
+    sigma = sigma.matrix
+
+    def mixture(p):
+        return sk.density_matrix(2, 2, p * sigma + (1.0 - p) * np.eye(4) / 4.0)
+
+    lo, hi = 0.0, 1.0  # PPT at lo, NPT at hi
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        if sk.ppt_min_eigenvalue(mixture(mid)) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    rho = mixture(lo)
+    assert 0.0 <= sk.ppt_min_eigenvalue(rho) <= 1e-12
+    _certifies_in_closed_form(rho)
 
 
 @settings(max_examples=50, deadline=None)

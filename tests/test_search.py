@@ -1,6 +1,7 @@
 """Tests for the joint residual, its gradient, and the ensemble search."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -393,6 +394,20 @@ def test_non_finite_members_are_not_certified(bad):
         certificate_from_members(members, 2, 2)
     assert certify(members, rho) is None
     assert certify(np.full((2, 4), bad), rho) is None
+
+
+@pytest.mark.parametrize("members", [np.ones(4), np.ones((1, 2, 2)), np.ones((4, 3))],
+                         ids=["flat", "stack", "wide"])
+def test_members_must_be_a_k_by_mn_array(members):
+    """A flat vector, a stack of coefficient matrices or rows of the wrong
+    length raise ValueError naming the shape: not a CertificateError, which
+    certify would turn into None, nor numpy's reshape error."""
+    message = rf"members must be a \(k, 4\) array, got shape {re.escape(str(members.shape))}"
+    with pytest.raises(ValueError, match=message) as info:
+        certify(members, sk.werner_2x2(0.2))
+    assert not isinstance(info.value, CertificateError)
+    with pytest.raises(ValueError, match=message):
+        certificate_from_members(members, 2, 2)
 
 
 def test_certificate_from_members_reports_offender():

@@ -14,9 +14,13 @@ alphas and betas; the search's best residual, k, restarts, iterations,
 rejected extractions, ``best_u`` and ``range_dim``.
 
 A second sha256 per workload (``verdicts=``) covers only each report's
-verdict, entangling pair and number of certificate terms.  A change
-that moves only the search's rounding alters the first digest; an equal
-``verdicts=`` digest shows that every verdict is still the parent's.
+verdict, entangling pair and number of certificate terms.  A third
+(``evidence=``) covers every field except the certificate arrays and the
+search: the verdict and entangling pair, the bytes of the PPT minimum,
+and each pair's lambdas, l' and a-value.  A change that moves only the
+rounding of certificates or of the search alters the first digest; equal
+``verdicts=`` and ``evidence=`` digests show that every verdict, and the
+spectral evidence behind it, is still the parent's bit for bit.
 
 Two checkouts that print the same lines give byte-identical reports.
 The hashes depend on the BLAS build, so compare them on one host only.
@@ -53,14 +57,19 @@ def _array(h, a) -> None:
     h.update(a.tobytes())
 
 
-def _report(h, rep: sk.ClassificationReport) -> None:
-    """Feed every field of one report into h."""
+def _evidence(h, rep: sk.ClassificationReport) -> None:
+    """Feed one report's verdict, entangling pair, PPT minimum and pair spectra into h."""
     h.update(repr((rep.verdict.value, rep.entangling_pair)).encode())
     h.update(struct.pack("<d", rep.ppt_min_eigenvalue))
     for pr in rep.pairs:
         h.update(repr((pr.pair.p, pr.pair.q, pr.l_prime)).encode())
         h.update(struct.pack("<d", pr.a_value))
         _array(h, pr.lambdas)
+
+
+def _report(h, rep: sk.ClassificationReport) -> None:
+    """Feed every field of one report into h."""
+    _evidence(h, rep)
     cert = rep.certificate
     h.update(b"cert" if cert is not None else b"-")
     if cert is not None:
@@ -81,16 +90,17 @@ def _verdict(h, rep: sk.ClassificationReport) -> None:
     h.update(repr((rep.verdict.value, rep.entangling_pair, terms)).encode())
 
 
-def fingerprint(workload: str, seed: int) -> tuple[str, str, int]:
-    """The sha256 over every field and over the verdicts of one workload, and its state count."""
+def fingerprint(workload: str, seed: int) -> tuple[str, str, str, int]:
+    """The sha256 over every field, over the verdicts and over the evidence
+    of one workload, and its state count."""
     cfg = sk.ClassifyConfig(search=BUDGET)
-    fields, verdicts = hashlib.sha256(), hashlib.sha256()
+    digests = {feed: hashlib.sha256() for feed in (_report, _verdict, _evidence)}
     cases = corpus.WORKLOADS[workload](seed)
     for case in cases:
         rep = sk.classify(sk.parse_state(case.text), cfg)
-        _report(fields, rep)
-        _verdict(verdicts, rep)
-    return fields.hexdigest(), verdicts.hexdigest(), len(cases)
+        for feed, h in digests.items():
+            feed(h, rep)
+    return (*(h.hexdigest() for h in digests.values()), len(cases))
 
 
 def main(argv=None) -> int:
@@ -98,8 +108,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1, help="corpus seed (default 1)")
     args = parser.parse_args(argv)
     for workload in WORKLOADS:
-        digest, verdicts, count = fingerprint(workload, args.seed)
-        print(f"{workload} seed={args.seed} states={count} sha256={digest} verdicts={verdicts}")
+        digest, verdicts, evidence, count = fingerprint(workload, args.seed)
+        print(f"{workload} seed={args.seed} states={count} sha256={digest} "
+              f"verdicts={verdicts} evidence={evidence}")
     return 0
 
 
