@@ -65,7 +65,7 @@ def _resolve_basis(basis: str | None, rho) -> np.ndarray | None:
 
 
 def _search_config(args) -> search.SearchConfig:
-    flags = {name: getattr(args, name) for name in ("k", "restarts", "max_iters", "seed")}
+    flags = {name: getattr(args, name) for name in ("restarts", "max_iters", "seed")}
     return search.SearchConfig(**{name: v for name, v in flags.items() if v is not None})
 
 
@@ -167,7 +167,7 @@ def _cmd_gen(args) -> _Result:
 
 def _cmd_classify(args) -> _Result:
     cfg = criterion.ClassifyConfig(search=_search_config(args))
-    report = criterion.classify(args.rho, cfg, basis_override=args.basis)
+    report = criterion.classify(args.rho, cfg)
     payload = {
         "verdict": report.verdict.value,
         "ppt_min_eigenvalue": float(report.ppt_min_eigenvalue),
@@ -238,10 +238,12 @@ def _cmd_pairs(args) -> _Result:
 def _cmd_decompose(args) -> _Result:
     rho = args.rho
     ops = pair_operators(rho.m, rho.n)
+    if not ops:
+        raise _CliError(f"the {rho.m} x {rho.n} state has no pairs", EXIT_USAGE)
     if not 1 <= args.pair <= len(ops):
         raise _CliError(f"pair index {args.pair} out of range 1..{len(ops)}", EXIT_USAGE)
     pair = ops[args.pair - 1].pair
-    ensemble = decompose.single_pair_decomposition(rho, pair, k=args.k)
+    ensemble = decompose.single_pair_decomposition(rho, pair)
     report = decompose.verify_ensemble(ensemble, rho, ops)
     payload = {
         "pair": {"r": args.pair, "p": pair.p, "q": pair.q},
@@ -291,23 +293,19 @@ _BASIS = (("--basis", {"choices": ["paper"], "default": None,
                                "built-in bound_2x4 state (pins the gauge of its "
                                "degenerate eigenspaces)"}),)
 _BUDGET = (
-    ("--k", {"type": _int_at_least(1), "default": None,
-             "help": "ensemble size (default: l, 2l, … up to max(l, dim V); "
-                     "larger k is capped there)"}),
     ("--restarts", {"type": _int_at_least(1), "default": None,
                     "help": "random restarts per size"}),
     ("--seed", {"type": _int_at_least(0), "default": None, "help": "base seed for restarts"}),
     ("--max-iters", {"dest": "max_iters", "type": _int_at_least(1), "default": None,
                      "help": "iteration cap per descent"}),
 )
-_PAIR = (("--pair", {"type": int, "required": True, "help": "1-based pair index"}),
-         ("--k", {"type": int, "default": None, "help": "member count multiplier (4k members)"}))
+_PAIR = (("--pair", {"type": int, "required": True, "help": "1-based pair index"}),)
 
 # subcommand -> (handler, help, argument specs); gen's states come from _GENERATORS.
 _COMMANDS = {
     "gen": (_cmd_gen, "write a built-in state in the text format", ()),
     "classify": (_cmd_classify, "run the full pipeline on a state file",
-                 _FILE + _JSON + _BASIS + _BUDGET),
+                 _FILE + _JSON + _BUDGET),
     "spectrum": (_cmd_spectrum, "per-pair lambdas and a values", _FILE + _JSON + _BASIS),
     "ppt": (_cmd_ppt, "smallest eigenvalue of the partial transpose", _FILE + _JSON),
     "pairs": (_cmd_pairs, "list the pair operators for given dims",
@@ -362,9 +360,6 @@ def run_cli(argv: list[str], out=None, err=None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=err)
         return exc.code
-    except decompose.MemberCountError as exc:  # --k that does not fit the state
-        print(f"error: {exc}", file=err)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_FAILED

@@ -10,12 +10,15 @@ for the singular values of tau, separability requires
 for every pair, where l' counts the nonzero lambdas.  B has four
 nonzero entries, so tau has rank <= 4 and its nonzero lambdas are those
 of a 4 x 4 core (pair_reports), and no tau is built here, nor in the
-search, which evaluates each pair's four entries on its members: only
-search.pair_taus stacks pairs.tau_matrix, for the reference residual
-and the exported constraints.  The partial transpose test runs
-alongside as an independent witness.  classify runs _ROUTES in order, so criterion sits
-above decompose and search, and the primitives all three share live
-below them.
+search, which evaluates each pair's four entries on its members.  The
+lambdas are singular values, so any unitary mixing of the x_i leaves
+them unchanged, and classify needs no eigenbasis gauge.  Only
+search.pair_taus stacks pairs.tau_matrix, and three things read it:
+search.emit_constraints, `sepkit spectrum --json`, and the reference
+residual (search.joint_residual and search.residual_gradient).  The
+partial transpose test runs alongside as an independent witness.
+classify runs _ROUTES in order, so criterion sits above decompose and
+search, and the primitives all three share live below them.
 """
 
 import enum
@@ -189,10 +192,9 @@ _ROUTES = (
 )
 
 
-def classify(rho: DensityMatrix, config: ClassifyConfig | None = None,
-             basis_override=None) -> ClassificationReport:
+def classify(rho: DensityMatrix, config: ClassifyConfig | None = None) -> ClassificationReport:
     """Report the first route of _ROUTES to decide, with the pair spectra and PPT minimum."""
-    x = scaled_eigvecs(rho, basis_override=basis_override)
+    x = scaled_eigvecs(rho)
     ppt_min = ppt_min_eigenvalue(rho)
     reports = pair_reports(x, rho.m, rho.n)
     evidence = next(e for route in _ROUTES

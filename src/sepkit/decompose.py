@@ -42,7 +42,6 @@ from .states import (BOUNDARY_TOL, RANGE_MARGIN, RANK_TOL, DensityMatrix, _check
 __all__ = [
     "PolygonInfeasibleError",
     "PairCriterionError",
-    "MemberCountError",
     "CanonicalBasis",
     "PureEnsemble",
     "EnsembleReport",
@@ -59,11 +58,6 @@ __all__ = [
 
 class PolygonInfeasibleError(ValueError):
     """The largest length exceeds the sum of the others; no closed polygon exists."""
-
-
-class MemberCountError(ValueError):
-    """An explicit member count k is below the rank l or, for a single-pair
-    ensemble, not a power of two with 4k >= max(4, l)."""
 
 
 class PairCriterionError(ValueError):
@@ -176,13 +170,6 @@ def sign_matrix(k: int, l: int) -> np.ndarray:
     return s
 
 
-def _member_count(l: int) -> int:
-    k = 1
-    while 4 * k < max(4, l):
-        k *= 2
-    return k
-
-
 @dataclass(frozen=True)
 class PureEnsemble:
     """Rows are unnormalized pure states with sum |z_i><z_i| = rho."""
@@ -192,26 +179,19 @@ class PureEnsemble:
     n: int
 
 
-def single_pair_decomposition(rho: DensityMatrix, pair: PairIndex,
-                              k: int | None = None) -> PureEnsemble:
+def single_pair_decomposition(rho: DensityMatrix, pair: PairIndex) -> PureEnsemble:
     """Ensemble of 4k pure states reassembling rho with zero residual on one pair.
 
+    k is the smallest power of two with 4k >= max(4, l), l the rank.
     Requires the pair's a value <= BOUNDARY_TOL.  The polygon closed is
     that of the lambdas with lambda_1 trimmed to the sum of the rest, which
     changes nothing when a <= 0 and otherwise leaves each member a residual
-    of at most a / (4k) on the pair.  k defaults to the smallest power of
-    two with 4k >= max(4, l); an explicit k must be a power of two at least
-    as large, else MemberCountError is raised (ValueError if k is not an
-    integer).
+    of at most a / (4k) on the pair.
     """
-    if k is not None:
-        _check_counts(k=k)
     x = scaled_eigvecs(rho)
-    k_min = _member_count(x.count)
-    if k is None:
-        k = k_min
-    elif k < k_min or k & (k - 1):
-        raise MemberCountError(f"k must be a power of two >= {k_min} for rank {x.count}, got {k}")
+    k = 1
+    while 4 * k < x.count:
+        k *= 2
     b = build_pair_operator(rho.m, rho.n, pair)
     basis = canonical_basis(x, b)
     lam = basis.lambdas

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import MemberCountError, _range
+from .decompose import _range
 from .linalg import ScaledEigvecs, product_svd, random_orthonormal_columns, scaled_eigvecs
 from .linalg import reorthonormalize  # noqa: F401 (traced by perfbench)
 from .pairs import PairIndex, _pair_layout, pair_operators, tau_matrix
@@ -66,17 +66,15 @@ __all__ = [
 class SearchConfig:
     """Budget for the search.
 
-    k = None walks the schedule l, 2l, 4l, ... capped at max(l, dim V),
-    for a state of rank l and the range space V of decompose.range_space;
-    an explicit k runs that single ensemble size, clipped to the same
-    cap, which loses no decomposition (see the decompose module
-    docstring).  When dim V < l holds beyond RANGE_MARGIN no decomposition
-    exists, and no size is walked.  Each size runs `restarts` descents
-    from random orthonormal starts seeded seed + restart index, each of at
-    most max_iters iterations.
+    The ensemble sizes are the state's own: the search walks l, 2l, 4l, ...
+    capped at max(l, dim V), for a state of rank l and the range space V
+    of decompose.range_space, which loses no decomposition (see the
+    decompose module docstring).  When dim V < l holds beyond RANGE_MARGIN
+    no decomposition exists, and no size is walked.  Each size runs
+    `restarts` descents from random orthonormal starts seeded seed +
+    restart index, each of at most max_iters iterations.
     """
 
-    k: int | None = None
     restarts: int = 50
     max_iters: int = 2000
     seed: int = 0
@@ -292,20 +290,15 @@ def _descend(u: np.ndarray, kernel: _MemberKernel,
     return u, f, iters
 
 
-def _k_schedule(cfg: SearchConfig, l: int, range_dim: int, dim_bound: int) -> list[int]:
-    """l, 2l, 4l, ... or the explicit k, capped at max(l, range_dim).
+def _k_schedule(l: int, range_dim: int, dim_bound: int) -> list[int]:
+    """l, 2l, 4l, ... capped at max(l, range_dim).
 
     Empty when dim_bound, dim V counted beyond RANGE_MARGIN
-    (decompose._range), is below l: then no decomposition exists.  An
-    explicit k below l raises first.
+    (decompose._range), is below l: then no decomposition exists.
     """
-    cap = max(l, range_dim)  # enough terms: see the decompose module docstring
-    if cfg.k is not None and cfg.k < l:
-        raise MemberCountError(f"k = {cfg.k} is below the rank l = {l}")
     if dim_bound < l:
         return []
-    if cfg.k is not None:
-        return [min(cfg.k, cap)]
+    cap = max(l, range_dim)  # enough terms: see the decompose module docstring
     ks = [l]
     while ks[-1] < cap:
         ks.append(min(2 * ks[-1], cap))
@@ -315,7 +308,7 @@ def _k_schedule(cfg: SearchConfig, l: int, range_dim: int, dim_bound: int) -> li
 def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchReport:
     """Search for an annihilating u; deterministic for fixed (rho, config).
 
-    Runs SearchConfig's k schedule; per size, one descent per seeded
+    Walks the sizes of _k_schedule; per size, one descent per seeded
     random restart.  With dim V < l beyond RANGE_MARGIN (see
     decompose.range_space) the schedule is empty, and no kernel is built.
     Results merge by minimum residual, first-come on ties.  Certificate
@@ -324,20 +317,16 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
     ends the search; the others are counted as rejected extractions.  With
     no pairs (a one-dimensional factor) the eigen-ensemble (u = I) is the
     certificate.  Raises ValueError when a budget field is not an integer,
-    restarts or max_iters is below 1 or seed is negative, and
-    MemberCountError when an explicit k is below the rank.
+    restarts or max_iters is below 1 or seed is negative.
     """
     cfg = config or SearchConfig()
-    # k = None walks the schedule.
-    _check_counts(**{name: v for name, v in vars(cfg).items() if v is not None or name != "k"})
+    _check_counts(**vars(cfg))
     if cfg.restarts < 1 or cfg.max_iters < 1:
         raise ValueError(f"restarts and max_iters must be >= 1: {cfg.restarts}, {cfg.max_iters}")
-    if cfg.seed < 0:
-        raise ValueError(f"seed must be >= 0, got {cfg.seed}")
     x = scaled_eigvecs(rho)
     l = x.count
     range_dim, dim_bound = _range(rho)[:2]
-    schedule = _k_schedule(cfg, l, range_dim, dim_bound)
+    schedule = _k_schedule(l, range_dim, dim_bound)
     if schedule and not _pair_layout(rho.m, rho.n).pairs:
         certificate = certify(x.vectors, rho)
         return SearchReport(best_residual=0.0, best_u=np.eye(l, dtype=complex), k=l,

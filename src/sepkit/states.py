@@ -65,11 +65,14 @@ def _check_dims(m: int, n: int) -> None:
 
 
 def _check_counts(**counts) -> None:
+    """Every count must be an integer, and a seed non-negative."""
     for name, value in counts.items():
         try:
             operator.index(value)
         except TypeError:
             raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if name == "seed" and value < 0:
+            raise ValueError(f"seed must be >= 0, got {value}")
 
 
 def _fix_column_phases(v: np.ndarray) -> np.ndarray:

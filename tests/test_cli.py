@@ -79,7 +79,7 @@ def test_internal_errors_exit_70_not_1(tmp_path, monkeypatch):
 
 
 COMMANDS = ["classify", "spectrum", "ppt", "pairs", "decompose", "search", "emit-constraints"]
-BUDGET = {"--restarts": "1", "--max-iters": "200", "--seed": "0", "--k": "4"}
+BUDGET = {"--restarts": "1", "--max-iters": "200", "--seed": "0"}
 
 
 def _argv(command, path, *flags):
@@ -128,20 +128,23 @@ def test_gen_takes_no_json(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_basis_paper_belongs_to_three_subcommands(tmp_path, command):
+def test_basis_paper_belongs_to_two_subcommands(tmp_path, command):
+    """Only the taus and constraints depend on the gauge; classify's
+    verdict and pair spectra do not, so classify refuses --basis too."""
     code, _, _ = run(_argv(command, gen(tmp_path, "bound_2x4"), "--basis", "paper"))
-    if command in ("classify", "spectrum", "emit-constraints"):
+    if command in ("spectrum", "emit-constraints"):
         assert code in (0, 2)
     else:
         assert code == 64
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-@pytest.mark.parametrize("flag", BUDGET)
+@pytest.mark.parametrize("flag", [*BUDGET, "--k"])
 def test_budget_flags_belong_to_classify_and_search(tmp_path, command, flag):
-    """decompose's own --k counts members, so only its search budget is refused."""
-    code, _, _ = run(_argv(command, gen(tmp_path, "werner", "--p", "0.2"), flag, BUDGET[flag]))
-    if command in ("classify", "search") or (command, flag) == ("decompose", "--k"):
+    """--k, the retired ensemble size, belongs to no subcommand: the state sets its own."""
+    value = BUDGET.get(flag, "4")
+    code, _, _ = run(_argv(command, gen(tmp_path, "werner", "--p", "0.2"), flag, value))
+    if command in ("classify", "search") and flag in BUDGET:
         assert code == 0
     else:
         assert code == 64
@@ -345,7 +348,7 @@ def test_bad_inputs(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["classify", "search"])
-@pytest.mark.parametrize("flag", ["--restarts", "--max-iters", "--k"])
+@pytest.mark.parametrize("flag", ["--restarts", "--max-iters"])
 def test_budget_flags_must_be_positive(tmp_path, capsys, command, flag):
     """A budget below 1 is a usage error, caught before any work is done."""
     path = gen(tmp_path, "werner", "--p", "0.3")
@@ -372,16 +375,10 @@ def test_gen_seed_must_be_non_negative(tmp_path, capsys, state):
     assert run([*flags, "--seed", "0"])[0] == 0
 
 
-@pytest.mark.parametrize("state, flags, message", [
-    (["bound_2x4"], ["--k", "0"], "k must be a power of two >= 2 for rank 5, got 0"),
-    (["bound_2x4"], ["--k", "3"], "k must be a power of two >= 2 for rank 5, got 3"),
-    (["bound_2x4"], ["--k", "1"], "k must be a power of two >= 2 for rank 5, got 1"),
-    (["random", "--m", "1", "--n", "3"], [], "pair index 1 out of range 1..0"),
-])
-def test_decompose_usage_errors(tmp_path, state, flags, message):
-    code, out, err = run(["decompose", gen(tmp_path, *state), "--pair", "1", *flags])
-    assert (code, out) == (64, "")
-    assert message in err
+def test_decompose_usage_errors(tmp_path):
+    path = gen(tmp_path, "random", "--m", "1", "--n", "3")
+    code, out, err = run(["decompose", path, "--pair", "1"])
+    assert (code, out, err) == (64, "", "error: the 1 x 3 state has no pairs\n")
 
 
 @pytest.mark.parametrize("dims", [["1", "3"], ["0", "3"], ["3", "1"]])
@@ -491,15 +488,6 @@ def test_gen_bound_entangled_states(tmp_path):
         assert out.splitlines()[0] == "verdict: Inconclusive"
         assert run(["ppt", state])[0] == 2
         assert run(["spectrum", state])[0] == 2
-
-
-@pytest.mark.parametrize("command", ["search", "classify"])
-def test_k_below_the_rank_is_a_usage_error(tmp_path, command):
-    """A rank-6 state reaches the search, where --k 2 cannot hold it."""
-    path = gen(tmp_path, "separable", "--m", "2", "--n", "3", "--terms", "10", "--seed", "2")
-    code, out, err = run([command, path, "--k", "2"])
-    assert (code, out) == (64, "")
-    assert "k = 2 is below the rank l = 6" in err
 
 
 def test_unwritable_output_and_undecodable_input(tmp_path):

@@ -89,12 +89,10 @@ def test_scaled_eigvecs_override_validation():
 
 
 def test_a_non_finite_override_is_a_value_error():
-    """A NaN basis once passed every check, and classify then failed in the SVD."""
+    """A NaN basis once passed every check, and then failed in the SVD."""
     nan = np.full((5, 8), np.nan)
     with pytest.raises(ValueError, match="not orthogonal"):
         scaled_eigvecs(sk.bound_2x4(), basis_override=nan)
-    with pytest.raises(ValueError, match="not orthogonal"):
-        sk.classify(sk.bound_2x4(), basis_override=nan)
 
 
 def test_tau_matrices_of_bound_state():

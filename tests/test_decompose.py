@@ -8,7 +8,6 @@ import pytest
 import sepkit as sk
 import sepkit.decompose as decompose_module
 from sepkit.decompose import (
-    MemberCountError,
     PairCriterionError,
     PolygonInfeasibleError,
     PureEnsemble,
@@ -159,21 +158,6 @@ def test_sign_matrix_rejects_bad_sizes():
         sign_matrix(1, 2.0)
 
 
-def test_single_pair_decomposition_rejects_bad_k():
-    """bound_2x4 has rank 5, so k must be a power of two with 4k >= 5."""
-    for k in (0, 1, 3, -2):
-        with pytest.raises(MemberCountError, match=f"power of two >= 2 for rank 5, got {k}"):
-            single_pair_decomposition(sk.bound_2x4(), PairIndex(2, 2), k=k)
-    ens = single_pair_decomposition(sk.bound_2x4(), PairIndex(2, 2), k=4)
-    assert ens.members.shape == (16, 8)
-
-
-@pytest.mark.parametrize("k", [2.0, 4.5, "4"])
-def test_single_pair_decomposition_rejects_a_non_integer_k(k):
-    with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
-        single_pair_decomposition(sk.werner_2x2(0.2), PairIndex(2, 2), k=k)
-
-
 def test_single_pair_decomposition_of_bound_state():
     """Eight members reassemble the state exactly and each one annihilates
     the boundary pair (the other two pairs stay active, so the full report
@@ -190,7 +174,8 @@ def test_single_pair_decomposition_of_bound_state():
 
 
 def test_single_pair_decomposition_random_states():
-    """Any pair with a <= 0 admits an annihilating ensemble of 4k members."""
+    """Any pair with a <= 0 admits an annihilating ensemble of 4k members,
+    k the least power of two with 4k >= max(4, l)."""
     count = 0
     for m, n in [(2, 2), (2, 3), (3, 3)]:
         for seed in range(8):
@@ -202,23 +187,13 @@ def test_single_pair_decomposition_random_states():
                 if a_value(cb.lambdas, l_prime) > 0:
                     continue
                 ens = single_pair_decomposition(rho, b.pair)
-                assert ens.members.shape[0] % 4 == 0
+                assert ens.members.shape[0] == max(4, 1 << (x.count - 1).bit_length())
                 recon = np.einsum("ia,ib->ab", ens.members, ens.members.conj())
                 np.testing.assert_allclose(recon, rho.matrix, atol=1e-11)
                 worst = max(abs(pair_residual(b, z)) for z in ens.members)
                 assert worst <= 1e-11
                 count += 1
     assert count > 20
-
-
-def test_single_pair_decomposition_respects_explicit_k():
-    rho = sk.bound_2x4()
-    ens = single_pair_decomposition(rho, PairIndex(2, 2), k=4)
-    assert ens.members.shape == (16, 8)
-    recon = np.einsum("ia,ib->ab", ens.members, ens.members.conj())
-    np.testing.assert_allclose(recon, rho.matrix, atol=1e-12)
-    with pytest.raises(ValueError):
-        single_pair_decomposition(rho, PairIndex(2, 2), k=1)  # 4k < l
 
 
 def test_single_pair_decomposition_needs_nonpositive_a():

@@ -19,7 +19,7 @@ BUDGET = ["--restarts", "1", "--max-iters", "200"]
 STATES = {
     "werner": (["werner", "--p", "0.2"], []),
     "bell": (["bell"], []),
-    "bound_2x4": (["bound_2x4"], ["--basis", "paper"]),
+    "bound_2x4": (["bound_2x4"], []),
     "separable": (["separable", "--m", "2", "--n", "3", "--terms", "3", "--seed", "1"], []),
     "one_by_three": (["random", "--m", "1", "--n", "3", "--seed", "2"], []),
     "horodecki": (["horodecki", "--b", "0.5"], []),

@@ -244,3 +244,8 @@ def test_random_orthonormal_columns_seeded():
 def test_random_orthonormal_columns_rejects_non_integers(args, name):
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         random_orthonormal_columns(*args)
+
+
+def test_random_orthonormal_columns_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        random_orthonormal_columns(3, 2, -1)

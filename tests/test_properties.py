@@ -4,10 +4,13 @@ A local unitary U x V maps product states to product states and keeps the
 partial transpose's spectrum, so certificates carry over factor by factor
 and the PPT test gives the same answer.  It maps the space V of the range
 route onto the transformed state's, so dim V and that route's verdict
-carry over too.  Separately, no state with a negative partial transpose
-may ever come out certified, and low-rank mixtures certify without the
-search, as does every PPT 2 x 2 state, inside the PPT set or on its boundary.  Nor does dim V < l skip the search on a separable mixture whose
-rank the tolerances blur.
+carry over too.  A unitary mixing of the scaled eigenvectors leaves the
+pair spectra unchanged, so classify needs no eigenbasis gauge.
+Separately, no state with a negative partial transpose may ever come out
+certified, and low-rank mixtures certify without the search, as does
+every PPT 2 x 2 state, inside the PPT set or on its boundary.  Nor does
+dim V < l skip the search on a separable mixture whose rank the
+tolerances blur.
 """
 
 import dataclasses
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 import sepkit as sk
 from sepkit.criterion import ClassifyConfig, Verdict
 from sepkit.decompose import range_decomposition, range_space
+from sepkit.linalg import ScaledEigvecs
 from sepkit.search import SearchConfig, certify, check_certificate, minimize
 from sepkit.states import BOUNDARY_TOL
 
@@ -81,6 +85,20 @@ def test_ppt_verdict_is_local_unitary_invariant(m, n, data, seed):
     entangled = {Verdict.ENTANGLED_BY_PPT, Verdict.ENTANGLED_BY_PAIR_CRITERION}
     if npt:
         assert {before.verdict, after.verdict} <= entangled
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 3), st.integers(2, 4), st.data(), SEEDS)
+def test_pair_spectra_are_eigenbasis_gauge_invariant(m, n, data, seed):
+    """tau -> U tau U^T when X -> U X, and its singular values stay put:
+    the lambdas and a-values of every pair agree within 1e-12."""
+    rank = data.draw(st.integers(1, m * n), label="rank")
+    x = sk.scaled_eigvecs(sk.random_density(m, n, rank=rank, seed=seed))
+    u = _unitary(x.count, np.random.default_rng(seed))
+    mixed = ScaledEigvecs(vectors=u @ x.vectors, values=x.values)
+    for ref, rep in zip(sk.pair_reports(x, m, n), sk.pair_reports(mixed, m, n), strict=True):
+        np.testing.assert_allclose(rep.lambdas, ref.lambdas, rtol=0.0, atol=1e-12)
+        assert abs(rep.a_value - ref.a_value) <= 1e-12
 
 
 @settings(max_examples=50, deadline=None)

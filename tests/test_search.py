@@ -9,7 +9,6 @@ import pytest
 import sepkit as sk
 import sepkit.search as search_module
 from sepkit.criterion import pair_reports
-from sepkit.decompose import MemberCountError
 from sepkit.linalg import random_orthonormal_columns, reorthonormalize, scaled_eigvecs
 from sepkit.pairs import pair_operators, pair_residual, tau_matrix
 from sepkit.search import (
@@ -218,20 +217,6 @@ def test_minimize_is_deterministic():
     np.testing.assert_array_equal(r1.best_u, r2.best_u)
 
 
-def test_minimize_rejects_k_below_rank():
-    with pytest.raises(MemberCountError, match="below the rank"):
-        minimize(sk.werner_2x2(0.2), SearchConfig(k=2))
-    with pytest.raises(MemberCountError, match="k = 4 is below the rank l = 5"):
-        minimize(sk.horodecki_2x4(0.5), SearchConfig(k=4))
-
-
-def test_one_factor_states_reject_k_below_the_rank_too():
-    """The explicit k is checked before the eigen-ensemble of a state with
-    no pairs is returned, as for every other state."""
-    with pytest.raises(MemberCountError, match="k = 1 is below the rank l = 3"):
-        minimize(sk.random_density(1, 3, seed=2), SearchConfig(k=1))
-
-
 def walked_schedules(monkeypatch, rho, config):
     """The k schedules minimize asks _k_schedule for, and minimize's report."""
     seen, real = [], search_module._k_schedule
@@ -261,29 +246,6 @@ def test_schedule_doubles_from_the_rank_up_to_dim_v(monkeypatch, rho, schedule):
     assert schedule[-1:] == ([max(l, report.range_dim)] if report.range_dim >= l else [])
 
 
-def test_explicit_k_above_the_rank_squared_is_clipped(monkeypatch):
-    rho = sk.random_separable(2, 3, terms=2, seed=0)  # rank 2 and dim V = 2, so the cap is 2
-    seen, report = walked_schedules(monkeypatch, rho,
-                                    SearchConfig(k=30, restarts=1, max_iters=5))
-    assert seen == [[2]]
-    assert report.k == 2
-
-
-@pytest.mark.parametrize("rho, k, clipped", [
-    (sk.bound_2x4(), 7, 7),                                # l = 5, dim V = 9
-    (sk.bound_2x4(), 30, 9),
-    (sk.tiles(), 30, 0),                                   # l = 4, dim V = 1: none
-    (sk.random_separable(2, 3, terms=8, seed=0), 40, 36),  # full rank, dim V = l^2
-], ids=["bound_2x4_below", "bound_2x4_above", "tiles", "full_rank"])
-def test_explicit_k_is_clipped_at_the_walks_cap(monkeypatch, rho, k, clipped):
-    """An explicit k is clipped at max(l, dim V), where the walk stops, and
-    like the walk runs no size (k = 0) when dim V is below the rank."""
-    seen, report = walked_schedules(monkeypatch, rho,
-                                    SearchConfig(k=k, restarts=1, max_iters=5))
-    assert seen == [[clipped] if clipped else []]
-    assert report.k == clipped
-
-
 @pytest.mark.parametrize("rho, restarts, iterations, k_max", [
     (sk.horodecki_2x4(0.5), 0, 0, 5),
     (sk.tiles(), 0, 0, 4),
@@ -307,10 +269,11 @@ def test_minimize_rejects_an_empty_budget(budget):
 
 @pytest.mark.parametrize("budget, name", [
     ({"restarts": 2.5}, "restarts"), ({"max_iters": 2.5}, "max_iters"),
-    ({"seed": 1.5}, "seed"), ({"k": 4.5}, "k"), ({"k": 1e6}, "k"), ({"restarts": None}, "restarts"),
+    ({"seed": 1.5}, "seed"), ({"seed": 2.0}, "seed"), ({"max_iters": "200"}, "max_iters"),
+    ({"restarts": None}, "restarts"),
 ])
 def test_minimize_rejects_a_non_integer_budget_up_front(monkeypatch, budget, name):
-    """A ValueError, before the search's kernel is built; k = 1e6 would be capped at dim V."""
+    """A ValueError, before the search's kernel is built."""
     def no_kernel(*args):
         raise AssertionError("kernel built before the budget was checked")
 
@@ -331,7 +294,7 @@ def test_minimize_rejects_a_negative_seed_up_front(monkeypatch):
 
 def test_search_config_holds_only_the_budget():
     assert [f.name for f in dataclasses.fields(SearchConfig)] == [
-        "k", "restarts", "max_iters", "seed"]
+        "restarts", "max_iters", "seed"]
     assert [f.name for f in dataclasses.fields(sk.ClassifyConfig)] == ["search"]
 
 
@@ -339,7 +302,8 @@ def test_certify_returns_checked_certificates_only():
     """certify is the one gate: product members that rebuild rho give a
     certificate that passes check_certificate; anything else gives None."""
     rho = sk.bound_2x4()
-    cert = minimize(rho, SearchConfig(restarts=5)).certificate
+    report = minimize(rho, SearchConfig(restarts=5))
+    cert = report.certificate
     members = np.sqrt(cert.weights)[:, None] * np.einsum("ia,ib->iab", cert.alphas,
                                                         cert.betas).reshape(5, 8)
     again = certify(members, rho)
@@ -349,7 +313,7 @@ def test_certify_returns_checked_certificates_only():
     assert certify(scaled_eigvecs(rho, basis_override=sk.bound_2x4_basis()).vectors,
                    rho) is None  # rebuild rho, but not all products
     x = scaled_eigvecs(rho)
-    u = minimize(rho, SearchConfig(k=5, restarts=5)).best_u
+    u = report.best_u
     np.testing.assert_array_equal(certify(u, rho, x).weights,
                                   extract_certificate(u, x, 2, 4).weights)
 
@@ -536,18 +500,19 @@ def test_minimize_certifies_rank3_mixtures_at_fixed_budget(m, n, least, monkeypa
     assert len(evaluations) - restarts <= 1.08 * iterations
 
 
-def test_minimize_counts_rejected_extractions():
+def test_minimize_counts_rejected_extractions(monkeypatch):
     """At k = 12 this 2x3 mixture reaches F ~ 1e-27 on members whose
     anchored minors vanish without being products: both restarts reach
     tol_residual and both extractions are rejected."""
+    assert minimize(sk.werner_2x2(0.2), SearchConfig()).rejected_extractions == 0
     rho = sk.random_separable(2, 3, terms=6, seed=1)
-    report = minimize(rho, SearchConfig(k=12, restarts=2))
+    monkeypatch.setattr(search_module, "_k_schedule", lambda *args: [12])
+    report = minimize(rho, SearchConfig(restarts=2))
     assert report.certificate is None
     assert report.rejected_extractions == report.restarts_used == 2
     assert report.best_residual <= 1e-10
     with pytest.raises(CertificateError):
         extract_certificate(report.best_u, scaled_eigvecs(rho), 2, 3)
-    assert minimize(sk.werner_2x2(0.2), SearchConfig()).rejected_extractions == 0
 
 
 def test_minimize_certifies_one_factor_states():

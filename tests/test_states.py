@@ -153,7 +153,8 @@ def test_random_states_reject_empty_factors():
 def test_dims_must_be_integers():
     """(4, 4) == (4.0, 4.0), so float dims once passed the shape check and
     failed later with TypeError; every entry point now refuses them, and
-    the constructors refuse a non-integral term count or rank too."""
+    the constructors refuse a non-integral term count or rank, and a
+    negative seed, too."""
     for make in (lambda: sk.DensityMatrix(m=2.0, n=2.0, matrix=np.eye(4) / 4),
                  lambda: sk.density_matrix(2, "2", np.eye(4) / 4),
                  lambda: sk.random_separable(2.5, 2, 3, 0),
@@ -166,6 +167,10 @@ def test_dims_must_be_integers():
                        (lambda: sk.random_separable(2, 3, 2, seed=2.5), "seed"),
                        (lambda: sk.random_density(2, 3, seed=2.5), "seed")):
         with pytest.raises(ValueError, match=f"{name} must be an integer, got 2.5"):
+            make()
+    for make in (lambda: sk.random_density(2, 2, seed=-1),
+                 lambda: sk.random_separable(2, 2, 3, -1)):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             make()
     rho = sk.density_matrix(np.int64(2), 2, np.eye(4) / 4)
     assert sk.classify(rho).verdict is sk.Verdict.SEPARABLE_CERTIFIED
