@@ -18,7 +18,12 @@ search.emit_constraints, `sepkit spectrum --json`, and the reference
 residual (search.joint_residual and search.residual_gradient).  The
 partial transpose test runs alongside as an independent witness.
 classify runs _ROUTES in order, so criterion sits above decompose and
-search, and the primitives all three share live below them.
+search, and the primitives all three share live below them.  The closed
+forms come before the search: the eigen-ensemble, a lone pair's ensemble
+(2 x 2), the range route, and on 2 x 3 and 3 x 2, where PPT is
+separable, the subtraction route, which decides every PPT state the
+range route leaves there.  A closed form's ValueError passes to the next
+route and is never evidence; search.certify checks every certificate.
 """
 
 import enum
@@ -188,6 +193,8 @@ _ROUTES = (
     # On more pairs, the l terms that the ranges pin down when dim V = l.
     _closed_form(lambda rho, x, reports: decompose.range_decomposition(rho).members
                  if len(reports) > 1 else None),
+    # 2 x 3 and 3 x 2, where PPT is separable: subtract range products, fit the rest.
+    _closed_form(lambda rho, x, reports: decompose.ppt_subtraction_decomposition(rho).members),
     _search,  # a failed search is Inconclusive, never entangled
 )
 

@@ -1,5 +1,6 @@
-"""Constructive ensembles: one pair's annihilating ensemble, and the
-product decomposition that a state's ranges pin down.
+"""Constructive ensembles: one pair's annihilating ensemble, the
+product decomposition that a state's ranges pin down, and a PPT 2 x 3
+state's decomposition by subtraction.
 
 Given scaled eigenvectors x_i of rho and a pair operator B, a Takagi
 factorization of tau rotates the x_i into a canonical basis y_i with
@@ -26,6 +27,17 @@ has the terms as its eigenvectors.  The pipeline counts dim V from the
 singular values of V's linear system alone; V's basis is built only when
 dim V = l, the one case range_decomposition reads it, or on a
 range_space call.
+
+In 2 x 3 and 3 x 2 every PPT state is separable, so a state the range
+route leaves (full rank, or dim V > l) is decomposed by subtraction
+(ppt_subtraction_decomposition): products of range(sigma) whose partial
+conjugates lie in range(sigma^G) are subtracted with the largest weight
+that keeps sigma PPT, until the kernels of sigma and sigma^G pose as many
+conditions as b has components.  The remainder's range products are
+then the roots of one polynomial in the qubit's chart coordinate, and a
+least-squares fit over their projectors finishes the decomposition.  On
+larger shapes a PPT remainder can be entangled and have no range
+product, so the route refuses them.
 """
 
 import functools
@@ -36,8 +48,8 @@ import numpy as np
 
 from .linalg import ScaledEigvecs, product_svd, scaled_eigvecs, takagi
 from .pairs import PairIndex, PairOperator, _entry_arrays, build_pair_operator, tau_matrix
-from .states import (BOUNDARY_TOL, RANGE_MARGIN, RANK_TOL, DensityMatrix, _check_counts,
-                     partial_transpose)
+from .states import (BOUNDARY_TOL, PRODUCT_TOL, RANGE_MARGIN, RANK_TOL, RECON_TOL, DensityMatrix,
+                     _check_counts, _partial_transpose, partial_transpose)
 
 __all__ = [
     "PolygonInfeasibleError",
@@ -52,6 +64,7 @@ __all__ = [
     "single_pair_decomposition",
     "range_space",
     "range_decomposition",
+    "ppt_subtraction_decomposition",
     "verify_ensemble",
 ]
 
@@ -249,19 +262,26 @@ def _range(rho: DensityMatrix) -> tuple[int, int, int, np.ndarray | None]:
     return rho._range
 
 
+def _spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """eigh of the Hermitian h, ascending, and how many eigenvalues (the
+    first ones) are at most RANK_TOL: the columns of v before it span the
+    kernel, the rest the range."""
+    w, v = np.linalg.eigh(h)
+    return w, v, int(np.count_nonzero(w <= RANK_TOL))
+
+
 def _range_system(rho: DensityMatrix, x: ScaledEigvecs) -> tuple[np.ndarray, float] | None:
     """range_space's map as a (rows, l^2) matrix and the margin its robust
     count uses, or None when rho^G has no kernel; x is rho's basis."""
     l, m, n = x.count, rho.m, rho.n
-    w, v = np.linalg.eigh(partial_transpose(rho))
-    zero = w <= RANK_TOL
-    kernel = v[:, zero].T.reshape(-1, m, n)
-    if kernel.shape[0] == 0:
+    w, v, zero = _spectrum(partial_transpose(rho))
+    if not zero:
         return None
+    kernel = v[:, :zero].T.reshape(-1, m, n)
     # A kernel eigenvalue w_s leaves a product term of weight t an overlap
     # up to sqrt(w_s / t) with its eigenvector.  Unless that stays below
     # RANGE_MARGIN for t, rho's least eigenvalue, no count is robust.
-    clear = max(w[zero][-1], 0.0) <= RANGE_MARGIN ** 2 * x.values[-1]
+    clear = max(w[zero - 1], 0.0) <= RANGE_MARGIN ** 2 * x.values[-1]
     e = (x.vectors / np.sqrt(x.values)[:, None]).reshape(l, m, n)
     # As m x n matrices, (e_j e_k^H)^G K_s is E_j K_s^T conj(E_k), and
     # K_s^H (e_j e_k^H)^G is the conjugate of its (k, j) entry.
@@ -325,6 +345,139 @@ def range_decomposition(rho: DensityMatrix) -> PureEnsemble:
     scale = 1.0 / np.sqrt(x.values)
     _, b = np.linalg.eigh(scale[:, None] * (c + c.conj().T) * scale[None, :])
     return PureEnsemble(members=b.T @ x.vectors, m=rho.m, n=rho.n)
+
+
+@functools.lru_cache(maxsize=1)
+def _subtraction_draws() -> tuple[np.ndarray, np.ndarray]:
+    """ppt_subtraction_decomposition's seeded chart of the qubit (a 2 x 2
+    unitary) and its (3, 4) coefficients, one row per subtraction: the z
+    of a = chart (1, z), then b's mixture of the null space.  Built once,
+    read-only."""
+    g = np.random.default_rng(0).standard_normal((2, 5, 4))
+    g = g[0] + 1j * g[1]
+    chart = np.linalg.qr(g[3:, :2])[0]
+    for a in (chart, g):
+        a.flags.writeable = False
+    return chart, g[:3]
+
+
+def _range_products(kc: np.ndarray, lc: np.ndarray) -> np.ndarray:
+    """The unit products a x b, a along (1, z), with a^T kc_s b = 0 and
+    conj(a)^T lc_s b = 0, for kc (c1, 2, 3) and lc (c2, 2, 3), c1 + c2 = 3.
+
+    The conditions are M(z, conj(z)) b = 0, where row s of the 3 x 3
+    M(z, w) is kc_s[0] + z kc_s[1] or lc_s[0] + w lc_s[1], so a product
+    exists where g(z, w) = det M(z, w) vanishes at w = conj(z).  g has
+    degree c1 in z and c2 in w, and its coefficients are the 2-d DFT of
+    its values at roots of unity.  conj(g(z, conj(z))) = 0 is the same
+    condition with the degrees swapped, so one of the two reads
+    g0(z) + w g1(z) = 0 with d <= 2 the degree in z.  With
+    w = conj(z) = -g0/g1, the conjugate equation
+    conj(g0)(w) + z conj(g1)(w) = 0 times g1^d is one polynomial in z, of
+    degree at most d^2 + 1 = 5.  Each root where M(z, conj(z)) is singular
+    within PRODUCT_TOL gives a product, b spanning M's null space.  A g
+    of degree 0 in w is its own polynomial, a cubic.
+    """
+    c1 = len(kc)
+    rows = np.concatenate([kc, lc])
+    n = rows.shape[0]
+    on_sigma = (np.arange(n) < c1)[:, None]
+
+    def matrices(z, w):  # M(z, w) for every (z, w) of the broadcast grid
+        return rows[:, 0] + np.where(on_sigma, z[..., None, None], w[..., None, None]) * rows[:, 1]
+
+    z, w = (np.exp(2j * np.pi * np.arange(d + 1) / (d + 1)) for d in (c1, n - c1))
+    coeff = np.fft.fft2(np.linalg.det(matrices(z[:, None], w[None, :])))  # times (c1+1)(c2+1)
+    if coeff.shape[1] > 2:
+        coeff = coeff.conj().T
+    g0 = coeff[:, 0]  # coefficients ascending in z, as are poly's
+    if coeff.shape[1] == 1:
+        poly = g0
+    else:
+        g1, d = coeff[:, 1], len(g0) - 1
+        neg, pos = [np.ones(1)], [np.ones(1)]  # the powers of -g0 and g1
+        for _ in range(d):
+            neg.append(np.convolve(neg[-1], -g0))
+            pos.append(np.convolve(pos[-1], g1))
+        poly = np.zeros(d * d + 2, dtype=complex)
+        for k in range(d + 1):
+            f = np.convolve(neg[k], pos[d - k])  # (-g0)^k g1^(d-k), degree d^2
+            poly[:-1] += np.conj(g0[k]) * f
+            poly[1:] += np.conj(g1[k]) * f
+    roots = np.roots(poly[::-1])
+    _, s, vh = np.linalg.svd(matrices(roots, roots.conj()))
+    keep = s[:, -1] <= PRODUCT_TOL * s[:, 0]
+    a = np.stack([np.ones(len(roots)), roots], axis=1)[keep]
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    return (a[:, :, None] * vh[keep, -1, None, :].conj()).reshape(len(a), -1)
+
+
+def ppt_subtraction_decomposition(rho: DensityMatrix) -> PureEnsemble:
+    """A product decomposition of a PPT 2 x 3 or 3 x 2 state.
+
+    In 2 x 3 a state is separable exactly when its partial transpose is
+    positive (Horodecki, Horodecki and Horodecki, Phys. Lett. A 223, 1
+    (1996)).  With sigma = rho, each step subtracts lambda |ab><ab| for a
+    product with |ab> in range(sigma) and |a conj(b)> in range(sigma^G),
+    lambda = 1 / max(<ab|sigma^+|ab>, <a conj(b)|(sigma^G)^+|a conj(b)>),
+    the most that keeps sigma and sigma^G positive (Kraus, Cirac, Karnas
+    and Lewenstein, Phys. Rev. A 61, 062302 (2000)), so rank sigma +
+    rank sigma^G falls by at least one.  The c kernel vectors of sigma and
+    sigma^G are c linear conditions on b at a fixed a, so while c < 3 b
+    comes from their null space at a seeded a.  At c = 3 sigma's range
+    products are finite (_range_products finds them all), and sigma is
+    fitted over their projectors by one least-squares solve.  A 3 x 2
+    state runs with its factors swapped, and its members are swapped back.
+    Raises ValueError on any other shape, on a partial transpose below
+    -BOUNDARY_TOL, when c is not 3 after the subtractions, or when the fit
+    has a negative weight or misses sigma by more than RECON_TOL;
+    search.certify checks the rest.
+    """
+    if (rho.m, rho.n) not in ((2, 3), (3, 2)):
+        raise ValueError(f"the subtraction route covers 2 x 3 and 3 x 2, not {rho.m} x {rho.n}")
+    m, n = 2, 3
+    sigma = rho.matrix if rho.m == 2 else rho.matrix.reshape(3, 2, 3, 2).transpose(
+        1, 0, 3, 2).reshape(6, 6)
+    chart, draws = _subtraction_draws()
+    members = []
+    while True:
+        w, v, k = _spectrum(sigma)
+        wg, vg, kg = _spectrum(_partial_transpose(sigma, m, n))
+        if wg[0] < -BOUNDARY_TOL:
+            raise ValueError(f"the partial transpose has eigenvalue {wg[0]:.3e}")
+        # In the chart a = chart (1, z): (1, z) kc_s b = 0 and (1, conj(z)) lc_s b = 0.
+        kc = chart.T @ v[:, :k].T.conj().reshape(k, m, n)
+        lc = chart.conj().T @ vg[:, :kg].T.reshape(kg, m, n)
+        c = k + kg
+        if c >= n or len(members) == n:
+            break
+        z, mix = draws[len(members), 0], draws[len(members), 1:n + 1 - c]
+        a = np.array([1.0, z])
+        system = np.concatenate([a @ kc, a.conj() @ lc])
+        b = mix @ (np.linalg.svd(system)[2][c:].conj() if c else np.eye(n))
+        a = chart @ a
+        psi, psi_g = np.kron(a, b), np.kron(a, b.conj())
+        lam = 1.0 / max(np.sum(np.abs(v[:, k:].conj().T @ psi) ** 2 / w[k:]),
+                        np.sum(np.abs(vg[:, kg:].conj().T @ psi_g) ** 2 / wg[kg:]))
+        sigma = sigma - lam * np.outer(psi, psi.conj())
+        members.append(np.sqrt(lam) * psi)
+    if c != n:  # past n, generically no product; short of it after n steps, a rank stuck
+        raise ValueError(f"the kernels pose {c} conditions on a product, not {n}")
+    products = _range_products(kc, lc).reshape(-1, m, n)
+    products = (chart @ products).reshape(len(products), -1)
+    projectors = (products[:, :, None] * products[:, None, :].conj()).reshape(len(products), -1)
+    lhs = np.concatenate([projectors.T.real, projectors.T.imag])
+    rhs = np.concatenate([sigma.real.ravel(), sigma.imag.ravel()])
+    weights = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+    miss = float(np.linalg.norm(lhs @ weights - rhs))  # the Frobenius distance
+    least = np.min(weights, initial=np.inf)
+    if not (least >= 0.0 and miss <= RECON_TOL):
+        raise ValueError(f"{len(products)} range products fit the remainder within {miss:.3e}, "
+                         f"least weight {least:.3e}")
+    z = np.concatenate([np.reshape(members, (-1, m * n)), np.sqrt(weights)[:, None] * products])
+    if rho.m == 3:
+        z = z.reshape(-1, m, n).swapaxes(1, 2).reshape(-1, m * n)
+    return PureEnsemble(members=z, m=rho.m, n=rho.n)
 
 
 @dataclass(frozen=True)

@@ -153,8 +153,12 @@ def partial_transpose(rho: DensityMatrix) -> np.ndarray:
 
     Transposing the first factor gives the full transpose, with the same spectrum.
     """
-    r = rho.matrix.reshape(rho.m, rho.n, rho.m, rho.n)
-    return r.transpose(0, 3, 2, 1).reshape(rho.dim, rho.dim)
+    return _partial_transpose(rho.matrix, rho.m, rho.n)
+
+
+def _partial_transpose(mat: np.ndarray, m: int, n: int) -> np.ndarray:
+    """partial_transpose of an m x n operator given as its mn x mn matrix."""
+    return mat.reshape(m, n, m, n).transpose(0, 3, 2, 1).reshape(m * n, m * n)
 
 
 def bound_2x4() -> DensityMatrix:

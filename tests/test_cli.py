@@ -423,8 +423,15 @@ def test_one_factor_states_have_no_pairs(tmp_path):
 
 
 def test_search_reports_rejected_extractions(tmp_path):
-    """Both payloads and both human summaries carry the rejected count."""
-    path = gen(tmp_path, "separable", "--m", "2", "--n", "3", "--terms", "10", "--seed", "2")
+    """Both payloads and both human summaries carry the rejected count.
+
+    The state is a 2 x 3 mixture of 10 terms padded onto a 2 x 4 system,
+    a shape outside ppt_subtraction_decomposition's, so the search runs."""
+    inner = sk.random_separable(2, 3, 10, seed=2).matrix.reshape(2, 3, 2, 3)
+    mat = np.zeros((2, 4, 2, 4), dtype=complex)
+    mat[:, :3, :, :3] = inner
+    path = tmp_path / "embedded.txt"
+    path.write_text(sk.serialize_state(sk.density_matrix(2, 4, mat.reshape(8, 8))))
     flags = ["--restarts", "5"]
     searched = json.loads(run(["search", path, "--json", *flags])[1])
     classified = json.loads(run(["classify", path, "--json", *flags])[1])

@@ -390,16 +390,18 @@ def test_classify_never_certifies_bound_entangled_states(rho):
 
 
 @pytest.mark.parametrize("rho, search", [
-    (sk.random_separable(2, 3, 8, seed=1), (24, 4, 800, 0)),
+    (sk.random_separable(2, 4, 10, seed=1), (32, 4, 800, 0)),
     (sk.bound_2x4(), (5, 1, 74, 0)),
     (sk.horodecki_2x4(0.5), (0, 0, 0, 0)),
     (sk.tiles(), (0, 0, 0, 0)),
 ], ids=["full_rank", "bound_2x4", "horodecki_b0.5", "tiles"])
 def test_classify_falls_through_to_the_search(rho, search):
-    """Where range_decomposition refuses a state (see test_decompose),
-    classify reports exactly the search a direct minimize call runs: the
-    same k, restarts, iterations and rejections.  The PPT-entangled states
-    have dim V = 1 below their rank, so no size is walked."""
+    """Where range_decomposition refuses a state (see test_decompose) and
+    no later closed form decides it (the full-rank state is 2x4, outside
+    ppt_subtraction_decomposition's shapes), classify reports exactly the
+    search a direct minimize call runs: the same k, restarts, iterations
+    and rejections.  The PPT-entangled states have dim V = 1 below their
+    rank, so no size is walked."""
     cfg = SearchConfig(restarts=1, max_iters=200)
     found = sk.classify(rho, ClassifyConfig(search=cfg)).search
     assert (found.k, found.restarts_used, found.iterations_used,
@@ -546,8 +548,10 @@ def test_closed_form_routes_certify_low_rank_mixtures():
     """Completeness floor: every random mixture of rank below mn on 2x3,
     2x4, 3x3 and 3x4, two seeds each, under a one-iteration search budget,
     so that only the closed-form routes can certify.  The range route pins
-    38 of these 54 (every rank up to 4, 5, 6 and 8 respectively); before
-    it, none certified."""
+    38 of these 54 (every rank up to 4, 5, 6 and 8 respectively), with at
+    most one term per term of the mixture; before it, none certified.  The
+    2x3 route of ppt_subtraction_decomposition adds the two 2x3 mixtures
+    of 5 terms, which need 6 terms: one subtraction and 5 range products."""
     cfg = ClassifyConfig(search=SearchConfig(restarts=1, max_iters=1))
     certified = 0
     for m, n in [(2, 3), (2, 4), (3, 3), (3, 4)]:
@@ -556,7 +560,10 @@ def test_closed_form_routes_certify_low_rank_mixtures():
             report = sk.classify(rho, cfg)
             if report.certificate is not None:
                 assert report.search is None
-                assert len(report.certificate.weights) <= terms
+                if range_space(rho)[0] == scaled_eigvecs(rho).count:  # the range route's
+                    assert len(report.certificate.weights) <= terms
+                else:
+                    assert (m, n) == (2, 3)
                 check_certificate(report.certificate, rho.matrix)
                 certified += 1
-    assert certified >= 38
+    assert certified >= 40

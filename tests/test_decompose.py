@@ -1,4 +1,5 @@
-"""Tests for the canonical basis, polygon phases, annihilating ensembles and the range route."""
+"""Tests for the canonical basis, polygon phases, annihilating ensembles,
+the range route and the 2 x 3 subtraction route."""
 
 import tracemalloc
 
@@ -14,6 +15,7 @@ from sepkit.decompose import (
     a_value,
     canonical_basis,
     close_polygon,
+    ppt_subtraction_decomposition,
     range_decomposition,
     range_space,
     sign_matrix,
@@ -23,6 +25,7 @@ from sepkit.decompose import (
 from sepkit.linalg import random_orthonormal_columns, scaled_eigvecs
 from sepkit.pairs import PairIndex, pair_operators, pair_residual
 from sepkit.search import certify
+from sepkit.states import partial_transpose
 
 SIGN_4 = np.array([
     [1, 1, 1, 1],
@@ -311,6 +314,127 @@ def test_range_decomposition_refuses_states_its_ranges_do_not_pin(rho, message):
     own direction in V, which proves them entangled (dim V < l)."""
     with pytest.raises(ValueError, match=message):
         range_decomposition(rho)
+
+
+def _swap_factors(rho) -> sk.DensityMatrix:
+    d = rho.dim
+    mat = rho.matrix.reshape(rho.m, rho.n, rho.m, rho.n).transpose(1, 0, 3, 2).reshape(d, d)
+    return sk.density_matrix(rho.n, rho.m, mat)
+
+
+@pytest.mark.parametrize("rho", [
+    sk.random_separable(2, 3, 8, seed=1),
+    sk.random_separable(3, 2, 6, seed=4),
+    sk.random_density(2, 3, seed=89),
+    sk.random_density(3, 2, seed=89),
+], ids=["separable_2x3", "separable_3x2", "ppt_draw_2x3", "ppt_draw_3x2"])
+def test_ppt_subtraction_decomposition_certifies_full_rank_ppt_states(rho):
+    """A full-rank PPT state takes three subtractions, each raising
+    rank rho + rank rho^G's deficit by one, and then its remainder's five
+    range products; the eight members certify it."""
+    assert scaled_eigvecs(rho).count == 6
+    assert np.linalg.eigvalsh(partial_transpose(rho))[0] > 0.0
+    ens = ppt_subtraction_decomposition(rho)
+    assert ens.members.shape == (8, 6) and (ens.m, ens.n) == (rho.m, rho.n)
+    cert = certify(ens.members, rho)
+    assert cert is not None and len(cert.weights) == 8
+
+
+def test_ppt_subtraction_decomposition_swaps_a_3x2_state_and_its_members():
+    """On 3 x 2 the route runs on the 2 x 3 state with the factors swapped
+    and swaps each member back."""
+    rho = sk.random_separable(3, 2, 7, seed=2)
+    swapped = ppt_subtraction_decomposition(_swap_factors(rho)).members
+    members = ppt_subtraction_decomposition(rho).members
+    np.testing.assert_allclose(members.reshape(-1, 3, 2), swapped.reshape(-1, 2, 3).swapaxes(1, 2),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 4), (4, 2), (3, 3), (1, 6), (6, 1)])
+def test_ppt_subtraction_decomposition_refuses_other_shapes(m, n):
+    """Only in 2 x 3 and 3 x 2 is PPT separable, so only there is a
+    remainder sure to have range products."""
+    with pytest.raises(ValueError, match="covers 2 x 3 and 3 x 2"):
+        ppt_subtraction_decomposition(sk.random_separable(m, n, m * n, seed=0))
+
+
+@pytest.mark.parametrize("rho", [sk.horodecki_2x4(0.5), sk.tiles()],
+                         ids=["horodecki_b0.5", "tiles"])
+def test_ppt_subtraction_decomposition_refuses_ppt_entangled_states(rho):
+    """PPT-entangled states lie outside 2 x 3, so the route refuses them
+    (test_criterion checks that classify never certifies them)."""
+    with pytest.raises(ValueError, match="covers 2 x 3 and 3 x 2"):
+        ppt_subtraction_decomposition(rho)
+
+
+def test_ppt_subtraction_decomposition_refuses_an_npt_state():
+    rho = sk.random_density(2, 3, seed=0)
+    assert sk.ppt_min_eigenvalue(rho) < -1e-3
+    with pytest.raises(ValueError, match="partial transpose has eigenvalue"):
+        ppt_subtraction_decomposition(rho)
+    assert sk.classify(rho).verdict is sk.Verdict.ENTANGLED_BY_PPT
+
+
+def test_ppt_subtraction_decomposition_refuses_more_conditions_than_unknowns():
+    """A rank-3 mixture leaves three kernel vectors in rho and three in
+    rho^G: six conditions on b, more than its three components (the range
+    route decomposes such states)."""
+    with pytest.raises(ValueError, match="6 conditions on a product, not 3"):
+        ppt_subtraction_decomposition(sk.random_separable(2, 3, 3, seed=0))
+
+
+def test_ppt_subtraction_decomposition_refuses_a_fit_missing_a_product(monkeypatch):
+    """Without one of the remainder's five range products the least-squares
+    fit misses it, and the route raises rather than return a near miss."""
+    real = decompose_module._range_products
+    monkeypatch.setattr(decompose_module, "_range_products", lambda kc, lc: real(kc, lc)[1:])
+    with pytest.raises(ValueError, match="4 range products fit the remainder within"):
+        ppt_subtraction_decomposition(sk.random_separable(2, 3, 8, seed=1))
+
+
+@pytest.mark.parametrize("c1", [0, 1, 2, 3])
+def test_range_products_solve_their_conditions(c1):
+    """Each unit product a x b that _range_products returns meets
+    a^T kc_s b = 0 and conj(a)^T lc_s b = 0.  With only kc's rows (or only
+    lc's) the determinant is a cubic in z (or in conj(z)) and each of its
+    three roots is a product; random mixed conditions have no fixed count."""
+    g = np.random.default_rng(c1).standard_normal((2, 3, 2, 3))
+    rows = g[0] + 1j * g[1]
+    kc, lc = rows[:c1], rows[c1:]
+    products = decompose_module._range_products(kc, lc).reshape(-1, 2, 3)
+    u, s, vh = np.linalg.svd(products)
+    a, b = u[:, :, 0] * s[:, :1], vh[:, 0]
+    residual = np.concatenate([np.einsum("si,cij,sj->sc", a, kc, b),
+                               np.einsum("si,cij,sj->sc", a.conj(), lc, b)], axis=1)
+    assert len(products) == 3 if c1 in (0, 3) else len(products) >= 1
+    assert np.max(np.abs(residual)) <= 1e-10
+
+
+def test_ppt_subtraction_decomposition_members_with_a_perturbed_weight_fail_certify():
+    """Raising any one member's weight by 1e-6 leaves the mixture 1e-6
+    from rho, beyond RECON_TOL, so search.certify refuses it."""
+    rho = sk.random_separable(2, 3, 7, seed=3)
+    members = ppt_subtraction_decomposition(rho).members
+    assert certify(members, rho) is not None
+    for i, weight in enumerate(np.linalg.norm(members, axis=1) ** 2):
+        perturbed = members.copy()
+        perturbed[i] *= np.sqrt(1.0 + 1e-6 / weight)
+        assert certify(perturbed, rho) is None
+
+
+def test_ppt_subtraction_decomposition_draws_no_generator_per_call(monkeypatch):
+    """The chart and the subtraction coefficients are drawn once, read-only."""
+    rho, again = (sk.random_separable(2, 3, 6, seed=5) for _ in range(2))
+    first = ppt_subtraction_decomposition(rho).members
+    chart, draws = decompose_module._subtraction_draws()
+    assert not chart.flags.writeable and not draws.flags.writeable
+    np.testing.assert_allclose(chart.conj().T @ chart, np.eye(2), atol=1e-15)
+
+    def no_generator(*args):
+        raise AssertionError("ppt_subtraction_decomposition made a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    np.testing.assert_array_equal(ppt_subtraction_decomposition(again).members, first)
 
 
 def _dim_v_from_hermitian_basis(rho) -> int:

@@ -8,7 +8,8 @@ carry over too.  A unitary mixing of the scaled eigenvectors leaves the
 pair spectra unchanged, so classify needs no eigenbasis gauge.
 Separately, no state with a negative partial transpose may ever come out
 certified, and low-rank mixtures certify without the search, as does
-every PPT 2 x 2 state, inside the PPT set or on its boundary.  Nor does
+every PPT 2 x 2 state, inside the PPT set or on its boundary, and every
+PPT 2 x 3 and 3 x 2 state at the benchmark budget.  Nor does
 dim V < l skip the search on a separable mixture whose rank the
 tolerances blur.
 """
@@ -58,8 +59,13 @@ def _recheck(cert, mat: np.ndarray) -> None:
 @settings(max_examples=50, deadline=None)
 @given(st.integers(2, 4), st.integers(2, 4), st.data(), SEEDS)
 def test_local_unitaries_carry_certificates(m, n, data, seed):
-    """alpha -> U alpha and beta -> V beta certify (U x V) rho (U x V)^dag."""
-    terms = data.draw(st.integers(1, 6 if (m, n) == (2, 2) else 2), label="terms")
+    """alpha -> U alpha and beta -> V beta certify (U x V) rho (U x V)^dag.
+
+    Up to 6 terms on 2x2 and 8 on 2x3 and 3x2, so that the closed forms
+    of those shapes (the single pair, the range route and the subtraction
+    route) all supply certificates; up to 2 elsewhere, for the range route."""
+    top = {(2, 2): 6, (2, 3): 8, (3, 2): 8}.get((m, n), 2)
+    terms = data.draw(st.integers(1, top), label="terms")
     rho = sk.random_separable(m, n, terms, seed)
     cert = sk.classify(rho, ClassifyConfig(search=BUDGET)).certificate
     assume(cert is not None)
@@ -211,6 +217,29 @@ def test_range_dim_is_local_unitary_invariant_and_at_least_the_rank(dims, data, 
     dim = range_space(rho)[0]
     assert dim == range_space(_rotate(rho, _unitary(m, rng), _unitary(n, rng)))[0]
     assert dim >= sk.scaled_eigvecs(rho).count
+
+
+def test_every_ppt_2x3_and_3x2_state_certifies():
+    """Completeness in 2x3, where PPT is separable (Horodecki, Horodecki and
+    Horodecki, Phys. Lett. A 223, 1 (1996)): at the benchmark budget every
+    PPT random_density draw of seeds 0-1499 and every random_separable
+    mixture of 2 to 8 terms, seeds 0-9, ends SeparableCertified, on 2x3
+    and on 3x2, and each certificate survives a plain-numpy re-check."""
+    budget = ClassifyConfig(search=SearchConfig(restarts=1, max_iters=200))
+    states = []
+    for m, n in ((2, 3), (3, 2)):
+        draws = (sk.random_density(m, n, seed=seed) for seed in range(1500))
+        states += [rho for rho in draws if sk.ppt_min_eigenvalue(rho) >= -BOUNDARY_TOL]
+        states += [sk.random_separable(m, n, terms, seed)
+                   for terms in range(2, 9) for seed in range(10)]
+    certified = 0
+    for rho in states:
+        report = sk.classify(rho, budget)
+        if report.verdict is Verdict.SEPARABLE_CERTIFIED:
+            _recheck(report.certificate, rho.matrix)
+            certified += 1
+    assert len(states) == 226  # 42 and 44 PPT draws, 70 and 70 mixtures
+    assert certified >= 226  # the floor, as measured: every one
 
 
 def _nearly_rank_deficient(m: int, n: int, terms: int, seed: int, eps: float) -> sk.DensityMatrix:
