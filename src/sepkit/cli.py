@@ -98,6 +98,7 @@ def _search_row(report) -> dict | None:
             "restarts": int(report.restarts_used),
             "iterations": int(report.iterations_used),
             "rejected_extractions": int(report.rejected_extractions),
+            "polish_attempts": int(report.polish_attempts),
             "range_dim": int(report.range_dim)}
 
 
@@ -193,7 +194,8 @@ def _cmd_classify(args) -> _Result:
                      f"(k={report.search.k}, dim V={report.search.range_dim}, "
                      f"restarts={report.search.restarts_used}, "
                      f"iterations={report.search.iterations_used}, "
-                     f"rejected extractions={report.search.rejected_extractions})")
+                     f"rejected extractions={report.search.rejected_extractions}, "
+                     f"polish attempts={report.search.polish_attempts})")
     if report.certificate is not None:
         human.append(f"certificate: {report.certificate.weights.shape[0]} product terms")
     return payload, human, _VERDICT_EXIT.get(report.verdict, EXIT_ENTANGLED)
@@ -268,7 +270,8 @@ def _cmd_search(args) -> _Result:
         _no_walk(report) if report.k == 0 else f"best residual: {report.best_residual:.6g}",
         f"k: {report.k}  dim V: {report.range_dim}  restarts: {report.restarts_used}"
         f"  iterations: {report.iterations_used}"
-        f"  rejected extractions: {report.rejected_extractions}",
+        f"  rejected extractions: {report.rejected_extractions}"
+        f"  polish attempts: {report.polish_attempts}",
         ("certificate: " + (f"{report.certificate.weights.shape[0]} product terms"
                             if report.certificate else "none")),
     ]

@@ -9,13 +9,24 @@ identically and the only freedom is u.  The joint objective
 
 is minimized by projected gradient descent on the orthonormal-column
 manifold.  F(u) = 0 makes every member a candidate product state; the
-certificate extractor factors the members and is the only step that
-declares success.  A failed search is never evidence of entanglement.
+certificate extractor factors the members, and certify, which checks
+every certificate, is the only step that declares success.  A failed
+search is never evidence of entanglement.
 
 One loop runs each restart, for at most max_iters iterations: a
 Barzilai-Borwein step with a nonmonotone (Zhang-Hager) backtracking
 test, which takes about one trial point per iteration and converges
-down to F ~ 1e-28, so no separate polish phase precedes extraction.
+down to F ~ 1e-28.  F only sums the minors anchored at the first row
+and column, so F ~ 0 does not make every member a product, and a
+restart can also stall at F ~ 1e-6 near a decomposition.  A restart
+that ends at F <= _POLISH_GATE without a certificate, at a size where
+fits were measured to pay (_polish_pays), is polished in product space:
+its members are snapped to their leading products a_i (x) b_i, and
+Levenberg-Marquardt fits sum_i (a_i x b_i)(a_i x b_i)^H to rho.  J J^T
+of that fit is (mn)^2 x (mn)^2 whatever the number of members, and is
+assembled from two Gram products over the members (_polish_gram).  Only
+a fit down to ||r||_F <= _POLISH_FLOOR goes to certify; when certify
+accepts it, the search stops as after an extraction.
 Each B^r has four nonzero entries, so a trial point is evaluated on its
 members, not on the l x l taus: Zc = conj(u) conj(X) holds the
 conjugated members, each pair residual is the sum of four products of
@@ -110,6 +121,8 @@ class SearchReport:
 
     rejected_extractions counts the restarts that reached _TOL_RESIDUAL
     but whose members failed the product test or the re-check.
+    polish_attempts counts the restarts handed to _polish, whether or not
+    their extraction was attempted first.
     range_dim is dim V (decompose.range_space), which caps the k walked.
     When no size is walked, k is 0, best_residual is inf and best_u is an
     empty (0, l) array.
@@ -123,6 +136,7 @@ class SearchReport:
     certificate: SeparableCertificate | None
     rejected_extractions: int
     range_dim: int
+    polish_attempts: int
 
 
 def pair_taus(x: ScaledEigvecs, m: int, n: int) -> np.ndarray:
@@ -238,6 +252,24 @@ _STEP_MIN = 1e-14
 _NONMONOTONE_ETA = 0.85
 # A restart that ends at F <= _TOL_RESIDUAL goes to certificate extraction.
 _TOL_RESIDUAL = 1e-10
+# A restart that ends at F <= _POLISH_GATE without a certificate goes to
+# _polish, at the sizes _polish_pays admits.  The gate only picks starting
+# points; it is never evidence for a verdict.
+_POLISH_GATE = 1e-4
+# Polish: at most _POLISH_STEPS Levenberg-Marquardt steps, the first damped
+# by _POLISH_DAMPING ||r||; members go to certify once ||r||_F <=
+# _POLISH_FLOOR, which keeps their weights' sum within 1e-10 of tr rho; a
+# fit whose last _POLISH_WINDOW steps cut ||r|| by less than _POLISH_DROP
+# has stalled and stops.
+_POLISH_STEPS = 80
+_POLISH_DAMPING = 1e-3
+_POLISH_FLOOR = 1e-12
+_POLISH_WINDOW = 8
+_POLISH_DROP = 1.2
+# J J^T has (mn)^4 entries and a step solves it in about (mn)^6 flops: at
+# mn = 20, 1.3 MB and about 10 ms; at 8 x 8, 134 MB and seconds.  Larger
+# systems are not polished.
+_POLISH_MAX_DIM = 20
 
 
 def _descend(u: np.ndarray, kernel: _MemberKernel,
@@ -290,6 +322,117 @@ def _descend(u: np.ndarray, kernel: _MemberKernel,
     return u, f, iters
 
 
+def _product_residual(a: np.ndarray, b: np.ndarray,
+                      rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The members a_i (x) b_i, r = sum_i v_i v_i^H - rho and ||r||_F."""
+    v = (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
+    r = v.T @ v.conj() - rho
+    return v, r, float(np.linalg.norm(r))
+
+
+def _polish_gram(a: np.ndarray, b: np.ndarray, v: np.ndarray, m: int, n: int) -> np.ndarray:
+    """J J^T of r(a, b) in the real coordinates h = Re Y + Im Y of a Hermitian Y.
+
+    J^T Y is, per member, 2 mat(Y v_i) conj(b_i) for a_i and
+    2 mat(Y v_i)^T conj(a_i) for b_i, so J J^T Y = 2 sum_i (Q_i Y V_i +
+    V_i Y Q_i) with V_i = v_i v_i^H and Q_i = a_i a_i^H (x) I + I (x) b_i b_i^H.
+    On row-major vec that is L = 2 (T + T'), T = sum_i Q_i (x) conj(V_i), T'
+    its conjugate with both index pairs swapped.  The sums over members are
+    two Gram products, of the (k, m d) rows a_ij conj(v_ir) and the (k, n d)
+    rows b_ik conj(v_ir) (d = mn), written onto the diagonals that the
+    identities in Q_i leave; no per-member (d, d) array is formed.  L is
+    complex-linear and commutes with Y -> Y^H, so in the coordinates h, an
+    isometry onto the Hermitian matrices, it is the symmetric d^2 x d^2
+    matrix Re L + (Im L) P, with P transposing the column index pair: each
+    block lands in one of four layouts of the result.
+    """
+    k, d = v.shape
+    vc = v.conj()
+    wa = (a[:, :, None] * vc[:, None, :]).reshape(k, m * d)
+    wb = (b[:, :, None] * vc[:, None, :]).reshape(k, n * d)
+    ga = (wa.T @ wa.conj()).reshape(m, d, m, d)  # (j, r, J, s)
+    gb = (wb.T @ wb.conj()).reshape(n, d, n, d)  # (k, r, K, s)
+    gram = np.zeros((d, d, d, d))
+    size = {"j": m, "k": n, "J": m, "K": n, "r": d, "s": d}
+    # Q_i's row (j, k) and column (J, K); V_i's r and s.  Re T, (Im T) P,
+    # Re T' and (Im T') P = -(Im of T with its pairs swapped) P.
+    for layout, part, sign in (("jkrJKs", "real", 1.0), ("jkrsJK", "imag", 1.0),
+                               ("rjksJK", "real", 1.0), ("rjkJKs", "imag", -1.0)):
+        view = gram.reshape([size[c] for c in layout])
+        np.einsum(layout.replace("K", "k") + "->kjrJs", view)[...] += sign * getattr(ga, part)
+        np.einsum(layout.replace("J", "j") + "->jkrKs", view)[...] += sign * getattr(gb, part)
+    gram = gram.reshape(d * d, d * d)
+    gram *= 2.0
+    return gram
+
+
+def _polish_stalled(norms: list[float]) -> bool:
+    """Whether the last _POLISH_WINDOW steps cut ||r|| by less than _POLISH_DROP."""
+    return len(norms) > _POLISH_WINDOW and norms[-1 - _POLISH_WINDOW] < _POLISH_DROP * norms[-1]
+
+
+def _polish_pays(k: int, l: int, m: int, n: int) -> bool:
+    """Whether a fit of k product members to a rank-l m x n state is tried.
+
+    At k = l, only where the members' real parameters, 2(m + n - 1) each
+    once the scale between a_i and b_i is fixed, outnumber the l^2 real
+    equations of a Hermitian operator on range(rho); at k = 2l, only at
+    full rank; and only up to mn = _POLISH_MAX_DIM.  The other sizes were
+    measured not to pay: no fit certified at k > 2l, nor at k = 2l below
+    full rank (see CHANGES.md).
+    """
+    if m * n > _POLISH_MAX_DIM:
+        return False
+    if k == l:
+        return 2 * k * (m + n - 1) > l * l
+    return k == 2 * l == 2 * m * n
+
+
+def _polish(z: np.ndarray, rho: np.ndarray, m: int, n: int) -> np.ndarray | None:
+    """Members a_i (x) b_i that rebuild rho within _POLISH_FLOOR, fitted from z; else None.
+
+    Each member z_i is snapped to its leading product sqrt(s1) alpha_i (x)
+    sqrt(s1) beta_i (product_svd), then Levenberg-Marquardt runs on
+    r = sum_i v_i v_i^H - rho over the complex a_i and b_i, with the
+    damped minimum-norm step -J^T (J J^T + lambda I)^-1 r in the real
+    coordinates of _polish_gram: J J^T is d^2 x d^2 for d = mn, whatever
+    the number of members.  lambda = mu ||r||; mu halves after a step that
+    lowers ||r|| and quadruples after one that does not, which reuses J J^T.
+    Stops at _POLISH_FLOOR, after _POLISH_STEPS steps, or once
+    _polish_stalled.  The members still go through certify.
+    """
+    alphas, s, betas = product_svd(z, m, n)
+    root = np.sqrt(s[:, :1])
+    a, b = root * alphas, root * betas
+    d = m * n
+    v, r, norm = _product_residual(a, b, rho)
+    norms = [norm]
+    mu, gram = _POLISH_DAMPING, None
+    for _ in range(_POLISH_STEPS):
+        if norm <= _POLISH_FLOOR:
+            return v
+        if _polish_stalled(norms):
+            return None
+        if gram is None:
+            gram = _polish_gram(a, b, v, m, n)
+        try:
+            h = np.linalg.solve(gram + mu * norm * np.eye(d * d), (r.real + r.imag).ravel())
+        except np.linalg.LinAlgError:  # singular to working precision
+            return None
+        h = h.reshape(d, d)
+        yv = (v @ ((h + h.T) / 2.0 - 0.5j * (h - h.T))).reshape(-1, m, n)  # rows Y v_i
+        a_try = a - 2.0 * np.einsum("ijk,ik->ij", yv, b.conj())
+        b_try = b - 2.0 * np.einsum("ijk,ij->ik", yv, a.conj())
+        v_try, r_try, norm_try = _product_residual(a_try, b_try, rho)
+        if norm_try < norm:
+            a, b, v, r, norm = a_try, b_try, v_try, r_try, norm_try
+            mu, gram = mu / 2.0, None
+        else:
+            mu *= 4.0
+        norms.append(norm)
+    return v if norm <= _POLISH_FLOOR else None
+
+
 def _k_schedule(l: int, range_dim: int, dim_bound: int) -> list[int]:
     """l, 2l, 4l, ... capped at max(l, range_dim).
 
@@ -332,7 +475,7 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
         return SearchReport(best_residual=0.0, best_u=np.eye(l, dtype=complex), k=l,
                             restarts_used=0, iterations_used=0, certificate=certificate,
                             rejected_extractions=int(certificate is None),
-                            range_dim=range_dim)
+                            range_dim=range_dim, polish_attempts=0)
 
     best_f = np.inf
     best_u = np.zeros((0, l), dtype=complex)
@@ -340,6 +483,7 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
     restarts_used = 0
     iterations_used = 0
     rejected = 0
+    polished = 0
     certificate = None
     kernel = _member_kernel(x, rho.m, rho.n) if schedule else None
 
@@ -355,10 +499,16 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
             if certificate is not None:
                 break
             rejected += 1
+        if f <= _POLISH_GATE and _polish_pays(k, l, rho.m, rho.n):
+            polished += 1
+            members = _polish(u @ x.vectors, rho.matrix, rho.m, rho.n)
+            certificate = None if members is None else certify(members, rho)
+            if certificate is not None:
+                break
     return SearchReport(best_residual=best_f, best_u=best_u, k=best_k,
                         restarts_used=restarts_used, iterations_used=iterations_used,
                         certificate=certificate, rejected_extractions=rejected,
-                        range_dim=range_dim)
+                        range_dim=range_dim, polish_attempts=polished)
 
 
 def certificate_from_members(members: np.ndarray, m: int, n: int) -> SeparableCertificate:

@@ -423,10 +423,14 @@ def test_one_factor_states_have_no_pairs(tmp_path):
 
 
 def test_search_reports_rejected_extractions(tmp_path):
-    """Both payloads and both human summaries carry the rejected count.
+    """Both payloads and both human summaries carry the rejected count and
+    the polish count.
 
     The state is a 2 x 3 mixture of 10 terms padded onto a 2 x 4 system,
-    a shape outside ppt_subtraction_decomposition's, so the search runs."""
+    a shape outside ppt_subtraction_decomposition's, so the search runs.
+    Its first restart reaches tol_residual on members that are not all
+    products: the extraction is rejected and counted, and the polish
+    started from the same restart certifies the state."""
     inner = sk.random_separable(2, 3, 10, seed=2).matrix.reshape(2, 3, 2, 3)
     mat = np.zeros((2, 4, 2, 4), dtype=complex)
     mat[:, :3, :, :3] = inner
@@ -436,11 +440,12 @@ def test_search_reports_rejected_extractions(tmp_path):
     searched = json.loads(run(["search", path, "--json", *flags])[1])
     classified = json.loads(run(["classify", path, "--json", *flags])[1])
     assert searched["certificate"] is not None
-    assert searched["rejected_extractions"] == classified["search"]["rejected_extractions"]
-    assert 1 <= searched["rejected_extractions"] < searched["restarts"]
-    count = searched["rejected_extractions"]
-    assert f"rejected extractions: {count}" in run(["search", path, *flags])[1]
-    assert f"rejected extractions={count})" in run(["classify", path, *flags])[1]
+    for key in ("rejected_extractions", "polish_attempts"):
+        assert searched[key] == classified["search"][key]
+    assert searched["rejected_extractions"] == searched["polish_attempts"] == 1
+    assert searched["restarts"] == 1
+    assert "rejected extractions: 1  polish attempts: 1" in run(["search", path, *flags])[1]
+    assert "rejected extractions=1, polish attempts=1)" in run(["classify", path, *flags])[1]
 
 
 def test_search_reports_the_range_dim_that_caps_k(tmp_path):

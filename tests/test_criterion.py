@@ -389,23 +389,43 @@ def test_classify_never_certifies_bound_entangled_states(rho):
     assert report.search is not None and report.search.certificate is None
 
 
+def test_classify_never_certifies_noisy_horodecki_states():
+    """(1 - p) rho_b + p I/8 at b = 0.234 is full-rank and PPT, and still
+    entangled at these p: the pair criterion over all minors gives it
+    a-values from +1.3e-4 to +1.6e-3.  No range count applies, so the
+    search runs and ends near F ~ 1e-5, close enough for the polish to
+    take up.  However close that fit gets, certify must refuse it."""
+    cfg = ClassifyConfig(search=SearchConfig(restarts=1, max_iters=200))
+    polished = 0
+    for p in (1e-4, 1e-3, 1e-2):
+        rho = sk.density_matrix(2, 4, (1 - p) * sk.horodecki_2x4(0.234).matrix + p * np.eye(8) / 8)
+        assert scaled_eigvecs(rho).count == 8
+        report = sk.classify(rho, cfg)
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert report.certificate is None and report.search.certificate is None
+        assert report.search.best_residual <= 1e-4
+        polished += report.search.polish_attempts
+    assert polished >= 1
+
+
 @pytest.mark.parametrize("rho, search", [
-    (sk.random_separable(2, 4, 10, seed=1), (32, 4, 800, 0)),
-    (sk.bound_2x4(), (5, 1, 74, 0)),
-    (sk.horodecki_2x4(0.5), (0, 0, 0, 0)),
-    (sk.tiles(), (0, 0, 0, 0)),
+    (sk.random_separable(2, 4, 10, seed=1), (8, 1, 200, 0, 1)),
+    (sk.bound_2x4(), (5, 1, 74, 0, 0)),
+    (sk.horodecki_2x4(0.5), (0, 0, 0, 0, 0)),
+    (sk.tiles(), (0, 0, 0, 0, 0)),
 ], ids=["full_rank", "bound_2x4", "horodecki_b0.5", "tiles"])
 def test_classify_falls_through_to_the_search(rho, search):
     """Where range_decomposition refuses a state (see test_decompose) and
     no later closed form decides it (the full-rank state is 2x4, outside
     ppt_subtraction_decomposition's shapes), classify reports exactly the
-    search a direct minimize call runs: the same k, restarts, iterations
-    and rejections.  The PPT-entangled states have dim V = 1 below their
-    rank, so no size is walked."""
+    search a direct minimize call runs: the same k, restarts, iterations,
+    rejections and polish attempts.  The full-rank state's first restart
+    is polished into its certificate.  The PPT-entangled states have
+    dim V = 1 below their rank, so no size is walked."""
     cfg = SearchConfig(restarts=1, max_iters=200)
     found = sk.classify(rho, ClassifyConfig(search=cfg)).search
     assert (found.k, found.restarts_used, found.iterations_used,
-            found.rejected_extractions) == search
+            found.rejected_extractions, found.polish_attempts) == search
     alone = minimize(rho, cfg)
     assert found.best_residual == alone.best_residual
     assert found.best_u.tobytes() == alone.best_u.tobytes()

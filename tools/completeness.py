@@ -3,7 +3,7 @@
 Usage, from the repository root:
 
     python3 tools/completeness.py --restarts 1 --max-iters 200 \
-        --min-classify 144 --min-minimize 50
+        --min-classify 144 --min-minimize 96
 
 The states are ``random_separable(m, n, terms, seed)`` for m x n in 2x3,
 3x3, 2x4, 3x4, 2x5 and 4x4, every terms from 2 to mn - 1 and seeds 0-3
