@@ -26,7 +26,12 @@ Levenberg-Marquardt fits sum_i (a_i x b_i)(a_i x b_i)^H to rho.  J J^T
 of that fit is (mn)^2 x (mn)^2 whatever the number of members, and is
 assembled from two Gram products over the members (_polish_gram).  Only
 a fit down to ||r||_F <= _POLISH_FLOOR goes to certify; when certify
-accepts it, the search stops as after an extraction.
+accepts it, the search stops as after an extraction.  On a full-rank
+state the anchored F also vanishes on members that are not products, so
+the rest of the budget only drives F towards 0 on points that do not
+extract: there the descent pauses the first time it reaches
+_POLISH_GATE, the point is polished, and the restart stops if the fit
+certifies; if not, the same descent resumes, unchanged, to its end.
 Each B^r has four nonzero entries, so a trial point is evaluated on its
 members, not on the l x l taus: Zc = conj(u) conj(X) holds the
 conjugated members, each pair residual is the sum of four products of
@@ -43,6 +48,7 @@ the dense taus (pair_taus) as the reference.
 """
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,10 +125,13 @@ class CertificateError(ValueError):
 class SearchReport:
     """Best point found, its residual, the budget used, and the certificate if any.
 
-    rejected_extractions counts the restarts that reached _TOL_RESIDUAL
+    rejected_extractions counts the points that reached _TOL_RESIDUAL
     but whose members failed the product test or the re-check.
-    polish_attempts counts the restarts handed to _polish, whether or not
-    their extraction was attempted first.
+    polish_attempts counts the calls to _polish, whether or not an
+    extraction was attempted first: a full-rank restart can be polished
+    twice, at its pause and at its end (see minimize).  When a fit
+    certifies, best_u is that ensemble in the eigenbasis coordinates,
+    members X^H / t, best_residual is F there and k that restart's size.
     range_dim is dim V (decompose.range_space), which caps the k walked.
     When no size is walked, k is 0, best_residual is inf and best_u is an
     empty (0, l) array.
@@ -272,8 +281,8 @@ _POLISH_DROP = 1.2
 _POLISH_MAX_DIM = 20
 
 
-def _descend(u: np.ndarray, kernel: _MemberKernel,
-             max_iters: int) -> tuple[np.ndarray, float, int]:
+def _descend(u: np.ndarray, kernel: _MemberKernel, max_iters: int,
+             gate: float | None = None) -> Iterator[tuple[np.ndarray, float, int]]:
     """Projected gradient descent with Barzilai-Borwein steps.
 
     From the second iteration the trial step is BB2, s.y / y.y with
@@ -282,6 +291,13 @@ def _descend(u: np.ndarray, kernel: _MemberKernel,
     residuals rather than the last one, so the short BB steps survive
     the occasional rise in F.  Stops at F <= 1e-28, |t| <= 1e-16, when
     no step is acceptable, or after max_iters iterations.
+
+    A generator of (u, F, iterations): it yields the end point last, and,
+    with gate given, also pauses once, at the start of the first
+    iteration that begins at F <= gate and goes on to a line search; that
+    iteration counts, as it would if the descent stopped there.  Resuming
+    after the pause changes nothing: the end point and its count are the
+    same with or without the gate.
     """
     f, g, w = _objective_and_gradient(u, kernel)
     c, q = f, 1.0
@@ -295,6 +311,9 @@ def _descend(u: np.ndarray, kernel: _MemberKernel,
         tnorm2 = float(np.vdot(t, t).real)
         if tnorm2 <= 1e-32:
             break
+        if gate is not None and f <= gate:
+            gate = None
+            yield u, f, iters
         if t_prev is not None:
             # With s = -alpha t_prev and y = t - t_prev, only Re<t_prev, t> is new.
             cross = float(np.vdot(t_prev, t).real)
@@ -319,7 +338,7 @@ def _descend(u: np.ndarray, kernel: _MemberKernel,
             alpha *= _SHRINK
         else:  # no trial step was accepted
             break
-    return u, f, iters
+    yield u, f, iters
 
 
 def _product_residual(a: np.ndarray, b: np.ndarray,
@@ -457,7 +476,13 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
     Results merge by minimum residual, first-come on ties.  Certificate
     extraction is attempted on every restart that ends at F <=
     _TOL_RESIDUAL, and the first one that yields a checked certificate
-    ends the search; the others are counted as rejected extractions.  With
+    ends the search; the others are counted as rejected extractions.  A
+    restart that ends at F <= _POLISH_GATE without one is polished, at the
+    sizes _polish_pays admits.  On a full-rank state (l = mn) such a
+    restart's descent also pauses where it first reaches _POLISH_GATE:
+    the same extraction and polish run on that point, a certificate ends
+    the search there, and otherwise the descent resumes to its end.  A
+    polished certificate is reported with its own point (SearchReport).  With
     no pairs (a one-dimensional factor) the eigen-ensemble (u = I) is the
     certificate.  Raises ValueError when a budget field is not an integer,
     restarts or max_iters is below 1 or seed is negative.
@@ -489,22 +514,29 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
 
     for k, i in itertools.product(schedule, range(cfg.restarts)):
         u0 = random_orthonormal_columns(k, l, cfg.seed + i)
-        u, f, iters = _descend(u0, kernel, cfg.max_iters)
+        pays = _polish_pays(k, l, rho.m, rho.n)
+        gate = _POLISH_GATE if pays and l == rho.dim else None
+        for u, f, iters in _descend(u0, kernel, cfg.max_iters, gate):
+            if f <= _TOL_RESIDUAL:
+                certificate = certify(u, rho, x)
+                if certificate is not None:
+                    break
+                rejected += 1
+            if f <= _POLISH_GATE and pays:
+                polished += 1
+                members = _polish(u @ x.vectors, rho.matrix, rho.m, rho.n)
+                certificate = None if members is None else certify(members, rho)
+                if certificate is not None:
+                    # Report the certified ensemble, whatever the best so far.
+                    u = members @ x.vectors.conj().T / x.values
+                    f, best_f = _objective_and_gradient(u, kernel)[0], np.inf
+                    break
         restarts_used += 1
         iterations_used += iters
         if f < best_f:
             best_f, best_u, best_k = f, u, k
-        if f <= _TOL_RESIDUAL:
-            certificate = certify(u, rho, x)
-            if certificate is not None:
-                break
-            rejected += 1
-        if f <= _POLISH_GATE and _polish_pays(k, l, rho.m, rho.n):
-            polished += 1
-            members = _polish(u @ x.vectors, rho.matrix, rho.m, rho.n)
-            certificate = None if members is None else certify(members, rho)
-            if certificate is not None:
-                break
+        if certificate is not None:
+            break
     return SearchReport(best_residual=best_f, best_u=best_u, k=best_k,
                         restarts_used=restarts_used, iterations_used=iterations_used,
                         certificate=certificate, rejected_extractions=rejected,

@@ -53,9 +53,9 @@ CLASSIFY = {
 
 # name: exit, (best residual, k, restarts, iterations, rejected), certificate weights or None
 SEARCH = {
-    "werner": (0, (7.745131785251576e-30, 4, 1, 55, 0),
-               [0.24999999999999975, 0.2499999999999991, 0.2500000000000002,
-                0.2500000000000008]),
+    "werner": (0, (1.0912177528490577e-32, 4, 1, 14, 0),
+               [0.2500000000001446, 0.2500000000001422, 0.2500000000000477,
+                0.25000000000005373]),
     "bell": (2, (None, 0, 0, 0, 0), None),
     "bound_2x4": (0, (6.502225146782513e-29, 5, 1, 74, 0), W_BOUND),
     "separable": (2, (0.00019579803133573583, 3, 1, 200, 0), None),

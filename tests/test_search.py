@@ -501,19 +501,20 @@ def test_minimize_certifies_rank3_mixtures_at_fixed_budget(m, n, least, monkeypa
 
 
 def test_minimize_counts_rejected_extractions(monkeypatch):
-    """At k = 12 this 2x3 mixture reaches F ~ 1e-26 on members whose
-    anchored minors vanish without being products: the first restart
-    reaches tol_residual and its extraction is rejected and counted.  The
-    polish of that restart then certifies the state, so the search stops."""
+    """At k = 24 this full-rank 2x3 mixture reaches F ~ 3e-27 on members
+    whose anchored minors vanish without being products: both restarts
+    reach tol_residual and both extractions are rejected and counted.  No
+    fit is tried at k = 4l (_polish_pays), so nothing certifies."""
     assert minimize(sk.werner_2x2(0.2), SearchConfig()).rejected_extractions == 0
     rho = sk.random_separable(2, 3, terms=6, seed=1)
-    monkeypatch.setattr(search_module, "_k_schedule", lambda *args: [12])
+    monkeypatch.setattr(search_module, "_k_schedule", lambda *args: [24])
     report = minimize(rho, SearchConfig(restarts=2))
-    assert report.rejected_extractions == report.polish_attempts == report.restarts_used == 1
+    assert report.certificate is None
+    assert report.rejected_extractions == report.restarts_used == 2
+    assert report.polish_attempts == 0
     assert report.best_residual <= 1e-10
     with pytest.raises(CertificateError):
         extract_certificate(report.best_u, scaled_eigvecs(rho), 2, 3)
-    check_certificate(report.certificate, rho.matrix)
 
 
 def test_polish_gram_is_j_jt_of_the_residual():
@@ -577,6 +578,39 @@ def test_polished_searches_are_byte_identical():
         for field in ("weights", "alphas", "betas"):
             assert getattr(r1.certificate, field).tobytes() == \
                 getattr(r2.certificate, field).tobytes()
+
+
+def test_the_polish_pause_leaves_the_descent_unchanged():
+    """Draining _descend with the polish gate yields one pause and then the
+    very end point, residual and count that draining it without the gate
+    gives."""
+    for rho in (FULL_RANK[0], FULL_RANK[6], FULL_RANK[13]):
+        x = scaled_eigvecs(rho)
+        kernel = _member_kernel(x, rho.m, rho.n)
+        u0 = random_orthonormal_columns(x.count, x.count, 0)
+        plain = list(search_module._descend(u0, kernel, 200))
+        paused = list(search_module._descend(u0, kernel, 200, search_module._POLISH_GATE))
+        assert len(plain) == 1 and len(paused) == 2
+        assert paused[0][1] <= search_module._POLISH_GATE and paused[0][2] < paused[1][2]
+        (u, f, iters), (u_p, f_p, iters_p) = plain[0], paused[1]
+        assert np.array_equal(u, u_p) and f == f_p and iters == iters_p
+
+
+def test_full_rank_search_certifies_at_the_gate():
+    """A full-rank restart is polished when its descent first reaches the
+    gate, long before its budget ends, and the report gives the certified
+    ensemble: best_u rebuilds the certificate's members in the eigenbasis,
+    with orthonormal columns, and best_residual is F there."""
+    rho = sk.random_separable(2, 4, 10, seed=1)
+    x = scaled_eigvecs(rho)
+    report = minimize(rho, SearchConfig(restarts=1, max_iters=200))
+    assert report.certificate is not None and report.iterations_used < 200
+    assert report.k == x.count == 8 and report.best_u.shape == (8, 8)
+    u = report.best_u
+    np.testing.assert_allclose(u.conj().T @ u, np.eye(8), rtol=0, atol=1e-10)
+    assert report.best_residual == _objective_and_gradient(u, _member_kernel(x, 2, 4))[0]
+    assert report.best_residual <= 1e-20
+    check_certificate(certificate_from_members(u @ x.vectors, 2, 4), rho.matrix)
 
 
 def test_minimize_certifies_one_factor_states():

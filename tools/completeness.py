@@ -3,19 +3,22 @@
 Usage, from the repository root:
 
     python3 tools/completeness.py --restarts 1 --max-iters 200 \
-        --min-classify 144 --min-minimize 96
+        --min-classify 193 --min-minimize 140
 
 The states are ``random_separable(m, n, terms, seed)`` for m x n in 2x3,
-3x3, 2x4, 3x4, 2x5 and 4x4, every terms from 2 to mn - 1 and seeds 0-3
-(196 states).  Every one is separable, so each state that ends without a
-certificate is a completeness failure, never a wrong verdict.  Each
-state goes through ``classify`` (closed forms, then the search) and
+3x3, 2x4, 3x4, 2x5 and 4x4 and seeds 0-3: first every terms from 2 to
+mn - 1 (196 states, below full rank), then terms mn and mn + 2 (48
+states, full rank).  Every one is separable, so each state that ends
+without a certificate is a completeness failure, never a wrong verdict.
+Each state goes through ``classify`` (closed forms, then the search) and
 through ``minimize`` alone, both at the budget given by ``--restarts``
 and ``--max-iters``.
 
 One line per state gives its rank l, dim V (``SearchReport.range_dim``),
 whether each route certified, and the search's k and iterations; then
-the certified counts and total search iterations per shape and overall.
+the certified counts and total search iterations per shape, below full
+rank (``below``), at full rank (``full``) and overall (``all``).  The
+floors apply to the overall counts.
 Every certificate is re-checked with ``check_certificate``.  The exit
 code is 1 when a count falls below its ``--min-*`` floor, else 0.
 
@@ -41,18 +44,25 @@ SHAPES = ((2, 3), (3, 3), (2, 4), (3, 4), (2, 5), (4, 4))
 SEEDS = range(4)
 
 
+def cases():
+    """Yield (m, n, terms, seed): the rows below full rank, then the full-rank rows."""
+    for full_rank in (False, True):
+        for m, n in SHAPES:
+            for terms in (m * n, m * n + 2) if full_rank else range(2, m * n):
+                for seed in SEEDS:
+                    yield m, n, terms, seed
+
+
 def sweep(cfg: sk.SearchConfig):
     """Yield (m, n, terms, seed, l, classify report, minimize report)."""
-    for m, n in SHAPES:
-        for terms in range(2, m * n):
-            for seed in SEEDS:
-                rho = sk.random_separable(m, n, terms, seed)
-                classified = sk.classify(rho, sk.ClassifyConfig(search=cfg))
-                searched = sk.minimize(rho, cfg)
-                for cert in (classified.certificate, searched.certificate):
-                    if cert is not None:
-                        sk.check_certificate(cert, rho.matrix)
-                yield m, n, terms, seed, sk.scaled_eigvecs(rho).count, classified, searched
+    for m, n, terms, seed in cases():
+        rho = sk.random_separable(m, n, terms, seed)
+        classified = sk.classify(rho, sk.ClassifyConfig(search=cfg))
+        searched = sk.minimize(rho, cfg)
+        for cert in (classified.certificate, searched.certificate):
+            if cert is not None:
+                sk.check_certificate(cert, rho.matrix)
+        yield m, n, terms, seed, sk.scaled_eigvecs(rho).count, classified, searched
 
 
 def main(argv=None) -> int:
@@ -67,15 +77,16 @@ def main(argv=None) -> int:
     cfg = sk.SearchConfig(restarts=args.restarts, max_iters=args.max_iters)
 
     start = time.perf_counter()
-    totals = {}  # (m, n) -> [states, classify, minimize, classify iters, minimize iters]
+    # row label -> [states, classify, minimize, classify iters, minimize iters]
+    totals = {}
     print("shape terms seed  l dimV classify minimize  k iters")
     for m, n, terms, seed, l, classified, searched in sweep(cfg):
-        row = totals.setdefault((m, n), [0, 0, 0, 0, 0])
-        row[0] += 1
-        row[1] += classified.certificate is not None
-        row[2] += searched.certificate is not None
-        row[3] += classified.search.iterations_used if classified.search else 0
-        row[4] += searched.iterations_used
+        counts = (1, classified.certificate is not None, searched.certificate is not None,
+                  classified.search.iterations_used if classified.search else 0,
+                  searched.iterations_used)
+        for label in (f"{m}x{n}", "full" if terms >= m * n else "below", "all"):
+            row = totals.setdefault(label, [0, 0, 0, 0, 0])
+            row[:] = [a + b for a, b in zip(row, counts)]
         print(f"{m}x{n} {terms:5d} {seed:4d} {l:2d} {searched.range_dim:4d} "
               f"{'yes' if classified.certificate is not None else 'no':>8} "
               f"{'yes' if searched.certificate is not None else 'no':>8} "
@@ -83,15 +94,13 @@ def main(argv=None) -> int:
 
     print(f"\nbudget: restarts={cfg.restarts} max_iters={cfg.max_iters}")
     print("shape states classify minimize classify_iters minimize_iters")
-    overall = [0, 0, 0, 0, 0]
-    for (m, n), row in totals.items():
-        print(f"{m}x{n} {row[0]:6d} {row[1]:8d} {row[2]:8d} {row[3]:14d} {row[4]:14d}")
-        overall = [a + b for a, b in zip(overall, row)]
-    print(f"all {overall[0]:6d} {overall[1]:8d} {overall[2]:8d} "
-          f"{overall[3]:14d} {overall[4]:14d}")
+    for label in [f"{m}x{n}" for m, n in SHAPES] + ["below", "full", "all"]:
+        row = totals[label]
+        print(f"{label} {row[0]:6d} {row[1]:8d} {row[2]:8d} {row[3]:14d} {row[4]:14d}")
     print(f"wall time: {time.perf_counter() - start:.1f} s")
 
     failed = False
+    overall = totals["all"]
     for name, count, floor in (("classify", overall[1], args.min_classify),
                                ("minimize", overall[2], args.min_minimize)):
         if count < floor:
