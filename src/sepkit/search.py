@@ -32,6 +32,9 @@ the rest of the budget only drives F towards 0 on points that do not
 extract: there the descent pauses the first time it reaches
 _POLISH_GATE, the point is polished, and the restart stops if the fit
 certifies; if not, the same descent resumes, unchanged, to its end.
+For the same reason a full-rank size without a fit was measured to end
+only in rejected extractions, so up to mn = _POLISH_MAX_DIM the
+full-rank walk keeps only the sizes _polish_pays admits (_k_schedule).
 Each B^r has four nonzero entries, so a trial point is evaluated on its
 members, not on the l x l taus: Zc = conj(u) conj(X) holds the
 conjugated members, each pair residual is the sum of four products of
@@ -87,7 +90,9 @@ class SearchConfig:
     capped at max(l, dim V), for a state of rank l and the range space V
     of decompose.range_space, which loses no decomposition (see the
     decompose module docstring).  When dim V < l holds beyond RANGE_MARGIN
-    no decomposition exists, and no size is walked.  Each size runs
+    no decomposition exists, and no size is walked.  A full-rank state up
+    to mn = _POLISH_MAX_DIM walks only the sizes _polish_pays admits (k = l
+    where its parameter count allows, and k = 2l).  Each size runs
     `restarts` descents from random orthonormal starts seeded seed +
     restart index, each of at most max_iters iterations.
     """
@@ -398,7 +403,8 @@ def _polish_pays(k: int, l: int, m: int, n: int) -> bool:
     equations of a Hermitian operator on range(rho); at k = 2l, only at
     full rank; and only up to mn = _POLISH_MAX_DIM.  The other sizes were
     measured not to pay: no fit certified at k > 2l, nor at k = 2l below
-    full rank (see CHANGES.md).
+    full rank (see CHANGES.md).  At full rank up to mn = _POLISH_MAX_DIM,
+    _k_schedule walks only the sizes admitted here.
     """
     if m * n > _POLISH_MAX_DIM:
         return False
@@ -452,11 +458,15 @@ def _polish(z: np.ndarray, rho: np.ndarray, m: int, n: int) -> np.ndarray | None
     return v if norm <= _POLISH_FLOOR else None
 
 
-def _k_schedule(l: int, range_dim: int, dim_bound: int) -> list[int]:
-    """l, 2l, 4l, ... capped at max(l, range_dim).
+def _k_schedule(l: int, range_dim: int, dim_bound: int, m: int, n: int) -> list[int]:
+    """l, 2l, 4l, ... capped at max(l, range_dim), for a rank-l m x n state.
 
     Empty when dim_bound, dim V counted beyond RANGE_MARGIN
-    (decompose._range), is below l: then no decomposition exists.
+    (decompose._range), is below l: then no decomposition exists.  At
+    full rank (l = mn) up to mn = _POLISH_MAX_DIM, only the sizes
+    _polish_pays admits: there the anchored F also vanishes on members
+    that are not products, so a size without a fit was measured to end
+    only in rejected extractions.
     """
     if dim_bound < l:
         return []
@@ -464,6 +474,8 @@ def _k_schedule(l: int, range_dim: int, dim_bound: int) -> list[int]:
     ks = [l]
     while ks[-1] < cap:
         ks.append(min(2 * ks[-1], cap))
+    if l == m * n <= _POLISH_MAX_DIM:
+        ks = [k for k in ks if _polish_pays(k, l, m, n)]
     return ks
 
 
@@ -494,7 +506,7 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
     x = scaled_eigvecs(rho)
     l = x.count
     range_dim, dim_bound = _range(rho)[:2]
-    schedule = _k_schedule(l, range_dim, dim_bound)
+    schedule = _k_schedule(l, range_dim, dim_bound, rho.m, rho.n)
     if schedule and not _pair_layout(rho.m, rho.n).pairs:
         certificate = certify(x.vectors, rho)
         return SearchReport(best_residual=0.0, best_u=np.eye(l, dtype=complex), k=l,

@@ -234,16 +234,47 @@ def walked_schedules(monkeypatch, rho, config):
     (sk.tiles(), []),                                    # l = 4 in 3x3, dim V = 1
     (sk.horodecki_2x4(0.5), []),                         # l = 5 in 2x4, dim V = 1
     (sk.bound_2x4(), [5, 9]),                            # l = 5, dim V = 9
-    (sk.random_separable(2, 3, terms=8, seed=0), [6, 12, 24, 36]),  # full rank, dim V = l^2
-], ids=["bell", "tiles", "horodecki_b0.5", "bound_2x4", "full_rank"])
+    (sk.random_separable(2, 3, terms=8, seed=0), [6, 12]),  # full rank, dim V = l^2
+    (sk.random_separable(4, 6, terms=26, seed=0), [24, 48, 96, 192, 384, 576]),  # mn > 20
+], ids=["bell", "tiles", "horodecki_b0.5", "bound_2x4", "full_rank", "full_rank_4x6"])
 def test_schedule_doubles_from_the_rank_up_to_dim_v(monkeypatch, rho, schedule):
     """A separable state mixes at most dim V products (l^2 when rho^G has
     no kernel), so the walk stops at max(l, dim V), which the report holds;
-    with dim V below the rank no decomposition exists and nothing is walked."""
+    with dim V below the rank no decomposition exists and nothing is walked.
+    At full rank up to mn = 20 the walk keeps only the sizes a fit is tried
+    at (_polish_pays), so it stops at 2l; above mn = 20 no fit is tried and
+    the whole walk to l^2 stays."""
     seen, report = walked_schedules(monkeypatch, rho, SearchConfig(restarts=1, max_iters=1))
     l = scaled_eigvecs(rho).count
     assert seen == [schedule]
-    assert schedule[-1:] == ([max(l, report.range_dim)] if report.range_dim >= l else [])
+    if report.range_dim < l:
+        last = []
+    elif l == rho.dim <= search_module._POLISH_MAX_DIM:
+        last = [2 * l]
+    else:
+        last = [max(l, report.range_dim)]
+    assert schedule[-1:] == last
+
+
+def test_full_rank_3x4_certifies_at_the_first_size_walked():
+    """At full-rank 3x4, 2k(m + n - 1) = l^2 at k = l = 12, so no fit is
+    tried there and the walk starts at k = 24: at the default budget the
+    first restart certifies, instead of 50 restarts of 2000 iterations at
+    k = 12 that all ended without a certificate."""
+    report = minimize(sk.random_separable(3, 4, 12, seed=1), SearchConfig())
+    assert report.certificate is not None
+    assert (report.k, report.restarts_used) == (24, 1)
+
+
+def test_full_rank_failure_stops_after_the_fitted_sizes():
+    """A full-rank 3x3 mixture whose fits all fail at k = 9 and 18 ends
+    Inconclusive after those two sizes, 400 iterations, rather than walking
+    on to k = 81 (1000 iterations)."""
+    rho = sk.random_separable(3, 3, 9, seed=0)
+    report = sk.classify(rho, sk.ClassifyConfig(search=SearchConfig(restarts=1, max_iters=200)))
+    assert report.verdict is sk.Verdict.INCONCLUSIVE
+    assert report.certificate is None
+    assert report.search.iterations_used <= 400
 
 
 @pytest.mark.parametrize("rho, restarts, iterations, k_max", [
