@@ -46,7 +46,7 @@ class _CliError(Exception):
 
 def _read_state(path: str) -> states.DensityMatrix:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is not data
             return states.parse_state(fh.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read {path}: {exc}", EXIT_DATA) from exc

@@ -19,22 +19,14 @@ test, which takes about one trial point per iteration and converges
 down to F ~ 1e-28.  F only sums the minors anchored at the first row
 and column, so F ~ 0 does not make every member a product, and a
 restart can also stall at F ~ 1e-6 near a decomposition.  A restart
-that ends at F <= _POLISH_GATE without a certificate, at a size where
-fits were measured to pay (_polish_pays), is polished in product space:
-its members are snapped to their leading products a_i (x) b_i, and
-Levenberg-Marquardt fits sum_i (a_i x b_i)(a_i x b_i)^H to rho.  J J^T
-of that fit is (mn)^2 x (mn)^2 whatever the number of members, and is
-assembled from two Gram products over the members (_polish_gram).  Only
-a fit down to ||r||_F <= _POLISH_FLOOR goes to certify; when certify
-accepts it, the search stops as after an extraction.  On a full-rank
-state the anchored F also vanishes on members that are not products, so
-the rest of the budget only drives F towards 0 on points that do not
-extract: there the descent pauses the first time it reaches
+that ends at F <= _POLISH_GATE without a certificate is polished in
+product space where _polish_pays admits (the products module); when
+certify accepts the fit, the search stops as after an extraction.  On a
+full-rank state the anchored F also vanishes on members that are not
+products, so the rest of the budget only drives F towards 0 on points
+that do not extract: there the descent pauses the first time it reaches
 _POLISH_GATE, the point is polished, and the restart stops if the fit
 certifies; if not, the same descent resumes, unchanged, to its end.
-For the same reason a full-rank size without a fit was measured to end
-only in rejected extractions, so up to mn = _POLISH_MAX_DIM the
-full-rank walk keeps only the sizes _polish_pays admits (_k_schedule).
 Each B^r has four nonzero entries, so a trial point is evaluated on its
 members, not on the l x l taus: Zc = conj(u) conj(X) holds the
 conjugated members, each pair residual is the sum of four products of
@@ -60,6 +52,7 @@ from .decompose import _range
 from .linalg import ScaledEigvecs, product_svd, random_orthonormal_columns, scaled_eigvecs
 from .linalg import reorthonormalize  # noqa: F401 (traced by perfbench)
 from .pairs import PairIndex, _pair_layout, pair_operators, tau_matrix
+from .products import _polish, _polish_pays
 from .states import PRODUCT_TOL, RECON_TOL, STATE_TOL, DensityMatrix, _check_counts, format_float
 
 __all__ = [
@@ -90,10 +83,9 @@ class SearchConfig:
     capped at max(l, dim V), for a state of rank l and the range space V
     of decompose.range_space, which loses no decomposition (see the
     decompose module docstring).  When dim V < l holds beyond RANGE_MARGIN
-    no decomposition exists, and no size is walked.  A full-rank state up
-    to mn = _POLISH_MAX_DIM walks only the sizes _polish_pays admits (k = l
-    where its parameter count allows, and k = 2l).  Each size runs
-    `restarts` descents from random orthonormal starts seeded seed +
+    no decomposition exists, and no size is walked.  A full-rank state
+    walks only the sizes with a fit (see the products module).  Each size
+    runs `restarts` descents from random orthonormal starts seeded seed +
     restart index, each of at most max_iters iterations.
     """
 
@@ -132,10 +124,8 @@ class SearchReport:
 
     rejected_extractions counts the points that reached _TOL_RESIDUAL
     but whose members failed the product test or the re-check.
-    polish_attempts counts the calls to _polish, whether or not an
-    extraction was attempted first: a full-rank restart can be polished
-    twice, at its pause and at its end (see minimize).  When a fit
-    certifies, best_u is that ensemble in the eigenbasis coordinates,
+    polish_attempts counts the calls to _polish (see minimize).  When a
+    fit certifies, best_u is that ensemble in the eigenbasis coordinates,
     members X^H / t, best_residual is F there and k that restart's size.
     range_dim is dim V (decompose.range_space), which caps the k walked.
     When no size is walked, k is 0, best_residual is inf and best_u is an
@@ -267,23 +257,8 @@ _NONMONOTONE_ETA = 0.85
 # A restart that ends at F <= _TOL_RESIDUAL goes to certificate extraction.
 _TOL_RESIDUAL = 1e-10
 # A restart that ends at F <= _POLISH_GATE without a certificate goes to
-# _polish, at the sizes _polish_pays admits.  The gate only picks starting
-# points; it is never evidence for a verdict.
+# _polish; the gate only picks starting points, never evidence for a verdict.
 _POLISH_GATE = 1e-4
-# Polish: at most _POLISH_STEPS Levenberg-Marquardt steps, the first damped
-# by _POLISH_DAMPING ||r||; members go to certify once ||r||_F <=
-# _POLISH_FLOOR, which keeps their weights' sum within 1e-10 of tr rho; a
-# fit whose last _POLISH_WINDOW steps cut ||r|| by less than _POLISH_DROP
-# has stalled and stops.
-_POLISH_STEPS = 80
-_POLISH_DAMPING = 1e-3
-_POLISH_FLOOR = 1e-12
-_POLISH_WINDOW = 8
-_POLISH_DROP = 1.2
-# J J^T has (mn)^4 entries and a step solves it in about (mn)^6 flops: at
-# mn = 20, 1.3 MB and about 10 ms; at 8 x 8, 134 MB and seconds.  Larger
-# systems are not polished.
-_POLISH_MAX_DIM = 20
 
 
 def _descend(u: np.ndarray, kernel: _MemberKernel, max_iters: int,
@@ -346,127 +321,13 @@ def _descend(u: np.ndarray, kernel: _MemberKernel, max_iters: int,
     yield u, f, iters
 
 
-def _product_residual(a: np.ndarray, b: np.ndarray,
-                      rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """The members a_i (x) b_i, r = sum_i v_i v_i^H - rho and ||r||_F."""
-    v = (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
-    r = v.T @ v.conj() - rho
-    return v, r, float(np.linalg.norm(r))
-
-
-def _polish_gram(a: np.ndarray, b: np.ndarray, v: np.ndarray, m: int, n: int) -> np.ndarray:
-    """J J^T of r(a, b) in the real coordinates h = Re Y + Im Y of a Hermitian Y.
-
-    J^T Y is, per member, 2 mat(Y v_i) conj(b_i) for a_i and
-    2 mat(Y v_i)^T conj(a_i) for b_i, so J J^T Y = 2 sum_i (Q_i Y V_i +
-    V_i Y Q_i) with V_i = v_i v_i^H and Q_i = a_i a_i^H (x) I + I (x) b_i b_i^H.
-    On row-major vec that is L = 2 (T + T'), T = sum_i Q_i (x) conj(V_i), T'
-    its conjugate with both index pairs swapped.  The sums over members are
-    two Gram products, of the (k, m d) rows a_ij conj(v_ir) and the (k, n d)
-    rows b_ik conj(v_ir) (d = mn), written onto the diagonals that the
-    identities in Q_i leave; no per-member (d, d) array is formed.  L is
-    complex-linear and commutes with Y -> Y^H, so in the coordinates h, an
-    isometry onto the Hermitian matrices, it is the symmetric d^2 x d^2
-    matrix Re L + (Im L) P, with P transposing the column index pair: each
-    block lands in one of four layouts of the result.
-    """
-    k, d = v.shape
-    vc = v.conj()
-    wa = (a[:, :, None] * vc[:, None, :]).reshape(k, m * d)
-    wb = (b[:, :, None] * vc[:, None, :]).reshape(k, n * d)
-    ga = (wa.T @ wa.conj()).reshape(m, d, m, d)  # (j, r, J, s)
-    gb = (wb.T @ wb.conj()).reshape(n, d, n, d)  # (k, r, K, s)
-    gram = np.zeros((d, d, d, d))
-    size = {"j": m, "k": n, "J": m, "K": n, "r": d, "s": d}
-    # Q_i's row (j, k) and column (J, K); V_i's r and s.  Re T, (Im T) P,
-    # Re T' and (Im T') P = -(Im of T with its pairs swapped) P.
-    for layout, part, sign in (("jkrJKs", "real", 1.0), ("jkrsJK", "imag", 1.0),
-                               ("rjksJK", "real", 1.0), ("rjkJKs", "imag", -1.0)):
-        view = gram.reshape([size[c] for c in layout])
-        np.einsum(layout.replace("K", "k") + "->kjrJs", view)[...] += sign * getattr(ga, part)
-        np.einsum(layout.replace("J", "j") + "->jkrKs", view)[...] += sign * getattr(gb, part)
-    gram = gram.reshape(d * d, d * d)
-    gram *= 2.0
-    return gram
-
-
-def _polish_stalled(norms: list[float]) -> bool:
-    """Whether the last _POLISH_WINDOW steps cut ||r|| by less than _POLISH_DROP."""
-    return len(norms) > _POLISH_WINDOW and norms[-1 - _POLISH_WINDOW] < _POLISH_DROP * norms[-1]
-
-
-def _polish_pays(k: int, l: int, m: int, n: int) -> bool:
-    """Whether a fit of k product members to a rank-l m x n state is tried.
-
-    At k = l, only where the members' real parameters, 2(m + n - 1) each
-    once the scale between a_i and b_i is fixed, outnumber the l^2 real
-    equations of a Hermitian operator on range(rho); at k = 2l, only at
-    full rank; and only up to mn = _POLISH_MAX_DIM.  The other sizes were
-    measured not to pay: no fit certified at k > 2l, nor at k = 2l below
-    full rank (see CHANGES.md).  At full rank up to mn = _POLISH_MAX_DIM,
-    _k_schedule walks only the sizes admitted here.
-    """
-    if m * n > _POLISH_MAX_DIM:
-        return False
-    if k == l:
-        return 2 * k * (m + n - 1) > l * l
-    return k == 2 * l == 2 * m * n
-
-
-def _polish(z: np.ndarray, rho: np.ndarray, m: int, n: int) -> np.ndarray | None:
-    """Members a_i (x) b_i that rebuild rho within _POLISH_FLOOR, fitted from z; else None.
-
-    Each member z_i is snapped to its leading product sqrt(s1) alpha_i (x)
-    sqrt(s1) beta_i (product_svd), then Levenberg-Marquardt runs on
-    r = sum_i v_i v_i^H - rho over the complex a_i and b_i, with the
-    damped minimum-norm step -J^T (J J^T + lambda I)^-1 r in the real
-    coordinates of _polish_gram: J J^T is d^2 x d^2 for d = mn, whatever
-    the number of members.  lambda = mu ||r||; mu halves after a step that
-    lowers ||r|| and quadruples after one that does not, which reuses J J^T.
-    Stops at _POLISH_FLOOR, after _POLISH_STEPS steps, or once
-    _polish_stalled.  The members still go through certify.
-    """
-    alphas, s, betas = product_svd(z, m, n)
-    root = np.sqrt(s[:, :1])
-    a, b = root * alphas, root * betas
-    d = m * n
-    v, r, norm = _product_residual(a, b, rho)
-    norms = [norm]
-    mu, gram = _POLISH_DAMPING, None
-    for _ in range(_POLISH_STEPS):
-        if norm <= _POLISH_FLOOR:
-            return v
-        if _polish_stalled(norms):
-            return None
-        if gram is None:
-            gram = _polish_gram(a, b, v, m, n)
-        try:
-            h = np.linalg.solve(gram + mu * norm * np.eye(d * d), (r.real + r.imag).ravel())
-        except np.linalg.LinAlgError:  # singular to working precision
-            return None
-        h = h.reshape(d, d)
-        yv = (v @ ((h + h.T) / 2.0 - 0.5j * (h - h.T))).reshape(-1, m, n)  # rows Y v_i
-        a_try = a - 2.0 * np.einsum("ijk,ik->ij", yv, b.conj())
-        b_try = b - 2.0 * np.einsum("ijk,ij->ik", yv, a.conj())
-        v_try, r_try, norm_try = _product_residual(a_try, b_try, rho)
-        if norm_try < norm:
-            a, b, v, r, norm = a_try, b_try, v_try, r_try, norm_try
-            mu, gram = mu / 2.0, None
-        else:
-            mu *= 4.0
-        norms.append(norm)
-    return v if norm <= _POLISH_FLOOR else None
-
 
 def _k_schedule(l: int, range_dim: int, dim_bound: int, m: int, n: int) -> list[int]:
     """l, 2l, 4l, ... capped at max(l, range_dim), for a rank-l m x n state.
 
     Empty when dim_bound, dim V counted beyond RANGE_MARGIN
     (decompose._range), is below l: then no decomposition exists.  At
-    full rank (l = mn) up to mn = _POLISH_MAX_DIM, only the sizes
-    _polish_pays admits: there the anchored F also vanishes on members
-    that are not products, so a size without a fit was measured to end
-    only in rejected extractions.
+    full rank (l = mn), only the sizes with a fit (see the products module).
     """
     if dim_bound < l:
         return []
@@ -474,7 +335,7 @@ def _k_schedule(l: int, range_dim: int, dim_bound: int, m: int, n: int) -> list[
     ks = [l]
     while ks[-1] < cap:
         ks.append(min(2 * ks[-1], cap))
-    if l == m * n <= _POLISH_MAX_DIM:
+    if l == m * n and _polish_pays(2 * l, l, m, n):
         ks = [k for k in ks if _polish_pays(k, l, m, n)]
     return ks
 
@@ -489,15 +350,11 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
     extraction is attempted on every restart that ends at F <=
     _TOL_RESIDUAL, and the first one that yields a checked certificate
     ends the search; the others are counted as rejected extractions.  A
-    restart that ends at F <= _POLISH_GATE without one is polished, at the
-    sizes _polish_pays admits.  On a full-rank state (l = mn) such a
-    restart's descent also pauses where it first reaches _POLISH_GATE:
-    the same extraction and polish run on that point, a certificate ends
-    the search there, and otherwise the descent resumes to its end.  A
-    polished certificate is reported with its own point (SearchReport).  With
-    no pairs (a one-dimensional factor) the eigen-ensemble (u = I) is the
-    certificate.  Raises ValueError when a budget field is not an integer,
-    restarts or max_iters is below 1 or seed is negative.
+    restart that ends at F <= _POLISH_GATE without one is polished where
+    _polish_pays admits, at full rank also at its pause (see the module
+    docstring).  With no pairs (a one-dimensional factor) the eigen-ensemble
+    (u = I) is the certificate.  Raises ValueError when a budget field is
+    not an integer, restarts or max_iters is below 1 or seed is negative.
     """
     cfg = config or SearchConfig()
     _check_counts(**vars(cfg))

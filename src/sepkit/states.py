@@ -58,6 +58,8 @@ RECON_TOL = 1e-8      # a mixture rebuilds rho when ||mixture - rho||_F <= it
 
 def _check_dims(m: int, n: int) -> None:
     try:
+        if isinstance(m, bool) or isinstance(n, bool):  # True is an int, not a dimension
+            raise TypeError
         if operator.index(m) < 1 or operator.index(n) < 1:
             raise ValueError(f"dims must be positive, got ({m}, {n})")
     except TypeError:
@@ -65,9 +67,11 @@ def _check_dims(m: int, n: int) -> None:
 
 
 def _check_counts(**counts) -> None:
-    """Every count must be an integer, and a seed non-negative."""
+    """Every count must be an integer, not a bool, and a seed non-negative."""
     for name, value in counts.items():
         try:
+            if isinstance(value, bool):
+                raise TypeError
             operator.index(value)
         except TypeError:
             raise ValueError(f"{name} must be an integer, got {value!r}") from None

@@ -347,6 +347,17 @@ def test_bad_inputs(tmp_path):
     assert run(["nonsense"])[0] == 64
 
 
+def test_a_leading_byte_order_mark_is_not_data(tmp_path):
+    """A state file saved with a UTF-8 BOM classifies exactly like the same
+    file without one; parse_state itself still refuses the BOM."""
+    plain = gen(tmp_path, "separable", "--m", "2", "--n", "3", "--terms", "4")
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert run(["classify", marked, "--json"]) == run(["classify", plain, "--json"])
+    with pytest.raises(sk.StateFormatError, match="expected 'dims m n'"):
+        sk.parse_state(marked.read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("command", ["classify", "search"])
 @pytest.mark.parametrize("flag", ["--restarts", "--max-iters"])
 def test_budget_flags_must_be_positive(tmp_path, capsys, command, flag):

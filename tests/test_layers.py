@@ -9,7 +9,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "sepkit"
 # classify runs the pair criterion, the closed forms and the search, so
 # criterion sits above decompose and search; the package's __init__
 # re-exports them all and is not part of the chain.
-ORDER = ("states", "linalg", "pairs", "decompose", "search", "criterion", "cli")
+ORDER = ("states", "linalg", "pairs", "products", "decompose", "search", "criterion",
+         "cli")
 
 
 def sepkit_imports(node: ast.AST) -> set[str]:

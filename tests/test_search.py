@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import sepkit as sk
+import sepkit.products as products_module
 import sepkit.search as search_module
 from sepkit.criterion import pair_reports
 from sepkit.linalg import random_orthonormal_columns, reorthonormalize, scaled_eigvecs
@@ -249,7 +250,7 @@ def test_schedule_doubles_from_the_rank_up_to_dim_v(monkeypatch, rho, schedule):
     assert seen == [schedule]
     if report.range_dim < l:
         last = []
-    elif l == rho.dim <= search_module._POLISH_MAX_DIM:
+    elif l == rho.dim <= products_module._POLISH_MAX_DIM:
         last = [2 * l]
     else:
         last = [max(l, report.range_dim)]
@@ -546,34 +547,6 @@ def test_minimize_counts_rejected_extractions(monkeypatch):
     assert report.best_residual <= 1e-10
     with pytest.raises(CertificateError):
         extract_certificate(report.best_u, scaled_eigvecs(rho), 2, 3)
-
-
-def test_polish_gram_is_j_jt_of_the_residual():
-    """_polish_gram equals J J^T of r(a, b) = sum_i (a_i x b_i)(a_i x b_i)^H
-    - rho, with J taken by central differences over the real and
-    imaginary parts of every a_i and b_i, in the coordinates Re Y + Im Y."""
-    rng = np.random.default_rng(4)
-    m, n, k = 2, 3, 3
-    a = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
-    b = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
-
-    def coords(a, b):
-        v = (a[:, :, None] * b[:, None, :]).reshape(k, -1)
-        s = v.T @ v.conj()
-        return (s.real + s.imag).ravel()
-
-    columns = []
-    for which, shape in ((0, a.shape), (1, b.shape)):
-        for idx in np.ndindex(*shape):
-            for unit in (1.0, 1j):
-                step = [np.zeros_like(a), np.zeros_like(b)]
-                step[which][idx] = 1e-6 * unit
-                columns.append((coords(a + step[0], b + step[1])
-                                - coords(a - step[0], b - step[1])) / 2e-6)
-    jac = np.array(columns).T
-    v = (a[:, :, None] * b[:, None, :]).reshape(k, -1)
-    np.testing.assert_allclose(search_module._polish_gram(a, b, v, m, n), jac @ jac.T,
-                               rtol=1e-6, atol=1e-6 * np.abs(jac @ jac.T).max())
 
 
 FULL_RANK = [sk.random_separable(m, n, m * n + 2, seed)

@@ -159,7 +159,10 @@ def test_dims_must_be_integers():
                  lambda: sk.density_matrix(2, "2", np.eye(4) / 4),
                  lambda: sk.random_separable(2.5, 2, 3, 0),
                  lambda: sk.random_density(2, 1.5),
-                 lambda: sk.isotropic(2.5, 0.5)):
+                 lambda: sk.isotropic(2.5, 0.5),
+                 lambda: sk.density_matrix(True, 2, np.eye(2) / 2),
+                 lambda: sk.random_separable(2, True, 3, 0),
+                 lambda: sk.random_density(False, 2)):
         with pytest.raises(ValueError, match="dims must be integers"):
             make()
     for make, name in ((lambda: sk.random_separable(2, 3, 2.5, seed=0), "terms"),
@@ -167,6 +170,12 @@ def test_dims_must_be_integers():
                        (lambda: sk.random_separable(2, 3, 2, seed=2.5), "seed"),
                        (lambda: sk.random_density(2, 3, seed=2.5), "seed")):
         with pytest.raises(ValueError, match=f"{name} must be an integer, got 2.5"):
+            make()
+    # True is an int to operator.index, but not a dimension or a count.
+    for make, name in ((lambda: sk.random_separable(2, 2, True, 0), "terms"),
+                       (lambda: sk.random_density(2, 2, True), "rank"),
+                       (lambda: sk.random_density(2, 2, seed=True), "seed")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got True"):
             make()
     for make in (lambda: sk.random_density(2, 2, seed=-1),
                  lambda: sk.random_separable(2, 2, 3, -1)):

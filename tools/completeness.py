@@ -15,10 +15,12 @@ through ``minimize`` alone, both at the budget given by ``--restarts``
 and ``--max-iters``.
 
 One line per state gives its rank l, dim V (``SearchReport.range_dim``),
-whether each route certified, and the search's k and iterations; then
-the certified counts and total search iterations per shape, below full
-rank (``below``), at full rank (``full``) and overall (``all``).  The
-floors apply to the overall counts.
+whether each route certified, and the search's k, iterations, product
+fits (``polish_attempts``) and rejected extractions; then the certified
+counts, total search iterations, and ``minimize``'s total fits and
+rejected extractions per shape, below full rank (``below``), at full
+rank (``full``) and overall (``all``).  The floors apply to the overall
+counts.
 Every certificate is re-checked with ``check_certificate``.  The exit
 code is 1 when a count falls below its ``--min-*`` floor, else 0.
 
@@ -77,26 +79,31 @@ def main(argv=None) -> int:
     cfg = sk.SearchConfig(restarts=args.restarts, max_iters=args.max_iters)
 
     start = time.perf_counter()
-    # row label -> [states, classify, minimize, classify iters, minimize iters]
+    # row label -> [states, classify, minimize, classify iters, minimize iters,
+    #               minimize fits, minimize rejected extractions]
     totals = {}
-    print("shape terms seed  l dimV classify minimize  k iters")
+    print("shape terms seed  l dimV classify minimize  k iters polish rejected")
     for m, n, terms, seed, l, classified, searched in sweep(cfg):
         counts = (1, classified.certificate is not None, searched.certificate is not None,
                   classified.search.iterations_used if classified.search else 0,
-                  searched.iterations_used)
+                  searched.iterations_used, searched.polish_attempts,
+                  searched.rejected_extractions)
         for label in (f"{m}x{n}", "full" if terms >= m * n else "below", "all"):
-            row = totals.setdefault(label, [0, 0, 0, 0, 0])
+            row = totals.setdefault(label, [0] * len(counts))
             row[:] = [a + b for a, b in zip(row, counts)]
         print(f"{m}x{n} {terms:5d} {seed:4d} {l:2d} {searched.range_dim:4d} "
               f"{'yes' if classified.certificate is not None else 'no':>8} "
               f"{'yes' if searched.certificate is not None else 'no':>8} "
-              f"{searched.k:3d} {searched.iterations_used:5d}")
+              f"{searched.k:3d} {searched.iterations_used:5d} "
+              f"{searched.polish_attempts:6d} {searched.rejected_extractions:8d}")
 
     print(f"\nbudget: restarts={cfg.restarts} max_iters={cfg.max_iters}")
-    print("shape states classify minimize classify_iters minimize_iters")
+    print("shape states classify minimize classify_iters minimize_iters "
+          "minimize_polish minimize_rejected")
     for label in [f"{m}x{n}" for m, n in SHAPES] + ["below", "full", "all"]:
         row = totals[label]
-        print(f"{label} {row[0]:6d} {row[1]:8d} {row[2]:8d} {row[3]:14d} {row[4]:14d}")
+        print(f"{label} {row[0]:6d} {row[1]:8d} {row[2]:8d} {row[3]:14d} {row[4]:14d} "
+              f"{row[5]:15d} {row[6]:17d}")
     print(f"wall time: {time.perf_counter() - start:.1f} s")
 
     failed = False
