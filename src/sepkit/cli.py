@@ -89,23 +89,38 @@ def _pair_rows(reports) -> list[dict]:
              "a_value": float(rep.a_value)} for rep in reports]
 
 
+def _pair_line(i: int, rep) -> str:
+    lam = " ".join(f"{v:.12g}" for v in rep.lambdas)
+    return f"pair {i} (p={rep.pair.p}, q={rep.pair.q}): a = {rep.a_value:.12g}  lambdas = {lam}"
+
+
+# Each SearchReport counter once, in --json order: (attribute, JSON key, human label).
+_SEARCH_COUNTERS = (
+    ("k", "k", "k"),
+    ("restarts_used", "restarts", "restarts"),
+    ("iterations_used", "iterations", "iterations"),
+    ("rejected_extractions", "rejected_extractions", "rejected extractions"),
+    ("polish_attempts", "polish_attempts", "polish attempts"),
+    ("range_dim", "range_dim", "dim V"),
+)
+
+
 def _search_row(report) -> dict | None:
     """The search's JSON fields; the residual is null when no size was walked."""
     if report is None:
         return None
     residual = float(report.best_residual)
-    return {"best_residual": residual if np.isfinite(residual) else None, "k": int(report.k),
-            "restarts": int(report.restarts_used),
-            "iterations": int(report.iterations_used),
-            "rejected_extractions": int(report.rejected_extractions),
-            "polish_attempts": int(report.polish_attempts),
-            "range_dim": int(report.range_dim)}
+    return {"best_residual": residual if np.isfinite(residual) else None,
+            **{key: int(getattr(report, attr)) for attr, key, _ in _SEARCH_COUNTERS}}
 
 
-def _no_walk(report) -> str:
-    """The human line of a search that walked no size (k = 0); best_u is (0, l)."""
-    return (f"no size searched: dim V = {report.range_dim} is below "
-            f"the rank {report.best_u.shape[1]}")
+def _search_line(report) -> str:
+    """The search's human line; one that walked no size (best_u is (0, l)) says why."""
+    if not np.isfinite(report.best_residual):
+        return (f"no size searched: dim V = {report.range_dim} is below "
+                f"the rank {report.best_u.shape[1]}")
+    counts = ", ".join(f"{label}={getattr(report, attr)}" for attr, _, label in _SEARCH_COUNTERS)
+    return f"best residual {report.best_residual:.6g} ({counts})"
 
 
 def _certificate_row(cert) -> dict | None:
@@ -113,6 +128,11 @@ def _certificate_row(cert) -> dict | None:
         return None
     return {"terms": int(cert.weights.shape[0]),
             "weights": [float(w) for w in cert.weights]}
+
+
+def _certificate_line(cert) -> str:
+    terms = "none" if cert is None else f"{cert.weights.shape[0]} product terms"
+    return f"certificate: {terms}"
 
 
 _INT = {"type": int, "required": True}
@@ -178,26 +198,13 @@ def _cmd_classify(args) -> _Result:
         "certificate": _certificate_row(report.certificate),
     }
     human = [f"verdict: {report.verdict.value}"]
-    if report.entangling_pair is not None:
-        rep = report.pairs[report.entangling_pair - 1]
-        human.append(f"entangling pair {report.entangling_pair} "
-                     f"(p={rep.pair.p}, q={rep.pair.q}): a = {rep.a_value:.12g}")
+    if (r := report.entangling_pair) is not None:
+        human.append(f"entangling {_pair_line(r, report.pairs[r - 1])}")
     human.append(f"ppt min eigenvalue: {report.ppt_min_eigenvalue:.12g}")
-    for i, rep in enumerate(report.pairs, start=1):
-        lam = " ".join(f"{v:.12g}" for v in rep.lambdas)
-        human.append(f"pair {i} (p={rep.pair.p}, q={rep.pair.q}): a = {rep.a_value:.12g}  "
-                     f"lambdas = {lam}")
-    if report.search is not None and report.search.k == 0:
-        human.append(f"search: {_no_walk(report.search)}")
-    elif report.search is not None:
-        human.append(f"search: best residual {report.search.best_residual:.6g} "
-                     f"(k={report.search.k}, dim V={report.search.range_dim}, "
-                     f"restarts={report.search.restarts_used}, "
-                     f"iterations={report.search.iterations_used}, "
-                     f"rejected extractions={report.search.rejected_extractions}, "
-                     f"polish attempts={report.search.polish_attempts})")
-    if report.certificate is not None:
-        human.append(f"certificate: {report.certificate.weights.shape[0]} product terms")
+    human += [_pair_line(i, rep) for i, rep in enumerate(report.pairs, start=1)]
+    if report.search is not None:
+        human.append(f"search: {_search_line(report.search)}")
+    human.append(_certificate_line(report.certificate))
     return payload, human, _VERDICT_EXIT.get(report.verdict, EXIT_ENTANGLED)
 
 
@@ -209,10 +216,7 @@ def _cmd_spectrum(args) -> _Result:
     if args.json:
         payload["taus"] = [[_re_im(z) for z in tau.reshape(-1)]
                            for tau in search.pair_taus(x, rho.m, rho.n)]
-    human = ["pair  p  q  a_value        lambdas"]
-    for i, rep in enumerate(reports, start=1):
-        lam = " ".join(f"{v:.12g}" for v in rep.lambdas)
-        human.append(f"{i:<5d} {rep.pair.p:<2d} {rep.pair.q:<2d} {rep.a_value:<14.6g} {lam}")
+    human = [_pair_line(i, rep) for i, rep in enumerate(reports, start=1)]
     entangled = criterion._pair_criterion(rho, x, reports, None, None) is not None
     return payload, human, EXIT_ENTANGLED if entangled else EXIT_INCONCLUSIVE
 
@@ -266,15 +270,7 @@ def _cmd_decompose(args) -> _Result:
 def _cmd_search(args) -> _Result:
     report = search.minimize(args.rho, _search_config(args))
     payload = {**_search_row(report), "certificate": _certificate_row(report.certificate)}
-    human = [
-        _no_walk(report) if report.k == 0 else f"best residual: {report.best_residual:.6g}",
-        f"k: {report.k}  dim V: {report.range_dim}  restarts: {report.restarts_used}"
-        f"  iterations: {report.iterations_used}"
-        f"  rejected extractions: {report.rejected_extractions}"
-        f"  polish attempts: {report.polish_attempts}",
-        ("certificate: " + (f"{report.certificate.weights.shape[0]} product terms"
-                            if report.certificate else "none")),
-    ]
+    human = [_search_line(report), _certificate_line(report.certificate)]
     return payload, human, EXIT_SEPARABLE if report.certificate is not None else EXIT_INCONCLUSIVE
 
 

@@ -200,7 +200,16 @@ _ROUTES = (
 
 
 def classify(rho: DensityMatrix, config: ClassifyConfig | None = None) -> ClassificationReport:
-    """Report the first route of _ROUTES to decide, with the pair spectra and PPT minimum."""
+    """Report the first route of _ROUTES to decide, with the pair spectra and PPT minimum.
+
+    Raises ValueError, before any route runs, when config is not a
+    ClassifyConfig or its search is not a SearchConfig.
+    """
+    if not isinstance(config, ClassifyConfig | None):
+        raise ValueError(f"config must be a ClassifyConfig, got {type(config).__name__}")
+    if config is not None and not isinstance(config.search, SearchConfig | None):
+        raise ValueError(f"config.search must be a SearchConfig, "
+                         f"got {type(config.search).__name__}")
     x = scaled_eigvecs(rho)
     ppt_min = ppt_min_eigenvalue(rho)
     reports = pair_reports(x, rho.m, rho.n)

@@ -353,9 +353,12 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
     restart that ends at F <= _POLISH_GATE without one is polished where
     _polish_pays admits, at full rank also at its pause (see the module
     docstring).  With no pairs (a one-dimensional factor) the eigen-ensemble
-    (u = I) is the certificate.  Raises ValueError when a budget field is
-    not an integer, restarts or max_iters is below 1 or seed is negative.
+    (u = I) is the certificate.  Raises ValueError when config is not a
+    SearchConfig, a budget field is not an integer, restarts or max_iters
+    is below 1 or seed is negative.
     """
+    if not isinstance(config, SearchConfig | None):
+        raise ValueError(f"config must be a SearchConfig, got {type(config).__name__}")
     cfg = config or SearchConfig()
     _check_counts(**vars(cfg))
     if cfg.restarts < 1 or cfg.max_iters < 1:

@@ -9,6 +9,7 @@ import pytest
 
 import sepkit as sk
 from sepkit.cli import run_cli
+from test_golden import BUDGET as GOLDEN_BUDGET, STATES as GOLDEN_STATES
 
 CONSTRAINTS_2X4 = """pair 1: 2 2
 2 4 1 0
@@ -253,7 +254,8 @@ def test_classify_exit_code_follows_the_verdict(tmp_path, monkeypatch, verdict, 
     report = sk.ClassificationReport(verdict=verdict, ppt_min_eigenvalue=0.0, pairs=[])
     monkeypatch.setattr(sk.criterion, "classify", lambda *args, **kwargs: report)
     assert run(["classify", path]) == (code, f"verdict: {verdict.value}\n"
-                                             "ppt min eigenvalue: 0\n", "")
+                                             "ppt min eigenvalue: 0\n"
+                                             "certificate: none\n", "")
 
 
 @pytest.mark.parametrize("flags, spectrum, ppt", [
@@ -434,8 +436,8 @@ def test_one_factor_states_have_no_pairs(tmp_path):
 
 
 def test_search_reports_rejected_extractions(tmp_path):
-    """Both payloads and both human summaries carry the rejected count and
-    the polish count.
+    """Both payloads and the human search line of both commands carry the
+    rejected count and the polish count.
 
     The state is a 2 x 3 mixture of 10 terms padded onto a 2 x 4 system,
     a shape outside ppt_subtraction_decomposition's, so the search runs.
@@ -455,21 +457,52 @@ def test_search_reports_rejected_extractions(tmp_path):
         assert searched[key] == classified["search"][key]
     assert searched["rejected_extractions"] == searched["polish_attempts"] == 1
     assert searched["restarts"] == 1
-    assert "rejected extractions: 1  polish attempts: 1" in run(["search", path, *flags])[1]
-    assert "rejected extractions=1, polish attempts=1)" in run(["classify", path, *flags])[1]
+    for command in ("search", "classify"):
+        out = run([command, path, *flags])[1]
+        assert "rejected extractions=1, polish attempts=1, dim V=" in out
 
 
 def test_search_reports_the_range_dim_that_caps_k(tmp_path):
-    """Both payloads and both human summaries carry dim V: bound_2x4 has
-    rank 5 and dim V = 9, so the walk is 5, 9 and stops at k = 5."""
+    """Both payloads and the human search line of both commands carry dim V:
+    bound_2x4 has rank 5 and dim V = 9, so the walk is 5, 9 and stops at k = 5."""
     path = gen(tmp_path, "bound_2x4")
     flags = ["--restarts", "1", "--max-iters", "200"]
     searched = json.loads(run(["search", path, "--json", *flags])[1])
     classified = json.loads(run(["classify", path, "--json", *flags])[1])
     for row in (searched, classified["search"]):
         assert (row["k"], row["range_dim"]) == (5, 9)
-    assert "k: 5  dim V: 9  restarts: 1" in run(["search", path, *flags])[1]
-    assert "(k=5, dim V=9, restarts=1," in run(["classify", path, *flags])[1]
+    for command in ("search", "classify"):
+        out = run([command, path, *flags])[1]
+        assert "(k=5, restarts=1, iterations=" in out and "dim V=9)" in out
+
+
+def test_classify_prints_the_search_line_of_search(tmp_path):
+    """On every golden state whose classify runs the search, classify's
+    search line without its prefix is search's first line, and both end
+    with the same certificate line."""
+    searched_states = []
+    for name, (gen_args, flags) in GOLDEN_STATES.items():
+        path = gen(tmp_path, *gen_args)
+        classified = run(["classify", path, *flags, *GOLDEN_BUDGET])[1].splitlines()
+        searched = run(["search", path, *GOLDEN_BUDGET])[1].splitlines()
+        lines = [line for line in classified if line.startswith("search: ")]
+        if lines:
+            searched_states.append(name)
+            assert lines == [f"search: {searched[0]}"]
+            assert classified[-1] == searched[-1]
+        assert len(searched) == 2 and searched[-1].startswith("certificate: ")
+    assert searched_states == ["bound_2x4", "horodecki"]
+
+
+def test_spectrum_prints_the_pair_lines_of_classify(tmp_path):
+    """spectrum's lines are classify's pair lines, and classify names the
+    entangling pair by its own pair line."""
+    for state in (gen(tmp_path, "bell"), gen(tmp_path, "bound_2x4")):
+        classified = run(["classify", state])[1].splitlines()
+        spectrum = run(["spectrum", state])[1].splitlines()
+        assert spectrum == [line for line in classified if line.startswith("pair ")]
+    bell = run(["classify", tmp_path / "bell.txt"])[1].splitlines()
+    assert bell[1] == f"entangling {bell[3]}" and bell[3].startswith("pair 1 (p=2, q=2): a = ")
 
 
 def _strict_json(text: str):

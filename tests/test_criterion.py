@@ -438,6 +438,21 @@ def test_classify_falls_through_to_the_search(rho, search):
     assert found.best_u.tobytes() == alone.best_u.tobytes()
 
 
+@pytest.mark.parametrize("rho", [sk.werner_2x2(0.2), sk.random_separable(3, 4, 12, seed=1)],
+                         ids=["closed_form", "search"])
+@pytest.mark.parametrize("config, message", [
+    (SearchConfig(restarts=1, max_iters=200), "config must be a ClassifyConfig, got SearchConfig"),
+    (ClassifyConfig(search=ClassifyConfig()),
+     "config.search must be a SearchConfig, got ClassifyConfig"),
+], ids=["search_config", "nested_classify_config"])
+def test_classify_rejects_a_config_of_another_type(rho, config, message):
+    """A ValueError naming the expected type, whichever route would decide
+    the state: Werner is certified in closed form, where a wrong config
+    was once ignored, and the full-rank 3 x 4 state reaches the search."""
+    with pytest.raises(ValueError, match=message):
+        sk.classify(rho, config)
+
+
 @pytest.mark.parametrize("make", [sk.tiles, sk.bound_2x4], ids=["tiles", "bound_2x4"])
 def test_classify_computes_the_range_space_once(monkeypatch, make):
     """range_decomposition refuses both states (dim V = 1 and 9, against

@@ -278,6 +278,38 @@ def test_full_rank_failure_stops_after_the_fitted_sizes():
     assert report.search.iterations_used <= 400
 
 
+def symmetric_mixture(terms: int, seed: int) -> sk.DensityMatrix:
+    """A 2 x 2 mixture of products |aa>: Dirichlet weights, each a a
+    normalised complex Gaussian, drawn in that order."""
+    rng = np.random.default_rng(seed)
+    mat = np.zeros((4, 4), dtype=complex)
+    for w in rng.dirichlet(np.ones(terms)):
+        a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        a /= np.linalg.norm(a)
+        psi = np.kron(a, a)
+        mat += w * np.outer(psi, psi.conj())
+    return sk.density_matrix(2, 2, mat)
+
+
+@pytest.mark.parametrize("terms, seed", [(4, 2), (6, 1), (6, 2), (6, 3)])
+def test_the_walk_certifies_above_the_rank(terms, seed):
+    """A 2 x 2 mixture of |aa> lies in the symmetric subspace: rank l = 3,
+    below full rank, with dim V = 9, so the walk is 3, 6, 9.  At the budget
+    the k = 3 restart ends without a certificate and the k = 6 = 2l one
+    certifies: a walk cut to k = l would lose these states.  classify
+    certifies them in closed form, by the single-pair route."""
+    rho = symmetric_mixture(terms, seed)
+    cfg = SearchConfig(restarts=1, max_iters=200)
+    report = minimize(rho, cfg)
+    assert (scaled_eigvecs(rho).count, report.range_dim) == (3, 9)
+    assert (report.k, report.restarts_used) == (6, 2)
+    check_certificate(report.certificate, rho.matrix)
+    classified = sk.classify(rho, sk.ClassifyConfig(search=cfg))
+    assert classified.verdict is sk.Verdict.SEPARABLE_CERTIFIED
+    assert classified.search is None
+    check_certificate(classified.certificate, rho.matrix)
+
+
 @pytest.mark.parametrize("rho, restarts, iterations, k_max", [
     (sk.horodecki_2x4(0.5), 0, 0, 5),
     (sk.tiles(), 0, 0, 4),
@@ -322,6 +354,12 @@ def test_minimize_rejects_a_negative_seed_up_front(monkeypatch):
     monkeypatch.setattr(search_module, "_member_kernel", no_kernel)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         minimize(sk.werner_2x2(0.2), SearchConfig(seed=-1))
+
+
+def test_minimize_rejects_a_config_of_another_type():
+    """A ClassifyConfig is not a search budget: a ValueError naming the type."""
+    with pytest.raises(ValueError, match="config must be a SearchConfig, got ClassifyConfig"):
+        minimize(sk.werner_2x2(0.2), sk.ClassifyConfig())
 
 
 def test_search_config_holds_only_the_budget():

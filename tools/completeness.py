@@ -14,15 +14,24 @@ Each state goes through ``classify`` (closed forms, then the search) and
 through ``minimize`` alone, both at the budget given by ``--restarts``
 and ``--max-iters``.
 
+Then come 20 mixtures of products |aa> on d x d (``symmetric_mixture``),
+with 4 and 6 terms on 2x2 and 8, 10 and 12 on 3x3, seeds 0-3.  They have
+dim V > l, and their range products form continuous families, so on 3x3
+no closed form applies and only the search can certify them.  They are
+counted apart, under ``sym``, and leave the ``all`` counts and the
+floors untouched.
+
 One line per state gives its rank l, dim V (``SearchReport.range_dim``),
 whether each route certified, and the search's k, iterations, product
 fits (``polish_attempts``) and rejected extractions; then the certified
 counts, total search iterations, and ``minimize``'s total fits and
 rejected extractions per shape, below full rank (``below``), at full
-rank (``full``) and overall (``all``).  The floors apply to the overall
-counts.
+rank (``full``), over the 244 ``random_separable`` states (``all``), and
+per ``sym`` shape and over the 20 ``sym`` states (``sym``).  The floors
+apply to the ``all`` counts.
 Every certificate is re-checked with ``check_certificate``.  The exit
-code is 1 when a count falls below its ``--min-*`` floor, else 0.
+code is 1 when a count falls below its ``--min-*`` floor, 2 for a
+budget below 1 (before any output), else 0.
 
 sepkit is imported from ``src/`` of the checkout this file sits in, and
 BLAS runs on one thread.
@@ -40,37 +49,60 @@ import time  # noqa: E402
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "src"))
 
+import numpy as np  # noqa: E402
+
 import sepkit as sk  # noqa: E402
+from sepkit.cli import _int_at_least  # noqa: E402
 
 SHAPES = ((2, 3), (3, 3), (2, 4), (3, 4), (2, 5), (4, 4))
+SYM_TERMS = ((2, (4, 6)), (3, (8, 10, 12)))  # (d, terms) of the |aa> rows
 SEEDS = range(4)
 
 
+def symmetric_mixture(d: int, terms: int, seed: int) -> sk.DensityMatrix:
+    """A d x d mixture of products |aa>: Dirichlet weights, each a a
+    normalised complex Gaussian, drawn in that order."""
+    rng = np.random.default_rng(seed)
+    mat = np.zeros((d * d, d * d), dtype=complex)
+    for w in rng.dirichlet(np.ones(terms)):
+        a = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        a /= np.linalg.norm(a)
+        psi = np.kron(a, a)
+        mat += w * np.outer(psi, psi.conj())
+    return sk.density_matrix(d, d, mat)
+
+
 def cases():
-    """Yield (m, n, terms, seed): the rows below full rank, then the full-rank rows."""
+    """Yield (labels, terms, seed, state): the random_separable rows below
+    full rank, then the full-rank rows, then the |aa> rows.  labels are the
+    total rows the state counts in, its shape's first."""
     for full_rank in (False, True):
         for m, n in SHAPES:
             for terms in (m * n, m * n + 2) if full_rank else range(2, m * n):
                 for seed in SEEDS:
-                    yield m, n, terms, seed
+                    yield ((f"{m}x{n}", "full" if full_rank else "below", "all"), terms, seed,
+                           sk.random_separable(m, n, terms, seed))
+    for d, sym_terms in SYM_TERMS:
+        for terms in sym_terms:
+            for seed in SEEDS:
+                yield (f"sym{d}x{d}", "sym"), terms, seed, symmetric_mixture(d, terms, seed)
 
 
 def sweep(cfg: sk.SearchConfig):
-    """Yield (m, n, terms, seed, l, classify report, minimize report)."""
-    for m, n, terms, seed in cases():
-        rho = sk.random_separable(m, n, terms, seed)
+    """Yield (labels, terms, seed, l, classify report, minimize report)."""
+    for labels, terms, seed, rho in cases():
         classified = sk.classify(rho, sk.ClassifyConfig(search=cfg))
         searched = sk.minimize(rho, cfg)
         for cert in (classified.certificate, searched.certificate):
             if cert is not None:
                 sk.check_certificate(cert, rho.matrix)
-        yield m, n, terms, seed, sk.scaled_eigvecs(rho).count, classified, searched
+        yield labels, terms, seed, sk.scaled_eigvecs(rho).count, classified, searched
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--restarts", type=int, default=1)
-    parser.add_argument("--max-iters", dest="max_iters", type=int, default=200)
+    parser.add_argument("--restarts", type=_int_at_least(1), default=1)
+    parser.add_argument("--max-iters", dest="max_iters", type=_int_at_least(1), default=200)
     parser.add_argument("--min-classify", dest="min_classify", type=int, default=0,
                         help="fail below this many classify certificates")
     parser.add_argument("--min-minimize", dest="min_minimize", type=int, default=0,
@@ -83,15 +115,15 @@ def main(argv=None) -> int:
     #               minimize fits, minimize rejected extractions]
     totals = {}
     print("shape terms seed  l dimV classify minimize  k iters polish rejected")
-    for m, n, terms, seed, l, classified, searched in sweep(cfg):
+    for labels, terms, seed, l, classified, searched in sweep(cfg):
         counts = (1, classified.certificate is not None, searched.certificate is not None,
                   classified.search.iterations_used if classified.search else 0,
                   searched.iterations_used, searched.polish_attempts,
                   searched.rejected_extractions)
-        for label in (f"{m}x{n}", "full" if terms >= m * n else "below", "all"):
+        for label in labels:
             row = totals.setdefault(label, [0] * len(counts))
             row[:] = [a + b for a, b in zip(row, counts)]
-        print(f"{m}x{n} {terms:5d} {seed:4d} {l:2d} {searched.range_dim:4d} "
+        print(f"{labels[0]} {terms:5d} {seed:4d} {l:2d} {searched.range_dim:4d} "
               f"{'yes' if classified.certificate is not None else 'no':>8} "
               f"{'yes' if searched.certificate is not None else 'no':>8} "
               f"{searched.k:3d} {searched.iterations_used:5d} "
@@ -100,7 +132,8 @@ def main(argv=None) -> int:
     print(f"\nbudget: restarts={cfg.restarts} max_iters={cfg.max_iters}")
     print("shape states classify minimize classify_iters minimize_iters "
           "minimize_polish minimize_rejected")
-    for label in [f"{m}x{n}" for m, n in SHAPES] + ["below", "full", "all"]:
+    for label in ([f"{m}x{n}" for m, n in SHAPES] + ["below", "full", "all"]
+                  + [f"sym{d}x{d}" for d, _ in SYM_TERMS] + ["sym"]):
         row = totals[label]
         print(f"{label} {row[0]:6d} {row[1]:8d} {row[2]:8d} {row[3]:14d} {row[4]:14d} "
               f"{row[5]:15d} {row[6]:17d}")

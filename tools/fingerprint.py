@@ -8,10 +8,10 @@ Each state of the ``screen``, ``certify`` and ``exhaust`` corpora
 (``perfbench/corpus.py``, imported unchanged) goes through
 ``parse_state`` and ``classify`` at the benchmark budget (restarts=1,
 max_iters=200).  One sha256 per workload is printed over every field of
-every report: the verdict and entangling pair; the bytes of the PPT
-minimum; each pair's lambdas, l' and a-value; the certificate's weights,
-alphas and betas; the search's best residual, k, restarts, iterations,
-rejected extractions, ``best_u`` and ``range_dim``.
+every report, found by walking ``dataclasses.fields`` of the
+``ClassificationReport`` and of every dataclass it holds (the pair
+reports, the certificate and the ``SearchReport``): a field added to a
+report is covered without naming it here.
 
 A second sha256 per workload (``verdicts=``) covers only each report's
 verdict, entangling pair and number of certificate terms.  A third
@@ -25,7 +25,7 @@ spectral evidence behind it, is still the parent's bit for bit.
 Two checkouts that print the same lines give byte-identical reports.
 The hashes depend on the BLAS build, so compare them on one host only.
 sepkit is imported from ``src/`` of the checkout this file sits in, and
-BLAS runs on one thread.
+BLAS runs on one thread.  A negative ``--seed`` is a usage error (exit 2).
 """
 
 import os
@@ -34,6 +34,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import dataclasses  # noqa: E402
+import enum  # noqa: E402
 import hashlib  # noqa: E402
 import struct  # noqa: E402
 import sys  # noqa: E402
@@ -46,6 +48,7 @@ import numpy as np  # noqa: E402
 
 import corpus  # noqa: E402
 import sepkit as sk  # noqa: E402
+from sepkit.cli import _int_at_least  # noqa: E402
 
 WORKLOADS = ("screen", "certify", "exhaust")
 BUDGET = sk.SearchConfig(restarts=1, max_iters=200)  # perfbench/run.py's BUDGET
@@ -67,21 +70,27 @@ def _evidence(h, rep: sk.ClassificationReport) -> None:
         _array(h, pr.lambdas)
 
 
-def _report(h, rep: sk.ClassificationReport) -> None:
-    """Feed every field of one report into h."""
-    _evidence(h, rep)
-    cert = rep.certificate
-    h.update(b"cert" if cert is not None else b"-")
-    if cert is not None:
-        for a in (cert.weights, cert.alphas, cert.betas):
-            _array(h, a)
-    s = rep.search
-    h.update(b"search" if s is not None else b"-")
-    if s is not None:
-        h.update(struct.pack("<d", s.best_residual))
-        h.update(repr((s.k, s.restarts_used, s.iterations_used, s.rejected_extractions,
-                       s.range_dim, s.certificate is not None)).encode())
-        _array(h, s.best_u)
+def _report(h, value) -> None:
+    """Feed every field of a report into h: a dataclass field by field, by
+    name; a list item by item; an array or a float by its bytes; an int,
+    None, string or enum member by its repr.  Any other type is refused,
+    since its repr need not be stable."""
+    if dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            h.update(field.name.encode())
+            _report(h, getattr(value, field.name))
+    elif isinstance(value, (list, tuple)):
+        h.update(f"[{len(value)}]".encode())
+        for item in value:
+            _report(h, item)
+    elif isinstance(value, np.ndarray):
+        _array(h, value)
+    elif isinstance(value, float):  # np.float64 too
+        h.update(struct.pack("<d", value))
+    elif isinstance(value, (int, str, enum.Enum, type(None))):
+        h.update(repr(value).encode())
+    else:
+        raise TypeError(f"cannot fingerprint a {type(value).__name__}")
 
 
 def _verdict(h, rep: sk.ClassificationReport) -> None:
@@ -105,7 +114,8 @@ def fingerprint(workload: str, seed: int) -> tuple[str, str, str, int]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=1, help="corpus seed (default 1)")
+    parser.add_argument("--seed", type=_int_at_least(0), default=1,
+                        help="corpus seed (default 1)")
     args = parser.parse_args(argv)
     for workload in WORKLOADS:
         digest, verdicts, evidence, count = fingerprint(workload, args.seed)
