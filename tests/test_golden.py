@@ -32,7 +32,8 @@ W_ONE_BY_THREE = [0.8889452598500943, 0.08981176009410848, 0.021242980055797507]
 W_SEPARABLE = [0.04564996889225684, 0.795545549430943, 0.15880448167679978]
 
 # name: exit, verdict, entangling pair, ppt min, a-values,
-#       search (best residual, k, restarts, iterations, rejected) or None,
+#       search (best residual, k, restarts, iterations, rejected, polish attempts,
+#       dim V) or None,
 #       certificate weights or None
 CLASSIFY = {
     "werner": (0, "SeparableCertified", None, 0.10000000000000003,
@@ -41,26 +42,27 @@ CLASSIFY = {
              [0.9999999999999996], None, None),
     "bound_2x4": (0, "SeparableCertified", None, 0.0,
                   [0.0, -0.2500000000000001, -0.2500000000000001],
-                  (6.502225146782513e-29, 5, 1, 74, 0), W_BOUND),
+                  (6.502225146782513e-29, 5, 1, 74, 0, 0, 9), W_BOUND),
     "separable": (0, "SeparableCertified", None, -1.3425674975420517e-16,
                   [-9.71445146547012e-17, 2.7755575615628914e-16], None, W_SEPARABLE),
     "one_by_three": (0, "SeparableCertified", None, 0.02124298005579765,
                      [], None, W_ONE_BY_THREE),
     "horodecki": (2, "Inconclusive", None, -4.417635812605136e-18,
                   [-0.04994330475368636, -0.22222222222222218, -0.17693893711513908],
-                  (None, 0, 0, 0, 0), None),
+                  (None, 0, 0, 0, 0, 0, 1), None),
 }
 
-# name: exit, (best residual, k, restarts, iterations, rejected), certificate weights or None
+# name: exit, (best residual, k, restarts, iterations, rejected, polish attempts, dim V),
+#       certificate weights or None
 SEARCH = {
-    "werner": (0, (1.0912177528490577e-32, 4, 1, 14, 0),
+    "werner": (0, (1.0912177528490577e-32, 4, 1, 14, 0, 1, 16),
                [0.2500000000001446, 0.2500000000001422, 0.2500000000000477,
                 0.25000000000005373]),
-    "bell": (2, (None, 0, 0, 0, 0), None),
-    "bound_2x4": (0, (6.502225146782513e-29, 5, 1, 74, 0), W_BOUND),
-    "separable": (2, (0.00019579803133573583, 3, 1, 200, 0), None),
-    "one_by_three": (0, (0.0, 3, 0, 0, 0), W_ONE_BY_THREE),
-    "horodecki": (2, (None, 0, 0, 0, 0), None),
+    "bell": (2, (None, 0, 0, 0, 0, 0, 0), None),
+    "bound_2x4": (0, (6.502225146782513e-29, 5, 1, 74, 0, 0, 9), W_BOUND),
+    "separable": (2, (0.00019579803133573583, 3, 1, 200, 0, 0, 3), None),
+    "one_by_three": (0, (0.0, 3, 0, 0, 0, 0, 9), W_ONE_BY_THREE),
+    "horodecki": (2, (None, 0, 0, 0, 0, 0, 1), None),
 }
 
 
@@ -89,7 +91,8 @@ def assert_floats(actual, expected):
 
 
 def search_fields(row):
-    return (row["k"], row["restarts"], row["iterations"], row["rejected_extractions"])
+    return (row["k"], row["restarts"], row["iterations"], row["rejected_extractions"],
+            row["polish_attempts"], row["range_dim"])
 
 
 def assert_certificate(row, weights):
