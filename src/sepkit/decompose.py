@@ -25,8 +25,7 @@ When dim V = l those l projectors span V, so the l-term decomposition is
 unique, and a generic Hermitian element of V, whitened by rho's spectrum,
 has the terms as its eigenvectors.  The pipeline counts dim V from the
 singular values of V's linear system alone; V's basis is built only when
-dim V = l, the one case range_decomposition reads it, or on a
-range_space call.
+dim V = l, the one case range_decomposition reads it.
 
 In 2 x 3 and 3 x 2 every PPT state is separable, so a state the range
 route leaves (full rank, or dim V > l) is decomposed by subtraction
@@ -220,29 +219,31 @@ def single_pair_decomposition(rho: DensityMatrix, pair: PairIndex) -> PureEnsemb
 
 
 def range_space(rho: DensityMatrix) -> tuple[int, np.ndarray | None]:
-    """dim V and a basis of V (see the module docstring) for a rank-l state.
+    """dim V and, when dim V = l, a basis of V (see the module docstring)
+    for a rank-l state.
 
     With E the unit eigenvectors of rho (in scaled_eigvecs' order and
     phases), V is the Hermitian C with X = E C E^H and X^G K = 0, K the
     kernel of rho^G (eigenvalues <= RANK_TOL).  Over complex C the
     conditions X^G K = 0 and K^H X^G = 0 give V's complexification, the
     null space of one linear map; dim V is l^2 minus the map's singular
-    values above RANK_TOL, and the basis is that null space as a
-    (dim V, l, l) stack of C, read-only, whose complex combinations'
-    Hermitian parts span V.  When rho^G has no kernel every Hermitian C
-    lies in V: dim V is l^2, no SVD is taken, and the basis is None.  The
-    basis is also None when the map has fewer than l^2 - l rows, so
-    dim V > l.  The count comes from the singular values alone, once per
-    state (see _range); the basis is built with it only when dim V = l,
-    which is all that range_decomposition reads, and otherwise on each
-    call here, by rebuilding the map.
+    values above RANK_TOL.  When dim V = l, the one case
+    range_decomposition reads, the basis is that null space as an
+    (l, l, l) stack of C, read-only, whose complex combinations'
+    Hermitian parts span V; otherwise it is None.  When rho^G has no
+    kernel every Hermitian C lies in V: dim V is l^2 and no SVD is taken.
+    Computed once per state (see _range).
     """
-    dim, _, rows, basis = _range(rho)
-    x = scaled_eigvecs(rho)
-    l = x.count
-    if basis is None and rows and rows >= l * l - l:
-        basis = _null_space(_range_system(rho, x)[0], dim, l)
+    dim, _, _, basis = _range(rho)
     return dim, basis
+
+
+def _spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """eigh of the Hermitian h, ascending, and how many eigenvalues (the
+    first ones) are at most RANK_TOL: the columns of v before it span the
+    kernel, the rest the range."""
+    w, v = np.linalg.eigh(h)
+    return w, v, int(np.count_nonzero(w <= RANK_TOL))
 
 
 def _range(rho: DensityMatrix) -> tuple[int, int, int, np.ndarray | None]:
@@ -257,62 +258,37 @@ def _range(rho: DensityMatrix) -> tuple[int, int, int, np.ndarray | None]:
     basis is None unless dim V = l.  Computed once per state and kept in
     rho's _range slot; the map itself is not kept.
     """
-    if rho._range is None:
-        object.__setattr__(rho, "_range", _solve_range(rho))
-    return rho._range
-
-
-def _spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """eigh of the Hermitian h, ascending, and how many eigenvalues (the
-    first ones) are at most RANK_TOL: the columns of v before it span the
-    kernel, the rest the range."""
-    w, v = np.linalg.eigh(h)
-    return w, v, int(np.count_nonzero(w <= RANK_TOL))
-
-
-def _range_system(rho: DensityMatrix, x: ScaledEigvecs) -> tuple[np.ndarray, float] | None:
-    """range_space's map as a (rows, l^2) matrix and the margin its robust
-    count uses, or None when rho^G has no kernel; x is rho's basis."""
+    if rho._range is not None:
+        return rho._range
+    x = scaled_eigvecs(rho)
     l, m, n = x.count, rho.m, rho.n
     w, v, zero = _spectrum(partial_transpose(rho))
     if not zero:
-        return None
+        object.__setattr__(rho, "_range", (l * l, l * l, 0, None))
+        return rho._range
     kernel = v[:, :zero].T.reshape(-1, m, n)
     # A kernel eigenvalue w_s leaves a product term of weight t an overlap
     # up to sqrt(w_s / t) with its eigenvector.  Unless that stays below
     # RANGE_MARGIN for t, rho's least eigenvalue, no count is robust.
-    clear = max(w[zero - 1], 0.0) <= RANGE_MARGIN ** 2 * x.values[-1]
+    margin = RANGE_MARGIN if max(w[zero - 1], 0.0) <= RANGE_MARGIN ** 2 * x.values[-1] else np.inf
     e = (x.vectors / np.sqrt(x.values)[:, None]).reshape(l, m, n)
     # As m x n matrices, (e_j e_k^H)^G K_s is E_j K_s^T conj(E_k), and
     # K_s^H (e_j e_k^H)^G is the conjugate of its (k, j) entry.
     ek = e[:, None] @ kernel.swapaxes(1, 2)[None]
     a = (ek[:, None] @ e.conj()[None, :, None]).reshape(l, l, -1)
     a = np.concatenate([a, a.swapaxes(0, 1).conj()], axis=2).reshape(l * l, -1).T
-    return a, RANGE_MARGIN if clear else np.inf
-
-
-def _null_space(a: np.ndarray, dim: int, l: int) -> np.ndarray:
-    """The last dim right singular vectors of the (rows, l^2) map a,
-    conjugated, as a read-only (dim, l, l) stack; a has at least l^2 - l
-    rows.  vh's rows past the rank span the null space of c -> a @ c; a
-    wide a needs the full SVD for them."""
-    _, _, vh = np.linalg.svd(a, full_matrices=a.shape[0] < l * l)
-    basis = vh[l * l - dim:].conj().reshape(dim, l, l)
-    basis.flags.writeable = False
-    return basis
-
-
-def _solve_range(rho: DensityMatrix) -> tuple[int, int, int, np.ndarray | None]:
-    x = scaled_eigvecs(rho)
-    l = x.count
-    system = _range_system(rho, x)
-    if system is None:
-        return l * l, l * l, 0, None
-    a, margin = system
     s = np.linalg.svd(a, compute_uv=False)
     dim = l * l - int(np.count_nonzero(s > RANK_TOL))
-    return (dim, l * l - int(np.count_nonzero(s > margin)), a.shape[0],
-            _null_space(a, dim, l) if dim == l else None)
+    basis = None
+    if dim == l:
+        # vh's rows past the rank span the null space of c -> a @ c; a wide
+        # a (fewer than l^2 rows) needs the full SVD for them.
+        vh = np.linalg.svd(a, full_matrices=a.shape[0] < l * l)[2]
+        basis = vh[l * l - l:].conj().reshape(l, l, l)
+        basis.flags.writeable = False
+    object.__setattr__(rho, "_range", (dim, l * l - int(np.count_nonzero(s > margin)),
+                                       a.shape[0], basis))
+    return rho._range
 
 
 @functools.lru_cache(maxsize=64, typed=True)

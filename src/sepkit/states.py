@@ -104,7 +104,7 @@ class DensityMatrix:
     read-only basis that linalg.scaled_eigvecs reads: the eigenvalues t
     above RANK_TOL, descending, and rows sqrt(t_i) e_i, with the largest
     component of each unit eigenvector e_i made real positive.
-    decompose.range_space fills the private _range slot on its first call,
+    decompose._range fills the private _range slot on its first call,
     so the range space's counts are computed once per state (with V's
     basis only when dim V = l).
     """

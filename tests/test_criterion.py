@@ -453,41 +453,39 @@ def test_classify_rejects_a_config_of_another_type(rho, config, message):
         sk.classify(rho, config)
 
 
-@pytest.mark.parametrize("make", [sk.tiles, sk.bound_2x4], ids=["tiles", "bound_2x4"])
-def test_classify_computes_the_range_space_once(monkeypatch, make):
-    """range_decomposition refuses both states (dim V = 1 and 9, against
-    ranks 4 and 5) and the search reads dim V again; rho^G's eigh and the
-    null-space SVD still run once per state."""
-    calls, real = [], sk.decompose._solve_range
+def _spy_range(monkeypatch):
+    """Record the matrices decompose._spectrum decomposes (rho^G's, once
+    per range space; the 2 x 3 subtraction route's too) and the shapes of
+    the 2-d SVDs that compute singular vectors; classify runs those on
+    the range map only."""
+    spectra, shapes = [], []
+    real_spectrum, real_svd = sk.decompose._spectrum, np.linalg.svd
 
-    def spy(rho):
-        calls.append(rho)
-        return real(rho)
-
-    monkeypatch.setattr(sk.decompose, "_solve_range", spy)
-    report = sk.classify(make(), ClassifyConfig(search=SearchConfig(restarts=1, max_iters=200)))
-    assert report.search is not None
-    assert len(calls) == 1
-
-
-def _spy_range_svds(monkeypatch):
-    """Record _solve_range's states and the shapes of the 2-d SVDs that
-    compute singular vectors; classify runs those on the range map only."""
-    solves, shapes = [], []
-    real_solve, real_svd = sk.decompose._solve_range, np.linalg.svd
-
-    def solve(rho):
-        solves.append(rho)
-        return real_solve(rho)
+    def spectrum(h):
+        spectra.append(h)
+        return real_spectrum(h)
 
     def svd(a, *args, **kwargs):
         if np.ndim(a) == 2 and kwargs.get("compute_uv", True):
             shapes.append(np.shape(a))
         return real_svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(sk.decompose, "_solve_range", solve)
+    monkeypatch.setattr(sk.decompose, "_spectrum", spectrum)
     monkeypatch.setattr(np.linalg, "svd", svd)
-    return solves, shapes
+    return spectra, shapes
+
+
+@pytest.mark.parametrize("make", [sk.tiles, sk.bound_2x4], ids=["tiles", "bound_2x4"])
+def test_classify_computes_the_range_space_once(monkeypatch, make):
+    """range_decomposition refuses both states (dim V = 1 and 9, against
+    ranks 4 and 5) and the search reads dim V again; rho^G's eigh, and
+    with it the range map, still runs once per state."""
+    rho = make()
+    spectra, _ = _spy_range(monkeypatch)
+    report = sk.classify(rho, ClassifyConfig(search=SearchConfig(restarts=1, max_iters=200)))
+    assert report.search is not None
+    assert len(spectra) == 1
+    assert np.array_equal(spectra[0], sk.partial_transpose(rho))
 
 
 @pytest.mark.parametrize("make, vector_svds", [
@@ -502,9 +500,9 @@ def test_classify_builds_the_range_basis_only_when_dim_v_is_l(monkeypatch, make,
     mixture, whose dim V = l is what range_decomposition reads."""
     rho = make()
     l = scaled_eigvecs(rho).count
-    solves, shapes = _spy_range_svds(monkeypatch)
+    spectra, shapes = _spy_range(monkeypatch)
     sk.classify(rho, ClassifyConfig(search=SearchConfig(restarts=1, max_iters=200)))
-    assert len(solves) == 1
+    assert len(spectra) == 1
     assert len(shapes) == vector_svds
     assert all(cols == l * l for _, cols in shapes)
 
@@ -512,14 +510,14 @@ def test_classify_builds_the_range_basis_only_when_dim_v_is_l(monkeypatch, make,
 def test_the_range_route_reads_the_basis_range_space_builds(monkeypatch):
     """The basis that classify's range route read on a dim V = l state is
     the one range_space gives a fresh parse of the same text, bit for bit,
-    and reading it back after classify builds nothing."""
+    and reading it back after classify decomposes and builds nothing."""
     text = sk.serialize_state(sk.random_separable(3, 3, 3, seed=0))
     rho = sk.parse_state(text)
-    _, shapes = _spy_range_svds(monkeypatch)
+    spectra, shapes = _spy_range(monkeypatch)
     report = sk.classify(rho)
     assert report.verdict is Verdict.SEPARABLE_CERTIFIED and report.search is None
     dim, basis = range_space(rho)
-    assert len(shapes) == 1
+    assert (len(spectra), len(shapes)) == (1, 1)
     fresh_dim, fresh = range_space(sk.parse_state(text))
     assert dim == fresh_dim == scaled_eigvecs(rho).count
     assert basis.tobytes() == fresh.tobytes()

@@ -475,15 +475,16 @@ def _dim_v_from_hermitian_basis(rho) -> int:
 ], ids=["horodecki_b0.5", "tiles", "bound_2x4", "rank3_mixture", "full_rank"])
 def test_range_space_matches_the_hermitian_count(rho, dim):
     """range_space's complex null space has the dimension of the real
-    system over a Hermitian basis, and each of its C satisfies both
-    conditions X^G K = 0 and K^H X^G = 0 with X = E C E^H."""
+    system over a Hermitian basis.  The basis comes only where dim V = l,
+    and each of its C satisfies both conditions X^G K = 0 and K^H X^G = 0
+    with X = E C E^H."""
     assert _dim_v_from_hermitian_basis(rho) == dim
     found, basis = range_space(rho)
     assert found == dim
-    if dim == scaled_eigvecs(rho).count ** 2:
+    if dim != scaled_eigvecs(rho).count:
         assert basis is None
         return
-    assert basis.shape[0] == dim
+    assert basis.shape == (dim, dim, dim)
     m, n, d = rho.m, rho.n, rho.dim
     x = scaled_eigvecs(rho)  # C is written in this eigenbasis
     e = (x.vectors / np.sqrt(x.values)[:, None]).T
