@@ -21,9 +21,10 @@ classify runs _ROUTES in order, so criterion sits above decompose and
 search, and the primitives all three share live below them.  The closed
 forms come before the search: the eigen-ensemble, a lone pair's ensemble
 (2 x 2), the range route, and on 2 x 3 and 3 x 2, where PPT is
-separable, the subtraction route, which decides every PPT state the
-range route leaves there.  A closed form's ValueError passes to the next
-route and is never evidence; search.certify checks every certificate.
+separable, the subtraction route; a state it cannot finish (degenerate
+ones such as I/6) goes on to the search.  A closed form's ValueError
+passes to the next route and is never evidence; search.certify checks
+every certificate.
 """
 
 import enum

@@ -28,14 +28,15 @@ singular values of V's linear system alone; V's basis is built only when
 dim V = l, the one case range_decomposition reads it.
 
 In 2 x 3 and 3 x 2 every PPT state is separable, so a state the range
-route leaves (full rank, or dim V > l) is decomposed by subtraction
+route leaves (full rank, or dim V > l) goes on to subtraction
 (ppt_subtraction_decomposition): products of range(sigma) whose partial
 conjugates lie in range(sigma^G) are subtracted with the largest weight
 that keeps sigma PPT, until the kernels of sigma and sigma^G pose as many
 conditions as b has components.  The remainder's range products are
 then the roots of one polynomial in the qubit's chart coordinate, and a
-least-squares fit over their projectors finishes the decomposition.  On
-larger shapes a PPT remainder can be entangled and have no range
+least-squares fit over their projectors finishes the decomposition.  A
+degenerate state whose kernels pose more conditions (I/6 ends at 4) is
+refused and goes on to the search.  On larger shapes a PPT remainder can be entangled and have no range
 product, so the route refuses them.
 """
 

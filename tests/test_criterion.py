@@ -361,6 +361,31 @@ def test_classify_maximally_mixed_2x2():
     np.testing.assert_allclose(report.certificate.density(), np.eye(4) / 4, atol=1e-10)
 
 
+def _diagonal_state(m, n, diag):
+    return sk.density_matrix(m, n, np.diag(np.asarray(diag, dtype=complex)))
+
+
+@pytest.mark.parametrize("m, n, diag", [
+    *[(m, n, [1 / (m * n)] * (m * n))
+      for m, n in [(2, 3), (3, 2), (3, 3), (2, 4), (3, 4), (4, 4), (4, 5)]],
+    (2, 3, [1 / 4] * 4 + [0, 0]),
+    (2, 3, [1 / 5] * 5 + [0]),
+], ids=["2x3", "3x2", "3x3", "2x4", "3x4", "4x4", "4x5", "2x3_rank4", "2x3_rank5"])
+def test_classify_certifies_degenerate_spectra_through_the_search(m, n, diag):
+    """I/mn, and on 2 x 3 two rank-deficient diagonal states, have
+    degenerate spectra.  On 2 x 3 and 3 x 2 the subtraction route refuses
+    them, its kernels posing 4 conditions on a product, so they go on to
+    the search, which certifies every one at the budget."""
+    rho = _diagonal_state(m, n, diag)
+    report = sk.classify(rho, ClassifyConfig(search=SearchConfig(restarts=1, max_iters=200)))
+    assert report.verdict is Verdict.SEPARABLE_CERTIFIED
+    check_certificate(report.certificate, rho.matrix)
+    if (m, n) in ((2, 3), (3, 2)):
+        with pytest.raises(ValueError, match="the kernels pose 4 conditions on a product, not 3"):
+            sk.ppt_subtraction_decomposition(rho)
+        assert report.search is not None
+
+
 def test_classify_certifies_bound_2x4():
     """The rank-5 2x4 state passes both entanglement tests and the search
     then finds an exact five-member product decomposition."""

@@ -276,6 +276,18 @@ def test_parse_reports_positions():
     with pytest.raises(sk.StateFormatError, match="line 5: expected 4 matrix rows"):
         sk.parse_state("dims 2 2\n1,0 0,0 0,0 0,0\n0,0 0,0 0,0 0,0\n"
                        "0,0 0,0 0,0 0,0\n")
+    body = "1,0 0,0 0,0 0,0\n0,0 0,0 0,0 0,0\n0,0 0,0 0,0 0,0\n0,0 0,0 0,0 0,0\n"
+    for text, message in [
+        ("", "line 1: empty input, expected 'dims m n' header"),
+        ("dims x 2\n", "line 1: non-integer dims in 'dims x 2'"),
+        ("dims -1 2\n", r"line 1: dims must be positive, got \(-1, 2\)"),
+        ("dims 2 2\n" + body + "\n0,0\n", "line 7: unexpected content after matrix rows"),
+        ("dims 2 2\n" + body + "0,0\n", "line 6: unexpected content after matrix rows"),
+    ]:
+        with pytest.raises(sk.StateFormatError, match=f"^{message}$"):
+            sk.parse_state(text)
+    # Blank lines after the rows are not content.
+    assert sk.parse_state("dims 2 2\n" + body + "\n \t\n\n").matrix[0, 0] == 1.0
 
 
 def test_parse_names_malformed_and_non_finite_tokens():

@@ -21,13 +21,19 @@ no closed form applies and only the search can certify them.  They are
 counted apart, under ``sym``, and leave the ``all`` counts and the
 floors untouched.
 
+Last come the maximally mixed states I/mn on 3x7, 2x11, 4x6 and 5x5,
+above the mn <= 20 where a full-rank search fits the product space
+(``products._POLISH_MAX_DIM``).  Each prints as mn terms at seed 0.  They
+are counted apart too, under ``mixed``.
+
 One line per state gives its rank l, dim V (``SearchReport.range_dim``),
 whether each route certified, and the search's k, iterations, product
 fits (``polish_attempts``) and rejected extractions; then the certified
 counts, total search iterations, and ``minimize``'s total fits and
 rejected extractions per shape, below full rank (``below``), at full
-rank (``full``), over the 244 ``random_separable`` states (``all``), and
-per ``sym`` shape and over the 20 ``sym`` states (``sym``).  The floors
+rank (``full``), over the 244 ``random_separable`` states (``all``),
+per ``sym`` shape and over the 20 ``sym`` states (``sym``), and per
+``mixed`` shape and over the 4 ``mixed`` states (``mixed``).  The floors
 apply to the ``all`` counts.
 Every certificate is re-checked with ``check_certificate``.  The exit
 code is 1 when a count falls below its ``--min-*`` floor, 2 for a
@@ -56,6 +62,7 @@ from sepkit.cli import _int_at_least  # noqa: E402
 
 SHAPES = ((2, 3), (3, 3), (2, 4), (3, 4), (2, 5), (4, 4))
 SYM_TERMS = ((2, (4, 6)), (3, (8, 10, 12)))  # (d, terms) of the |aa> rows
+MIXED_SHAPES = ((3, 7), (2, 11), (4, 6), (5, 5))  # the I/mn rows
 SEEDS = range(4)
 
 
@@ -74,8 +81,9 @@ def symmetric_mixture(d: int, terms: int, seed: int) -> sk.DensityMatrix:
 
 def cases():
     """Yield (labels, terms, seed, state): the random_separable rows below
-    full rank, then the full-rank rows, then the |aa> rows.  labels are the
-    total rows the state counts in, its shape's first."""
+    full rank, then the full-rank rows, then the |aa> rows, then the I/mn
+    rows (terms mn, seed 0).  labels are the total rows the state counts
+    in, its shape's first."""
     for full_rank in (False, True):
         for m, n in SHAPES:
             for terms in (m * n, m * n + 2) if full_rank else range(2, m * n):
@@ -86,6 +94,8 @@ def cases():
         for terms in sym_terms:
             for seed in SEEDS:
                 yield (f"sym{d}x{d}", "sym"), terms, seed, symmetric_mixture(d, terms, seed)
+    for m, n in MIXED_SHAPES:
+        yield (f"mixed{m}x{n}", "mixed"), m * n, 0, sk.density_matrix(m, n, np.eye(m * n) / (m * n))
 
 
 def sweep(cfg: sk.SearchConfig):
@@ -133,7 +143,8 @@ def main(argv=None) -> int:
     print("shape states classify minimize classify_iters minimize_iters "
           "minimize_polish minimize_rejected")
     for label in ([f"{m}x{n}" for m, n in SHAPES] + ["below", "full", "all"]
-                  + [f"sym{d}x{d}" for d, _ in SYM_TERMS] + ["sym"]):
+                  + [f"sym{d}x{d}" for d, _ in SYM_TERMS] + ["sym"]
+                  + [f"mixed{m}x{n}" for m, n in MIXED_SHAPES] + ["mixed"]):
         row = totals[label]
         print(f"{label} {row[0]:6d} {row[1]:8d} {row[2]:8d} {row[3]:14d} {row[4]:14d} "
               f"{row[5]:15d} {row[6]:17d}")
