@@ -36,8 +36,8 @@ conditions as b has components.  The remainder's range products are
 then the roots of one polynomial in the qubit's chart coordinate, and a
 least-squares fit over their projectors finishes the decomposition.  A
 degenerate state whose kernels pose more conditions (I/6 ends at 4) is
-refused and goes on to the search.  On larger shapes a PPT remainder can be entangled and have no range
-product, so the route refuses them.
+refused and goes on to the search.  On larger shapes a PPT remainder
+can be entangled and have no range product, so the route refuses them.
 """
 
 import functools
