@@ -86,8 +86,12 @@ class CanonicalBasis:
 
 
 def a_value(lambdas, l_prime: int) -> float:
-    """lambda_1 minus the sum of the remaining nonzero lambdas (0 when l' = 0)."""
+    """lambda_1 minus the sum of the remaining nonzero lambdas (0 when l' = 0).
+
+    Raises ValueError unless l' is an integer in [0, len(lambdas)].
+    """
     lambdas = np.asarray(lambdas, dtype=float)
+    _check_counts(l_prime=l_prime)
     if l_prime < 0 or l_prime > lambdas.shape[0]:
         raise ValueError(f"l_prime {l_prime} out of range for {lambdas.shape[0]} lambdas")
     if l_prime == 0:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ScaledEigvecs
-from .states import _check_dims
+from .states import _check_counts, _check_dims
 
 __all__ = [
     "PairIndex",
@@ -81,9 +81,11 @@ def build_pair_operator(m: int, n: int, pair: PairIndex) -> PairOperator:
     """The sign matrix for one anchored minor.
 
     Value -1 at (index(1,1), index(p,q)) and its transpose, +1 at
-    (index(1,q), index(p,1)) and its transpose.
+    (index(1,q), index(p,1)) and its transpose.  Raises ValueError, naming
+    the field, when p or q is not an integer, and when it is out of range.
     """
     p, q = pair.p, pair.q
+    _check_counts(p=p, q=q)
     if not (2 <= p <= m and 2 <= q <= n):
         raise ValueError(f"pair ({p}, {q}) out of range for dims ({m}, {n})")
     i11 = basis_index(n, 1, 1)

@@ -42,7 +42,6 @@ joint_residual and residual_gradient keep the paper's definition on
 the dense taus (pair_taus) as the reference.
 """
 
-import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -122,14 +121,14 @@ class CertificateError(ValueError):
 class SearchReport:
     """Best point found, its residual, the budget used, and the certificate if any.
 
-    rejected_extractions counts the points that reached _TOL_RESIDUAL
-    but whose members failed the product test or the re-check.
-    polish_attempts counts the calls to _polish (see minimize).  When a
-    fit certifies, best_u is that ensemble in the eigenbasis coordinates,
-    members X^H / t, best_residual is F there and k that restart's size.
-    range_dim is dim V (decompose.range_space), which caps the k walked.
-    When no size is walked, k is 0, best_residual is inf and best_u is an
-    empty (0, l) array.
+    A certificate comes with the point, F and k of the restart that
+    produced it (a fit's point in eigenbasis coordinates, members X^H / t);
+    without one, the restarts merge by least residual, first-come on ties.
+    rejected_extractions counts the points that reached _TOL_RESIDUAL but
+    whose members failed the product test or the re-check, and
+    polish_attempts the calls to _polish (see minimize).  range_dim is dim
+    V (decompose.range_space), which caps the k walked.  When no size is
+    walked, k is 0, best_residual is inf and best_u is an empty (0, l) array.
     """
 
     best_residual: float
@@ -147,7 +146,8 @@ def pair_taus(x: ScaledEigvecs, m: int, n: int) -> np.ndarray:
     """The (P, l, l) stack of every pair's tau_matrix, in enumeration order."""
     if not np.all(np.isfinite(x.vectors)):
         raise ValueError("the scaled eigenvectors have a non-finite entry")
-    return np.array([tau_matrix(x, b) for b in pair_operators(m, n)])
+    taus = [tau_matrix(x, b) for b in pair_operators(m, n)]
+    return np.array(taus, dtype=complex).reshape(len(taus), x.count, x.count)
 
 
 def _stack_taus(taus) -> np.ndarray:
@@ -346,13 +346,13 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
     Walks the sizes of _k_schedule; per size, one descent per seeded
     random restart.  With dim V < l beyond RANGE_MARGIN (see
     decompose.range_space) the schedule is empty, and no kernel is built.
-    Results merge by minimum residual, first-come on ties.  Certificate
-    extraction is attempted on every restart that ends at F <=
-    _TOL_RESIDUAL, and the first one that yields a checked certificate
-    ends the search; the others are counted as rejected extractions.  A
-    restart that ends at F <= _POLISH_GATE without one is polished where
-    _polish_pays admits, at full rank also at its pause (see the module
-    docstring).  With no pairs (a one-dimensional factor) the eigen-ensemble
+    A restart that ends at F <= _TOL_RESIDUAL goes to extraction (a
+    failure counts as rejected), and one that ends at F <= _POLISH_GATE
+    without a certificate is polished where _polish_pays admits, at full
+    rank also at its pause (see the module docstring).  The first restart
+    to certify ends the search with its own point, F and k; without a
+    certificate, the restart of least residual is reported, first-come on
+    ties.  With no pairs (a one-dimensional factor) the eigen-ensemble
     (u = I) is the certificate.  Raises ValueError when config is not a
     SearchConfig, a budget field is not an integer, restarts or max_iters
     is below 1 or seed is negative.
@@ -381,37 +381,36 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
     iterations_used = 0
     rejected = 0
     polished = 0
-    certificate = None
     kernel = _member_kernel(x, rho.m, rho.n) if schedule else None
 
-    for k, i in itertools.product(schedule, range(cfg.restarts)):
-        u0 = random_orthonormal_columns(k, l, cfg.seed + i)
+    for k in schedule:
         pays = _polish_pays(k, l, rho.m, rho.n)
         gate = _POLISH_GATE if pays and l == rho.dim else None
-        for u, f, iters in _descend(u0, kernel, cfg.max_iters, gate):
-            if f <= _TOL_RESIDUAL:
-                certificate = certify(u, rho, x)
+        for i in range(cfg.restarts):
+            restarts_used += 1
+            u0 = random_orthonormal_columns(k, l, cfg.seed + i)
+            for u, f, iters in _descend(u0, kernel, cfg.max_iters, gate):
+                certificate = certify(u, rho, x) if f <= _TOL_RESIDUAL else None
+                if f <= _TOL_RESIDUAL and certificate is None:
+                    rejected += 1
+                if certificate is None and f <= _POLISH_GATE and pays:
+                    polished += 1
+                    members = _polish(u @ x.vectors, rho.matrix, rho.m, rho.n)
+                    certificate = None if members is None else certify(members, rho)
+                    if certificate is not None:  # report the fitted ensemble
+                        u = members @ x.vectors.conj().T / x.values
+                        f = _objective_and_gradient(u, kernel)[0]
                 if certificate is not None:
-                    break
-                rejected += 1
-            if f <= _POLISH_GATE and pays:
-                polished += 1
-                members = _polish(u @ x.vectors, rho.matrix, rho.m, rho.n)
-                certificate = None if members is None else certify(members, rho)
-                if certificate is not None:
-                    # Report the certified ensemble, whatever the best so far.
-                    u = members @ x.vectors.conj().T / x.values
-                    f, best_f = _objective_and_gradient(u, kernel)[0], np.inf
-                    break
-        restarts_used += 1
-        iterations_used += iters
-        if f < best_f:
-            best_f, best_u, best_k = f, u, k
-        if certificate is not None:
-            break
+                    return SearchReport(best_residual=f, best_u=u, k=k, restarts_used=restarts_used,
+                                        iterations_used=iterations_used + iters,
+                                        certificate=certificate, rejected_extractions=rejected,
+                                        range_dim=range_dim, polish_attempts=polished)
+            iterations_used += iters
+            if f < best_f:
+                best_f, best_u, best_k = f, u, k
     return SearchReport(best_residual=best_f, best_u=best_u, k=best_k,
                         restarts_used=restarts_used, iterations_used=iterations_used,
-                        certificate=certificate, rejected_extractions=rejected,
+                        certificate=None, rejected_extractions=rejected,
                         range_dim=range_dim, polish_attempts=polished)
 
 

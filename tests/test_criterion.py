@@ -86,6 +86,10 @@ def test_scaled_eigvecs_override_validation():
         scaled_eigvecs(rho, basis_override=good + 1e-3)
     with pytest.raises(ValueError, match="do not reassemble"):
         scaled_eigvecs(rho, basis_override=np.roll(good, 1, axis=1))
+    with pytest.raises(ValueError, match="norms do not match the nonzero spectrum"):
+        scaled_eigvecs(rho, basis_override=2 * good)
+    with pytest.raises(ValueError, match="norms do not match the nonzero spectrum"):
+        scaled_eigvecs(rho, basis_override=good[:4])
 
 
 def test_a_non_finite_override_is_a_value_error():
@@ -127,6 +131,8 @@ def test_pair_spectrum_matches_singular_values():
         lam, l_prime = pair_spectrum(tau)
         np.testing.assert_allclose(lam, singular_values(tau), atol=1e-12)
         assert l_prime == np.sum(lam > 1e-10)
+    with pytest.raises(ValueError, match="tau must be complex symmetric"):
+        pair_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def assert_reports_match_per_pair_spectra(rho):
@@ -178,6 +184,8 @@ def test_pair_taus_is_the_stacked_tau_matrix():
     x = scaled_eigvecs(sk.bound_2x4(), basis_override=sk.bound_2x4_basis())
     with pytest.raises(ValueError, match="operator needs 9"):
         pair_taus(x, 3, 3)
+    with pytest.raises(ValueError, match="vectors have dimension 8, operator needs 9"):
+        pair_reports(x, 3, 3)
 
 
 def test_a_value_cases():
@@ -185,6 +193,12 @@ def test_a_value_cases():
     assert a_value(np.array([0.7, 0.0]), 1) == pytest.approx(0.7)
     assert a_value(np.array([0.5, 0.2, 0.2]), 3) == pytest.approx(0.1)
     assert a_value(np.array([0.0]), 0) == 0.0
+    for l_prime in (-1, 3):
+        with pytest.raises(ValueError, match=f"l_prime {l_prime} out of range for 2 lambdas"):
+            a_value(np.array([1.0, 0.5]), l_prime)
+    for l_prime in (1.5, 2.0, True):
+        with pytest.raises(ValueError, match=f"l_prime must be an integer, got {l_prime}"):
+            a_value(np.array([1.0, 0.5]), l_prime)
 
 
 def test_pair_spectrum_gauge_invariance():
@@ -253,6 +267,8 @@ def test_pure_product_check():
     assert not sk.pure_product_check(np.array([1, 0, 0, 1]) / np.sqrt(2), 2, 2)
     with pytest.raises(ValueError, match="zero vector"):
         sk.pure_product_check(np.zeros(4), 2, 2)
+    with pytest.raises(ValueError, match="state has length 4, expected 6"):
+        sk.pure_product_check(np.ones(4), 2, 3)
     # The tolerance is PRODUCT_TOL, the one certificates use.
     near = np.kron([1, 0], [1, 0]) + 1e-7 * np.kron([0, 1], [0, 1])
     assert sk.pure_product_check(near, 2, 2)

@@ -108,6 +108,12 @@ def test_close_polygon_rejects_infeasible_lengths():
         close_polygon(np.array([1.0, 0.5, 0.4]))
     with pytest.raises(PolygonInfeasibleError):
         close_polygon(np.array([0.3]))
+    for lengths in (np.array([]), np.ones((2, 2))):
+        with pytest.raises(ValueError, match="lengths must be a nonempty 1-d array"):
+            close_polygon(lengths)
+    for bad in (np.nan, np.inf, -0.5):
+        with pytest.raises(ValueError, match="lengths must be finite and nonnegative"):
+            close_polygon(np.array([1.0, 1.0, bad]))
 
 
 def test_close_polygon_boundary_degenerate_triangle():

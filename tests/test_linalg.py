@@ -75,8 +75,14 @@ def test_column_phases_match_the_per_column_loop_bit_for_bit():
 
 
 def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    """And input that is not a nonempty, finite, square matrix, by name."""
+    for h, message in ((np.array([[0.0, 1.0], [0.0, 0.0]]), "not Hermitian"),
+                       (np.ones((2, 3)), r"h must be square, got shape \(2, 3\)"),
+                       (np.zeros((0, 0)), r"h must be a nonempty 2-d array, got shape \(0, 0\)"),
+                       (np.ones(4), r"h must be a nonempty 2-d array, got shape \(4,\)"),
+                       (np.full((2, 2), np.nan), "h contains non-finite entries")):
+        with pytest.raises(ValueError, match=message):
+            hermitian_eig(h)
 
 
 def test_singular_values_match_numpy():
@@ -203,8 +209,12 @@ def test_takagi_degenerate_spectrum():
 
 
 def test_takagi_rejects_non_symmetric():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not complex symmetric"):
         takagi(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    with pytest.raises(ValueError, match=r"s must be square, got shape \(2, 3\)"):
+        takagi(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="s contains non-finite entries"):
+        takagi(np.full((2, 2), np.inf))
 
 
 def test_reorthonormalize_is_projection():
@@ -226,8 +236,13 @@ def test_reorthonormalize_rejects_rank_deficient():
 
 
 def test_reorthonormalize_rejects_wide_matrices():
+    """random_orthonormal_columns refuses to draw one, or one with no column."""
     with pytest.raises(ValueError):
         reorthonormalize(np.ones((2, 3), dtype=complex))
+    with pytest.raises(ValueError, match="need k >= l >= 1, got k=2, l=3"):
+        random_orthonormal_columns(2, 3, 0)
+    with pytest.raises(ValueError, match="need k >= l >= 1, got k=3, l=0"):
+        random_orthonormal_columns(3, 0, 0)
 
 
 def test_random_orthonormal_columns_seeded():

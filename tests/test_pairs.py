@@ -64,8 +64,20 @@ def test_enumerate_pairs_rejects_trivial_factors():
 
 
 def test_build_pair_operator_rejects_out_of_range():
-    with pytest.raises(ValueError):
+    """Also a non-integer index, which once built float entries that failed
+    as numpy's IndexError downstream, and an operator applied to a state
+    of the wrong length."""
+    with pytest.raises(ValueError, match=r"pair \(3, 2\) out of range for dims \(2, 2\)"):
         build_pair_operator(2, 2, PairIndex(3, 2))
+    for pair, message in ((PairIndex(2.0, 2), "p must be an integer, got 2.0"),
+                          (PairIndex(2, 2.5), "q must be an integer, got 2.5"),
+                          (PairIndex(True, 2), "p must be an integer, got True")):
+        with pytest.raises(ValueError, match=message):
+            build_pair_operator(2, 2, pair)
+    b = build_pair_operator(2, 2, PairIndex(2, 2))
+    for op in (tilde, pair_residual):
+        with pytest.raises(ValueError, match="state has length 3, expected 4"):
+            op(b, np.ones(3))
 
 
 def test_pair_operator_2x2_dense():

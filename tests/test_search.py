@@ -11,7 +11,7 @@ import sepkit.products as products_module
 import sepkit.search as search_module
 from sepkit.criterion import pair_reports
 from sepkit.linalg import random_orthonormal_columns, reorthonormalize, scaled_eigvecs
-from sepkit.pairs import pair_operators, pair_residual, tau_matrix
+from sepkit.pairs import pair_operators, pair_residual
 from sepkit.search import (
     CertificateError,
     _member_kernel,
@@ -26,6 +26,7 @@ from sepkit.search import (
     extract_certificate,
     joint_residual,
     minimize,
+    pair_taus,
     render_constraints,
     residual_gradient,
 )
@@ -44,7 +45,7 @@ pair 3: 2 4
 
 def _taus(rho, basis_override=None):
     x = scaled_eigvecs(rho, basis_override=basis_override)
-    return x, np.stack([tau_matrix(x, b) for b in pair_operators(rho.m, rho.n)])
+    return x, pair_taus(x, rho.m, rho.n)
 
 
 def test_joint_residual_at_identity_on_reference_basis():
@@ -57,11 +58,14 @@ def test_joint_residual_at_identity_on_reference_basis():
 def test_joint_residual_matches_member_residuals():
     """F(u) is the summed squared pair residuals of the members
     z_i = sum_j u_ij x_j, for any orthonormal u, and its gradient is
-    4 sum_r conj(d_r) conj(u) tau_r over the same residuals d_r, pair by pair."""
-    for m, n, seed in [(2, 2, 0), (2, 3, 1), (3, 3, 2)]:
+    4 sum_r conj(d_r) conj(u) tau_r over the same residuals d_r, pair by pair.
+    A 1 x n state has no pairs: an empty (0, l, l) stack, F = 0 and a zero
+    gradient."""
+    for m, n, seed in [(2, 2, 0), (2, 3, 1), (3, 3, 2), (1, 3, 3)]:
         rho = sk.random_density(m, n, seed=seed)
         x, taus = _taus(rho)
         ops = pair_operators(m, n)
+        assert taus.shape == (len(ops), x.count, x.count)
         for k in (x.count, x.count + 2):
             u = random_orthonormal_columns(k, x.count, seed=seed + 5)
             members = u @ x.vectors
@@ -148,6 +152,8 @@ def test_joint_residual_rejects_non_finite_taus(bad):
         joint_residual(u, taus)
     with pytest.raises(ValueError, match="non-finite"):
         residual_gradient(u, taus)
+    with pytest.raises(ValueError, match=r"square tau matrices, got shape \(1, 4, 3\)"):
+        joint_residual(u, taus[:, :, :3])
 
 
 def test_retract_is_the_positive_diagonal_qr_factor():
@@ -451,6 +457,9 @@ def test_certificate_from_members_reports_offender():
     with pytest.raises(CertificateError) as info:
         certificate_from_members(members, 2, 2)
     assert info.value.member_index == 1
+    with pytest.raises(CertificateError, match="all members have negligible weight") as info:
+        certificate_from_members(np.vstack([1e-8 * good, 1e-8 * bad]), 2, 2)
+    assert info.value.member_index is None
 
 
 def test_check_certificate_validates_weights_and_reconstruction():
@@ -585,6 +594,31 @@ def test_minimize_counts_rejected_extractions(monkeypatch):
     assert report.best_residual <= 1e-10
     with pytest.raises(CertificateError):
         extract_certificate(report.best_u, scaled_eigvecs(rho), 2, 3)
+
+
+def test_an_extracted_certificate_comes_with_its_own_point(monkeypatch):
+    """Restart 0 ends at a smaller F than restart 1, but its extraction is
+    rejected; restart 1's certificate is reported with restart 1's point,
+    so best_u extracts to that very certificate and best_residual is F
+    there, not the earlier restart's least residual."""
+    rho = sk.random_separable(2, 3, 2, seed=3)
+    calls = []
+
+    def reject_first(*args):
+        calls.append(args)
+        return None if len(calls) == 1 else certify(*args)
+
+    monkeypatch.setattr(search_module, "_polish", lambda *args: None)
+    monkeypatch.setattr(search_module, "certify", reject_first)
+    report = minimize(rho, SearchConfig(restarts=2, max_iters=200))
+    assert (report.restarts_used, report.rejected_extractions, len(calls)) == (2, 1, 2)
+    assert report.certificate is not None and report.best_u.shape == (report.k, 2)
+    x = scaled_eigvecs(rho)
+    cert = extract_certificate(report.best_u, x, 2, 3)
+    for field in ("weights", "alphas", "betas"):
+        np.testing.assert_array_equal(getattr(cert, field), getattr(report.certificate, field))
+    assert report.best_residual == _objective_and_gradient(report.best_u,
+                                                           _member_kernel(x, 2, 3))[0]
 
 
 FULL_RANK = [sk.random_separable(m, n, m * n + 2, seed)

@@ -129,6 +129,9 @@ def test_product_is_kronecker():
     rho = sk.product(rho_a, rho_b)
     _assert_valid_density(rho, 2, 3)
     np.testing.assert_allclose(rho.matrix, np.kron(rho_a, rho_b), atol=1e-14)
+    for a, b in ((np.ones((2, 3)), rho_b), (rho_a, np.ones(3))):
+        with pytest.raises(ValueError, match="factors must be square matrices"):
+            sk.product(a, b)
 
 
 def test_random_density_rank_and_seed():
@@ -148,6 +151,8 @@ def test_random_states_reject_empty_factors():
         sk.random_separable(0, 2, 3, 0)
     with pytest.raises(ValueError, match=r"dims must be positive, got \(2, 0\)"):
         sk.random_density(2, 0)
+    with pytest.raises(ValueError, match="terms must be >= 1, got 0"):
+        sk.random_separable(2, 2, 0, 0)
 
 
 def test_dims_must_be_integers():
@@ -206,6 +211,11 @@ def test_density_matrix_validation():
         sk.density_matrix(2, 2, m)
     with pytest.raises(ValueError):
         sk.density_matrix(2, 3, np.eye(4) / 4)  # dims mismatch
+    for bad in (np.nan, np.inf):
+        m = np.eye(4, dtype=complex) / 4
+        m[1, 1] = bad
+        with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+            sk.density_matrix(2, 2, m)
 
 
 

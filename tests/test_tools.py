@@ -60,3 +60,18 @@ def test_tools_refuse_a_bad_flag_before_any_output(tool, flags, message):
                             capture_output=True, text=True, timeout=120)
     assert (result.returncode, result.stdout) == (2, "")
     assert message in result.stderr
+
+
+def test_completeness_holds_search_reports_to_their_contract(monkeypatch):
+    """The sweep's contract check passes a real report and names a best_u
+    of another shape and a certificate with more terms than k."""
+    completeness = load_tool(monkeypatch, "completeness")
+    report = sk.minimize(sk.bound_2x4(), sk.SearchConfig(restarts=1, max_iters=200))
+    assert report.certificate is not None and report.best_u.shape == (5, 5)
+    assert completeness.contract_error(report, 5) is None
+    wrong_u = dataclasses.replace(report, best_u=report.best_u[:4])
+    assert completeness.contract_error(wrong_u, 5) == \
+        "best_u has shape (4, 5), expected (5, 5)"
+    small_k = dataclasses.replace(report, k=4, best_u=report.best_u[:4])
+    assert completeness.contract_error(small_k, 5) == \
+        "the certificate has 5 terms, above k = 4"

@@ -35,8 +35,12 @@ rank (``full``), over the 244 ``random_separable`` states (``all``),
 per ``sym`` shape and over the 20 ``sym`` states (``sym``), and per
 ``mixed`` shape and over the 4 ``mixed`` states (``mixed``).  The floors
 apply to the ``all`` counts.
-Every certificate is re-checked with ``check_certificate``.  The exit
-code is 1 when a count falls below its ``--min-*`` floor, 2 for a
+Every certificate is re-checked with ``check_certificate``, and every
+``minimize`` report, and every ``classify`` report whose certificate came
+from the search, is held to the report's contract: ``best_u`` has shape
+(k, l) and the certificate has at most k terms.  The exit code is 1 when
+a count falls below its ``--min-*`` floor or a report breaks that
+contract (each failure prints a ``FAIL:`` line on stderr), 2 for a
 budget below 1 (before any output), else 0.
 
 sepkit is imported from ``src/`` of the checkout this file sits in, and
@@ -98,6 +102,16 @@ def cases():
         yield (f"mixed{m}x{n}", "mixed"), m * n, 0, sk.density_matrix(m, n, np.eye(m * n) / (m * n))
 
 
+def contract_error(report: sk.SearchReport, l: int) -> str | None:
+    """How the search report breaks its contract, or None: best_u is a
+    (k, l) array and a certificate has at most k terms."""
+    if report.best_u.shape != (report.k, l):
+        return f"best_u has shape {report.best_u.shape}, expected ({report.k}, {l})"
+    if report.certificate is not None and len(report.certificate.weights) > report.k:
+        return f"the certificate has {len(report.certificate.weights)} terms, above k = {report.k}"
+    return None
+
+
 def sweep(cfg: sk.SearchConfig):
     """Yield (labels, terms, seed, l, classify report, minimize report)."""
     for labels, terms, seed, rho in cases():
@@ -124,8 +138,18 @@ def main(argv=None) -> int:
     # row label -> [states, classify, minimize, classify iters, minimize iters,
     #               minimize fits, minimize rejected extractions]
     totals = {}
+    failed = False
     print("shape terms seed  l dimV classify minimize  k iters polish rejected")
     for labels, terms, seed, l, classified, searched in sweep(cfg):
+        checked = [("minimize", searched)]
+        if classified.search is not None and classified.certificate is not None:
+            checked.append(("classify", classified.search))
+        for route, report in checked:
+            error = contract_error(report, l)
+            if error is not None:
+                print(f"FAIL: {labels[0]} terms={terms} seed={seed} {route}: {error}",
+                      file=sys.stderr)
+                failed = True
         counts = (1, classified.certificate is not None, searched.certificate is not None,
                   classified.search.iterations_used if classified.search else 0,
                   searched.iterations_used, searched.polish_attempts,
@@ -150,7 +174,6 @@ def main(argv=None) -> int:
               f"{row[5]:15d} {row[6]:17d}")
     print(f"wall time: {time.perf_counter() - start:.1f} s")
 
-    failed = False
     overall = totals["all"]
     for name, count, floor in (("classify", overall[1], args.min_classify),
                                ("minimize", overall[2], args.min_minimize)):
