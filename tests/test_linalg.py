@@ -75,7 +75,7 @@ def test_column_phases_match_the_per_column_loop_bit_for_bit():
 
 
 def test_hermitian_eig_rejects_non_hermitian():
-    """And input that is not a nonempty, finite, square matrix, by name."""
+    """Also input that is not a nonempty, finite, square matrix, each with its message."""
     for h, message in ((np.array([[0.0, 1.0], [0.0, 0.0]]), "not Hermitian"),
                        (np.ones((2, 3)), r"h must be square, got shape \(2, 3\)"),
                        (np.zeros((0, 0)), r"h must be a nonempty 2-d array, got shape \(0, 0\)"),
@@ -236,7 +236,7 @@ def test_reorthonormalize_rejects_rank_deficient():
 
 
 def test_reorthonormalize_rejects_wide_matrices():
-    """random_orthonormal_columns refuses to draw one, or one with no column."""
+    """random_orthonormal_columns refuses to draw a wide matrix too, or one with no column."""
     with pytest.raises(ValueError):
         reorthonormalize(np.ones((2, 3), dtype=complex))
     with pytest.raises(ValueError, match="need k >= l >= 1, got k=2, l=3"):

@@ -64,9 +64,8 @@ def test_enumerate_pairs_rejects_trivial_factors():
 
 
 def test_build_pair_operator_rejects_out_of_range():
-    """Also a non-integer index, which once built float entries that failed
-    as numpy's IndexError downstream, and an operator applied to a state
-    of the wrong length."""
+    """Also a non-integer index, whose float entries numpy cannot index
+    with, and an operator applied to a state of the wrong length."""
     with pytest.raises(ValueError, match=r"pair \(3, 2\) out of range for dims \(2, 2\)"):
         build_pair_operator(2, 2, PairIndex(3, 2))
     for pair, message in ((PairIndex(2.0, 2), "p must be an integer, got 2.0"),
