@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import criterion, decompose, linalg, search, states
-from .pairs import pair_operators
+from .pairs import enumerate_pairs, pair_operators
 
 EXIT_SEPARABLE = 0
 EXIT_ENTANGLED = 1
@@ -243,23 +243,23 @@ def _cmd_pairs(args) -> _Result:
 
 def _cmd_decompose(args) -> _Result:
     rho = args.rho
-    ops = pair_operators(rho.m, rho.n)
-    if not ops:
+    pairs = enumerate_pairs(rho.m, rho.n)
+    if not pairs:
         raise _CliError(f"the {rho.m} x {rho.n} state has no pairs", EXIT_USAGE)
-    if not 1 <= args.pair <= len(ops):
-        raise _CliError(f"pair index {args.pair} out of range 1..{len(ops)}", EXIT_USAGE)
-    pair = ops[args.pair - 1].pair
-    ensemble = decompose.single_pair_decomposition(rho, pair)
-    report = decompose.verify_ensemble(ensemble, rho, ops)
+    if not 1 <= args.pair <= len(pairs):
+        raise _CliError(f"pair index {args.pair} out of range 1..{len(pairs)}", EXIT_USAGE)
+    pair = pairs[args.pair - 1]
+    members = decompose.single_pair_decomposition(rho, pair)
+    report = decompose.verify_ensemble(members, rho)
     payload = {
         "pair": {"r": args.pair, "p": pair.p, "q": pair.q},
-        "members": [[_re_im(z) for z in row] for row in ensemble.members],
+        "members": [[_re_im(z) for z in row] for row in members],
         "reconstruction_error": float(report.reconstruction_error),
         "max_pair_residual": float(report.max_pair_residual),
         "member_product_errors": [float(v) for v in report.member_product_errors],
     }
     human = [
-        f"pair {args.pair} (p={pair.p}, q={pair.q}): {ensemble.members.shape[0]} members",
+        f"pair {args.pair} (p={pair.p}, q={pair.q}): {members.shape[0]} members",
         f"reconstruction error: {report.reconstruction_error:.3e}",
         f"max pair residual (all pairs): {report.max_pair_residual:.3e}",
         f"max member product error: {float(np.max(report.member_product_errors)):.3e}",

@@ -190,12 +190,12 @@ _ROUTES = (
     _closed_form(lambda rho, x, reports: x.vectors if not reports or x.count == 1 else None),
     # A lone pair's ensemble (2 x 2) is a full decomposition of the state.
     _closed_form(lambda rho, x, reports: decompose.single_pair_decomposition(
-        rho, reports[0].pair).members if len(reports) == 1 else None),
+        rho, reports[0].pair) if len(reports) == 1 else None),
     # On more pairs, the l terms that the ranges pin down when dim V = l.
-    _closed_form(lambda rho, x, reports: decompose.range_decomposition(rho).members
+    _closed_form(lambda rho, x, reports: decompose.range_decomposition(rho)
                  if len(reports) > 1 else None),
     # 2 x 3 and 3 x 2, where PPT is separable: subtract range products, fit the rest.
-    _closed_form(lambda rho, x, reports: decompose.ppt_subtraction_decomposition(rho).members),
+    _closed_form(lambda rho, x, reports: decompose.ppt_subtraction_decomposition(rho)),
     _search,  # a failed search is Inconclusive, never entangled
 )
 

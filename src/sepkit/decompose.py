@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ScaledEigvecs, product_svd, scaled_eigvecs, takagi
-from .pairs import PairIndex, PairOperator, _entry_arrays, build_pair_operator, tau_matrix
+from .pairs import PairIndex, PairOperator, _pair_layout, build_pair_operator, tau_matrix
 from .states import (BOUNDARY_TOL, PRODUCT_TOL, RANGE_MARGIN, RANK_TOL, RECON_TOL, DensityMatrix,
                      _check_counts, _partial_transpose, partial_transpose)
 
@@ -55,7 +55,6 @@ __all__ = [
     "PolygonInfeasibleError",
     "PairCriterionError",
     "CanonicalBasis",
-    "PureEnsemble",
     "EnsembleReport",
     "a_value",
     "canonical_basis",
@@ -113,13 +112,15 @@ def _triangle_apex(a: float, c: float, t: float) -> tuple[float, float]:
     Uses half-angle factors instead of the law-of-cosines quotient: the
     arccos form loses half the digits on needle triangles (c much smaller
     than nearly equal a and t), which the closure guarantee cannot afford.
+    Requires t > 0 and a >= c.  Scaled by t's power of two (exact), t lies
+    in [0.5, 1), so no product overflows or underflows and den >= t^2 > 0.
     """
+    e = -math.frexp(t)[1]
+    a, c, t = math.ldexp(a, e), math.ldexp(c, e), math.ldexp(t, e)
     u = a - t
     num = max((c - u) * (c + u), 0.0)
-    den = max((a + t + c) * ((a + t) - c), 0.0)
+    den = (a + t + c) * ((a + t) - c)
     hyp = num + den
-    if hyp <= 0.0:
-        return 0.0, math.atan2(0.0, t - a)
     alpha = 2.0 * math.atan2(math.sqrt(num), math.sqrt(den))
     sin_half2 = num / hyp
     sin_alpha = 2.0 * math.sqrt(sin_half2 * (den / hyp))
@@ -187,19 +188,11 @@ def sign_matrix(k: int, l: int) -> np.ndarray:
     return s
 
 
-@dataclass(frozen=True)
-class PureEnsemble:
-    """Rows are unnormalized pure states with sum |z_i><z_i| = rho."""
-
-    members: np.ndarray
-    m: int
-    n: int
-
-
-def single_pair_decomposition(rho: DensityMatrix, pair: PairIndex) -> PureEnsemble:
+def single_pair_decomposition(rho: DensityMatrix, pair: PairIndex) -> np.ndarray:
     """Ensemble of 4k pure states reassembling rho with zero residual on one pair.
 
-    k is the smallest power of two with 4k >= max(4, l), l the rank.
+    The members are the rows of a complex (4k, m n) array; k is the
+    smallest power of two with 4k >= max(4, l), l the rank.
     Requires the pair's a value <= BOUNDARY_TOL.  The polygon closed is
     that of the lambdas with lambda_1 trimmed to the sum of the rest, which
     changes nothing when a <= 0 and otherwise leaves each member a residual
@@ -220,7 +213,7 @@ def single_pair_decomposition(rho: DensityMatrix, pair: PairIndex) -> PureEnsemb
             "no annihilating ensemble exists")
     theta = close_polygon([min(lam[0], lam[1:].sum()), *lam[1:]]) / 2.0
     coeff = sign_matrix(k, len(lam)) * (np.exp(1j * theta) / (2.0 * math.sqrt(k)))
-    return PureEnsemble(members=coeff @ basis.vectors, m=rho.m, n=rho.n)
+    return coeff @ basis.vectors
 
 
 def range_space(rho: DensityMatrix) -> tuple[int, np.ndarray | None]:
@@ -305,13 +298,14 @@ def _range_coefficients(l: int) -> np.ndarray:
     return coeff
 
 
-def range_decomposition(rho: DensityMatrix) -> PureEnsemble:
+def range_decomposition(rho: DensityMatrix) -> np.ndarray:
     """The l product members of a rank-l state, when its ranges pin them.
 
     If dim V = l (range_space), the Hermitian part of a fixed seeded
     generic element of V is whitened by T^-1/2, T the eigenvalues, and
-    its eigenvectors b_i give the members sum_j b_ji x_j.  They rebuild
-    rho for any unitary b; search.certify checks that they are products.
+    its eigenvectors b_i give the members sum_j b_ji x_j, returned as the
+    rows of a complex (l, m n) array.  They rebuild rho for any unitary
+    b; search.certify checks that they are products.
     Raises ValueError when rho^G has no kernel or dim V != l, from the
     counts alone, before any basis is read.
     """
@@ -325,7 +319,7 @@ def range_decomposition(rho: DensityMatrix) -> PureEnsemble:
     c = (_range_coefficients(l) @ basis.reshape(l, l * l)).reshape(l, l)
     scale = 1.0 / np.sqrt(x.values)
     _, b = np.linalg.eigh(scale[:, None] * (c + c.conj().T) * scale[None, :])
-    return PureEnsemble(members=b.T @ x.vectors, m=rho.m, n=rho.n)
+    return b.T @ x.vectors
 
 
 @functools.lru_cache(maxsize=1)
@@ -393,8 +387,9 @@ def _range_products(kc: np.ndarray, lc: np.ndarray) -> np.ndarray:
     return (a[:, :, None] * vh[keep, -1, None, :].conj()).reshape(len(a), -1)
 
 
-def ppt_subtraction_decomposition(rho: DensityMatrix) -> PureEnsemble:
-    """A product decomposition of a PPT 2 x 3 or 3 x 2 state.
+def ppt_subtraction_decomposition(rho: DensityMatrix) -> np.ndarray:
+    """A product decomposition of a PPT 2 x 3 or 3 x 2 state, its members
+    the rows of a complex (k, 6) array.
 
     In 2 x 3 a state is separable exactly when its partial transpose is
     positive (Horodecki, Horodecki and Horodecki, Phys. Lett. A 223, 1
@@ -458,38 +453,40 @@ def ppt_subtraction_decomposition(rho: DensityMatrix) -> PureEnsemble:
     z = np.concatenate([np.reshape(members, (-1, m * n)), np.sqrt(weights)[:, None] * products])
     if rho.m == 3:
         z = z.reshape(-1, m, n).swapaxes(1, 2).reshape(-1, m * n)
-    return PureEnsemble(members=z, m=rho.m, n=rho.n)
+    return z
 
 
 @dataclass(frozen=True)
 class EnsembleReport:
-    """Verification summary for an ensemble against a state and pair operators."""
+    """Verification summary for an ensemble against a state and its pairs."""
 
     reconstruction_error: float
     max_pair_residual: float
     member_product_errors: np.ndarray
 
 
-def verify_ensemble(ensemble: PureEnsemble, rho: DensityMatrix,
-                    pairs: list[PairOperator]) -> EnsembleReport:
+def verify_ensemble(members, rho: DensityMatrix) -> EnsembleReport:
     """Reconstruction error, worst pair residual, and per-member product errors.
 
-    The residuals of every member on every pair come from one gather per
-    operator entry.  A member's product error is its second singular value
-    relative to its first (0 for members of negligible norm).  Raises
-    ValueError on a non-finite member.
+    The members are the rows of a complex (k, m n) array, as the closed
+    forms return them, and every pair of rho's shape is checked, each by
+    one gather per operator entry.  A member's product error is its second
+    singular value relative to its first (0 for members of negligible
+    norm).  Raises ValueError unless the members are a finite (k, m n) array.
     """
-    z = ensemble.members
-    if any((b.m, b.n) != (ensemble.m, ensemble.n) for b in pairs):
-        raise ValueError(f"pair operators do not match the {ensemble.m} x {ensemble.n} ensemble")
+    z = np.asarray(members, dtype=complex)
+    m, n = rho.m, rho.n
+    if z.ndim != 2 or z.shape[1] != m * n:
+        raise ValueError(f"members must be a (k, {m * n}) array, got shape {z.shape}")
     if not np.all(np.isfinite(z)):
         raise ValueError("the members have a non-finite entry")
     recon = np.einsum("ia,ib->ab", z, z.conj())
     recon_err = float(np.linalg.norm(recon - rho.matrix))
-    rows, cols, vals = _entry_arrays(pairs)
+    layout = _pair_layout(m, n)
+    rows, cols, vals = layout.rows, layout.cols, layout.vals
     residuals = sum(vals[:, e] * np.conj(z[:, rows[:, e]] * z[:, cols[:, e]]) for e in range(4))
     product_errors = np.zeros(z.shape[0])
-    s = product_svd(z, ensemble.m, ensemble.n)[1]
+    s = product_svd(z, m, n)[1]
     np.divide(s[:, 1], s[:, 0], out=product_errors, where=s[:, 0] > 1e-12)
     return EnsembleReport(reconstruction_error=recon_err,
                           max_pair_residual=float(np.max(np.abs(residuals), initial=0.0)),

@@ -106,19 +106,12 @@ def pair_operators(m: int, n: int) -> list[PairOperator]:
     return [build_pair_operator(m, n, pair) for pair in enumerate_pairs(m, n)]
 
 
-def _entry_arrays(ops: list[PairOperator]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 0-based rows, 0-based columns and values of each operator's four entries, (P, 4)."""
-    ent = np.array([b.entries for b in ops]).reshape(-1, 4, 3)  # (0, 4, 3) with no pairs
-    rows, cols = (ent[:, :, k].astype(np.intp) - 1 for k in (0, 1))
-    return rows, cols, ent[:, :, 2]
-
-
 @dataclass(frozen=True)
 class _PairLayout:
     """Every pair of one shape, the 0-based rows, columns and values of its
     four entries (P, 4), and the 4 x 4 sign blocks they give (P, 4, 4):
     sign[r, e, f] = val_e where entry e's column is entry f's row.  The
-    arrays are read-only; criterion.pair_reports and the search read them."""
+    arrays are read-only; pair_reports, the search and verify_ensemble read them."""
 
     pairs: tuple[PairIndex, ...]
     rows: np.ndarray
@@ -131,7 +124,9 @@ class _PairLayout:
 def _pair_layout(m: int, n: int) -> _PairLayout:
     """The layout of pair_operators(m, n), built once per shape."""
     ops = pair_operators(m, n)
-    rows, cols, vals = _entry_arrays(ops)
+    ent = np.array([b.entries for b in ops]).reshape(-1, 4, 3)  # (0, 4, 3) with no pairs
+    rows, cols = (ent[:, :, k].astype(np.intp) - 1 for k in (0, 1))
+    vals = ent[:, :, 2]
     sign = np.where(cols[:, :, None] == rows[:, None, :], vals[:, :, None], 0.0)
     for a in (rows, cols, vals, sign):
         a.flags.writeable = False

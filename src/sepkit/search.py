@@ -448,8 +448,12 @@ def check_certificate(cert: SeparableCertificate, rho_matrix: np.ndarray) -> Non
     The sum must match within STATE_TOL and the mixture within RECON_TOL.
     The target is rho's own trace, not 1: a valid state's trace is 1 only
     within STATE_TOL, and an exact decomposition's weights sum to its
-    positive eigenvalues.
+    positive eigenvalues.  A rho of another dimension is refused first.
     """
+    d = cert.m * cert.n
+    if np.shape(rho_matrix) != (d, d):
+        raise CertificateError(f"the {cert.m} x {cert.n} certificate rebuilds a {d} x {d} "
+                               f"matrix, not one of shape {np.shape(rho_matrix)}")
     total = float(cert.weights.sum())
     trace = float(np.trace(rho_matrix).real)
     if not abs(total - trace) <= STATE_TOL:  # NaN fails too

@@ -200,11 +200,11 @@ def test_criterion_07_single_pair_construction():
             if rep.a_value > 0:
                 continue
             ens = single_pair_decomposition(rho, b.pair)
-            recon = np.einsum("ia,ib->ab", ens.members, ens.members.conj())
+            recon = np.einsum("ia,ib->ab", ens, ens.conj())
             worst_recon = max(worst_recon,
                               float(np.linalg.norm(recon - rho.matrix)))
             worst_resid = max(worst_resid,
-                              max(abs(pair_residual(b, z)) for z in ens.members))
+                              max(abs(pair_residual(b, z)) for z in ens))
             built += 1
     _line(7, sign_ok and built > 100 and worst_recon <= 1e-10 and worst_resid <= 1e-10,
           f"{built} ensembles, worst reconstruction {worst_recon:.3e}, "

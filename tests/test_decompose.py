@@ -11,7 +11,6 @@ import sepkit.decompose as decompose_module
 from sepkit.decompose import (
     PairCriterionError,
     PolygonInfeasibleError,
-    PureEnsemble,
     a_value,
     canonical_basis,
     close_polygon,
@@ -79,7 +78,9 @@ def test_close_polygon_zero_lengths_get_zero_phase():
 
 def test_close_polygon_closes_random_feasible_sets():
     """Random length sets, including needle-shaped ones with tiny tails,
-    close to machine precision relative to the total length."""
+    close to machine precision relative to the total length, and so do
+    fixed sets at scales where the triangle's products once overflowed
+    (NaN phases) or underflowed (a third of the total left open)."""
     rng = np.random.default_rng(77)
     for trial in range(300):
         size = rng.integers(1, 9)
@@ -94,6 +95,11 @@ def test_close_polygon_closes_random_feasible_sets():
         closure = abs(np.sum(lengths * np.exp(1j * phases)))
         assert closure <= 1e-12 * max(lengths.sum(), 1e-300)
         assert np.all((phases >= 0) & (phases < 2 * np.pi))
+    for scale in (1e-300, 1e-170, 1e170, 1e300):
+        for base in ([1.0, 1.0, 1.0], [5.0, 4.0, 3.0], [2.0, 1.0, 1.0, 0.3, 0.2]):
+            lengths = np.array(base) * scale
+            closure = abs(np.sum(lengths * np.exp(1j * close_polygon(lengths))))
+            assert closure <= 1e-12 * lengths.sum()
 
 
 def test_close_polygon_closes_thousands_of_lengths():
@@ -173,11 +179,11 @@ def test_single_pair_decomposition_of_bound_state():
     is not expected to pass)."""
     rho = sk.bound_2x4()
     ens = single_pair_decomposition(rho, PairIndex(2, 2))
-    assert ens.members.shape == (8, 8)
+    assert ens.shape == (8, 8)
     ops = pair_operators(2, 4)
-    report = verify_ensemble(ens, rho, ops)
+    report = verify_ensemble(ens, rho)
     assert report.reconstruction_error <= 1e-12
-    for member in ens.members:
+    for member in ens:
         assert abs(pair_residual(ops[0], member)) <= 1e-12
     assert report.max_pair_residual > 1e-3  # pairs 2 and 3 are not annihilated
 
@@ -196,10 +202,10 @@ def test_single_pair_decomposition_random_states():
                 if a_value(cb.lambdas, l_prime) > 0:
                     continue
                 ens = single_pair_decomposition(rho, b.pair)
-                assert ens.members.shape[0] == max(4, 1 << (x.count - 1).bit_length())
-                recon = np.einsum("ia,ib->ab", ens.members, ens.members.conj())
+                assert ens.shape[0] == max(4, 1 << (x.count - 1).bit_length())
+                recon = np.einsum("ia,ib->ab", ens, ens.conj())
                 np.testing.assert_allclose(recon, rho.matrix, atol=1e-11)
-                worst = max(abs(pair_residual(b, z)) for z in ens.members)
+                worst = max(abs(pair_residual(b, z)) for z in ens)
                 assert worst <= 1e-11
                 count += 1
     assert count > 20
@@ -222,7 +228,7 @@ def test_single_pair_decomposition_closes_pairs_its_a_check_admits():
     assert report.search is None
     sk.check_certificate(report.certificate, rho.matrix)
     ens = single_pair_decomposition(rho, PairIndex(2, 2))
-    assert ens.members.shape == (4, 4)
+    assert ens.shape == (4, 4)
     worse = sk.classify(sk.werner_2x2(1 / 3 + 2e-9), cfg)
     assert worse.verdict is sk.Verdict.ENTANGLED_BY_PAIR_CRITERION
 
@@ -230,40 +236,32 @@ def test_single_pair_decomposition_closes_pairs_its_a_check_admits():
 def test_verify_ensemble_flags_corruption():
     rho = sk.bound_2x4()
     ens = single_pair_decomposition(rho, PairIndex(2, 2))
-    report = verify_ensemble(ens, rho, pair_operators(2, 4)[:1])
-    assert report.reconstruction_error <= 1e-12
-    assert report.max_pair_residual <= 1e-12
-
-    broken = type(ens)(members=ens.members * 1.01, m=ens.m, n=ens.n)
-    bad = verify_ensemble(broken, rho, pair_operators(2, 4)[:1])
-    assert bad.reconstruction_error > 1e-3
+    assert verify_ensemble(ens, rho).reconstruction_error <= 1e-12
+    assert verify_ensemble(ens * 1.01, rho).reconstruction_error > 1e-3
 
 
 def test_verify_ensemble_rejects_a_non_finite_member():
     rho = sk.bound_2x4()
-    ens = single_pair_decomposition(rho, PairIndex(2, 2))
-    members = ens.members.copy()
+    members = single_pair_decomposition(rho, PairIndex(2, 2))
     members[1, 2] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        verify_ensemble(type(ens)(members=members, m=ens.m, n=ens.n), rho, pair_operators(2, 4))
+        verify_ensemble(members, rho)
 
 
-@pytest.mark.parametrize("m, n", [(3, 3), (2, 4), (4, 4)])
+@pytest.mark.parametrize("m, n", [(3, 3), (2, 4), (4, 4), (1, 3)])
 def test_verify_ensemble_residual_is_the_worst_pair_residual(m, n):
     """The gathered residuals give the largest |pair_residual| over the
-    operators passed: all of them, a subset, or none (0.0); operators of
-    another shape are refused."""
+    state's pairs, 0.0 on a 1 x 3 state, which has none; members of
+    another width are refused."""
     rho = sk.random_density(m, n, seed=40_000 + m * n)
     x = scaled_eigvecs(rho)
     z = random_orthonormal_columns(2 * x.count, x.count, seed=m * n) @ x.vectors
-    ensemble = PureEnsemble(members=z, m=m, n=n)
-    ops = pair_operators(m, n)
-    for subset in (ops, ops[1::2], []):
-        worst = max((abs(pair_residual(b, psi)) for b in subset for psi in z), default=0.0)
-        assert abs(verify_ensemble(ensemble, rho, subset).max_pair_residual - worst) <= 1e-15
-    assert verify_ensemble(ensemble, rho, []).max_pair_residual == 0.0
-    with pytest.raises(ValueError):
-        verify_ensemble(ensemble, rho, pair_operators(m, n + 1))
+    worst = max((abs(pair_residual(b, psi)) for b in pair_operators(m, n) for psi in z),
+                default=0.0)
+    residual = verify_ensemble(z, rho).max_pair_residual
+    assert abs(residual - worst) <= 1e-15 and (residual == 0.0) == (m == 1)
+    with pytest.raises(ValueError, match=rf"members must be a \(k, {m * n}\) array"):
+        verify_ensemble(z[:, 1:], rho)
 
 
 @pytest.mark.parametrize("m, n, terms", [(2, 3, 3), (3, 3, 4), (2, 4, 5), (3, 4, 8), (4, 4, 4)])
@@ -280,22 +278,22 @@ def test_range_decomposition_recovers_the_mixture(m, n, terms):
     psi = np.sqrt(weights)[:, None] * np.einsum("ka,kb->kab", alphas, betas).reshape(terms, -1)
     rho = sk.density_matrix(m, n, psi.T @ psi.conj())
     ens = range_decomposition(rho)
-    assert ens.members.shape == (terms, m * n) and (ens.m, ens.n) == (m, n)
-    recon = ens.members.T @ ens.members.conj()
+    assert ens.shape == (terms, m * n)
+    recon = ens.T @ ens.conj()
     assert np.linalg.norm(recon - rho.matrix) <= 1e-12
     # Each member's projector is one term's w_i |a_i b_i><a_i b_i|.
-    proj_z, proj_psi = (np.einsum("ka,kb->kab", v, v.conj()) for v in (ens.members, psi))
+    proj_z, proj_psi = (np.einsum("ka,kb->kab", v, v.conj()) for v in (ens, psi))
     dist = np.linalg.norm(proj_z[:, None] - proj_psi[None], axis=(2, 3))
     assert sorted(np.argmin(dist, axis=1)) == list(range(terms))
     assert np.max(np.min(dist, axis=1)) <= 1e-12
-    assert len(certify(ens.members, rho).weights) == terms
+    assert len(certify(ens, rho).weights) == terms
 
 
 def test_range_decomposition_draws_no_generator_per_call(monkeypatch):
     """The generic element's seeded coefficients are built once per rank,
     read-only, and equal default_rng(0)'s; later calls make no generator."""
     rho, again = (sk.random_separable(3, 3, 3, seed=2) for _ in range(2))
-    first = range_decomposition(rho).members
+    first = range_decomposition(rho)
     coeff = np.random.default_rng(0).standard_normal((2, 3))
     kept = decompose_module._range_coefficients(3)
     np.testing.assert_array_equal(kept, coeff[0] + 1j * coeff[1])
@@ -305,7 +303,7 @@ def test_range_decomposition_draws_no_generator_per_call(monkeypatch):
         raise AssertionError("range_decomposition made a generator")
 
     monkeypatch.setattr(np.random, "default_rng", no_generator)
-    np.testing.assert_array_equal(range_decomposition(again).members, first)
+    np.testing.assert_array_equal(range_decomposition(again), first)
 
 
 @pytest.mark.parametrize("rho, message", [
@@ -341,8 +339,8 @@ def test_ppt_subtraction_decomposition_certifies_full_rank_ppt_states(rho):
     assert scaled_eigvecs(rho).count == 6
     assert np.linalg.eigvalsh(partial_transpose(rho))[0] > 0.0
     ens = ppt_subtraction_decomposition(rho)
-    assert ens.members.shape == (8, 6) and (ens.m, ens.n) == (rho.m, rho.n)
-    cert = certify(ens.members, rho)
+    assert ens.shape == (8, 6)
+    cert = certify(ens, rho)
     assert cert is not None and len(cert.weights) == 8
 
 
@@ -350,8 +348,8 @@ def test_ppt_subtraction_decomposition_swaps_a_3x2_state_and_its_members():
     """On 3 x 2 the route runs on the 2 x 3 state with the factors swapped
     and swaps each member back."""
     rho = sk.random_separable(3, 2, 7, seed=2)
-    swapped = ppt_subtraction_decomposition(_swap_factors(rho)).members
-    members = ppt_subtraction_decomposition(rho).members
+    swapped = ppt_subtraction_decomposition(_swap_factors(rho))
+    members = ppt_subtraction_decomposition(rho)
     np.testing.assert_allclose(members.reshape(-1, 3, 2), swapped.reshape(-1, 2, 3).swapaxes(1, 2),
                                rtol=0, atol=1e-12)
 
@@ -420,7 +418,7 @@ def test_ppt_subtraction_decomposition_members_with_a_perturbed_weight_fail_cert
     """Raising any one member's weight by 1e-6 leaves the mixture 1e-6
     from rho, beyond RECON_TOL, so search.certify refuses it."""
     rho = sk.random_separable(2, 3, 7, seed=3)
-    members = ppt_subtraction_decomposition(rho).members
+    members = ppt_subtraction_decomposition(rho)
     assert certify(members, rho) is not None
     for i, weight in enumerate(np.linalg.norm(members, axis=1) ** 2):
         perturbed = members.copy()
@@ -431,7 +429,7 @@ def test_ppt_subtraction_decomposition_members_with_a_perturbed_weight_fail_cert
 def test_ppt_subtraction_decomposition_draws_no_generator_per_call(monkeypatch):
     """The chart and the subtraction coefficients are drawn once, read-only."""
     rho, again = (sk.random_separable(2, 3, 6, seed=5) for _ in range(2))
-    first = ppt_subtraction_decomposition(rho).members
+    first = ppt_subtraction_decomposition(rho)
     chart, draws = decompose_module._subtraction_draws()
     assert not chart.flags.writeable and not draws.flags.writeable
     np.testing.assert_allclose(chart.conj().T @ chart, np.eye(2), atol=1e-15)
@@ -440,7 +438,7 @@ def test_ppt_subtraction_decomposition_draws_no_generator_per_call(monkeypatch):
         raise AssertionError("ppt_subtraction_decomposition made a generator")
 
     monkeypatch.setattr(np.random, "default_rng", no_generator)
-    np.testing.assert_array_equal(ppt_subtraction_decomposition(again).members, first)
+    np.testing.assert_array_equal(ppt_subtraction_decomposition(again), first)
 
 
 def _dim_v_from_hermitian_basis(rho) -> int:

@@ -50,6 +50,26 @@ def test_polish_keeps_an_exact_decomposition():
     assert np.linalg.norm(members.T @ members.conj() - rho.matrix) <= 1.4e-14
 
 
+def test_polish_gives_up_on_a_singular_step(monkeypatch):
+    """bound_2x4's certificate members with 1e-4 seeded noise need at least
+    one step, which _polish takes and certifies; when the damped system is
+    singular to working precision, _polish returns None instead."""
+    rho = sk.bound_2x4()
+    cert = sk.classify(rho).certificate
+    z = (np.sqrt(cert.weights)[:, None, None] * cert.alphas[:, :, None]
+         * cert.betas[:, None, :]).reshape(len(cert.weights), -1)
+    rng = np.random.default_rng(5)
+    z = z + 1e-4 * (rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape))
+    members = _polish(z, rho.matrix, rho.m, rho.n)
+    assert members is not None and sk.certify(members, rho) is not None
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    assert _polish(z, rho.matrix, rho.m, rho.n) is None
+
+
 @pytest.mark.parametrize("rho, k", [(sk.tiles(), 4), (sk.tiles(), 8),
                                     (sk.horodecki_2x4(0.5), 5), (sk.horodecki_2x4(0.5), 10)],
                          ids=["tiles_k4", "tiles_k8", "horodecki_b0.5_k5", "horodecki_b0.5_k10"])

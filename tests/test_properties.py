@@ -197,7 +197,7 @@ def test_range_route_verdict_is_local_unitary_invariant(dims, data, seed):
         except ValueError:
             terms_found.append(None)
             continue
-        cert = certify(ensemble.members, state)
+        cert = certify(ensemble, state)
         assert cert is not None
         _recheck(cert, state.matrix)
         terms_found.append(len(cert.weights))

@@ -472,6 +472,9 @@ def test_check_certificate_validates_weights_and_reconstruction():
                         alphas=cert.alphas, betas=cert.betas)
     with pytest.raises(CertificateError, match="weights sum"):
         check_certificate(shrunk, rho.matrix)
+    with pytest.raises(CertificateError, match=r"2 x 2 certificate rebuilds a 4 x 4 matrix, "
+                                               r"not one of shape \(6, 6\)"):
+        check_certificate(cert, np.eye(6) / 6)
 
 
 @pytest.mark.parametrize("field, message", [("weights", "weights sum"),
@@ -670,6 +673,26 @@ def test_the_polish_pause_leaves_the_descent_unchanged():
         assert paused[0][1] <= search_module._POLISH_GATE and paused[0][2] < paused[1][2]
         (u, f, iters), (u_p, f_p, iters_p) = plain[0], paused[1]
         assert np.array_equal(u, u_p) and f == f_p and iters == iters_p
+
+
+def test_a_failed_retraction_halves_the_step(monkeypatch):
+    """A retraction that raises LinAlgError counts as a rejected step: alpha
+    halves from _STEP_INIT until it falls below _STEP_MIN, 47 attempts, and
+    the descent ends after one iteration where it started."""
+    rho = sk.random_separable(2, 3, 3, seed=1)
+    x = scaled_eigvecs(rho)
+    kernel = _member_kernel(x, rho.m, rho.n)
+    u0 = random_orthonormal_columns(x.count, x.count, 0)
+    f0 = _objective_and_gradient(u0, kernel)[0]
+    attempts = []
+
+    def singular(m):
+        attempts.append(m)
+        raise np.linalg.LinAlgError("singular")
+
+    monkeypatch.setattr(search_module, "_retract", singular)
+    ((u, f, iters),) = search_module._descend(u0, kernel, 200)
+    assert u is u0 and f == f0 and iters == 1 and len(attempts) == 47
 
 
 def test_full_rank_search_certifies_at_the_gate():
