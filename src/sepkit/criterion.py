@@ -66,7 +66,7 @@ def pair_spectrum(tau) -> tuple[np.ndarray, int]:
     return lambdas, int(np.sum(lambdas > RANK_TOL))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralReport:
     """Per-pair spectral data: the singular values of tau, l' and the a value."""
 
@@ -141,7 +141,7 @@ class ClassifyConfig:
     search: SearchConfig | None = None  # defaulted in minimize
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassificationReport:
     """Outcome of the full pipeline plus the evidence it was based on."""
 

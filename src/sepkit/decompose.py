@@ -46,18 +46,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ScaledEigvecs, product_svd, scaled_eigvecs, takagi
-from .pairs import PairIndex, PairOperator, _pair_layout, build_pair_operator, tau_matrix
+from .linalg import product_svd, scaled_eigvecs, takagi
+from .pairs import PairIndex, _pair_layout, build_pair_operator, tau_matrix
 from .states import (BOUNDARY_TOL, PRODUCT_TOL, RANGE_MARGIN, RANK_TOL, RECON_TOL, DensityMatrix,
                      _check_counts, _partial_transpose, partial_transpose)
 
 __all__ = [
     "PolygonInfeasibleError",
     "PairCriterionError",
-    "CanonicalBasis",
     "EnsembleReport",
     "a_value",
-    "canonical_basis",
     "close_polygon",
     "sign_matrix",
     "single_pair_decomposition",
@@ -76,14 +74,6 @@ class PairCriterionError(ValueError):
     """The pair's a value is positive; no annihilating ensemble exists."""
 
 
-@dataclass(frozen=True)
-class CanonicalBasis:
-    """Rows y_i with <y_i| B |conj(y_j)> = lambdas[i] delta_ij and sum |y_i><y_i| = rho."""
-
-    vectors: np.ndarray
-    lambdas: np.ndarray
-
-
 def a_value(lambdas, l_prime: int) -> float:
     """lambda_1 minus the sum of the remaining nonzero lambdas (0 when l' = 0).
 
@@ -98,13 +88,6 @@ def a_value(lambdas, l_prime: int) -> float:
     return float(lambdas[0] - np.sum(lambdas[1:l_prime]))
 
 
-def canonical_basis(x: ScaledEigvecs, b: PairOperator) -> CanonicalBasis:
-    """Rotate scaled eigenvectors into the Takagi gauge of the pair's tau matrix."""
-    tau = tau_matrix(x, b)
-    t = takagi(tau)
-    return CanonicalBasis(vectors=t.v.conj() @ x.vectors, lambdas=t.lambdas)
-
-
 def _triangle_apex(a: float, c: float, t: float) -> tuple[float, float]:
     """Apex angle alpha and the angle of the remainder t - a e^{i alpha} of
     the (a, c, t) triangle.
@@ -112,11 +95,9 @@ def _triangle_apex(a: float, c: float, t: float) -> tuple[float, float]:
     Uses half-angle factors instead of the law-of-cosines quotient: the
     arccos form loses half the digits on needle triangles (c much smaller
     than nearly equal a and t), which the closure guarantee cannot afford.
-    Requires t > 0 and a >= c.  Scaled by t's power of two (exact), t lies
-    in [0.5, 1), so no product overflows or underflows and den >= t^2 > 0.
+    Requires t in [0.5, 1) and a >= c, as close_polygon's scaling leaves
+    them, so no product overflows or underflows and den >= t^2 > 0.
     """
-    e = -math.frexp(t)[1]
-    a, c, t = math.ldexp(a, e), math.ldexp(c, e), math.ldexp(t, e)
     u = a - t
     num = max((c - u) * (c + u), 0.0)
     den = (a + t + c) * ((a + t) - c)
@@ -144,16 +125,20 @@ def close_polygon(lengths) -> np.ndarray:
     if not all(0.0 <= v < math.inf for v in lengths):  # NaN fails too
         raise ValueError("lengths must be finite and nonnegative")
     phases = [0.0] * len(lengths)
-    total = math.fsum(lengths)
+    # Scaled by the longest one's power of two (exact), the longest lies in
+    # [0.5, 1), so no sum overflows near the float maximum.
+    e = -math.frexp(max(lengths))[1]
+    scaled = [math.ldexp(v, e) for v in lengths]
+    total = math.fsum(scaled)
     if total == 0.0:
         return np.array(phases)
     order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)  # stable
-    ordered = [lengths[j] for j in order]
+    ordered = [scaled[j] for j in order]
     excess = 2.0 * ordered[0] - total
     if excess > 1e-12 * total:
         raise PolygonInfeasibleError(
-            f"longest length {ordered[0]:.6g} exceeds the sum of the others "
-            f"by {excess:.3e}")
+            f"longest length {math.ldexp(ordered[0], -e):.6g} exceeds the sum of the others "
+            f"by {math.ldexp(excess, -e):.3e}")
     alpha, beta = _triangle_apex(math.fsum(ordered[1::2]), math.fsum(ordered[2::2]), ordered[0])
     arms = ((alpha + math.pi) % math.tau, (beta + math.pi) % math.tau)
     for i, j in enumerate(order[1:]):
@@ -203,8 +188,8 @@ def single_pair_decomposition(rho: DensityMatrix, pair: PairIndex) -> np.ndarray
     while 4 * k < x.count:
         k *= 2
     b = build_pair_operator(rho.m, rho.n, pair)
-    basis = canonical_basis(x, b)
-    lam = basis.lambdas
+    t = takagi(tau_matrix(x, b))  # the rows of conj(t.v) x are the canonical basis y_i
+    lam = t.lambdas
     l_prime = int(np.count_nonzero(lam > RANK_TOL))
     a = a_value(lam, l_prime)
     if a > BOUNDARY_TOL:
@@ -213,27 +198,7 @@ def single_pair_decomposition(rho: DensityMatrix, pair: PairIndex) -> np.ndarray
             "no annihilating ensemble exists")
     theta = close_polygon([min(lam[0], lam[1:].sum()), *lam[1:]]) / 2.0
     coeff = sign_matrix(k, len(lam)) * (np.exp(1j * theta) / (2.0 * math.sqrt(k)))
-    return coeff @ basis.vectors
-
-
-def range_space(rho: DensityMatrix) -> tuple[int, np.ndarray | None]:
-    """dim V and, when dim V = l, a basis of V (see the module docstring)
-    for a rank-l state.
-
-    With E the unit eigenvectors of rho (in scaled_eigvecs' order and
-    phases), V is the Hermitian C with X = E C E^H and X^G K = 0, K the
-    kernel of rho^G (eigenvalues <= RANK_TOL).  Over complex C the
-    conditions X^G K = 0 and K^H X^G = 0 give V's complexification, the
-    null space of one linear map; dim V is l^2 minus the map's singular
-    values above RANK_TOL.  When dim V = l, the one case
-    range_decomposition reads, the basis is that null space as an
-    (l, l, l) stack of C, read-only, whose complex combinations'
-    Hermitian parts span V; otherwise it is None.  When rho^G has no
-    kernel every Hermitian C lies in V: dim V is l^2 and no SVD is taken.
-    Computed once per state (see _range).
-    """
-    dim, _, _, basis = _range(rho)
-    return dim, basis
+    return coeff @ (t.v.conj() @ x.vectors)
 
 
 def _spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -244,17 +209,26 @@ def _spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return w, v, int(np.count_nonzero(w <= RANK_TOL))
 
 
-def _range(rho: DensityMatrix) -> tuple[int, int, int, np.ndarray | None]:
-    """dim V, the count beyond RANGE_MARGIN, the map's rows, and V's basis when dim V = l.
+def range_space(rho: DensityMatrix) -> tuple[int, int, np.ndarray | None]:
+    """dim V, the count beyond RANGE_MARGIN, and V's basis when dim V = l,
+    for a rank-l state (V as in the module docstring).
 
-    dim V and the second count come from one values-only SVD of
-    range_space's map.  The second is l^2 minus the singular values above
-    RANGE_MARGIN, or l^2 unless every kernel eigenvalue of rho^G is at most
-    RANGE_MARGIN^2 times rho's least eigenvalue; it bounds dim V from
-    above, so when it is below l, dim V < l holds robustly and no
-    decomposition exists.  The rows are 0 when rho^G has no kernel.  The
-    basis is None unless dim V = l.  Computed once per state and kept in
-    rho's _range slot; the map itself is not kept.
+    With E the unit eigenvectors of rho (in scaled_eigvecs' order and
+    phases), V is the Hermitian C with X = E C E^H and X^G K = 0, K the
+    kernel of rho^G (eigenvalues <= RANK_TOL).  Over complex C the
+    conditions X^G K = 0 and K^H X^G = 0 give V's complexification, the
+    null space of one linear map; dim V is l^2 minus the map's singular
+    values above RANK_TOL, from one values-only SVD.  The second count is
+    l^2 minus those above RANGE_MARGIN, or l^2 unless every kernel
+    eigenvalue of rho^G is at most RANGE_MARGIN^2 times rho's least
+    eigenvalue; it bounds dim V from above, so when it is below l,
+    dim V < l holds robustly and no decomposition exists.  When dim V = l,
+    the one case range_decomposition reads, the basis is that null space
+    as an (l, l, l) stack of C, read-only, whose complex combinations'
+    Hermitian parts span V; otherwise it is None.  When rho^G has no
+    kernel every Hermitian C lies in V: both counts are l^2 and no SVD is
+    taken.  Computed once per state and kept in rho's _range slot; the
+    map itself is not kept.
     """
     if rho._range is not None:
         return rho._range
@@ -262,7 +236,7 @@ def _range(rho: DensityMatrix) -> tuple[int, int, int, np.ndarray | None]:
     l, m, n = x.count, rho.m, rho.n
     w, v, zero = _spectrum(partial_transpose(rho))
     if not zero:
-        object.__setattr__(rho, "_range", (l * l, l * l, 0, None))
+        object.__setattr__(rho, "_range", (l * l, l * l, None))
         return rho._range
     kernel = v[:, :zero].T.reshape(-1, m, n)
     # A kernel eigenvalue w_s leaves a product term of weight t an overlap
@@ -284,8 +258,7 @@ def _range(rho: DensityMatrix) -> tuple[int, int, int, np.ndarray | None]:
         vh = np.linalg.svd(a, full_matrices=a.shape[0] < l * l)[2]
         basis = vh[l * l - l:].conj().reshape(l, l, l)
         basis.flags.writeable = False
-    object.__setattr__(rho, "_range", (dim, l * l - int(np.count_nonzero(s > margin)),
-                                       a.shape[0], basis))
+    object.__setattr__(rho, "_range", (dim, l * l - int(np.count_nonzero(s > margin)), basis))
     return rho._range
 
 
@@ -306,16 +279,15 @@ def range_decomposition(rho: DensityMatrix) -> np.ndarray:
     its eigenvectors b_i give the members sum_j b_ji x_j, returned as the
     rows of a complex (l, m n) array.  They rebuild rho for any unitary
     b; search.certify checks that they are products.
-    Raises ValueError when rho^G has no kernel or dim V != l, from the
-    counts alone, before any basis is read.
+    Raises ValueError when range_space builds no basis: "no kernel" when
+    dim V = l^2, as when rho^G has no kernel, and otherwise dim V and l.
     """
     x = scaled_eigvecs(rho)
     l = x.count
-    dim, _, rows, basis = _range(rho)
-    if not rows:
-        raise ValueError("the partial transpose has no kernel")
-    if dim != l:
-        raise ValueError(f"dim V = {dim}, the rank is {l}")
+    dim, _, basis = range_space(rho)
+    if basis is None:
+        raise ValueError("the partial transpose has no kernel" if dim == l * l
+                         else f"dim V = {dim}, the rank is {l}")
     c = (_range_coefficients(l) @ basis.reshape(l, l * l)).reshape(l, l)
     scale = 1.0 / np.sqrt(x.values)
     _, b = np.linalg.eigh(scale[:, None] * (c + c.conj().T) * scale[None, :])
@@ -456,7 +428,7 @@ def ppt_subtraction_decomposition(rho: DensityMatrix) -> np.ndarray:
     return z
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleReport:
     """Verification summary for an ensemble against a state and its pairs."""
 

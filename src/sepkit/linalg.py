@@ -40,7 +40,7 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianEig:
     """Eigenvalues (real, descending) and matching unit eigenvector columns."""
 
@@ -48,7 +48,7 @@ class HermitianEig:
     eigenvectors: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TakagiResult:
     """Unitary v and nonnegative descending lambdas with v @ S @ v.T = diag(lambdas)."""
 
@@ -74,7 +74,7 @@ def hermitian_eig(h) -> HermitianEig:
     return HermitianEig(eigenvalues=w[::-1], eigenvectors=_fix_column_phases(v[:, ::-1]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScaledEigvecs:
     """Rows are eigenvectors of rho scaled by sqrt(eigenvalue); <x_i|x_j> = t_i delta_ij."""
 

@@ -106,7 +106,7 @@ def pair_operators(m: int, n: int) -> list[PairOperator]:
     return [build_pair_operator(m, n, pair) for pair in enumerate_pairs(m, n)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _PairLayout:
     """Every pair of one shape, the 0-based rows, columns and values of its
     four entries (P, 4), and the 4 x 4 sign blocks they give (P, 4, 4):

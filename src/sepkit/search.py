@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import _range
+from .decompose import range_space
 from .linalg import ScaledEigvecs, product_svd, random_orthonormal_columns, scaled_eigvecs
 from .linalg import reorthonormalize  # noqa: F401 (traced by perfbench)
 from .pairs import PairIndex, _pair_layout, pair_operators, tau_matrix
@@ -93,7 +93,7 @@ class SearchConfig:
     seed: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeparableCertificate:
     """Explicit mixture of product states: weights and unit factor vectors."""
 
@@ -117,7 +117,7 @@ class CertificateError(ValueError):
         self.member_index = member_index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchReport:
     """Best point found, its residual, the budget used, and the certificate if any.
 
@@ -195,7 +195,7 @@ def residual_gradient(u, taus) -> np.ndarray:
     return _tau_objective_and_gradient(_check_u(u, taus.shape[1], 1e-3), taus)[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _MemberKernel:
     """One state's pair residuals as functions of the members.
 
@@ -326,7 +326,7 @@ def _k_schedule(l: int, range_dim: int, dim_bound: int, m: int, n: int) -> list[
     """l, 2l, 4l, ... capped at max(l, range_dim), for a rank-l m x n state.
 
     Empty when dim_bound, dim V counted beyond RANGE_MARGIN
-    (decompose._range), is below l: then no decomposition exists.  At
+    (decompose.range_space), is below l: then no decomposition exists.  At
     full rank (l = mn), only the sizes with a fit (see the products module).
     """
     if dim_bound < l:
@@ -365,7 +365,7 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
         raise ValueError(f"restarts and max_iters must be >= 1: {cfg.restarts}, {cfg.max_iters}")
     x = scaled_eigvecs(rho)
     l = x.count
-    range_dim, dim_bound = _range(rho)[:2]
+    range_dim, dim_bound, _ = range_space(rho)
     schedule = _k_schedule(l, range_dim, dim_bound, rho.m, rho.n)
     if schedule and not _pair_layout(rho.m, rho.n).pairs:
         certificate = certify(x.vectors, rho)

@@ -92,7 +92,7 @@ def _fix_column_phases(v: np.ndarray) -> np.ndarray:
     return v * np.where(r != 0, p.conj() / np.where(r != 0, r, 1.0), 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A bipartite state: dims (m, n) and the mn x mn matrix, first factor m-dimensional.
 
@@ -104,16 +104,16 @@ class DensityMatrix:
     read-only basis that linalg.scaled_eigvecs reads: the eigenvalues t
     above RANK_TOL, descending, and rows sqrt(t_i) e_i, with the largest
     component of each unit eigenvector e_i made real positive.
-    decompose._range fills the private _range slot on its first call,
-    so the range space's counts are computed once per state (with V's
-    basis only when dim V = l).
+    decompose.range_space fills the private _range slot on its first
+    call, so the range space's counts are computed once per state (with
+    V's basis only when dim V = l).
     """
 
     m: int
     n: int
     matrix: np.ndarray
-    _basis: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-    _range: tuple | None = field(init=False, default=None, repr=False, compare=False)
+    _basis: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    _range: tuple | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         _check_dims(self.m, self.n)

@@ -557,9 +557,9 @@ def test_the_range_route_reads_the_basis_range_space_builds(monkeypatch):
     spectra, shapes = _spy_range(monkeypatch)
     report = sk.classify(rho)
     assert report.verdict is Verdict.SEPARABLE_CERTIFIED and report.search is None
-    dim, basis = range_space(rho)
+    dim, _, basis = range_space(rho)
     assert (len(spectra), len(shapes)) == (1, 1)
-    fresh_dim, fresh = range_space(sk.parse_state(text))
+    fresh_dim, _, fresh = range_space(sk.parse_state(text))
     assert dim == fresh_dim == scaled_eigvecs(rho).count
     assert basis.tobytes() == fresh.tobytes()
 
@@ -648,3 +648,16 @@ def test_closed_form_routes_certify_low_rank_mixtures():
                 check_certificate(report.certificate, rho.matrix)
                 certified += 1
     assert certified >= 40
+
+
+def test_states_and_reports_compare_and_hash_by_identity():
+    """Objects built twice from one input hold equal arrays, on which a
+    generated __eq__ raised ValueError; states, reports and certificates
+    compare and hash by identity instead, and np.array_equal compares
+    their matrices."""
+    first, second = (sk.classify(sk.werner_2x2(0.2)) for _ in range(2))
+    built = [(sk.bell(), sk.bell()), (first, second), (first.certificate, second.certificate)]
+    for a, b in built:
+        assert a == a and a != b and a not in [b]
+        assert hash(a) == hash(a) and len({a, b}) == 2
+    assert np.array_equal(built[0][0].matrix, built[0][1].matrix)

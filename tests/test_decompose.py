@@ -12,7 +12,6 @@ from sepkit.decompose import (
     PairCriterionError,
     PolygonInfeasibleError,
     a_value,
-    canonical_basis,
     close_polygon,
     ppt_subtraction_decomposition,
     range_decomposition,
@@ -21,8 +20,8 @@ from sepkit.decompose import (
     single_pair_decomposition,
     verify_ensemble,
 )
-from sepkit.linalg import random_orthonormal_columns, scaled_eigvecs
-from sepkit.pairs import PairIndex, pair_operators, pair_residual
+from sepkit.linalg import random_orthonormal_columns, scaled_eigvecs, takagi
+from sepkit.pairs import PairIndex, pair_operators, pair_residual, tau_matrix
 from sepkit.search import certify
 from sepkit.states import partial_transpose
 
@@ -46,19 +45,21 @@ SIGN_8 = np.array([
 
 
 def test_canonical_basis_diagonalizes_the_pair_form():
-    """The basis keeps sum |y_i><y_i| = rho while <y_i|B|conj(y_j)> becomes
-    diag(lambda), the singular values of tau."""
+    """The canonical basis y = conj(v) x, v the Takagi factor of tau, keeps
+    sum |y_i><y_i| = rho while <y_i|B|conj(y_j)> becomes diag(lambda), the
+    singular values of tau."""
     for m, n, rank, seed in [(2, 3, 4, 8), (2, 2, 3, 1), (3, 3, 5, 2)]:
         rho = sk.random_density(m, n, rank=rank, seed=seed)
         x = scaled_eigvecs(rho)
         for b in pair_operators(m, n):
-            cb = canonical_basis(x, b)
-            form = cb.vectors.conj() @ b.dense() @ cb.vectors.conj().T
-            np.testing.assert_allclose(form, np.diag(cb.lambdas), atol=1e-12)
-            recon = np.einsum("ia,ib->ab", cb.vectors, cb.vectors.conj())
+            t = takagi(tau_matrix(x, b))
+            y = t.v.conj() @ x.vectors
+            form = y.conj() @ b.dense() @ y.conj().T
+            np.testing.assert_allclose(form, np.diag(t.lambdas), atol=1e-12)
+            recon = np.einsum("ia,ib->ab", y, y.conj())
             np.testing.assert_allclose(recon, rho.matrix, atol=1e-12)
-            assert np.all(np.diff(cb.lambdas) <= 1e-12)
-            assert np.all(cb.lambdas >= 0)
+            assert np.all(np.diff(t.lambdas) <= 1e-12)
+            assert np.all(t.lambdas >= 0)
 
 
 def test_close_polygon_small_cases():
@@ -80,7 +81,8 @@ def test_close_polygon_closes_random_feasible_sets():
     """Random length sets, including needle-shaped ones with tiny tails,
     close to machine precision relative to the total length, and so do
     fixed sets at scales where the triangle's products once overflowed
-    (NaN phases) or underflowed (a third of the total left open)."""
+    (NaN phases) or underflowed (a third of the total left open), and sets
+    near the float maximum, whose sum once overflowed (OverflowError)."""
     rng = np.random.default_rng(77)
     for trial in range(300):
         size = rng.integers(1, 9)
@@ -100,6 +102,9 @@ def test_close_polygon_closes_random_feasible_sets():
             lengths = np.array(base) * scale
             closure = abs(np.sum(lengths * np.exp(1j * close_polygon(lengths))))
             assert closure <= 1e-12 * lengths.sum()
+    for lengths in ([1e308] * 3, [8.9e307] * 4, [1e308, 1e308]):
+        unit = np.array(lengths) / max(lengths)  # the closure, summed without overflow
+        assert abs(np.sum(unit * np.exp(1j * close_polygon(lengths)))) <= 1e-12 * unit.sum()
 
 
 def test_close_polygon_closes_thousands_of_lengths():
@@ -197,9 +202,9 @@ def test_single_pair_decomposition_random_states():
             rho = sk.random_density(m, n, seed=30_000 + seed)
             x = scaled_eigvecs(rho)
             for b in pair_operators(m, n):
-                cb = canonical_basis(x, b)
-                l_prime = int(np.sum(cb.lambdas > 1e-10))
-                if a_value(cb.lambdas, l_prime) > 0:
+                lam = takagi(tau_matrix(x, b)).lambdas
+                l_prime = int(np.sum(lam > 1e-10))
+                if a_value(lam, l_prime) > 0:
                     continue
                 ens = single_pair_decomposition(rho, b.pair)
                 assert ens.shape[0] == max(4, 1 << (x.count - 1).bit_length())
@@ -311,11 +316,15 @@ def test_range_decomposition_draws_no_generator_per_call(monkeypatch):
     (sk.bound_2x4(), "dim V = 9, the rank is 5"),
     (sk.horodecki_2x4(0.5), "dim V = 1, the rank is 5"),
     (sk.tiles(), "dim V = 1, the rank is 4"),
-], ids=["full_rank", "bound_2x4", "horodecki_b0.5", "tiles"])
+    (sk.density_matrix(1, 1, [[1.0]]), "no kernel"),
+    (sk.density_matrix(1, 3, np.eye(3) / 3), "no kernel"),
+], ids=["full_rank", "bound_2x4", "horodecki_b0.5", "tiles", "1x1", "identity_1x3"])
 def test_range_decomposition_refuses_states_its_ranges_do_not_pin(rho, message):
     """A full-rank mixture leaves rho^G no kernel; bound_2x4 has more than
     its five terms' worth of V; the PPT-entangled states have only rho's
-    own direction in V, which proves them entangled (dim V < l)."""
+    own direction in V, which proves them entangled (dim V < l).  The 1 x 1
+    state has l = l^2 = dim V = 1, and only its missing basis says that
+    rho^G has no kernel."""
     with pytest.raises(ValueError, match=message):
         range_decomposition(rho)
 
@@ -483,7 +492,7 @@ def test_range_space_matches_the_hermitian_count(rho, dim):
     and each of its C satisfies both conditions X^G K = 0 and K^H X^G = 0
     with X = E C E^H."""
     assert _dim_v_from_hermitian_basis(rho) == dim
-    found, basis = range_space(rho)
+    found, _, basis = range_space(rho)
     assert found == dim
     if dim != scaled_eigvecs(rho).count:
         assert basis is None
@@ -510,7 +519,7 @@ def test_range_space_counts_a_wide_system_without_a_basis():
     assert scaled_eigvecs(rho).count == 35
     tracemalloc.start()
     try:
-        dim, basis = range_space(rho)
+        dim, _, basis = range_space(rho)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
