@@ -307,8 +307,8 @@ _COMMANDS = {
                  _FILE + _JSON + _BUDGET),
     "spectrum": (_cmd_spectrum, "per-pair lambdas and a values", _FILE + _JSON + _BASIS),
     "ppt": (_cmd_ppt, "smallest eigenvalue of the partial transpose", _FILE + _JSON),
-    "pairs": (_cmd_pairs, "list the pair operators for given dims",
-              (("m", {"type": _int_at_least(2)}), ("n", {"type": _int_at_least(2)})) + _JSON),
+    "pairs": (_cmd_pairs, "list the pair operators for given dims (none with a 1-d factor)",
+              (("m", {"type": _int_at_least(1)}), ("n", {"type": _int_at_least(1)})) + _JSON),
     "decompose": (_cmd_decompose, "single-pair annihilating ensemble", _FILE + _PAIR + _JSON),
     "search": (_cmd_search, "numerical search for a separable decomposition",
                _FILE + _JSON + _BUDGET),

@@ -7,10 +7,11 @@ for the singular values of tau, separability requires
 
     a = lambda_1 - (lambda_2 + ... + lambda_l')  <=  0
 
-for every pair, where l' counts the nonzero lambdas.  B has four
-nonzero entries, so tau has rank <= 4 and its nonzero lambdas are those
-of a 4 x 4 core (pair_reports), and no tau is built here, nor in the
-search, which evaluates each pair's four entries on its members.  The
+for every pair, where l' counts the lambdas above RANK_TOL; the formula
+lives once, in decompose.a_value.  B has four nonzero entries, so tau
+has rank <= 4 and its nonzero lambdas are those of a 4 x 4 core
+(pair_reports), and no tau is built here, nor in the search, which
+evaluates each pair's four entries on its members.  The
 lambdas are singular values, so any unitary mixing of the x_i leaves
 them unchanged, and classify needs no eigenbasis gauge.  Only
 search.pair_taus stacks pairs.tau_matrix, and three things read it:
@@ -24,7 +25,7 @@ forms come before the search: the eigen-ensemble, a lone pair's ensemble
 separable, the subtraction route; a state it cannot finish (degenerate
 ones such as I/6) goes on to the search.  A closed form's ValueError
 passes to the next route and is never evidence; search.certify checks
-every certificate.
+every certificate, each route and the search handing it their members.
 """
 
 import enum
@@ -84,7 +85,8 @@ def pair_reports(x: ScaledEigvecs, m: int, n: int) -> list[SpectralReport]:
     tau_r = Q (R S R^T) Q^T, so its nonzero singular values are those of
     the core R S R^T: one batched QR and one batched SVD give every
     pair's lambdas, padded with exact zeros to length l, and no tau is
-    built.  A one-dimensional factor has no pairs, so no reports.
+    built.  decompose.a_value scores every core at once.  A
+    one-dimensional factor has no pairs, so no reports.
     """
     layout = _pair_layout(m, n)
     if x.vectors.shape[1] != m * n:
@@ -94,12 +96,8 @@ def pair_reports(x: ScaledEigvecs, m: int, n: int) -> list[SpectralReport]:
     core = np.linalg.svd(r @ layout.sign @ r.swapaxes(1, 2), compute_uv=False)
     lambdas = np.zeros((len(layout.pairs), x.count))
     lambdas[:, :core.shape[1]] = core
-    # Every a_value at once: the nonzero lambdas are a descending prefix of
-    # at most four, and the trailing ones are summed in a_value's order.
-    nz = np.zeros((len(layout.pairs), 4))
-    nz[:, :core.shape[1]] = np.where(core > RANK_TOL, core, 0.0)
-    a_values = (nz[:, 0] - ((nz[:, 1] + nz[:, 2]) + nz[:, 3])).tolist()
-    l_primes = np.count_nonzero(nz, axis=1).tolist()
+    a_values = decompose.a_value(core).tolist()
+    l_primes = np.count_nonzero(core > RANK_TOL, axis=1).tolist()
     return [SpectralReport(pair=pair, lambdas=lam, l_prime=lp, a_value=a)
             for pair, lam, lp, a in zip(layout.pairs, lambdas, l_primes, a_values)]
 

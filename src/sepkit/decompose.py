@@ -74,18 +74,16 @@ class PairCriterionError(ValueError):
     """The pair's a value is positive; no annihilating ensemble exists."""
 
 
-def a_value(lambdas, l_prime: int) -> float:
-    """lambda_1 minus the sum of the remaining nonzero lambdas (0 when l' = 0).
+def a_value(lambdas):
+    """lambda_1 minus the sum of the remaining nonzero lambdas, per row.
 
-    Raises ValueError unless l' is an integer in [0, len(lambdas)].
+    The lambdas run descending along the last axis, and those at or
+    below RANK_TOL count as zero, so l' is the count above it and a row
+    without one scores 0.  A batch gives an array, one row a float.
     """
-    lambdas = np.asarray(lambdas, dtype=float)
-    _check_counts(l_prime=l_prime)
-    if l_prime < 0 or l_prime > lambdas.shape[0]:
-        raise ValueError(f"l_prime {l_prime} out of range for {lambdas.shape[0]} lambdas")
-    if l_prime == 0:
-        return 0.0
-    return float(lambdas[0] - np.sum(lambdas[1:l_prime]))
+    lam = np.asarray(lambdas, dtype=float)
+    lam = np.where(lam > RANK_TOL, lam, 0.0)
+    return lam[..., 0] - np.sum(lam[..., 1:], axis=-1)
 
 
 def _triangle_apex(a: float, c: float, t: float) -> tuple[float, float]:
@@ -190,8 +188,7 @@ def single_pair_decomposition(rho: DensityMatrix, pair: PairIndex) -> np.ndarray
     b = build_pair_operator(rho.m, rho.n, pair)
     t = takagi(tau_matrix(x, b))  # the rows of conj(t.v) x are the canonical basis y_i
     lam = t.lambdas
-    l_prime = int(np.count_nonzero(lam > RANK_TOL))
-    a = a_value(lam, l_prime)
+    a = a_value(lam)
     if a > BOUNDARY_TOL:
         raise PairCriterionError(
             f"pair ({pair.p}, {pair.q}) has a = {a:.3e} > {BOUNDARY_TOL:.1e}; "
@@ -279,14 +276,15 @@ def range_decomposition(rho: DensityMatrix) -> np.ndarray:
     its eigenvectors b_i give the members sum_j b_ji x_j, returned as the
     rows of a complex (l, m n) array.  They rebuild rho for any unitary
     b; search.certify checks that they are products.
-    Raises ValueError when range_space builds no basis: "no kernel" when
-    dim V = l^2, as when rho^G has no kernel, and otherwise dim V and l.
+    Raises ValueError, naming dim V, when range_space builds no basis;
+    at dim V = l^2 the kernel of rho^G, if any, poses no condition.
     """
     x = scaled_eigvecs(rho)
     l = x.count
     dim, _, basis = range_space(rho)
     if basis is None:
-        raise ValueError("the partial transpose has no kernel" if dim == l * l
+        raise ValueError(f"dim V = l^2 = {dim}: the partial transpose's kernel poses no "
+                         "condition on the range" if dim == l * l
                          else f"dim V = {dim}, the rank is {l}")
     c = (_range_coefficients(l) @ basis.reshape(l, l * l)).reshape(l, l)
     scale = 1.0 / np.sqrt(x.values)

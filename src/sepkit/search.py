@@ -8,9 +8,9 @@ identically and the only freedom is u.  The joint objective
          = sum_r sum_i |(conj(u) tau^r conj(u).T)_ii|^2
 
 is minimized by projected gradient descent on the orthonormal-column
-manifold.  F(u) = 0 makes every member a candidate product state; the
-certificate extractor factors the members, and certify, which checks
-every certificate, is the only step that declares success.  A failed
+manifold.  F(u) = 0 makes every member a candidate product state;
+certify, which factors the members u @ x.vectors and checks every
+certificate, is the only step that declares success.  A failed
 search is never evidence of entanglement.
 
 One loop runs each restart, for at most max_iters iterations: a
@@ -390,12 +390,13 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
             restarts_used += 1
             u0 = random_orthonormal_columns(k, l, cfg.seed + i)
             for u, f, iters in _descend(u0, kernel, cfg.max_iters, gate):
-                certificate = certify(u, rho, x) if f <= _TOL_RESIDUAL else None
+                z = u @ x.vectors
+                certificate = certify(z, rho) if f <= _TOL_RESIDUAL else None
                 if f <= _TOL_RESIDUAL and certificate is None:
                     rejected += 1
                 if certificate is None and f <= _POLISH_GATE and pays:
                     polished += 1
-                    members = _polish(u @ x.vectors, rho.matrix, rho.m, rho.n)
+                    members = _polish(z, rho.matrix, rho.m, rho.n)
                     certificate = None if members is None else certify(members, rho)
                     if certificate is not None:  # report the fitted ensemble
                         u = members @ x.vectors.conj().T / x.values
@@ -464,22 +465,22 @@ def check_certificate(cert: SeparableCertificate, rho_matrix: np.ndarray) -> Non
 
 
 def extract_certificate(u, x: ScaledEigvecs, m: int, n: int) -> SeparableCertificate:
-    """Certificate from the members |z_i> = sum_j u_ij |x_j>."""
+    """Certificate from the members |z_i> = sum_j u_ij |x_j>, unchecked
+    against the state; certify(u @ x.vectors, rho) checks it."""
     u = _check_u(u, x.count, 1e-8)
     return certificate_from_members(u @ x.vectors, m, n)
 
 
-def certify(members, rho: DensityMatrix, x: ScaledEigvecs | None = None):
+def certify(members, rho: DensityMatrix):
     """The certificate the members factor into if it rebuilds rho, else None.
 
-    With x given, members is a search point u and the members are
-    u @ x.vectors (extract_certificate).  Every certificate sepkit
+    The members are the rows of a complex (k, m*n) array; every route,
+    the search included, hands its own.  Every certificate sepkit
     reports comes from here, checked by check_certificate.  Members that
     are not a (k, m*n) array raise ValueError rather than return None.
     """
     try:
-        cert = (certificate_from_members(members, rho.m, rho.n) if x is None
-                else extract_certificate(members, x, rho.m, rho.n))
+        cert = certificate_from_members(members, rho.m, rho.n)
         check_certificate(cert, rho.matrix)
     except CertificateError:
         return None

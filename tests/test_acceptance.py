@@ -100,8 +100,7 @@ def test_criterion_03_pair_values():
         tau = tau_matrix(x, b)
         lam_oracle = np.sort(np.sqrt(np.maximum(
             np.linalg.eigvalsh(tau @ tau.conj()).real, 0.0)))[::-1]
-        l_prime = int(np.sum(lam_oracle > 1e-10))
-        a_vals.append(a_value(lam_oracle, l_prime))
+        a_vals.append(a_value(lam_oracle))
         reports = pair_reports(x, 2, 4)
         worst_oracle = max(worst_oracle, float(np.max(np.abs(
             lam_oracle - reports[len(a_vals) - 1].lambdas))))

@@ -394,10 +394,17 @@ def test_decompose_usage_errors(tmp_path):
     assert (code, out, err) == (64, "", "error: the 1 x 3 state has no pairs\n")
 
 
-@pytest.mark.parametrize("dims", [["1", "3"], ["0", "3"], ["3", "1"]])
-def test_pairs_needs_dims_of_at_least_two(capsys, dims):
+@pytest.mark.parametrize("dims", [["1", "3"], ["3", "1"], ["1", "1"]])
+def test_pairs_of_a_one_dimensional_factor_are_none(dims):
+    """pair_operators gives a 1 x n or m x 1 system no pairs, and so does pairs."""
+    assert run(["pairs", *dims, "--json"]) == (0, '{"pairs": []}\n', "")
+    assert run(["pairs", *dims]) == (0, "", "")
+
+
+@pytest.mark.parametrize("dims", [["0", "3"], ["3", "0"], ["-1", "2"]])
+def test_pairs_needs_dims_of_at_least_one(capsys, dims):
     assert run(["pairs", *dims])[:2] == (64, "")
-    assert "must be >= 2" in capsys.readouterr().err
+    assert "must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, message", [

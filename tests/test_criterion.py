@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import sepkit as sk
 from sepkit.criterion import ClassifyConfig, Verdict, pair_reports, pair_spectrum
 from sepkit.decompose import a_value, range_space
-from sepkit.linalg import hermitian_eig, scaled_eigvecs, singular_values
+from sepkit.linalg import hermitian_eig, scaled_eigvecs, singular_values, takagi
 from sepkit.pairs import pair_operators, tau_matrix
 from sepkit.search import SearchConfig, check_certificate, minimize, pair_taus
 from sepkit.states import BOUNDARY_TOL, RANK_TOL
@@ -111,7 +111,7 @@ def test_tau_matrices_of_bound_state():
         lam, lp = pair_spectrum(tau)
         np.testing.assert_allclose(lam, lambdas, atol=1e-13)
         assert lp == l_prime
-        assert a_value(lam, lp) == pytest.approx(a, abs=1e-13)
+        assert a_value(lam) == pytest.approx(a, abs=1e-13)
 
 
 def test_tau_matrix_is_symmetric():
@@ -146,7 +146,7 @@ def assert_reports_match_per_pair_spectra(rho):
         assert rep.lambdas.shape == (x.count,)
         np.testing.assert_allclose(rep.lambdas, lam, rtol=0, atol=1e-13)
         assert rep.l_prime == l_prime
-        assert abs(rep.a_value - a_value(lam, l_prime)) <= 1e-13
+        assert abs(rep.a_value - a_value(lam)) <= 1e-13
 
 
 @pytest.mark.parametrize("m,n", [(m, n) for m in range(2, 6) for n in range(m, 6)])
@@ -164,13 +164,13 @@ def test_pair_reports_match_per_pair_spectra_property(m, n, data, seed):
 
 
 def test_pair_report_a_values_are_a_value_bit_for_bit():
-    """The batched a-values sum the trailing lambdas in a_value's order."""
+    """pair_reports scores its cores with a_value; the padded rows agree."""
     cases = [sk.bound_2x4(), sk.tiles(), sk.bell(), sk.werner_2x2(0.2)]
     cases += [sk.random_density(m, n, rank=rank, seed=m + n)
               for m, n in [(2, 2), (2, 3), (3, 4), (8, 8)] for rank in (1, 2, 3, None)]
     for rho in cases:
         for rep in pair_reports(scaled_eigvecs(rho), rho.m, rho.n):
-            assert rep.a_value == a_value(rep.lambdas, rep.l_prime)
+            assert rep.a_value == a_value(rep.lambdas)
 
 
 def test_pair_taus_is_the_stacked_tau_matrix():
@@ -189,16 +189,56 @@ def test_pair_taus_is_the_stacked_tau_matrix():
 
 
 def test_a_value_cases():
-    assert a_value(np.array([0.25, 0.125, 0.125, 0.0, 0.0]), 3) == pytest.approx(0.0)
-    assert a_value(np.array([0.7, 0.0]), 1) == pytest.approx(0.7)
-    assert a_value(np.array([0.5, 0.2, 0.2]), 3) == pytest.approx(0.1)
-    assert a_value(np.array([0.0]), 0) == 0.0
-    for l_prime in (-1, 3):
-        with pytest.raises(ValueError, match=f"l_prime {l_prime} out of range for 2 lambdas"):
-            a_value(np.array([1.0, 0.5]), l_prime)
-    for l_prime in (1.5, 2.0, True):
-        with pytest.raises(ValueError, match=f"l_prime must be an integer, got {l_prime}"):
-            a_value(np.array([1.0, 0.5]), l_prime)
+    assert a_value(np.array([0.25, 0.125, 0.125, 0.0, 0.0])) == pytest.approx(0.0)
+    assert a_value(np.array([0.7, 0.0])) == pytest.approx(0.7)
+    assert a_value(np.array([0.5, 0.2, 0.2])) == pytest.approx(0.1)
+    assert a_value(np.array([0.5, 0.2, 0.2])[:2]) == pytest.approx(0.3)  # l' = 2 by slicing
+    assert a_value(np.array([0.0])) == 0.0
+    assert a_value([1.0, 0.5 * RANK_TOL, 0.25 * RANK_TOL]) == 1.0  # below RANK_TOL counts as 0
+    assert isinstance(a_value([0.5, 0.2]), float)
+
+
+def _a_value_by_hand(row) -> float:
+    """lambda_1 minus lambda_2 + ... + lambda_l', added left to right."""
+    l_prime = int(np.count_nonzero(row > RANK_TOL))
+    if l_prime == 0:
+        return 0.0
+    total = 0.0
+    for lam in row[1:l_prime].tolist():
+        total += lam
+    return row[0] - total
+
+
+def test_batched_a_value_is_the_per_row_a_value_bit_for_bit():
+    """One call over a (P, L) batch gives each row's own a value: rows with
+    nothing above RANK_TOL, cores narrower than four, and the Takagi
+    lambdas of 3 x 3 states (l = 9, at most four above RANK_TOL), which
+    single_pair_decomposition scores."""
+    tol = RANK_TOL
+    edges = np.array([[0.0, 0.0, 0.0, 0.0], [0.5 * tol, 0.25 * tol, 0.1 * tol, 0.0],
+                      [tol, tol, 0.5 * tol, 0.0], [1.0, 0.5 * tol, 0.0, 0.0],
+                      [0.25, 0.125, 0.125, 0.5 * tol]])
+    rng = np.random.default_rng(7)
+    batches = []
+    for width in (1, 2, 3, 4):
+        scale = 10.0 ** rng.integers(-12, 1, (40, 1))  # some rows straddle RANK_TOL
+        rows = -np.sort(-rng.random((40, width)) * scale, axis=1)
+        batches.append(np.concatenate([edges[:, :width], rows]))
+    takagi_rows = []
+    for seed in range(4):
+        rho = sk.random_density(3, 3, seed=40_000 + seed)
+        x = scaled_eigvecs(rho)
+        takagi_rows += [takagi(tau_matrix(x, b)).lambdas for b in pair_operators(3, 3)]
+    long = np.array(takagi_rows)
+    long[0, 1:] = 0.0  # l' = 1
+    long[1] = 0.0  # l' = 0
+    assert long.shape[1] == 9 and np.all(np.count_nonzero(long > RANK_TOL, axis=1) <= 4)
+    batches.append(long)
+    for batch in batches:
+        scored = a_value(batch)
+        assert scored.shape == batch.shape[:1]
+        for row, a in zip(batch, scored.tolist()):
+            assert a == a_value(row) == _a_value_by_hand(row)
 
 
 def test_pair_spectrum_gauge_invariance():

@@ -1,6 +1,7 @@
 """Tests for the canonical basis, polygon phases, annihilating ensembles,
 the range route and the 2 x 3 subtraction route."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -203,8 +204,7 @@ def test_single_pair_decomposition_random_states():
             x = scaled_eigvecs(rho)
             for b in pair_operators(m, n):
                 lam = takagi(tau_matrix(x, b)).lambdas
-                l_prime = int(np.sum(lam > 1e-10))
-                if a_value(lam, l_prime) > 0:
+                if a_value(lam) > 0:
                     continue
                 ens = single_pair_decomposition(rho, b.pair)
                 assert ens.shape[0] == max(4, 1 << (x.count - 1).bit_length())
@@ -311,21 +311,32 @@ def test_range_decomposition_draws_no_generator_per_call(monkeypatch):
     np.testing.assert_array_equal(range_decomposition(again), first)
 
 
+def _no_condition(dim: int) -> str:
+    return f"dim V = l^2 = {dim}: the partial transpose's kernel poses no condition on the range"
+
+
+_KET0 = np.diag([1.0, 0.0])
+
+
 @pytest.mark.parametrize("rho, message", [
-    (sk.random_separable(2, 3, 8, seed=1), "no kernel"),
+    (sk.random_separable(2, 3, 8, seed=1), _no_condition(36)),
     (sk.bound_2x4(), "dim V = 9, the rank is 5"),
     (sk.horodecki_2x4(0.5), "dim V = 1, the rank is 5"),
     (sk.tiles(), "dim V = 1, the rank is 4"),
-    (sk.density_matrix(1, 1, [[1.0]]), "no kernel"),
-    (sk.density_matrix(1, 3, np.eye(3) / 3), "no kernel"),
-], ids=["full_rank", "bound_2x4", "horodecki_b0.5", "tiles", "1x1", "identity_1x3"])
+    (sk.density_matrix(1, 1, [[1.0]]), _no_condition(1)),
+    (sk.density_matrix(1, 3, np.eye(3) / 3), _no_condition(9)),
+    (sk.density_matrix(2, 2, np.kron(np.eye(2) / 2, _KET0)), _no_condition(4)),
+    (sk.density_matrix(2, 2, np.kron(_KET0, np.eye(2) / 2)), _no_condition(4)),
+], ids=["full_rank", "bound_2x4", "horodecki_b0.5", "tiles", "1x1", "identity_1x3",
+        "mixed_x_pure", "pure_x_mixed"])
 def test_range_decomposition_refuses_states_its_ranges_do_not_pin(rho, message):
     """A full-rank mixture leaves rho^G no kernel; bound_2x4 has more than
     its five terms' worth of V; the PPT-entangled states have only rho's
     own direction in V, which proves them entangled (dim V < l).  The 1 x 1
-    state has l = l^2 = dim V = 1, and only its missing basis says that
-    rho^G has no kernel."""
-    with pytest.raises(ValueError, match=message):
+    state has l = l^2 = dim V = 1.  The two rank-2 products of I/2 and
+    |0><0| leave rho^G a two-dimensional kernel, which poses no condition
+    either (dim V = 4), so the refusal names dim V, not the kernel."""
+    with pytest.raises(ValueError, match=re.escape(message)):
         range_decomposition(rho)
 
 

@@ -390,7 +390,7 @@ def test_certify_returns_checked_certificates_only():
                    rho) is None  # rebuild rho, but not all products
     x = scaled_eigvecs(rho)
     u = report.best_u
-    np.testing.assert_array_equal(certify(u, rho, x).weights,
+    np.testing.assert_array_equal(certify(u @ x.vectors, rho).weights,
                                   extract_certificate(u, x, 2, 4).weights)
 
 
