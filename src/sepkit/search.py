@@ -27,6 +27,10 @@ products, so the rest of the budget only drives F towards 0 on points
 that do not extract: there the descent pauses the first time it reaches
 _POLISH_GATE, the point is polished, and the restart stops if the fit
 certifies; if not, the same descent resumes, unchanged, to its end.
+There the search walks only the sizes with a fit, k = 2l before k = l:
+2l certifies far more often, and since a restart's work depends only on
+its size and seed, the order moves which certificate is found first,
+never whether one is.
 Each B^r has four nonzero entries, so a trial point is evaluated on its
 members, not on the l x l taus: Zc = conj(u) conj(X) holds the
 conjugated members, each pair residual is the sum of four products of
@@ -83,9 +87,11 @@ class SearchConfig:
     of decompose.range_space, which loses no decomposition (see the
     decompose module docstring).  When dim V < l holds beyond RANGE_MARGIN
     no decomposition exists, and no size is walked.  A full-rank state
-    walks only the sizes with a fit (see the products module).  Each size
-    runs `restarts` descents from random orthonormal starts seeded seed +
-    restart index, each of at most max_iters iterations.
+    walks only the sizes with a fit (see the products module), largest
+    first, which changes no verdict: a restart depends only on its size
+    and seed.  Each size runs `restarts` descents from random orthonormal
+    starts seeded seed + restart index, each of at most max_iters
+    iterations.
     """
 
     restarts: int = 50
@@ -327,7 +333,10 @@ def _k_schedule(l: int, range_dim: int, dim_bound: int, m: int, n: int) -> list[
 
     Empty when dim_bound, dim V counted beyond RANGE_MARGIN
     (decompose.range_space), is below l: then no decomposition exists.  At
-    full rank (l = mn), only the sizes with a fit (see the products module).
+    full rank (l = mn), only the sizes with a fit (see the products module),
+    largest first: 2l, then l where it pays.  Each restart's work depends
+    only on (k, seed + i), so minimize certifies exactly when one size
+    alone would; the order moves only which certificate comes first.
     """
     if dim_bound < l:
         return []
@@ -336,7 +345,7 @@ def _k_schedule(l: int, range_dim: int, dim_bound: int, m: int, n: int) -> list[
     while ks[-1] < cap:
         ks.append(min(2 * ks[-1], cap))
     if l == m * n and _polish_pays(2 * l, l, m, n):
-        ks = [k for k in ks if _polish_pays(k, l, m, n)]
+        ks = [k for k in ks if _polish_pays(k, l, m, n)][::-1]
     return ks
 
 

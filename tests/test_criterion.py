@@ -496,7 +496,7 @@ def test_classify_never_certifies_noisy_horodecki_states():
 
 
 @pytest.mark.parametrize("rho, search", [
-    (sk.random_separable(2, 4, 10, seed=1), (8, 1, 76, 0, 1)),
+    (sk.random_separable(2, 4, 10, seed=1), (16, 1, 29, 0, 1)),
     (sk.bound_2x4(), (5, 1, 74, 0, 0)),
     (sk.horodecki_2x4(0.5), (0, 0, 0, 0, 0)),
     (sk.tiles(), (0, 0, 0, 0, 0)),
@@ -506,9 +506,9 @@ def test_classify_falls_through_to_the_search(rho, search):
     no later closed form decides it (the full-rank state is 2x4, outside
     ppt_subtraction_decomposition's shapes), classify reports exactly the
     search a direct minimize call runs: the same k, restarts, iterations,
-    rejections and polish attempts.  The full-rank state's first restart
-    is polished into its certificate when its descent first reaches the
-    polish gate, at iteration 76 of 200.  The PPT-entangled states have
+    rejections and polish attempts.  The full-rank state walks k = 2l = 16
+    first, and its first restart is polished into its certificate when its
+    descent first reaches the polish gate, at iteration 29 of 200.  The PPT-entangled states have
     dim V = 1 below their rank, so no size is walked."""
     cfg = SearchConfig(restarts=1, max_iters=200)
     found = sk.classify(rho, ClassifyConfig(search=cfg)).search

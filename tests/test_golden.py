@@ -55,9 +55,10 @@ CLASSIFY = {
 # name: exit, (best residual, k, restarts, iterations, rejected, polish attempts, dim V),
 #       certificate weights or None
 SEARCH = {
-    "werner": (0, (1.0912177528490577e-32, 4, 1, 14, 0, 1, 16),
-               [0.2500000000001446, 0.2500000000001422, 0.2500000000000477,
-                0.25000000000005373]),
+    "werner": (0, (5.442491824533158e-33, 8, 1, 10, 0, 1, 16),
+               [0.024427448304079023, 0.07699426348810677, 0.20948236112153612,
+                0.18857366716012486, 0.13411086883323123, 0.11720522552360074,
+                0.07912093014895084, 0.17008523542044787]),
     "bell": (2, (None, 0, 0, 0, 0, 0, 0), None),
     "bound_2x4": (0, (6.502225146782513e-29, 5, 1, 74, 0, 0, 9), W_BOUND),
     "separable": (2, (0.00019579803133573583, 3, 1, 200, 0, 0, 3), None),

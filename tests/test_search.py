@@ -186,7 +186,7 @@ def test_minimize_certifies_random_separable_mixture():
     rho = sk.random_separable(2, 3, terms=10, seed=2)
     report = minimize(rho, SearchConfig())
     assert report.certificate is not None
-    assert report.k == 6
+    assert report.k == 12
     err = np.linalg.norm(report.certificate.density() - rho.matrix)
     assert err < 1e-8
 
@@ -241,7 +241,7 @@ def walked_schedules(monkeypatch, rho, config):
     (sk.tiles(), []),                                    # l = 4 in 3x3, dim V = 1
     (sk.horodecki_2x4(0.5), []),                         # l = 5 in 2x4, dim V = 1
     (sk.bound_2x4(), [5, 9]),                            # l = 5, dim V = 9
-    (sk.random_separable(2, 3, terms=8, seed=0), [6, 12]),  # full rank, dim V = l^2
+    (sk.random_separable(2, 3, terms=8, seed=0), [12, 6]),  # full rank, dim V = l^2
     (sk.random_separable(4, 6, terms=26, seed=0), [24, 48, 96, 192, 384, 576]),  # mn > 20
 ], ids=["bell", "tiles", "horodecki_b0.5", "bound_2x4", "full_rank", "full_rank_4x6"])
 def test_schedule_doubles_from_the_rank_up_to_dim_v(monkeypatch, rho, schedule):
@@ -249,18 +249,17 @@ def test_schedule_doubles_from_the_rank_up_to_dim_v(monkeypatch, rho, schedule):
     no kernel), so the walk stops at max(l, dim V), which the report holds;
     with dim V below the rank no decomposition exists and nothing is walked.
     At full rank up to mn = 20 the walk keeps only the sizes a fit is tried
-    at (_polish_pays), so it stops at 2l; above mn = 20 no fit is tried and
-    the whole walk to l^2 stays."""
+    at (_polish_pays), largest first, so it starts at 2l; above mn = 20 no
+    fit is tried and the whole walk to l^2 stays."""
     seen, report = walked_schedules(monkeypatch, rho, SearchConfig(restarts=1, max_iters=1))
     l = scaled_eigvecs(rho).count
     assert seen == [schedule]
     if report.range_dim < l:
-        last = []
+        assert schedule == []
     elif l == rho.dim <= products_module._POLISH_MAX_DIM:
-        last = [2 * l]
+        assert schedule[0] == 2 * l
     else:
-        last = [max(l, report.range_dim)]
-    assert schedule[-1:] == last
+        assert schedule[-1] == max(l, report.range_dim)
 
 
 def test_full_rank_3x4_certifies_at_the_first_size_walked():
@@ -271,6 +270,33 @@ def test_full_rank_3x4_certifies_at_the_first_size_walked():
     report = minimize(sk.random_separable(3, 4, 12, seed=1), SearchConfig())
     assert report.certificate is not None
     assert (report.k, report.restarts_used) == (24, 1)
+
+
+@pytest.mark.parametrize("rho", [
+    sk.random_separable(3, 3, 9, seed=1),    # certifies at k = 2l only
+    sk.random_separable(2, 5, 10, seed=25),  # certifies at k = l only
+    sk.random_separable(2, 4, 10, seed=1),   # certifies at both sizes
+], ids=["3x3", "2x5", "2x4"])
+def test_full_rank_walk_order_changes_no_verdict(monkeypatch, rho):
+    """Each restart's work depends only on (k, seed + i), so walking the
+    fitted sizes 2l, l certifies exactly when one of the single-size walks
+    [2l] and [l] does, and then with the certificate and k of the first
+    such walk in that order, byte for byte."""
+    cfg = SearchConfig(restarts=1, max_iters=200)
+    (walk,), report = walked_schedules(monkeypatch, rho, cfg)
+    assert walk == [2 * rho.dim, rho.dim]
+    singles = []
+    for k in walk:
+        monkeypatch.setattr(search_module, "_k_schedule", lambda *args, k=k: [k])
+        singles.append(minimize(rho, cfg))
+    certified = [single for single in singles if single.certificate is not None]
+    assert (report.certificate is not None) == bool(certified)
+    if certified:
+        first = certified[0]
+        assert report.k == first.k
+        for name in ("weights", "alphas", "betas"):
+            assert (getattr(report.certificate, name).tobytes()
+                    == getattr(first.certificate, name).tobytes())
 
 
 def test_full_rank_failure_stops_after_the_fitted_sizes():
@@ -704,7 +730,7 @@ def test_full_rank_search_certifies_at_the_gate():
     x = scaled_eigvecs(rho)
     report = minimize(rho, SearchConfig(restarts=1, max_iters=200))
     assert report.certificate is not None and report.iterations_used < 200
-    assert report.k == x.count == 8 and report.best_u.shape == (8, 8)
+    assert report.k == 2 * x.count == 16 and report.best_u.shape == (16, 8)
     u = report.best_u
     np.testing.assert_allclose(u.conj().T @ u, np.eye(8), rtol=0, atol=1e-10)
     assert report.best_residual == _objective_and_gradient(u, _member_kernel(x, 2, 4))[0]
