@@ -3,12 +3,8 @@
 Levenberg-Marquardt fits sum_i (a_i x b_i)(a_i x b_i)^H to rho over
 product members a_i (x) b_i; its J J^T is (mn)^2 x (mn)^2 whatever the
 number of members, and is assembled from two Gram products over the
-members (_polish_gram).  Fits are tried at k = l members where the
-measured rule 2k(m + n - 1) > l^2 holds, at k = 2l at full rank, and
-never above mn = _POLISH_MAX_DIM (_polish_pays); at full rank the search
-walks only those sizes, 2l first: each restart's work depends only on
-its size and seed, so the order changes no verdict, and at full rank
-k = 2l certifies far more often than k = l.
+members (_polish_gram).  The search decides which of its points are
+fitted (search._walk), none above mn = _POLISH_MAX_DIM.
 """
 
 import numpy as np
@@ -80,29 +76,6 @@ def _polish_gram(a: np.ndarray, b: np.ndarray, v: np.ndarray, m: int, n: int) ->
 def _polish_stalled(norms: list[float]) -> bool:
     """Whether the last _POLISH_WINDOW steps cut ||r|| by less than _POLISH_DROP."""
     return len(norms) > _POLISH_WINDOW and norms[-1 - _POLISH_WINDOW] < _POLISH_DROP * norms[-1]
-
-
-def _polish_pays(k: int, l: int, m: int, n: int) -> bool:
-    """Whether a fit of k product members to a rank-l m x n state is tried.
-
-    At k = l, only where 2k(m + n - 1) > l^2, against the l^2 real
-    equations of a Hermitian operator on range(rho); at k = 2l, only at
-    full rank; and only up to mn = _POLISH_MAX_DIM.  Each rule is measured,
-    not a parameter count: a member v_i v_i^H has 2(m + n) - 3 real
-    parameters, since fixing the scale between a_i and b_i leaves
-    2(m + n - 1) and v_i -> e^{i theta} v_i does not change v_i v_i^H.
-    With that count k = l is square at full-rank 3 x 3 (81 = 81) and at
-    3 x 4 rank 11 (121 = 121), and dropping those fits loses a certificate
-    of the completeness sweep.  The other sizes were measured not to pay:
-    no fit certified at k > 2l, nor at k = 2l below full rank (see
-    CHANGES.md).  At full rank up to mn = _POLISH_MAX_DIM, _k_schedule
-    walks only the sizes admitted here, largest first.
-    """
-    if m * n > _POLISH_MAX_DIM:
-        return False
-    if k == l:
-        return 2 * k * (m + n - 1) > l * l
-    return k == 2 * l == 2 * m * n
 
 
 def _polish(z: np.ndarray, rho: np.ndarray, m: int, n: int) -> np.ndarray | None:

@@ -20,17 +20,15 @@ down to F ~ 1e-28.  F only sums the minors anchored at the first row
 and column, so F ~ 0 does not make every member a product, and a
 restart can also stall at F ~ 1e-6 near a decomposition.  A restart
 that ends at F <= _POLISH_GATE without a certificate is polished in
-product space where _polish_pays admits (the products module); when
+product space (the products module) if its size is fitted (_walk); when
 certify accepts the fit, the search stops as after an extraction.  On a
 full-rank state the anchored F also vanishes on members that are not
 products, so the rest of the budget only drives F towards 0 on points
-that do not extract: there the descent pauses the first time it reaches
-_POLISH_GATE, the point is polished, and the restart stops if the fit
-certifies; if not, the same descent resumes, unchanged, to its end.
-There the search walks only the sizes with a fit, k = 2l before k = l:
-2l certifies far more often, and since a restart's work depends only on
-its size and seed, the order moves which certificate is found first,
-never whether one is.
+that do not extract: there each restart is paused, the descent stopping
+the first time it reaches _POLISH_GATE; the point is polished, and the
+restart stops if the fit certifies; if not, the same descent resumes,
+unchanged, to its end.  _walk alone decides which sizes are walked, in
+what order, and which restarts are fitted or paused.
 Each B^r has four nonzero entries, so a trial point is evaluated on its
 members, not on the l x l taus: Zc = conj(u) conj(X) holds the
 conjugated members, each pair residual is the sum of four products of
@@ -55,7 +53,7 @@ from .decompose import range_space
 from .linalg import ScaledEigvecs, product_svd, random_orthonormal_columns, scaled_eigvecs
 from .linalg import reorthonormalize  # noqa: F401 (traced by perfbench)
 from .pairs import PairIndex, _pair_layout, pair_operators, tau_matrix
-from .products import _polish, _polish_pays
+from .products import _POLISH_MAX_DIM, _polish
 from .states import PRODUCT_TOL, RECON_TOL, STATE_TOL, DensityMatrix, _check_counts, format_float
 
 __all__ = [
@@ -87,11 +85,12 @@ class SearchConfig:
     of decompose.range_space, which loses no decomposition (see the
     decompose module docstring).  When dim V < l holds beyond RANGE_MARGIN
     no decomposition exists, and no size is walked.  A full-rank state
-    walks only the sizes with a fit (see the products module), largest
-    first, which changes no verdict: a restart depends only on its size
-    and seed.  Each size runs `restarts` descents from random orthonormal
-    starts seeded seed + restart index, each of at most max_iters
-    iterations.
+    walks only the sizes with a fit, interleaved restart by restart (see
+    _walk), which changes no verdict: a restart depends only on its size
+    and seed.  Each size runs `restarts` descents from random
+    orthonormal starts seeded seed + restart index, each of at most
+    max_iters iterations; restarts has no upper bound, since the walk
+    builds no list of them.
     """
 
     restarts: int = 50
@@ -132,9 +131,11 @@ class SearchReport:
     without one, the restarts merge by least residual, first-come on ties.
     rejected_extractions counts the points that reached _TOL_RESIDUAL but
     whose members failed the product test or the re-check, and
-    polish_attempts the calls to _polish (see minimize).  range_dim is dim
-    V (decompose.range_space), which caps the k walked.  When no size is
-    walked, k is 0, best_residual is inf and best_u is an empty (0, l) array.
+    polish_attempts the calls to _polish (see minimize).  restarts_used
+    counts the restarts run, over every size walked (_walk).  range_dim is
+    dim V (decompose.range_space), which caps the k walked.  When no size
+    is walked, k is 0, best_residual is inf and best_u is an empty (0, l)
+    array.
     """
 
     best_residual: float
@@ -327,39 +328,56 @@ def _descend(u: np.ndarray, kernel: _MemberKernel, max_iters: int,
     yield u, f, iters
 
 
+def _walk(l: int, range_dim: int, dim_bound: int, m: int, n: int,
+          restarts: int) -> Iterator[tuple[int, int, bool, bool]]:
+    """The restarts of a rank-l m x n state in run order, lazily, as
+    (k, seed index, fitted, paused).
 
-def _k_schedule(l: int, range_dim: int, dim_bound: int, m: int, n: int) -> list[int]:
-    """l, 2l, 4l, ... capped at max(l, range_dim), for a rank-l m x n state.
+    The sizes are l, 2l, 4l, ... capped at max(l, range_dim) (see the
+    decompose module docstring), and none when dim_bound, dim V counted
+    beyond RANGE_MARGIN (decompose.range_space), is below l: then no
+    decomposition exists.  Up to mn = _POLISH_MAX_DIM, a restart is fitted
+    at k = l where 2k(m + n - 1) > l^2, against the l^2 real equations of
+    a Hermitian operator on range(rho), and at k = 2l at full rank.  Each
+    rule is measured, not a parameter count: a member v_i v_i^H has
+    2(m + n) - 3 real parameters, which makes k = l square at full-rank
+    3 x 3 and at 3 x 4 rank 11, yet dropping those fits loses a
+    certificate of the completeness sweep; no fit certified at k > 2l,
+    nor at k = 2l below full rank (see CHANGES.md).
 
-    Empty when dim_bound, dim V counted beyond RANGE_MARGIN
-    (decompose.range_space), is below l: then no decomposition exists.  At
-    full rank (l = mn), only the sizes with a fit (see the products module),
-    largest first: 2l, then l where it pays.  Each restart's work depends
-    only on (k, seed + i), so minimize certifies exactly when one size
-    alone would; the order moves only which certificate comes first.
+    Each size runs its restarts in turn, except at full rank up to
+    mn = _POLISH_MAX_DIM: there only the fitted sizes are walked, every
+    restart paused (see the module docstring), 2l and l interleaved
+    restart by restart: 2l certifies far more often, yet some states only
+    at l.  A restart's work depends only on its size and seed, so the
+    order moves which certificate comes first, never whether one does.
     """
     if dim_bound < l:
-        return []
-    cap = max(l, range_dim)  # enough terms: see the decompose module docstring
-    ks = [l]
-    while ks[-1] < cap:
-        ks.append(min(2 * ks[-1], cap))
-    if l == m * n and _polish_pays(2 * l, l, m, n):
-        ks = [k for k in ks if _polish_pays(k, l, m, n)][::-1]
-    return ks
+        return
+    cap = max(l, range_dim)
+    sizes = [l]
+    while sizes[-1] < cap:
+        sizes.append(min(2 * sizes[-1], cap))
+    small = m * n <= _POLISH_MAX_DIM
+    fit_l = small and 2 * l * (m + n - 1) > l * l
+    if small and l == m * n:
+        sizes = [k for k in sizes[::-1] if k == 2 * l or (k == l and fit_l)]
+        yield from ((k, i, True, True) for i in range(restarts) for k in sizes)
+    else:
+        yield from ((k, i, k == l and fit_l, False) for k in sizes for i in range(restarts))
 
 
 def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchReport:
     """Search for an annihilating u; deterministic for fixed (rho, config).
 
-    Walks the sizes of _k_schedule; per size, one descent per seeded
-    random restart.  With dim V < l beyond RANGE_MARGIN (see
-    decompose.range_space) the schedule is empty, and no kernel is built.
-    A restart that ends at F <= _TOL_RESIDUAL goes to extraction (a
-    failure counts as rejected), and one that ends at F <= _POLISH_GATE
-    without a certificate is polished where _polish_pays admits, at full
-    rank also at its pause (see the module docstring).  The first restart
-    to certify ends the search with its own point, F and k; without a
+    Runs one descent per restart of _walk, in its order, from the seeded
+    random start of the restart's size and seed index.  With dim V < l
+    beyond RANGE_MARGIN (see decompose.range_space) the walk is empty, and
+    no kernel is built.  A restart that ends at F <= _TOL_RESIDUAL goes to
+    extraction (a failure counts as rejected), and a fitted one that ends
+    at F <= _POLISH_GATE without a certificate is polished, a paused one
+    also at its pause (see the module docstring).  The first restart to
+    certify ends the search with its own point, F and k; without a
     certificate, the restart of least residual is reported, first-come on
     ties.  With no pairs (a one-dimensional factor) the eigen-ensemble
     (u = I) is the certificate.  Raises ValueError when config is not a
@@ -375,8 +393,7 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
     x = scaled_eigvecs(rho)
     l = x.count
     range_dim, dim_bound, _ = range_space(rho)
-    schedule = _k_schedule(l, range_dim, dim_bound, rho.m, rho.n)
-    if schedule and not _pair_layout(rho.m, rho.n).pairs:
+    if not _pair_layout(rho.m, rho.n).pairs:
         certificate = certify(x.vectors, rho)
         return SearchReport(best_residual=0.0, best_u=np.eye(l, dtype=complex), k=l,
                             restarts_used=0, iterations_used=0, certificate=certificate,
@@ -390,34 +407,31 @@ def minimize(rho: DensityMatrix, config: SearchConfig | None = None) -> SearchRe
     iterations_used = 0
     rejected = 0
     polished = 0
-    kernel = _member_kernel(x, rho.m, rho.n) if schedule else None
-
-    for k in schedule:
-        pays = _polish_pays(k, l, rho.m, rho.n)
-        gate = _POLISH_GATE if pays and l == rho.dim else None
-        for i in range(cfg.restarts):
-            restarts_used += 1
-            u0 = random_orthonormal_columns(k, l, cfg.seed + i)
-            for u, f, iters in _descend(u0, kernel, cfg.max_iters, gate):
-                z = u @ x.vectors
-                certificate = certify(z, rho) if f <= _TOL_RESIDUAL else None
-                if f <= _TOL_RESIDUAL and certificate is None:
-                    rejected += 1
-                if certificate is None and f <= _POLISH_GATE and pays:
-                    polished += 1
-                    members = _polish(z, rho.matrix, rho.m, rho.n)
-                    certificate = None if members is None else certify(members, rho)
-                    if certificate is not None:  # report the fitted ensemble
-                        u = members @ x.vectors.conj().T / x.values
-                        f = _objective_and_gradient(u, kernel)[0]
-                if certificate is not None:
-                    return SearchReport(best_residual=f, best_u=u, k=k, restarts_used=restarts_used,
-                                        iterations_used=iterations_used + iters,
-                                        certificate=certificate, rejected_extractions=rejected,
-                                        range_dim=range_dim, polish_attempts=polished)
-            iterations_used += iters
-            if f < best_f:
-                best_f, best_u, best_k = f, u, k
+    kernel = None
+    for k, i, fitted, paused in _walk(l, range_dim, dim_bound, rho.m, rho.n, cfg.restarts):
+        kernel = kernel or _member_kernel(x, rho.m, rho.n)  # only once a restart runs
+        restarts_used += 1
+        u0 = random_orthonormal_columns(k, l, cfg.seed + i)
+        for u, f, iters in _descend(u0, kernel, cfg.max_iters, _POLISH_GATE if paused else None):
+            z = u @ x.vectors
+            certificate = certify(z, rho) if f <= _TOL_RESIDUAL else None
+            if f <= _TOL_RESIDUAL and certificate is None:
+                rejected += 1
+            if certificate is None and f <= _POLISH_GATE and fitted:
+                polished += 1
+                members = _polish(z, rho.matrix, rho.m, rho.n)
+                certificate = None if members is None else certify(members, rho)
+                if certificate is not None:  # report the fitted ensemble
+                    u = members @ x.vectors.conj().T / x.values
+                    f = _objective_and_gradient(u, kernel)[0]
+            if certificate is not None:
+                return SearchReport(best_residual=f, best_u=u, k=k, restarts_used=restarts_used,
+                                    iterations_used=iterations_used + iters,
+                                    certificate=certificate, rejected_extractions=rejected,
+                                    range_dim=range_dim, polish_attempts=polished)
+        iterations_used += iters
+        if f < best_f:
+            best_f, best_u, best_k = f, u, k
     return SearchReport(best_residual=best_f, best_u=best_u, k=best_k,
                         restarts_used=restarts_used, iterations_used=iterations_used,
                         certificate=None, rejected_extractions=rejected,

@@ -6,7 +6,8 @@ import pytest
 import sepkit as sk
 import sepkit.products as products_module
 from sepkit.linalg import random_orthonormal_columns, scaled_eigvecs
-from sepkit.products import _polish, _polish_pays
+from sepkit.products import _polish
+from sepkit.search import _walk
 
 
 def test_polish_gram_is_j_jt_of_the_residual():
@@ -81,6 +82,13 @@ def test_polish_never_fits_an_entangled_state(rho, k):
     assert _polish(z, rho.matrix, rho.m, rho.n) is None
 
 
+def polish_pays(k: int, l: int, m: int, n: int) -> bool:
+    """Whether the search's walk fits its restarts at size k on a rank-l
+    m x n state, with dim V = l^2 so that every size up to l^2 is walked
+    unless the walk leaves it out."""
+    return any(fitted for size, _, fitted, _ in _walk(l, l * l, l * l, m, n, 1) if size == k)
+
+
 @pytest.mark.parametrize("k, l, m, n, pays", [
     (6, 6, 2, 3, True),      # k = l at full rank: 2l(m + n - 1) > l^2
     (9, 9, 3, 3, True),
@@ -94,15 +102,18 @@ def test_polish_never_fits_an_entangled_state(rho, k):
     (18, 9, 2, 5, False),
 ])
 def test_polish_pays_truth_table(k, l, m, n, pays):
-    assert _polish_pays(k, l, m, n) is pays
+    assert polish_pays(k, l, m, n) is pays
 
 
 def test_nothing_pays_above_the_size_cap():
     """Above mn = 20 no size of any rank is fitted; at or below it, k = 2l
-    pays exactly at full rank."""
+    is fitted exactly at full rank, and a restart is paused exactly where
+    it is fitted at full rank."""
     for m, n in ((3, 7), (4, 6), (5, 5), (8, 8)):
         for l in range(1, m * n + 1):
-            assert not any(_polish_pays(k, l, m, n) for k in range(l, 4 * l + 1))
+            assert not any(fitted for _, _, fitted, _ in _walk(l, l * l, l * l, m, n, 1))
     for m, n in ((2, 2), (2, 3), (3, 3), (2, 5), (4, 4), (4, 5)):
         for l in range(1, m * n + 1):
-            assert _polish_pays(2 * l, l, m, n) is (l == m * n)
+            assert polish_pays(2 * l, l, m, n) is (l == m * n)
+            for _, _, fitted, paused in _walk(l, l * l, l * l, m, n, 1):
+                assert paused is (fitted and l == m * n)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,15 +225,16 @@ def test_minimize_is_deterministic():
     np.testing.assert_array_equal(r1.best_u, r2.best_u)
 
 
-def walked_schedules(monkeypatch, rho, config):
-    """The k schedules minimize asks _k_schedule for, and minimize's report."""
-    seen, real = [], search_module._k_schedule
+def walked(monkeypatch, rho, config):
+    """Every walk minimize asks _walk for, as lists of its restarts
+    (k, seed index, fitted, paused), and minimize's report."""
+    seen, real = [], search_module._walk
 
     def spy(*args):
-        seen.append(real(*args))
-        return seen[-1]
+        seen.append(list(real(*args)))
+        return iter(seen[-1])
 
-    monkeypatch.setattr(search_module, "_k_schedule", spy)
+    monkeypatch.setattr(search_module, "_walk", spy)
     return seen, minimize(rho, config)
 
 
@@ -249,11 +251,12 @@ def test_schedule_doubles_from_the_rank_up_to_dim_v(monkeypatch, rho, schedule):
     no kernel), so the walk stops at max(l, dim V), which the report holds;
     with dim V below the rank no decomposition exists and nothing is walked.
     At full rank up to mn = 20 the walk keeps only the sizes a fit is tried
-    at (_polish_pays), largest first, so it starts at 2l; above mn = 20 no
-    fit is tried and the whole walk to l^2 stays."""
-    seen, report = walked_schedules(monkeypatch, rho, SearchConfig(restarts=1, max_iters=1))
+    at, largest first, so it starts at 2l; above mn = 20 no fit is tried
+    and the whole walk to l^2 stays."""
+    (walk,), report = walked(monkeypatch, rho, SearchConfig(restarts=1, max_iters=1))
     l = scaled_eigvecs(rho).count
-    assert seen == [schedule]
+    assert [k for k, _, _, _ in walk] == schedule
+    assert all(i == 0 for _, i, _, _ in walk)
     if report.range_dim < l:
         assert schedule == []
     elif l == rho.dim <= products_module._POLISH_MAX_DIM:
@@ -272,6 +275,32 @@ def test_full_rank_3x4_certifies_at_the_first_size_walked():
     assert (report.k, report.restarts_used) == (24, 1)
 
 
+def test_full_rank_2x5_certifies_at_l_after_one_restart_at_2l():
+    """This full-rank 2x5 mixture certifies only at k = l = 10.  The walk
+    interleaves the fitted sizes restart by restart, so at the default
+    budget k = 10 runs second, rather than after all 50 restarts at k = 20
+    (100 087 iterations)."""
+    report = minimize(sk.random_separable(2, 5, 10, seed=25), SearchConfig())
+    assert report.certificate is not None
+    assert (report.k, report.restarts_used) == (10, 2)
+
+
+def test_the_walk_is_lazy():
+    """minimize draws the restarts one at a time, so a budget of a million
+    restarts costs nothing until they run: a full-rank 2x4 state that
+    certifies in its first restart peaks near 0.2 MB, where a list of
+    every restart of both sizes takes about 190 MB."""
+    rho = sk.random_separable(2, 4, 10, seed=1)
+    tracemalloc.start()
+    try:
+        report = minimize(rho, SearchConfig(restarts=10**6, max_iters=200))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.certificate is not None and report.restarts_used == 1
+    assert peak < 10 * 2**20
+
+
 @pytest.mark.parametrize("rho", [
     sk.random_separable(3, 3, 9, seed=1),    # certifies at k = 2l only
     sk.random_separable(2, 5, 10, seed=25),  # certifies at k = l only
@@ -279,15 +308,17 @@ def test_full_rank_3x4_certifies_at_the_first_size_walked():
 ], ids=["3x3", "2x5", "2x4"])
 def test_full_rank_walk_order_changes_no_verdict(monkeypatch, rho):
     """Each restart's work depends only on (k, seed + i), so walking the
-    fitted sizes 2l, l certifies exactly when one of the single-size walks
-    [2l] and [l] does, and then with the certificate and k of the first
-    such walk in that order, byte for byte."""
-    cfg = SearchConfig(restarts=1, max_iters=200)
-    (walk,), report = walked_schedules(monkeypatch, rho, cfg)
-    assert walk == [2 * rho.dim, rho.dim]
+    fitted sizes 2l, l restart by restart certifies exactly when one of
+    its restarts walked alone does, and then with the certificate and k
+    of the first such restart in walk order, byte for byte."""
+    cfg = SearchConfig(restarts=2, max_iters=200)
+    (walk,), report = walked(monkeypatch, rho, cfg)
+    d = rho.dim
+    assert walk == [(2 * d, 0, True, True), (d, 0, True, True),
+                    (2 * d, 1, True, True), (d, 1, True, True)]
     singles = []
-    for k in walk:
-        monkeypatch.setattr(search_module, "_k_schedule", lambda *args, k=k: [k])
+    for step in walk:
+        monkeypatch.setattr(search_module, "_walk", lambda *args, step=step: iter([step]))
         singles.append(minimize(rho, cfg))
     certified = [single for single in singles if single.certificate is not None]
     assert (report.certificate is not None) == bool(certified)
@@ -612,10 +643,11 @@ def test_minimize_counts_rejected_extractions(monkeypatch):
     """At k = 24 this full-rank 2x3 mixture reaches F ~ 3e-27 on members
     whose anchored minors vanish without being products: both restarts
     reach tol_residual and both extractions are rejected and counted.  No
-    fit is tried at k = 4l (_polish_pays), so nothing certifies."""
+    fit is tried at k = 4l (_walk), so nothing certifies."""
     assert minimize(sk.werner_2x2(0.2), SearchConfig()).rejected_extractions == 0
     rho = sk.random_separable(2, 3, terms=6, seed=1)
-    monkeypatch.setattr(search_module, "_k_schedule", lambda *args: [24])
+    monkeypatch.setattr(search_module, "_walk",
+                        lambda *args: ((24, i, False, False) for i in range(args[-1])))
     report = minimize(rho, SearchConfig(restarts=2))
     assert report.certificate is None
     assert report.rejected_extractions == report.restarts_used == 2
