@@ -3,8 +3,10 @@
 Levenberg-Marquardt fits sum_i (a_i x b_i)(a_i x b_i)^H to rho over
 product members a_i (x) b_i; its J J^T is (mn)^2 x (mn)^2 whatever the
 number of members, and is assembled from two Gram products over the
-members (_polish_gram).  The search decides which of its points are
-fitted (search._walk), none above mn = _POLISH_MAX_DIM.
+members, written block by block into it (_polish_gram).  A step damps a
+copy of J J^T and solves it once; the steps rejected after it reuse J J^T.
+The search decides which of its points are fitted (search._walk), none
+above mn = _POLISH_MAX_DIM.
 """
 
 import numpy as np
@@ -24,7 +26,9 @@ _POLISH_FLOOR = 1e-12
 _POLISH_WINDOW = 8
 _POLISH_DROP = 1.2
 # J J^T has (mn)^4 entries and a step solves it in about (mn)^6 flops: at
-# mn = 20, 1.3 MB and about 10 ms; at 8 x 8, 134 MB and seconds.  Larger
+# mn = 20 it takes 1.3 MB, and a step took about 2.3 ms for the solve plus
+# 0.8 ms for J J^T on one BLAS thread, with a tracemalloc peak of 2.5 MiB
+# (J J^T and its damped copy); at 8 x 8, 134 MB and seconds.  Larger
 # systems are not polished.
 _POLISH_MAX_DIM = 20
 
@@ -46,31 +50,43 @@ def _polish_gram(a: np.ndarray, b: np.ndarray, v: np.ndarray, m: int, n: int) ->
     On row-major vec that is L = 2 (T + T'), T = sum_i Q_i (x) conj(V_i), T'
     its conjugate with both index pairs swapped.  The sums over members are
     two Gram products, of the (k, m d) rows a_ij conj(v_ir) and the (k, n d)
-    rows b_ik conj(v_ir) (d = mn), written onto the diagonals that the
-    identities in Q_i leave; no per-member (d, d) array is formed.  L is
-    complex-linear and commutes with Y -> Y^H, so in the coordinates h, an
-    isometry onto the Hermitian matrices, it is the symmetric d^2 x d^2
-    matrix Re L + (Im L) P, with P transposing the column index pair: each
-    block lands in one of four layouts of the result.
+    rows b_ik conj(v_ir) (d = mn), scaled by the 2 in L and written as
+    blocks onto the diagonals that the identities in Q_i leave; no
+    per-member (d, d) array is formed.  L is complex-linear and commutes
+    with Y -> Y^H, so in the coordinates h, an isometry onto the Hermitian
+    matrices, it is the symmetric d^2 x d^2 matrix Re L + (Im L) P, with P
+    transposing the column index pair: each block lands in one of four
+    layouts of the result.  Two of them swap the column pair, and get the
+    Gram products stored column-swapped, so that every write reads its
+    block in the order it writes it.
     """
     k, d = v.shape
     vc = v.conj()
     wa = (a[:, :, None] * vc[:, None, :]).reshape(k, m * d)
     wb = (b[:, :, None] * vc[:, None, :]).reshape(k, n * d)
-    ga = (wa.T @ wa.conj()).reshape(m, d, m, d)  # (j, r, J, s)
-    gb = (wb.T @ wb.conj()).reshape(n, d, n, d)  # (k, r, K, s)
+    ga = 2.0 * (wa.T @ wa.conj()).reshape(m, d, m, d)  # (j, r, J, s)
+    gb = 2.0 * (wb.T @ wb.conj()).reshape(n, d, n, d)  # (k, r, K, s)
+    ga_swapped = ga.transpose(0, 1, 3, 2).copy()  # (j, r, s, J)
+    gb_swapped = gb.transpose(0, 1, 3, 2).copy()  # (k, r, s, K)
     gram = np.zeros((d, d, d, d))
-    size = {"j": m, "k": n, "J": m, "K": n, "r": d, "s": d}
-    # Q_i's row (j, k) and column (J, K); V_i's r and s.  Re T, (Im T) P,
-    # Re T' and (Im T') P = -(Im of T with its pairs swapped) P.
-    for layout, part, sign in (("jkrJKs", "real", 1.0), ("jkrsJK", "imag", 1.0),
-                               ("rjksJK", "real", 1.0), ("rjkJKs", "imag", -1.0)):
-        view = gram.reshape([size[c] for c in layout])
-        np.einsum(layout.replace("K", "k") + "->kjrJs", view)[...] += sign * getattr(ga, part)
-        np.einsum(layout.replace("J", "j") + "->jkrKs", view)[...] += sign * getattr(gb, part)
-    gram = gram.reshape(d * d, d * d)
-    gram *= 2.0
-    return gram
+    # Q_i's row (j, k) and column (J, K), V_i's r and s; ga lands where
+    # k = K, gb where j = J.  Re T:
+    block = gram.reshape(m, n, d, m, n, d)
+    np.einsum("jkrJks->kjrJs", block)[...] = ga.real
+    np.einsum("jkrjKs->jkrKs", block)[...] += gb.real
+    # (Im T) P:
+    block = gram.reshape(m, n, d, d, m, n)
+    np.einsum("jkrsJk->kjrsJ", block)[...] += ga_swapped.imag
+    np.einsum("jkrsjK->jkrsK", block)[...] += gb_swapped.imag
+    # Re T':
+    block = gram.reshape(d, m, n, d, m, n)
+    np.einsum("rjksJk->kjrsJ", block)[...] += ga_swapped.real
+    np.einsum("rjksjK->jkrsK", block)[...] += gb_swapped.real
+    # (Im T') P, T' having Im T with both pairs swapped and negated:
+    block = gram.reshape(d, m, n, m, n, d)
+    np.einsum("rjkJks->kjrJs", block)[...] -= ga.imag
+    np.einsum("rjkjKs->jkrKs", block)[...] -= gb.imag
+    return gram.reshape(d * d, d * d)
 
 
 def _polish_stalled(norms: list[float]) -> bool:
@@ -87,7 +103,8 @@ def _polish(z: np.ndarray, rho: np.ndarray, m: int, n: int) -> np.ndarray | None
     damped minimum-norm step -J^T (J J^T + lambda I)^-1 r in the real
     coordinates of _polish_gram: J J^T is d^2 x d^2 for d = mn, whatever
     the number of members.  lambda = mu ||r||; mu halves after a step that
-    lowers ||r|| and quadruples after one that does not, which reuses J J^T.
+    lowers ||r|| and quadruples after one that does not, which reuses J J^T:
+    lambda goes onto the diagonal of a copy.
     Stops at _POLISH_FLOOR, after _POLISH_STEPS steps, or once
     _polish_stalled.  The members still go through certify.
     """
@@ -96,6 +113,7 @@ def _polish(z: np.ndarray, rho: np.ndarray, m: int, n: int) -> np.ndarray | None
     a, b = root * alphas, root * betas
     d = m * n
     v, r, norm = _product_residual(a, b, rho)
+    rhs = (r.real + r.imag).ravel()
     norms = [norm]
     mu, gram = _POLISH_DAMPING, None
     for _ in range(_POLISH_STEPS):
@@ -105,8 +123,10 @@ def _polish(z: np.ndarray, rho: np.ndarray, m: int, n: int) -> np.ndarray | None
             return None
         if gram is None:
             gram = _polish_gram(a, b, v, m, n)
+        damped = gram.copy()
+        damped.reshape(-1)[::d * d + 1] += mu * norm
         try:
-            h = np.linalg.solve(gram + mu * norm * np.eye(d * d), (r.real + r.imag).ravel())
+            h = np.linalg.solve(damped, rhs)
         except np.linalg.LinAlgError:  # singular to working precision
             return None
         h = h.reshape(d, d)
@@ -115,7 +135,8 @@ def _polish(z: np.ndarray, rho: np.ndarray, m: int, n: int) -> np.ndarray | None
         b_try = b - 2.0 * np.einsum("ijk,ij->ik", yv, a.conj())
         v_try, r_try, norm_try = _product_residual(a_try, b_try, rho)
         if norm_try < norm:
-            a, b, v, r, norm = a_try, b_try, v_try, r_try, norm_try
+            a, b, v, norm = a_try, b_try, v_try, norm_try
+            rhs = (r_try.real + r_try.imag).ravel()
             mu, gram = mu / 2.0, None
         else:
             mu *= 4.0

@@ -10,12 +10,19 @@ from sepkit.products import _polish
 from sepkit.search import _walk
 
 
-def test_polish_gram_is_j_jt_of_the_residual():
+# Every fitted shape from 2x2 to the mn = 20 cap, m > n included, with k
+# below and above mn.
+_GRAM_CASES = [(2, 2, 3), (2, 2, 6), (2, 3, 3), (2, 3, 9), (3, 2, 5), (3, 2, 8), (3, 3, 7),
+               (3, 3, 11), (2, 4, 6), (2, 4, 10), (3, 4, 9), (3, 4, 15), (4, 5, 13), (4, 5, 23)]
+_GRAM_IDS = [f"{m}x{n}_k{k}" for m, n, k in _GRAM_CASES]
+
+
+@pytest.mark.parametrize("m, n, k", _GRAM_CASES, ids=_GRAM_IDS)
+def test_polish_gram_is_j_jt_of_the_residual(m, n, k):
     """_polish_gram equals J J^T of r(a, b) = sum_i (a_i x b_i)(a_i x b_i)^H
     - rho, with J taken by central differences over the real and
     imaginary parts of every a_i and b_i, in the coordinates Re Y + Im Y."""
     rng = np.random.default_rng(4)
-    m, n, k = 2, 3, 3
     a = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
     b = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
 
@@ -36,6 +43,37 @@ def test_polish_gram_is_j_jt_of_the_residual():
     v = (a[:, :, None] * b[:, None, :]).reshape(k, -1)
     np.testing.assert_allclose(products_module._polish_gram(a, b, v, m, n), jac @ jac.T,
                                rtol=1e-6, atol=1e-6 * np.abs(jac @ jac.T).max())
+
+
+def _scatter_add_gram(a, b, v, m, n):
+    """J J^T added block by block into its four layouts, then doubled: the
+    reference _polish_gram must equal, each entry summed in the same order."""
+    k, d = v.shape
+    vc = v.conj()
+    wa = (a[:, :, None] * vc[:, None, :]).reshape(k, m * d)
+    wb = (b[:, :, None] * vc[:, None, :]).reshape(k, n * d)
+    ga = (wa.T @ wa.conj()).reshape(m, d, m, d)
+    gb = (wb.T @ wb.conj()).reshape(n, d, n, d)
+    gram = np.zeros((d, d, d, d))
+    size = {"j": m, "k": n, "J": m, "K": n, "r": d, "s": d}
+    for layout, part, sign in (("jkrJKs", "real", 1.0), ("jkrsJK", "imag", 1.0),
+                               ("rjksJK", "real", 1.0), ("rjkJKs", "imag", -1.0)):
+        view = gram.reshape([size[c] for c in layout])
+        np.einsum(layout.replace("K", "k") + "->kjrJs", view)[...] += sign * getattr(ga, part)
+        np.einsum(layout.replace("J", "j") + "->jkrKs", view)[...] += sign * getattr(gb, part)
+    return 2.0 * gram.reshape(d * d, d * d)
+
+
+@pytest.mark.parametrize("m, n, k", _GRAM_CASES, ids=_GRAM_IDS)
+def test_polish_gram_equals_the_scatter_add_reference(m, n, k):
+    """_polish_gram's block writes sum every entry in the reference's order,
+    so the two agree exactly, not just to rounding."""
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
+    b = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+    v = (a[:, :, None] * b[:, None, :]).reshape(k, -1)
+    assert np.array_equal(products_module._polish_gram(a, b, v, m, n),
+                          _scatter_add_gram(a, b, v, m, n))
 
 
 def test_polish_keeps_an_exact_decomposition():
@@ -64,11 +102,56 @@ def test_polish_gives_up_on_a_singular_step(monkeypatch):
     members = _polish(z, rho.matrix, rho.m, rho.n)
     assert members is not None and sk.certify(members, rho) is not None
 
+    calls = []
+
     def singular(a, b):
+        calls.append(a.shape)
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(np.linalg, "solve", singular)
     assert _polish(z, rho.matrix, rho.m, rho.n) is None
+    assert calls == [(64, 64)]  # the first step's damped system, then no other
+
+
+def test_damping_never_writes_into_the_reused_gram(monkeypatch):
+    """A fit on horodecki_2x4(0.5) at k = 5 rejects steps.  J J^T is built
+    exactly once for each state a step is taken from, the start and each
+    accepted step's result, and the rejected steps reuse it: every array
+    _polish_gram returned is still bit-identical to a copy taken when it
+    returned, so the damping lambda I went into a copy."""
+    rho = sk.horodecki_2x4(0.5)
+    x = scaled_eigvecs(rho)
+    z = random_orthonormal_columns(5, x.count, 0) @ x.vectors
+    gram, residual = products_module._polish_gram, products_module._product_residual
+    events, grams = [], []
+
+    def spy_gram(*args):
+        out = gram(*args)
+        grams.append((out, out.copy()))
+        events.append("gram")
+        return out
+
+    def spy_residual(*args):
+        out = residual(*args)
+        events.append(out[2])
+        return out
+
+    monkeypatch.setattr(products_module, "_polish_gram", spy_gram)
+    monkeypatch.setattr(products_module, "_product_residual", spy_residual)
+    assert _polish(z, rho.matrix, rho.m, rho.n) is None
+    norm, built, accepted, rejected = events[0], False, 0, 0
+    for event in events[1:]:  # per step: J J^T if its state has none yet, then the trial's ||r||
+        if event == "gram":
+            assert not built
+            built = True
+        else:
+            assert built
+            if event < norm:
+                norm, built, accepted = event, False, accepted + 1
+            else:
+                rejected += 1
+    assert rejected >= 1 and len(grams) in (accepted, accepted + 1)
+    assert all(out.tobytes() == copy.tobytes() for out, copy in grams)
 
 
 @pytest.mark.parametrize("rho, k", [(sk.tiles(), 4), (sk.tiles(), 8),
